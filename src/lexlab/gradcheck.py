@@ -19,12 +19,10 @@ from .encoders import (
     DenseParams,
     LexicalParams,
     TermWeightVector,
-    dense_backward,
-    dense_encode,
+    TokenBatch,
     fd_max_rel_error,
     grad_check,
-    lexical_backward,
-    lexical_encode,
+    token_row,
 )
 from .objectives import (
     CandidateSet,
@@ -37,6 +35,7 @@ from .objectives import (
     margin_mse_loss,
     rank_consistent_loss,
 )
+from .training import batch_step
 
 LOSS_NAMES = (
     "contrastive",
@@ -53,23 +52,14 @@ def _loss_and_structure(name: str, cands: CandidateSet, reg_weight: float = 1.2)
     """Evaluate one named loss; returns (LossValue, discrete structure)."""
     if name == "contrastive":
         return contrastive_loss(cands), b""
-    if name == "rank-consistent":
+    if name in ("rank-consistent", "combined"):
         pairs = make_rank_pairs(cands)
         lv = rank_consistent_loss(cands, pairs)
-        idx = {pid: i for i, pid in enumerate(cands.pids)}
-        active = tuple(
-            cands.scores[idx[lose]] > cands.scores[idx[win]] for win, lose in pairs.pairs
-        )
-        return lv, repr(active).encode()
-    if name == "combined":
-        pairs = make_rank_pairs(cands)
-        cl = contrastive_loss(cands)
-        ll = rank_consistent_loss(cands, pairs)
-        idx = {pid: i for i, pid in enumerate(cands.pids)}
-        active = tuple(
-            cands.scores[idx[lose]] > cands.scores[idx[win]] for win, lose in pairs.pairs
-        )
-        return combined_loss(cl, ll, reg_weight), repr(active).encode()
+        if name == "combined":
+            lv = combined_loss(contrastive_loss(cands), lv, reg_weight)
+        s = cands.scores
+        # Which pairs' hinges are active: s(other) > s(preferred).
+        return lv, (pairs.mask & (s[None, :] > s[:, None])).tobytes()
     if name == "margin-mse":
         return margin_mse_loss(cands, make_rank_pairs(cands)), b""
     if name == "kl":
@@ -180,62 +170,38 @@ def composed_grad_check(
         params.bias[:] = rng.uniform(-0.1, 0.1, size=params.bias.shape)
     else:
         raise ValueError(f"unknown encoder kind {kind!r}")
+    if loss_name == "flops" and kind != "lexical":
+        raise ValueError("flops composes on the lexical encoder only")
 
-    def forward(p):
-        if kind == "dense":
-            q_vec, q_trace = dense_encode(q_tv, p)
-            encoded = [dense_encode(tv, p) for tv in cand_tvs]
-            scores = np.array([q_vec @ vec for vec, _ in encoded])
-            structure = b"dense"
-        else:
-            q_vec, q_trace = lexical_encode(q_tv, p)
-            encoded = [lexical_encode(tv, p) for tv in cand_tvs]
-            scores = np.array(
-                [sum(q_vec.weights.get(t, 0.0) * w for t, w in vec.weights.items())
-                 for vec, _ in encoded]
-            )
-            structure = q_trace.structure() + b"".join(tr.structure() for _, tr in encoded)
+    # The chain under test is the training step itself: batch_step encodes,
+    # scores, applies the loss (plus FLOPS) and backpropagates.
+    batch = TokenBatch([token_row(tv) for tv in (q_tv, *cand_tvs)])
+    sizes = [len(batch)]
+    flops_weight = 0.7 if loss_name == "flops" else 0.0
+    loss_structure = []
+
+    def loss_fn(k, scores):
+        if loss_name == "flops":
+            return 0.0, np.zeros(len(scores))
         cands = CandidateSet(
             qid="q", pos_pid="p+", neg_pids=neg_pids, scores=scores, teacher_scores=teacher
         )
-        if loss_name == "flops":
-            if kind != "lexical":
-                raise ValueError("flops composes on the lexical encoder only")
-            lv = flops_penalty([q_vec] + [vec for vec, _ in encoded], weight=0.7)
-            return lv, cands, encoded, q_trace, structure
-        lv, loss_structure = _loss_and_structure(loss_name, cands)
-        return lv, cands, encoded, q_trace, structure + loss_structure
+        lv, structure = _loss_and_structure(loss_name, cands)
+        loss_structure.append(structure)
+        return lv.loss, lv.grad
 
-    lv, cands, encoded, q_trace, _ = forward(params)
+    def forward(p):
+        loss_structure.clear()
+        step = batch_step(p, batch, sizes, loss_fn, flops_weight)
+        encoded = b"dense" if step.traces is None else b"".join(
+            tr.structure() for tr in step.traces
+        )
+        return step.losses[0], encoded + b"".join(loss_structure)
+
     grads = params.zeros_like()
-    if loss_name == "flops":
-        lexical_backward(params, q_trace, lv.grad[0], into=grads)
-        for (vec, tr), g in zip(encoded, lv.grad[1:]):
-            lexical_backward(params, tr, g, into=grads)
-    elif kind == "dense":
-        q_vec, _ = dense_encode(q_tv, params)
-        cand_mat = np.stack([vec for vec, _ in encoded])
-        dense_backward(params, q_trace, lv.grad @ cand_mat, into=grads)
-        for (vec, tr), g in zip(encoded, lv.grad):
-            dense_backward(params, tr, g * q_vec, into=grads)
-    else:
-        q_vec, _ = lexical_encode(q_tv, params)
-        upstream = np.zeros(vocab_size)
-        for (vec, tr), g in zip(encoded, lv.grad):
-            for t, w in vec.weights.items():
-                upstream[t] += g * w
-        lexical_backward(params, q_trace, upstream, into=grads)
-        q_dense = np.zeros(vocab_size)
-        for t, w in q_vec.weights.items():
-            q_dense[t] = w
-        for (vec, tr), g in zip(encoded, lv.grad):
-            lexical_backward(params, tr, q_dense, into=grads, scale=g)
-
-    def scalar_forward(p):
-        lv, _, _, _, structure = forward(p)
-        return lv.loss, structure
-
-    return fd_max_rel_error(params, scalar_forward, grads, eps)
+    batch_step(params, batch, sizes, loss_fn, flops_weight, grads)
+    unread = np.setdiff1d(np.arange(vocab_size), batch.ids)
+    return fd_max_rel_error(params, forward, grads, eps, unread_emb_rows=unread)
 
 
 @dataclass

@@ -10,7 +10,7 @@ orders against the teacher; agreement, including exact ties, costs nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,14 +52,23 @@ class LossValue:
     grad: np.ndarray | list[dict[int, float]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankPairSet:
-    """Ordered (preferred, other) pid pairs under the teacher's strict order."""
+    """Ordered (preferred, other) pairs under the teacher's strict order.
 
-    pairs: list[tuple[str, str]] = field(default_factory=list)
+    `mask[i, j]` is True when candidate `pids[i]` is preferred to `pids[j]`.
+    """
+
+    pids: tuple[str, ...]
+    mask: np.ndarray
+
+    @property
+    def pairs(self) -> list[tuple[str, str]]:
+        win, lose = np.nonzero(self.mask)
+        return [(self.pids[i], self.pids[j]) for i, j in zip(win.tolist(), lose.tolist())]
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return int(np.count_nonzero(self.mask))
 
 
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
@@ -92,24 +101,36 @@ def contrastive_loss(cands: CandidateSet) -> LossValue:
 def make_rank_pairs(cands: CandidateSet, teacher_scores: np.ndarray | None = None) -> RankPairSet:
     """All ordered candidate pairs the teacher strictly prefers; ties yield none."""
     t = _require_teacher(cands, teacher_scores)
-    pids = cands.pids
-    pairs = [
-        (pids[i], pids[j])
-        for i in range(len(pids))
-        for j in range(len(pids))
-        if t[i] > t[j]
-    ]
-    return RankPairSet(pairs=pairs)
+    return RankPairSet(pids=tuple(cands.pids), mask=t[:, None] > t[None, :])
 
 
-def _pair_indices(cands: CandidateSet, pairs: RankPairSet) -> list[tuple[int, int]]:
-    index = {pid: i for i, pid in enumerate(cands.pids)}
-    out = []
-    for win, lose in pairs.pairs:
-        if win not in index or lose not in index:
-            raise ValueError(f"rank pair references unknown pid ({win!r}, {lose!r})")
-        out.append((index[win], index[lose]))
-    return out
+def _pair_mask(cands: CandidateSet, pairs: RankPairSet) -> np.ndarray:
+    """The pair mask, checked to be over the candidates of `cands`."""
+    if pairs.pids != tuple(cands.pids):
+        raise ValueError(
+            f"rank pairs are over pids {list(pairs.pids)}, not the candidates {cands.pids}"
+        )
+    return pairs.mask
+
+
+def _sequential_pair_sum(win, lose, win_step, lose_step, n: int) -> np.ndarray:
+    """grad[lose] += lose_step; grad[win] += win_step, pair by pair in order.
+
+    One `np.add.at` over the interleaved updates adds to each element in the
+    same order as a Python loop over the pairs would.
+    """
+    at = np.empty(2 * len(win), dtype=np.int64)
+    at[0::2], at[1::2] = lose, win
+    step = np.empty(2 * len(win))
+    step[0::2], step[1::2] = lose_step, win_step
+    grad = np.zeros(n)
+    np.add.at(grad, at, step)
+    return grad
+
+
+def _ordered_total(values: np.ndarray) -> float:
+    """Left-to-right float sum, as `total += v` in a loop accumulates it."""
+    return float(values.cumsum()[-1]) if len(values) else 0.0
 
 
 def rank_consistent_loss(cands: CandidateSet, pairs: RankPairSet) -> LossValue:
@@ -118,20 +139,17 @@ def rank_consistent_loss(cands: CandidateSet, pairs: RankPairSet) -> LossValue:
     Zero exactly when the student's strict order matches the teacher on every
     pair; the subgradient at an exact tie is zero.
     """
+    mask = _pair_mask(cands, pairs)
+    n_pairs = np.count_nonzero(mask)
     n = len(cands.scores)
-    if not pairs.pairs:
+    if not n_pairs:
         return LossValue(loss=0.0, grad=np.zeros(n))
     s = cands.scores
-    grad = np.zeros(n)
-    total = 0.0
-    inv = 1.0 / len(pairs)
-    for i, j in _pair_indices(cands, pairs):
-        margin = s[j] - s[i]
-        if margin > 0.0:
-            total += margin
-            grad[j] += inv
-            grad[i] -= inv
-    return LossValue(loss=total * inv, grad=grad)
+    inv = 1.0 / n_pairs
+    # Pairs whose hinge is active, in the row-major order of the mask.
+    win, lose = (mask & (s[None, :] > s[:, None])).nonzero()
+    grad = _sequential_pair_sum(win, lose, -inv, inv, n)
+    return LossValue(loss=_ordered_total(s[lose] - s[win]) * inv, grad=grad)
 
 
 def combined_loss(cl: LossValue, ll: LossValue, weight: float) -> LossValue:
@@ -148,19 +166,18 @@ def margin_mse_loss(
 ) -> LossValue:
     """Mean squared difference between student and teacher pair margins."""
     t = _require_teacher(cands, teacher_scores)
+    mask = _pair_mask(cands, pairs)
+    n_pairs = np.count_nonzero(mask)
     n = len(cands.scores)
-    if not pairs.pairs:
+    if not n_pairs:
         return LossValue(loss=0.0, grad=np.zeros(n))
     s = cands.scores
-    grad = np.zeros(n)
-    total = 0.0
-    inv = 1.0 / len(pairs)
-    for i, j in _pair_indices(cands, pairs):
-        diff = (s[i] - s[j]) - (t[i] - t[j])
-        total += diff * diff
-        grad[i] += 2.0 * diff * inv
-        grad[j] -= 2.0 * diff * inv
-    return LossValue(loss=total * inv, grad=grad)
+    inv = 1.0 / n_pairs
+    win, lose = mask.nonzero()
+    diff = (s[win] - s[lose]) - (t[win] - t[lose])
+    step = 2.0 * diff * inv
+    grad = _sequential_pair_sum(win, lose, step, -step, n)
+    return LossValue(loss=_ordered_total(diff * diff) * inv, grad=grad)
 
 
 def kl_divergence_loss(
@@ -219,14 +236,32 @@ def flops_penalty(batch: list[TermWeightVector], weight: float) -> LossValue:
         raise ValueError("flops weight must be >= 0")
     if weight == 0.0 or not batch:
         return LossValue(loss=0.0, grad=[{} for _ in batch])
-    size = len(batch)
-    mean: dict[int, float] = {}
-    for vec in batch:
-        for term, w in vec.weights.items():
-            mean[term] = mean.get(term, 0.0) + w / size
-    loss = weight * sum(m * m for m in mean.values())
-    grads = [
-        {term: weight * 2.0 * mean[term] / size for term in vec.weights}
-        for vec in batch
-    ]
-    return LossValue(loss=loss, grad=grads)
+    terms = [np.fromiter(vec.weights, dtype=np.int64, count=len(vec)) for vec in batch]
+    values = [np.fromiter(vec.weights.values(), dtype=np.float64, count=len(vec)) for vec in batch]
+    loss, grads = flops_penalty_arrays(terms, values, weight)
+    return LossValue(
+        loss=loss, grad=[dict(zip(t.tolist(), g.tolist())) for t, g in zip(terms, grads)]
+    )
+
+
+def flops_penalty_arrays(
+    terms: list[np.ndarray], values: list[np.ndarray], weight: float
+) -> tuple[float, list[np.ndarray]]:
+    """`flops_penalty` over vectors given as aligned (term ids, weights) arrays.
+
+    Returns the loss and one gradient array per vector, aligned with its
+    terms. The batch mean accumulates vector by vector and the loss sums the
+    squared means in order of first appearance, so the result is bit-for-bit
+    that of a dict accumulation in the same order.
+    """
+    size = len(terms)
+    flat = np.concatenate(terms)
+    if not len(flat):
+        return 0.0, [np.empty(0) for _ in terms]
+    mean = np.zeros(flat.max() + 1)
+    np.add.at(mean, flat, np.concatenate(values) / size)
+    by_appearance = mean[list(dict.fromkeys(flat.tolist()))]
+    loss = weight * sum((by_appearance * by_appearance).tolist())
+    grad = weight * 2.0 * mean[flat] / size
+    ends = np.cumsum([len(t) for t in terms]).tolist()
+    return loss, [grad[end - len(t) : end] for t, end in zip(terms, ends)]

@@ -21,6 +21,7 @@ import numpy as np
 from .data import (
     CheckpointMeta,
     Corpus,
+    FormatError,
     Qrels,
     QuerySet,
     TermVector,
@@ -31,20 +32,24 @@ from .data import (
 from .encoders import (
     DenseParams,
     LexicalParams,
+    LexicalRoutes,
     Params,
-    TermWeightVector,
+    TokenBatch,
+    TokenRow,
+    dense_backward_batch,
     dense_encode,
+    dense_encode_batch,
     lexical_encode,
-    lexical_backward,
-    dense_backward,
+    lexical_trace,
     relevance,
+    token_row,
 )
 from .objectives import (
     CandidateSet,
     combined_loss,
     contrastive_loss,
     filter_false_negatives,
-    flops_penalty,
+    flops_penalty_arrays,
     kl_divergence_loss,
     listnet_loss,
     make_rank_pairs,
@@ -151,8 +156,13 @@ def save_pool(pool: NegativePool, path: str | Path) -> None:
 def load_pool(path: str | Path) -> NegativePool:
     pool = NegativePool()
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            qid, source, pids_s = line.rstrip("\n").split("\t")
+        for lineno, line in enumerate(f, 1):
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) != 3:
+                raise FormatError(f"{path}:{lineno}: expected '<qid>\\t<source>\\t<pid,pid,...>'")
+            qid, source, pids_s = parts
+            if source not in SOURCE_TAGS:
+                raise FormatError(f"{path}:{lineno}: unknown source tag {source!r}")
             pool.add(qid, source, [p for p in pids_s.split(",") if p])
     return pool
 
@@ -213,10 +223,13 @@ def mine_negatives(
     short = 0
     for qid, text in queries.queries.items():
         positives = qrels.positives(qid)
-        ranking = backend.search(text, depth, qid=qid)
-        eligible = [pid for pid in ranking.pids() if pid not in positives]
+        ranked = backend.search(text, depth, qid=qid).pids()
+        eligible = [pid for pid in ranked if pid not in positives]
         if len(eligible) < m:
-            short += 1
+            # With m close to depth a full ranking that holds the positive
+            # leaves fewer than m by design; only a short ranking is a shortfall.
+            if len(ranked) < depth:
+                short += 1
             chosen = eligible
         elif sample:
             rng = random.Random(f"{seed}|{source}|{qid}")
@@ -225,7 +238,10 @@ def mine_negatives(
             chosen = eligible[:m]
         pool.add(qid, source, chosen)
     if short:
-        log.warning("%d queries retrieved fewer than %d eligible negatives", short, m)
+        log.warning(
+            "%d queries retrieved fewer than %d passages and fewer than %d eligible negatives",
+            short, depth, m,
+        )
     validate_pool(pool, qrels)
     return pool
 
@@ -316,9 +332,15 @@ def save_teacher_scores(table: TeacherScoreTable, path: str | Path) -> None:
 def load_teacher_scores(path: str | Path) -> TeacherScoreTable:
     scores: dict[tuple[str, str], float] = {}
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            qid, pid, score_s = line.rstrip("\n").split("\t")
-            scores[(qid, pid)] = float(score_s)
+        for lineno, line in enumerate(f, 1):
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) != 3:
+                raise FormatError(f"{path}:{lineno}: expected '<qid>\\t<pid>\\t<score>'")
+            qid, pid, score_s = parts
+            try:
+                scores[(qid, pid)] = float(score_s)
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: score {score_s!r} is not a number") from None
     return TeacherScoreTable(scores=scores, provenance="score-file")
 
 
@@ -338,16 +360,23 @@ def model_teacher(params: LexicalParams, vocab: Vocabulary, corpus: Corpus, quer
     """Teacher callable scoring candidates with a frozen lexical model."""
     q_cache: dict[str, object] = {}
     p_cache: dict[str, object] = {}
+    # The teacher is frozen, so a (query, passage) score never changes.
+    scores: dict[tuple[str, str], float] = {}
 
-    def teacher(qid: str, pids: list[str], student_scores: np.ndarray) -> np.ndarray:
+    def score(qid: str, pid: str) -> float:
         if qid not in q_cache:
             q_cache[qid], _ = lexical_encode(vectorize(queries.queries[qid], vocab), params)
-        q_vec = q_cache[qid]
+        if pid not in p_cache:
+            p_cache[pid], _ = lexical_encode(vectorize(corpus.docs[pid], vocab), params)
+        return relevance(q_cache[qid], p_cache[pid])
+
+    def teacher(qid: str, pids: list[str], student_scores: np.ndarray) -> np.ndarray:
         out = np.zeros(len(pids))
         for i, pid in enumerate(pids):
-            if pid not in p_cache:
-                p_cache[pid], _ = lexical_encode(vectorize(corpus.docs[pid], vocab), params)
-            out[i] = relevance(q_vec, p_cache[pid])
+            key = (qid, pid)
+            if key not in scores:
+                scores[key] = score(qid, pid)
+            out[i] = scores[key]
         return out
 
     return teacher
@@ -420,6 +449,96 @@ def _needs_teacher(strategy: str) -> bool:
     return strategy in ("rank-consistent", "margin-mse", "listnet", "kl", "filter")
 
 
+@dataclass
+class StepResult:
+    losses: list[float]  # per set: the set loss plus its FLOPS term
+    traces: list | None  # lexical: the trace of every row of the batch
+
+
+def batch_step(
+    params: Params,
+    batch: TokenBatch,
+    set_sizes: list[int],
+    loss_fn,
+    flops_weight: float = 0.0,
+    grads: Params | None = None,
+) -> StepResult:
+    """Forward, loss and backward of one optimizer batch at fixed parameters.
+
+    `batch` holds the candidate sets back to back, `set_sizes` rows each: a
+    query row followed by its candidates' rows. `loss_fn(k, scores)` returns
+    (loss, d loss / d scores) for set k, the scores being query . candidate
+    relevances. Lexical sets also pay the FLOPS penalty over the query and
+    candidate vectors. With `grads` the exact parameter gradients of every
+    set's loss accumulate into it, bit for bit as the per-input
+    encode/backward functions would accumulate them set after set.
+    """
+    if isinstance(params, LexicalParams):
+        return _lexical_step(params, batch, set_sizes, loss_fn, flops_weight, grads)
+    return _dense_step(params, batch, set_sizes, loss_fn, grads)
+
+
+def _dense_step(params: DenseParams, batch, set_sizes, loss_fn, grads) -> StepResult:
+    out, pooled = dense_encode_batch(params, batch)
+    upstream = np.zeros_like(out)
+    losses = []
+    start = 0
+    for k, size in enumerate(set_sizes):
+        end = start + size
+        q, cands = out[start], out[start + 1 : end]
+        loss, g = loss_fn(k, cands @ q)
+        losses.append(loss)
+        if grads is not None:
+            upstream[start] = g @ cands
+            upstream[start + 1 : end] = g[:, None] * q
+        start = end
+    if grads is not None:
+        dense_backward_batch(params, batch, pooled, upstream, grads)
+    return StepResult(losses=losses, traces=None)
+
+
+def _lexical_step(params: LexicalParams, batch, set_sizes, loss_fn, flops_weight, grads) -> StepResult:
+    # One GEMM per input and every gradient addition in the per-input order.
+    routes = LexicalRoutes(params, grads) if grads is not None else None
+    losses = []
+    all_traces = [lexical_trace(ids, params) for ids in batch.row_ids]
+    start = 0
+    for k, size in enumerate(set_sizes):
+        traces = all_traces[start : start + size]
+        start += size
+        weights = [np.log1p(tr.pre_activation) for tr in traces]
+        q_trace = traces[0]
+        q_dense = np.zeros(params.vocab_size)
+        q_dense[q_trace.active_terms] = weights[0]
+        scores = np.zeros(size - 1)
+        for i in range(1, size):
+            if len(traces[i].active_terms):
+                scores[i - 1] = q_dense[traces[i].active_terms] @ weights[i]
+        loss, g = loss_fn(k, scores)
+        if flops_weight > 0.0:
+            fl_loss, fl_grads = flops_penalty_arrays(
+                [tr.active_terms for tr in traces], weights, flops_weight
+            )
+            loss += fl_loss
+        losses.append(loss)
+        if grads is None:
+            continue
+        upstream = np.zeros(params.vocab_size)
+        for i in range(1, size):
+            if g[i - 1] != 0.0 and len(traces[i].active_terms):
+                upstream[traces[i].active_terms] += g[i - 1] * weights[i]
+        routes.add(q_trace, upstream[q_trace.active_terms])
+        for i in range(1, size):
+            if g[i - 1] != 0.0:
+                routes.add(traces[i], q_dense[traces[i].active_terms] * g[i - 1])
+        if flops_weight > 0.0:
+            for tr, fg in zip(traces, fl_grads):
+                routes.add(tr, fg)
+    if routes is not None:
+        routes.flush()
+    return StepResult(losses=losses, traces=all_traces)
+
+
 def train_stage(
     config: TrainConfig,
     vocab: Vocabulary,
@@ -438,29 +557,33 @@ def train_stage(
     "none". Per step the loss is contrastive plus, when a teaching strategy is
     active, `reg_weight` times the strategy loss (the filter strategy instead
     drops teacher-flagged false negatives before the contrastive loss).
+    Parameters change only between optimizer batches, so each batch runs as
+    one `batch_step`.
     """
     if _needs_teacher(config.strategy) and teacher is None:
         raise ValueError(f"strategy {config.strategy!r} requires a teacher")
     params = init_params.copy()
     grads = params.zeros_like()
     state = AdamState.init(params)
-    lexical = isinstance(params, LexicalParams)
     if doc_tvs is None:
         doc_tvs = {}
     train_log = TrainLog(stage=config.stage)
+    doc_rows: dict[str, TokenRow] = {}
 
-    def tv_of(pid: str) -> TermVector:
-        if pid not in doc_tvs:
-            doc_tvs[pid] = vectorize(corpus.docs[pid], vocab)
-        return doc_tvs[pid]
+    def row_of(pid: str) -> TokenRow:
+        if pid not in doc_rows:
+            if pid not in doc_tvs:
+                doc_tvs[pid] = vectorize(corpus.docs[pid], vocab)
+            doc_rows[pid] = token_row(doc_tvs[pid])
+        return doc_rows[pid]
 
-    query_tvs = {qid: vectorize(text, vocab) for qid, text in queries.queries.items()}
-    train_qids = []
+    query_rows = {qid: token_row(vectorize(text, vocab)) for qid, text in queries.queries.items()}
+    merged: dict[str, list[str]] = {}
     for qid in queries.queries:
         if not qrels.positives(qid) or not pool.merged(qid):
             train_log.skipped_queries += 1
             continue
-        train_qids.append(qid)
+        merged[qid] = pool.merged(qid)
     if train_log.skipped_queries:
         log.warning(
             "stage %s: skipping %d queries without positives or pooled negatives",
@@ -468,115 +591,63 @@ def train_stage(
             train_log.skipped_queries,
         )
 
-    upstream_buf = np.zeros(vocab.size) if lexical else None
-
     for epoch in range(config.epochs):
-        order = list(train_qids)
+        order = list(merged)
         random.Random(f"{config.seed}|{config.stage}|order|{epoch}").shuffle(order)
         epoch_losses = []
-        in_batch = 0
-        for qid in order:
-            negs = pool.merged(qid)
-            if config.resample_per_epoch and len(negs) > config.m:
-                rng = random.Random(f"{config.seed}|{config.stage}|resample|{epoch}|{qid}")
-                negs = rng.sample(negs, config.m)
-            else:
-                negs = negs[: config.m]
-            pos_pid = min(qrels.positives(qid))
-            pids = [pos_pid, *negs]
-            q_tv = query_tvs[qid]
+        for start in range(0, len(order), config.batch_size):
+            chunk = order[start : start + config.batch_size]
+            cand_pids = []
+            for qid in chunk:
+                negs = merged[qid]
+                if config.resample_per_epoch and len(negs) > config.m:
+                    rng = random.Random(f"{config.seed}|{config.stage}|resample|{epoch}|{qid}")
+                    negs = rng.sample(negs, config.m)
+                else:
+                    negs = negs[: config.m]
+                cand_pids.append([min(qrels.positives(qid)), *negs])
+            parts = []
 
-            if lexical:
-                q_vec, q_trace = lexical_encode(q_tv, params)
-                q_dense = np.zeros(vocab.size)
-                if not q_trace.empty:
-                    q_dense[q_trace.active_terms] = np.log1p(q_trace.pre_activation)
-                cand_traces = []
-                scores = np.zeros(len(pids))
-                for i, pid in enumerate(pids):
-                    _, tr = lexical_encode(tv_of(pid), params)
-                    cand_traces.append(tr)
-                    if len(tr.active_terms):
-                        scores[i] = q_dense[tr.active_terms] @ np.log1p(tr.pre_activation)
-            else:
-                q_vec, q_trace = dense_encode(q_tv, params)
-                cand_traces = []
-                cand_mat = np.zeros((len(pids), params.dim))
-                for i, pid in enumerate(pids):
-                    vec, tr = dense_encode(tv_of(pid), params)
-                    cand_traces.append(tr)
-                    cand_mat[i] = vec
-                scores = cand_mat @ q_vec
-
-            t_scores = (
-                np.asarray(teacher(qid, pids, scores.copy()), dtype=np.float64)
-                if _needs_teacher(config.strategy)
-                else None
-            )
-            cands = CandidateSet(
-                qid=qid,
-                pos_pid=pos_pid,
-                neg_pids=list(negs),
-                scores=scores,
-                teacher_scores=t_scores,
-            )
-
-            loss, grad_scores, cl_val, ll_val = _strategy_loss(config, cands)
-            if not np.isfinite(loss):
-                raise RuntimeError(
-                    f"non-finite loss at stage {config.stage!r} epoch {epoch} query {qid!r}"
+            def loss_fn(k: int, scores: np.ndarray):
+                qid, pids = chunk[k], cand_pids[k]
+                t_scores = (
+                    np.asarray(teacher(qid, pids, scores.copy()), dtype=np.float64)
+                    if _needs_teacher(config.strategy)
+                    else None
                 )
+                cands = CandidateSet(
+                    qid=qid,
+                    pos_pid=pids[0],
+                    neg_pids=pids[1:],
+                    scores=scores,
+                    teacher_scores=t_scores,
+                )
+                loss, grad_scores, cl_val, ll_val = _strategy_loss(config, cands)
+                if not np.isfinite(loss):
+                    raise RuntimeError(
+                        f"non-finite loss at stage {config.stage!r} epoch {epoch} query {qid!r}"
+                    )
+                parts.append((cl_val, ll_val))
+                return loss, grad_scores
 
-            # Backprop: d loss / d score -> encoder inputs -> parameters.
-            if lexical:
-                upstream_buf[:] = 0.0
-                for i, tr in enumerate(cand_traces):
-                    if grad_scores[i] != 0.0 and len(tr.active_terms):
-                        upstream_buf[tr.active_terms] += grad_scores[i] * np.log1p(
-                            tr.pre_activation
-                        )
-                lexical_backward(params, q_trace, upstream_buf, into=grads)
-                for i, tr in enumerate(cand_traces):
-                    if grad_scores[i] != 0.0:
-                        lexical_backward(params, tr, q_dense, into=grads, scale=grad_scores[i])
-                if config.flops_weight > 0.0:
-                    vecs = [_trace_vector(q_trace)] + [_trace_vector(tr) for tr in cand_traces]
-                    fl = flops_penalty(vecs, config.flops_weight)
-                    loss += fl.loss
-                    lexical_backward(params, q_trace, fl.grad[0], into=grads)
-                    for i, tr in enumerate(cand_traces):
-                        lexical_backward(params, tr, fl.grad[i + 1], into=grads)
-            else:
-                gq = grad_scores @ cand_mat
-                dense_backward(params, q_trace, gq, into=grads)
-                for i, tr in enumerate(cand_traces):
-                    if grad_scores[i] != 0.0:
-                        dense_backward(params, tr, grad_scores[i] * q_vec, into=grads)
-
-            train_log.steps.append(
-                StepRecord(epoch=epoch, qid=qid, loss=float(loss), cl=cl_val, ll=ll_val)
-            )
-            epoch_losses.append(loss)
-            in_batch += 1
-            if in_batch == config.batch_size:
-                _apply_batch(params, grads, state, config, in_batch)
-                train_log.optimizer_steps += 1
-                in_batch = 0
-        if in_batch:
-            _apply_batch(params, grads, state, config, in_batch)
+            batch = TokenBatch([
+                row
+                for qid, pids in zip(chunk, cand_pids)
+                for row in (query_rows[qid], *(row_of(pid) for pid in pids))
+            ])
+            sizes = [1 + len(pids) for pids in cand_pids]
+            step = batch_step(params, batch, sizes, loss_fn, config.flops_weight, grads)
+            for qid, loss, (cl_val, ll_val) in zip(chunk, step.losses, parts):
+                train_log.steps.append(
+                    StepRecord(epoch=epoch, qid=qid, loss=float(loss), cl=cl_val, ll=ll_val)
+                )
+                epoch_losses.append(loss)
+            _apply_batch(params, grads, state, config, len(chunk))
             train_log.optimizer_steps += 1
         train_log.epoch_mean_loss.append(
             float(np.mean(epoch_losses)) if epoch_losses else 0.0
         )
     return params, train_log
-
-
-def _trace_vector(trace):
-    if trace.empty or not len(trace.active_terms):
-        return TermWeightVector({})
-    return TermWeightVector(
-        {int(v): float(np.log1p(z)) for v, z in zip(trace.active_terms, trace.pre_activation)}
-    )
 
 
 def _apply_batch(params, grads, state, config: TrainConfig, batch_count: int) -> None:
@@ -668,6 +739,15 @@ class PipelineConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        for key in ("dim", "depth", "m", "warmup_m", "batch_size", "epochs", "run_depth", "lr"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"config key {key!r} must be > 0, got {getattr(self, key)!r}")
+        for key in (
+            *_STAGE_LR_KEYS.values(), "lex_epochs", "den_epochs", "led_epochs", "mix_depth",
+            "reg_weight", "flops_weight",
+        ):
+            if not getattr(self, key) >= 0:
+                raise ValueError(f"config key {key!r} must be >= 0, got {getattr(self, key)!r}")
         if self.lr_profile not in ("desk", "paper"):
             raise ValueError(f"unknown lr_profile {self.lr_profile!r}")
         if self.led_negatives not in ("mix", "self"):
@@ -871,6 +951,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> Pipe
         vocab, corpus, queries, qrels, led_pool, den1, teacher=teacher, doc_tvs=doc_tvs,
     )
     checkpoints["led"] = led
+    del teacher  # its caches are not needed by evaluation
 
     metas = {
         name: CheckpointMeta(

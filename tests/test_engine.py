@@ -1,0 +1,322 @@
+"""The batched training engine against the per-input code it replaced.
+
+Each oracle below is the earlier implementation, kept here verbatim in
+substance: lexical encoding with two |V|-wide reductions, per-call lexical
+backward, the dict FLOPS penalty, per-document dense encode/backward, and
+the pair-list hinge and margin-MSE. Lexical paths and the pair losses must
+agree bit for bit, dense paths within 1e-12.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from lexlab.data import TermVector
+from lexlab.encoders import (
+    DenseParams,
+    LexicalParams,
+    LexicalRoutes,
+    TermWeightVector,
+    TokenBatch,
+    dense_backward,
+    dense_backward_batch,
+    dense_encode,
+    dense_encode_batch,
+    lexical_encode,
+    token_row,
+)
+from lexlab.objectives import (
+    CandidateSet,
+    flops_penalty,
+    make_rank_pairs,
+    margin_mse_loss,
+    rank_consistent_loss,
+)
+from lexlab.training import batch_step
+
+
+def oracle_lexical_encode(tv, params):
+    if not tv.counts:
+        return np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64)
+    ids = np.array(sorted(tv.counts), dtype=np.int64)
+    z = params.expand @ params.emb[ids].T + params.bias[:, None]
+    zmax = z.max(axis=1)
+    argmax = z.argmax(axis=1)
+    active = np.flatnonzero(zmax > 0.0)
+    return active.astype(np.int64), zmax[active], ids[argmax[active]]
+
+
+def oracle_lexical_backward(params, trace, upstream, grads, scale=1.0):
+    if trace.empty or len(trace.active_terms) == 0:
+        return
+    if isinstance(upstream, np.ndarray):
+        gv = upstream[trace.active_terms] * scale
+    else:
+        gv = np.array([upstream.get(int(v), 0.0) for v in trace.active_terms]) * scale
+    nz = np.flatnonzero(gv)
+    if len(nz) == 0:
+        return
+    terms = trace.active_terms[nz]
+    src = trace.source_token[nz]
+    coef = gv[nz] / (1.0 + trace.pre_activation[nz])
+    grads.expand[terms] += coef[:, None] * params.emb[src]
+    grads.bias[terms] += coef
+    np.add.at(grads.emb, src, coef[:, None] * params.expand[terms])
+
+
+def oracle_flops(batch, weight):
+    size = len(batch)
+    mean = {}
+    for vec in batch:
+        for term, w in vec.weights.items():
+            mean[term] = mean.get(term, 0.0) + w / size
+    loss = weight * sum(m * m for m in mean.values())
+    grads = [{t: weight * 2.0 * mean[t] / size for t in vec.weights} for vec in batch]
+    return loss, grads
+
+
+def oracle_pairs(cands):
+    t, pids = cands.teacher_scores, cands.pids
+    return [(i, j) for i in range(len(pids)) for j in range(len(pids)) if t[i] > t[j]]
+
+
+def oracle_hinge(cands):
+    pairs = oracle_pairs(cands)
+    s, grad, total = cands.scores, np.zeros(len(cands.scores)), 0.0
+    if not pairs:
+        return 0.0, grad
+    inv = 1.0 / len(pairs)
+    for i, j in pairs:
+        if s[j] - s[i] > 0.0:
+            total += s[j] - s[i]
+            grad[j] += inv
+            grad[i] -= inv
+    return total * inv, grad
+
+
+def oracle_margin_mse(cands):
+    pairs = oracle_pairs(cands)
+    s, t = cands.scores, cands.teacher_scores
+    grad, total = np.zeros(len(s)), 0.0
+    if not pairs:
+        return 0.0, grad
+    inv = 1.0 / len(pairs)
+    for i, j in pairs:
+        diff = (s[i] - s[j]) - (t[i] - t[j])
+        total += diff * diff
+        grad[i] += 2.0 * diff * inv
+        grad[j] -= 2.0 * diff * inv
+    return total * inv, grad
+
+
+def lexical_params(seed, vocab_size, dim, coarse):
+    rng = np.random.default_rng(seed)
+    p = LexicalParams.init(vocab_size, dim, seed)
+    for t in (p.emb, p.expand):
+        t[:] = rng.uniform(-0.8, 0.8, size=t.shape)
+    p.bias[:] = rng.uniform(-0.3, 0.1, size=vocab_size)
+    if coarse:
+        # Values on a coarse grid make exact ties in the max-pool common.
+        for t in (p.emb, p.expand, p.bias):
+            t[:] = np.round(t * 2.0) / 2.0
+    return p
+
+
+def term_vectors(seed, vocab_size, n, max_terms):
+    rng = np.random.default_rng(seed + 1)
+    out = []
+    for _ in range(n):
+        k = int(rng.integers(0, min(max_terms, vocab_size) + 1))
+        ids = rng.choice(vocab_size, size=k, replace=False)
+        counts = {int(t): int(rng.integers(1, 4)) for t in ids}
+        out.append(TermVector(counts=counts, n=sum(counts.values()) + int(rng.integers(0, 2))))
+    return out
+
+
+params_args = dict(
+    seed=st.integers(0, 10_000),
+    vocab_size=st.integers(1, 25),
+    dim=st.integers(1, 5),
+    coarse=st.booleans(),
+)
+
+
+class TestLexicalEncodeIsBitIdentical:
+    @given(**params_args, n_inputs=st.integers(1, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_two_reduction_oracle(self, seed, vocab_size, dim, coarse, n_inputs):
+        p = lexical_params(seed, vocab_size, dim, coarse)
+        for tv in term_vectors(seed, vocab_size, n_inputs, 8):
+            vec, trace = lexical_encode(tv, p)
+            active, pre, src = oracle_lexical_encode(tv, p)
+            assert trace.active_terms.dtype == np.int64
+            assert np.array_equal(trace.active_terms, active)
+            assert trace.pre_activation.tobytes() == pre.tobytes()
+            assert np.array_equal(trace.source_token, src)
+            assert vec.weights == {int(v): float(np.log1p(z)) for v, z in zip(active, pre)}
+
+    def test_tied_tokens_take_the_first(self):
+        p = lexical_params(3, 6, 2, coarse=False)
+        p.bias[:] = 1.0  # every term active
+        p.emb[4] = p.emb[1]  # tokens 1 and 4 score every term identically
+        _, trace = lexical_encode(TermVector(counts={4: 1, 1: 2}, n=3), p)
+        active, pre, src = oracle_lexical_encode(TermVector(counts={1: 1, 4: 1}, n=2), p)
+        assert len(active) and np.array_equal(trace.source_token, src)
+        assert set(trace.source_token.tolist()) == {1}
+
+    def test_empty_and_all_inactive(self):
+        p = lexical_params(5, 7, 3, coarse=False)
+        _, trace = lexical_encode(TermVector(counts={}, n=3), p)
+        assert trace.empty and not len(trace.active_terms)
+        p.bias[:] = -100.0
+        vec, trace = lexical_encode(TermVector(counts={0: 1, 6: 2}, n=3), p)
+        assert not trace.empty and vec.weights == {} and not len(trace.source_token)
+
+
+class TestLexicalStepIsBitIdentical:
+    @given(**params_args, n_sets=st.integers(1, 4), n_cands=st.integers(1, 5),
+           flops=st.sampled_from([0.0, 0.7]))
+    @settings(max_examples=80, deadline=None)
+    def test_batch_step_matches_per_input_loop(
+        self, seed, vocab_size, dim, coarse, n_sets, n_cands, flops
+    ):
+        p = lexical_params(seed, vocab_size, dim, coarse)
+        tvs = term_vectors(seed, vocab_size, n_sets * (1 + n_cands), 6)
+        sets_tv = [tvs[k * (1 + n_cands):(k + 1) * (1 + n_cands)] for k in range(n_sets)]
+        rng = np.random.default_rng(seed + 2)
+        upstream = [rng.normal(size=n_cands) * (rng.random(n_cands) < 0.7) for _ in range(n_sets)]
+
+        # The per-input loop train_stage used to run.
+        expected = p.zeros_like()
+        expected_losses = []
+        for k, set_tv in enumerate(sets_tv):
+            q_vec, q_trace = lexical_encode(set_tv[0], p)
+            q_dense = np.zeros(vocab_size)
+            q_dense[q_trace.active_terms] = np.log1p(q_trace.pre_activation)
+            encoded = [lexical_encode(tv, p) for tv in set_tv[1:]]
+            scores = np.zeros(n_cands)
+            for i, (_, tr) in enumerate(encoded):
+                if len(tr.active_terms):
+                    scores[i] = q_dense[tr.active_terms] @ np.log1p(tr.pre_activation)
+            g = upstream[k]
+            loss = float(g @ scores)
+            buf = np.zeros(vocab_size)
+            for i, (_, tr) in enumerate(encoded):
+                if g[i] != 0.0 and len(tr.active_terms):
+                    buf[tr.active_terms] += g[i] * np.log1p(tr.pre_activation)
+            oracle_lexical_backward(p, q_trace, buf, expected)
+            for i, (_, tr) in enumerate(encoded):
+                if g[i] != 0.0:
+                    oracle_lexical_backward(p, tr, q_dense, expected, scale=g[i])
+            if flops:
+                vecs = [q_vec] + [vec for vec, _ in encoded]
+                fl_loss, fl_grads = oracle_flops(vecs, flops)
+                loss += fl_loss
+                for (tr, fg) in zip([q_trace] + [tr for _, tr in encoded], fl_grads):
+                    oracle_lexical_backward(p, tr, fg, expected)
+            expected_losses.append(loss)
+
+        got = p.zeros_like()
+        batch = TokenBatch([token_row(tv) for set_tv in sets_tv for tv in set_tv])
+        step = batch_step(p, batch, [1 + n_cands] * n_sets,
+                          lambda k, s: (float(upstream[k] @ s), upstream[k]), flops, got)
+        assert step.losses == expected_losses
+        for name, t in got.tensors().items():
+            assert t.tobytes() == expected.tensors()[name].tobytes(), name
+
+    @given(seed=st.integers(0, 10_000), n_vecs=st.integers(1, 6), weight=st.floats(0.01, 3.0))
+    @settings(max_examples=80, deadline=None)
+    def test_flops_matches_dict_oracle(self, seed, n_vecs, weight):
+        rng = np.random.default_rng(seed)
+        batch = [
+            TermWeightVector({int(t): float(w) for t, w in zip(
+                np.sort(rng.choice(15, size=k, replace=False)), rng.uniform(0.01, 2.0, size=k))})
+            for k in rng.integers(0, 8, size=n_vecs)
+        ]
+        lv = flops_penalty(batch, weight)
+        loss, grads = oracle_flops(batch, weight)
+        assert lv.loss == loss
+        assert lv.grad == grads
+
+    @given(**params_args, n_calls=st.integers(1, 8), limit=st.integers(1, 60))
+    @settings(max_examples=60, deadline=None)
+    def test_routes_match_sequential_backward(self, seed, vocab_size, dim, coarse, n_calls, limit):
+        p = lexical_params(seed, vocab_size, dim, coarse)
+        rng = np.random.default_rng(seed + 3)
+        expected, got = p.zeros_like(), p.zeros_like()
+        routes = LexicalRoutes(p, got)
+        routes.PENDING_LIMIT = limit  # flushes part way, wherever the limit falls
+        for tv in term_vectors(seed, vocab_size, n_calls, 6):
+            _, trace = lexical_encode(tv, p)
+            gv = rng.normal(size=len(trace.active_terms))
+            up = np.zeros(vocab_size)
+            up[trace.active_terms] = gv
+            oracle_lexical_backward(p, trace, up, expected)
+            routes.add(trace, gv)
+        routes.flush()
+        for name, t in got.tensors().items():
+            assert t.tobytes() == expected.tensors()[name].tobytes(), name
+
+
+def dense_params(seed, vocab_size, dim):
+    rng = np.random.default_rng(seed)
+    p = DenseParams.init(vocab_size, dim, seed)
+    p.proj[:] = rng.uniform(-0.6, 0.6, size=(dim, dim))
+    p.bias[:] = rng.uniform(-0.3, 0.3, size=dim)
+    return p
+
+
+class TestDenseBatch:
+    @given(seed=st.integers(0, 10_000), vocab_size=st.integers(1, 25), dim=st.integers(1, 5),
+           n_rows=st.integers(1, 8), repeat=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_document(self, seed, vocab_size, dim, n_rows, repeat):
+        p = dense_params(seed, vocab_size, dim)
+        tvs = term_vectors(seed, vocab_size, n_rows, 8)
+        tvs.append(TermVector(counts={}, n=4))  # all tokens out of vocabulary
+        if repeat:
+            tvs.append(tvs[0])
+        batch = TokenBatch([token_row(tv) for tv in tvs])
+        out, pooled = dense_encode_batch(p, batch)
+        rng = np.random.default_rng(seed + 4)
+        upstream = rng.normal(size=out.shape)
+        expected = p.zeros_like()
+        for r, tv in enumerate(tvs):
+            vec, trace = dense_encode(tv, p)
+            assert np.allclose(out[r], vec, rtol=0, atol=1e-12)
+            dense_backward(p, trace, upstream[r], into=expected)
+        got = dense_backward_batch(p, batch, pooled, upstream, p.zeros_like())
+        for name, t in got.tensors().items():
+            assert np.allclose(t, expected.tensors()[name], rtol=0, atol=1e-12), name
+        assert not out[len(tvs) - 1 - repeat].any()
+
+    def test_empty_batch_rows(self):
+        p = dense_params(1, 5, 3)
+        batch = TokenBatch([token_row(TermVector(counts={}, n=0))] * 2)
+        out, pooled = dense_encode_batch(p, batch)
+        assert out.shape == (2, 3) and not out.any()
+        grads = dense_backward_batch(p, batch, pooled, np.ones((2, 3)), p.zeros_like())
+        assert all(not t.any() for t in grads.tensors().values())
+
+
+class TestMaskLosses:
+    @given(scores=st.lists(st.integers(-3, 3), min_size=2, max_size=9),
+           teacher=st.lists(st.integers(-2, 2), min_size=9, max_size=9),
+           jitter=st.integers(0, 10_000))
+    @settings(max_examples=200, deadline=None)
+    def test_match_pair_lists(self, scores, teacher, jitter):
+        n = len(scores)
+        rng = np.random.default_rng(jitter)
+        s = np.array(scores, dtype=float) + (rng.normal(size=n) if jitter % 2 else 0.0)
+        t = np.array(teacher[:n], dtype=float)  # small integers: many teacher ties
+        c = CandidateSet(qid="q", pos_pid="p", neg_pids=[f"n{i}" for i in range(n - 1)],
+                         scores=s, teacher_scores=t)
+        pairs = make_rank_pairs(c)
+        assert len(pairs) == len(oracle_pairs(c))
+        assert pairs.pairs == [(c.pids[i], c.pids[j]) for i, j in oracle_pairs(c)]
+        for loss_fn, oracle in ((rank_consistent_loss, oracle_hinge),
+                                (margin_mse_loss, oracle_margin_mse)):
+            lv = loss_fn(c, pairs)
+            loss, grad = oracle(c)
+            # Additions replay the pair order, so the results are exact.
+            assert lv.loss == loss
+            assert lv.grad.tobytes() == grad.tobytes()

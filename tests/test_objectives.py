@@ -149,7 +149,8 @@ class TestRankConsistent:
 
         c = cands([1.0, 2.0], teacher=[2.0, 1.0])
         with pytest.raises(ValueError):
-            rank_consistent_loss(c, RankPairSet(pairs=[("p+", "ghost")]))
+            ghost = RankPairSet(pids=("p+", "ghost"), mask=np.array([[False, True], [False, False]]))
+            rank_consistent_loss(c, ghost)
 
     def test_fd(self):
         for seed in range(10):

@@ -72,13 +72,28 @@ class TestMining:
         assert a.by_query != c.by_query
 
     def test_short_supply_takes_all(self, caplog):
+        # Depth beyond the 4-passage collection: the ranking itself comes
+        # back short, which is a real shortfall.
         corpus, queries, qrels, vocab = small_world(n_docs=4, n_queries=2)
         backend = Bm25Backend(build_index(vectorize_corpus(corpus, vocab)), vocab)
         with caplog.at_level("WARNING"):
-            pool = mine_negatives(backend, queries, qrels, depth=4, m=4, seed=0)
+            pool = mine_negatives(backend, queries, qrels, depth=10, m=4, seed=0)
         assert any("fewer than" in r.message for r in caplog.records)
         for qid in pool.by_query:
             assert len(pool.merged(qid)) <= 3
+
+    def test_full_ranking_holding_the_positive_is_no_shortfall(self, caplog):
+        # m == depth and the positive is retrieved: one negative short by
+        # design, so no warning, and the pool is still every eligible pid.
+        corpus, queries, qrels, vocab = small_world()
+        backend = Bm25Backend(build_index(vectorize_corpus(corpus, vocab)), vocab)
+        with caplog.at_level("WARNING"):
+            pool = mine_negatives(backend, queries, qrels, depth=8, m=8, seed=0, sample=False)
+        assert not [r for r in caplog.records if "fewer than" in r.message]
+        for qid, text in queries.queries.items():
+            ranked = backend.search(text, 8).pids()
+            assert qrels.positives(qid) <= set(ranked)
+            assert pool.merged(qid) == [p for p in ranked if p not in qrels.positives(qid)]
 
     def test_default_depth_and_m(self):
         import inspect
@@ -203,6 +218,20 @@ class TestTeachers:
             params, vocab, queries.queries["q0"], corpus.docs, ["d00", "d05"]
         )
         assert list(got) == pytest.approx([helper["d00"], helper["d05"]])
+
+    def test_model_teacher_scores_each_pair_once(self, monkeypatch):
+        from lexlab import training
+
+        corpus, queries, qrels, vocab = small_world()
+        params = LexicalParams.init(vocab.size, 4, 0)
+        scored = []
+        real = training.relevance
+        monkeypatch.setattr(training, "relevance", lambda a, b: scored.append(1) or real(a, b))
+        teacher = model_teacher(params, vocab, corpus, queries)
+        first = teacher("q0", ["d00", "d05"], np.zeros(2))
+        again = teacher("q0", ["d05", "d00", "d07"], np.zeros(3))
+        assert len(scored) == 3
+        assert list(again[:2]) == [first[1], first[0]]
 
 
 class TestAdam:
