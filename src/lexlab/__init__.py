@@ -28,7 +28,7 @@ from .encoders import (
     lexical_encode,
     relevance,
 )
-from .retrieval import RunFile, evaluate, make_run
+from .retrieval import Retriever, RunFile, evaluate, make_run
 from .training import PipelineConfig, TrainConfig, run_pipeline, train_stage
 
 __version__ = "0.1.0"

@@ -22,13 +22,14 @@ from pathlib import Path
 
 from . import analysis, gradcheck, retrieval, training
 from .data import (
+    CheckpointMeta,
     build_vocab,
     load_collection,
     load_qrels,
     load_queries,
+    vectorize_corpus,
 )
 from .encoders import DenseParams, LexicalParams, load_params, save_params
-from .data import CheckpointMeta
 from .sparse_index import build_index, save_index
 from .training import (
     PipelineConfig,
@@ -87,23 +88,22 @@ def cmd_ingest(args) -> int:
     return 0
 
 
+def _index_for(checkpoint: str | None, corpus, vocab):
+    """(params, index): the checkpoint's own index, or BM25's without one."""
+    if not checkpoint:
+        return None, build_index(vectorize_corpus(corpus, vocab))
+    params, _ = load_params(checkpoint)
+    return params, retrieval.encode_corpus(params, corpus, vocab)
+
+
 def cmd_build_index(args) -> int:
     corpus = load_collection(args.collection)
     vocab = _load_vocab_for(args, corpus)
-    if args.kind == "bm25":
-        from .data import vectorize_corpus
-
-        index = build_index(vectorize_corpus(corpus, vocab))
-        save_index(index, args.out)
+    _, index = _index_for(args.checkpoint, corpus, vocab)
+    if isinstance(index, retrieval.DenseIndex):
+        retrieval.save_dense_index(index, args.out)
     else:
-        if not args.checkpoint:
-            raise ValueError(f"--checkpoint is required for kind {args.kind!r}")
-        params, _ = load_params(args.checkpoint)
-        index = retrieval.encode_corpus(params, corpus, vocab)
-        if args.kind == "dense":
-            retrieval.save_dense_index(index, args.out)
-        else:
-            save_index(index, args.out)
+        save_index(index, args.out)
     _write_digest(Path(args.out), _args_digest(args))
     print(f"indexed {corpus.n_docs} passages -> {args.out}")
     return 0
@@ -115,21 +115,10 @@ def cmd_mine(args) -> int:
     queries = load_queries(cfg.train_queries)
     qrels = load_qrels(cfg.train_qrels)
     vocab = training.build_vocab_for(cfg, corpus)
-    from .data import vectorize_corpus
-
-    doc_tvs = vectorize_corpus(corpus, vocab)
-    if args.checkpoint:
-        params, _ = load_params(args.checkpoint)
-        index = retrieval.encode_corpus(params, corpus, vocab)
-        if isinstance(params, DenseParams):
-            backend = training.DenseBackend(params, index, vocab)
-        else:
-            backend = training.LexicalBackend(params, index, vocab)
-    else:
-        backend = training.Bm25Backend(build_index(doc_tvs), vocab, cfg.bm25_k1, cfg.bm25_b)
+    params, index = _index_for(args.checkpoint, corpus, vocab)
     pool = training.mine_negatives(
-        backend, queries, qrels, cfg.depth, cfg.warmup_m,
-        cfg.seed, source=args.source, sample=not args.no_sample,
+        retrieval.Retriever(params, index, vocab, cfg.bm25_k1, cfg.bm25_b), queries, qrels,
+        cfg.depth, cfg.warmup_m, cfg.seed, source=args.source, sample=not args.no_sample,
     )
     training.save_pool(pool, args.out)
     _write_digest(Path(args.out), config_digest(cfg))
@@ -146,16 +135,18 @@ def cmd_train(args) -> int:
     pool = training.load_pool(args.pool)
     if args.init:
         init, _ = load_params(args.init)
-    elif args.kind == "dense":
-        init = DenseParams.init(vocab.size, cfg.dim, cfg.seed)
-    else:
+        if args.kind and args.kind != init.kind:
+            raise ValueError(f"--kind is {args.kind} but --init {args.init} holds a {init.kind} model")
+    elif args.kind == "lexical":
         init = LexicalParams.init(vocab.size, cfg.dim, cfg.seed)
+    else:
+        init = DenseParams.init(vocab.size, cfg.dim, cfg.seed)
     teacher = None
     if args.teacher_scores:
         teacher = training.table_teacher(training.load_teacher_scores(args.teacher_scores))
     elif args.teacher_checkpoint:
-        t_params, _ = load_params(args.teacher_checkpoint)
-        teacher = training.model_teacher(t_params, vocab, corpus, queries)
+        t_params, index = _index_for(args.teacher_checkpoint, corpus, vocab)
+        teacher = training.model_teacher(t_params, index, vocab, queries)
     stage_cfg = training.stage_config(
         cfg, args.stage, cfg.strategy, cfg.m, cfg.epochs, cfg.lr
     )
@@ -180,14 +171,7 @@ def cmd_retrieve(args) -> int:
     corpus = load_collection(cfg.collection)
     queries = load_queries(args.queries or cfg.eval_queries)
     vocab = training.build_vocab_for(cfg, corpus)
-    if args.checkpoint:
-        params, _ = load_params(args.checkpoint)
-        index = retrieval.encode_corpus(params, corpus, vocab)
-    else:
-        from .data import vectorize_corpus
-
-        params = None
-        index = build_index(vectorize_corpus(corpus, vocab))
+    params, index = _index_for(args.checkpoint, corpus, vocab)
     k = args.k or min(cfg.run_depth, corpus.n_docs)
     run = retrieval.make_run(
         params, queries, index, vocab, k=k, tag=args.tag,
@@ -330,8 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-index", help="build and persist an index")
     p.add_argument("--collection", required=True)
-    p.add_argument("--kind", choices=("bm25", "dense", "lexical"), default="bm25")
-    p.add_argument("--checkpoint")
+    p.add_argument("--checkpoint", help="model checkpoint, whose kind picks the index; omit for BM25")
     p.add_argument("--out", required=True)
     p.add_argument("--min-df", type=int, default=1)
     p.add_argument("--max-size", type=int, default=0)
@@ -348,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one stage from a negative pool")
     p.add_argument("--config")
-    p.add_argument("--kind", choices=("dense", "lexical"), default="dense")
+    p.add_argument("--kind", choices=("dense", "lexical"),
+                   help="model kind (default: that of --init, else dense)")
     p.add_argument("--stage", default="warmup")
     p.add_argument("--pool", required=True)
     p.add_argument("--init", help="starting checkpoint (default: fresh init)")

@@ -24,17 +24,7 @@ from .encoders import (
     grad_check,
     token_row,
 )
-from .objectives import (
-    CandidateSet,
-    contrastive_loss,
-    combined_loss,
-    flops_penalty,
-    kl_divergence_loss,
-    listnet_loss,
-    make_rank_pairs,
-    margin_mse_loss,
-    rank_consistent_loss,
-)
+from .objectives import TEACHING_LOSSES, CandidateSet, flops_penalty, strategy_loss
 from .training import batch_step
 
 LOSS_NAMES = (
@@ -48,25 +38,24 @@ LOSS_NAMES = (
 )
 
 
-def _loss_and_structure(name: str, cands: CandidateSet, reg_weight: float = 1.2):
-    """Evaluate one named loss; returns (LossValue, discrete structure)."""
+def _loss_and_structure(name: str, cands: CandidateSet):
+    """Evaluate one named loss as training does; returns (LossValue, discrete structure).
+
+    "contrastive" and "combined" are the training losses of the strategies
+    "none" and "rank-consistent" (weight 1.2); the others are the teaching
+    losses themselves, "kl" at temperature 2.
+    """
     if name == "contrastive":
-        return contrastive_loss(cands), b""
-    if name in ("rank-consistent", "combined"):
-        pairs = make_rank_pairs(cands)
-        lv = rank_consistent_loss(cands, pairs)
-        if name == "combined":
-            lv = combined_loss(contrastive_loss(cands), lv, reg_weight)
-        s = cands.scores
-        # Which pairs' hinges are active: s(other) > s(preferred).
-        return lv, (pairs.mask & (s[None, :] > s[:, None])).tobytes()
-    if name == "margin-mse":
-        return margin_mse_loss(cands, make_rank_pairs(cands)), b""
-    if name == "kl":
-        return kl_divergence_loss(cands, temperature=2.0), b""
-    if name == "listnet":
-        return listnet_loss(cands), b""
-    raise ValueError(f"unknown loss {name!r}")
+        lv = strategy_loss("none", cands)[0]
+    elif name == "combined":
+        lv = strategy_loss("rank-consistent", cands, reg_weight=1.2)[0]
+    else:
+        lv = TEACHING_LOSSES[name](cands, 2.0)
+    if name not in ("rank-consistent", "combined"):
+        return lv, b""
+    s, t = cands.scores, cands.teacher_scores
+    # Which rank pairs' hinges are active: s(other) > s(preferred).
+    return lv, ((t[:, None] > t[None, :]) & (s[None, :] > s[:, None])).tobytes()
 
 
 def _random_cands(rng: np.random.Generator, n_negs: int = 4) -> CandidateSet:

@@ -227,6 +227,49 @@ def filter_false_negatives(
     )
 
 
+# The teaching losses by strategy name: (candidates with teacher scores, KL
+# temperature) -> loss over the student scores.
+TEACHING_LOSSES = {
+    "rank-consistent": lambda cands, temperature: rank_consistent_loss(cands, make_rank_pairs(cands)),
+    "margin-mse": lambda cands, temperature: margin_mse_loss(cands, make_rank_pairs(cands)),
+    "listnet": lambda cands, temperature: listnet_loss(cands),
+    "kl": lambda cands, temperature: kl_divergence_loss(cands, temperature=temperature),
+}
+STRATEGIES = ("none", *TEACHING_LOSSES, "filter")
+
+
+def strategy_loss(
+    strategy: str,
+    cands: CandidateSet,
+    reg_weight: float = 1.2,
+    filter_threshold: float = 0.95,
+    kl_temperature: float = 1.0,
+) -> tuple[LossValue, float, float]:
+    """The training loss of one candidate set: (total, contrastive part, teaching part).
+
+    "none" is the contrastive loss alone; "filter" is the contrastive loss
+    over the negatives the teacher does not flag; every other strategy adds
+    `reg_weight` times its teaching loss from `TEACHING_LOSSES`.
+    """
+    if strategy == "filter":
+        kept = filter_false_negatives(cands, threshold=filter_threshold)
+        grad = np.zeros(len(cands.scores))
+        if not kept.neg_pids:
+            return LossValue(loss=0.0, grad=grad), 0.0, 0.0
+        cl = contrastive_loss(kept)
+        index = {pid: i for i, pid in enumerate(cands.pids)}
+        for g, pid in zip(cl.grad, kept.pids):
+            grad[index[pid]] = g
+        return LossValue(loss=cl.loss, grad=grad), cl.loss, 0.0
+    cl = contrastive_loss(cands)
+    if strategy == "none":
+        return cl, cl.loss, 0.0
+    if strategy not in TEACHING_LOSSES:
+        raise ValueError(f"unknown strategy {strategy!r} (choose from {STRATEGIES})")
+    ll = TEACHING_LOSSES[strategy](cands, kl_temperature)
+    return combined_loss(cl, ll, reg_weight), cl.loss, ll.loss
+
+
 def flops_penalty(batch: list[TermWeightVector], weight: float) -> LossValue:
     """weight * sum_v (mean over the batch of weight(v))^2.
 

@@ -178,12 +178,15 @@ def bm25_search(
     return _top_k(index, scores, k, qid)
 
 
-def sparse_search(query: TermWeightVector, index: InvertedIndex, k: int, qid: str = "") -> Ranking:
-    """Exact top-k by sparse dot product over a learned-weight index."""
+def sparse_scores(query: TermWeightVector, index: InvertedIndex) -> np.ndarray:
+    """Sparse dot product of `query` with every indexed passage, by row.
+
+    Each passage sums its products in ascending term order, as `relevance`
+    does for vectors stored in that order (those of `lexical_encode`), so
+    the scores equal `relevance` bit for bit.
+    """
     if index.semantics != LEARNED_WEIGHT:
-        raise WeightSemanticsError("sparse_search requires a learned-weight index")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+        raise WeightSemanticsError("sparse search requires a learned-weight index")
     scores = np.zeros(index.n_docs, dtype=np.float64)
     for term in sorted(query.weights):
         rows_w = index.postings.get(term)
@@ -191,7 +194,14 @@ def sparse_search(query: TermWeightVector, index: InvertedIndex, k: int, qid: st
             continue
         rows, weights = rows_w
         scores[rows] += query.weights[term] * weights
-    return _top_k(index, scores, k, qid)
+    return scores
+
+
+def sparse_search(query: TermWeightVector, index: InvertedIndex, k: int, qid: str = "") -> Ranking:
+    """Exact top-k by sparse dot product over a learned-weight index."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return _top_k(index, sparse_scores(query, index), k, qid)
 
 
 def save_index(index: InvertedIndex, path: str | Path) -> None:

@@ -37,31 +37,18 @@ from .encoders import (
     TokenBatch,
     TokenRow,
     dense_backward_batch,
-    dense_encode,
     dense_encode_batch,
     lexical_encode,
     lexical_trace,
-    relevance,
     token_row,
 )
-from .objectives import (
-    CandidateSet,
-    combined_loss,
-    contrastive_loss,
-    filter_false_negatives,
-    flops_penalty_arrays,
-    kl_divergence_loss,
-    listnet_loss,
-    make_rank_pairs,
-    margin_mse_loss,
-    rank_consistent_loss,
-)
-from .retrieval import DenseIndex, dense_search
-from .sparse_index import InvertedIndex, Ranking, bm25_search, build_index, sparse_search
+from .objectives import STRATEGIES, CandidateSet, flops_penalty_arrays, strategy_loss
+from . import retrieval
+from .retrieval import Retriever, index_kind
+from .sparse_index import InvertedIndex, build_index, sparse_scores
 
 log = logging.getLogger(__name__)
 
-STRATEGIES = ("none", "rank-consistent", "margin-mse", "listnet", "kl", "filter")
 SOURCE_TAGS = ("bm25", "lex1", "lex2", "den1", "file")
 
 # Learning-rate presets reported for the original full-scale setup, kept as a
@@ -83,7 +70,6 @@ class TrainConfig:
     lr: float = 1e-2
     batch_size: int = 8
     m: int = 5                 # negatives per query in each candidate set
-    depth: int = 200           # mining depth
     reg_weight: float = 1.2    # weight of the teaching loss in the total
     flops_weight: float = 0.0
     epochs: int = 3
@@ -99,7 +85,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r} (choose from {STRATEGIES})")
-        for name in ("dim", "lr", "batch_size", "m", "depth", "epochs"):
+        for name in ("dim", "lr", "batch_size", "m", "epochs"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.reg_weight < 0 or self.flops_weight < 0:
@@ -167,43 +153,8 @@ def load_pool(path: str | Path) -> NegativePool:
     return pool
 
 
-class Bm25Backend:
-    """Search backend over a raw-count index for warm-up mining."""
-
-    def __init__(self, index: InvertedIndex, vocab: Vocabulary, k1: float = 1.2, b: float = 0.75):
-        self.index = index
-        self.vocab = vocab
-        self.k1 = k1
-        self.b = b
-
-    def search(self, text: str, k: int, qid: str = "") -> Ranking:
-        return bm25_search(vectorize(text, self.vocab), self.index, k, self.k1, self.b, qid=qid)
-
-
-class LexicalBackend:
-    def __init__(self, params: LexicalParams, index: InvertedIndex, vocab: Vocabulary):
-        self.params = params
-        self.index = index
-        self.vocab = vocab
-
-    def search(self, text: str, k: int, qid: str = "") -> Ranking:
-        q_vec, _ = lexical_encode(vectorize(text, self.vocab), self.params)
-        return sparse_search(q_vec, self.index, k, qid=qid)
-
-
-class DenseBackend:
-    def __init__(self, params: DenseParams, index: DenseIndex, vocab: Vocabulary):
-        self.params = params
-        self.index = index
-        self.vocab = vocab
-
-    def search(self, text: str, k: int, qid: str = "") -> Ranking:
-        q_vec, _ = dense_encode(vectorize(text, self.vocab), self.params)
-        return dense_search(q_vec, self.index, k, qid=qid)
-
-
 def mine_negatives(
-    backend,
+    retriever,
     queries: QuerySet,
     qrels: Qrels,
     depth: int = 200,
@@ -214,8 +165,10 @@ def mine_negatives(
 ) -> NegativePool:
     """Retrieve top-`depth` per query, drop qrels positives, keep m negatives.
 
-    With sampling enabled the m survivors are drawn uniformly without
-    replacement from a per-query seeded stream; otherwise the top m are kept.
+    `retriever` is anything with `search(text, k, qid=)`, usually a
+    `Retriever`. With sampling enabled the m survivors are drawn uniformly
+    without replacement from a per-query seeded stream; otherwise the top m
+    are kept.
     """
     if depth < m:
         raise ValueError("mining depth must be >= m")
@@ -223,7 +176,7 @@ def mine_negatives(
     short = 0
     for qid, text in queries.queries.items():
         positives = qrels.positives(qid)
-        ranked = backend.search(text, depth, qid=qid).pids()
+        ranked = retriever.search(text, depth, qid=qid).pids()
         eligible = [pid for pid in ranked if pid not in positives]
         if len(eligible) < m:
             # With m close to depth a full ranking that holds the positive
@@ -304,23 +257,6 @@ def subsample_pool(pool: NegativePool, m_total: int, seed: int) -> NegativePool:
 @dataclass
 class TeacherScoreTable:
     scores: dict[tuple[str, str], float]
-    provenance: str  # "lexical-model" | "score-file"
-
-
-def lexical_teacher_scores(
-    params: LexicalParams,
-    vocab: Vocabulary,
-    query_text: str,
-    docs: dict[str, str],
-    pids: list[str],
-) -> dict[str, float]:
-    """Teacher scores for one query over `pids` via encode + dot product."""
-    q_vec, _ = lexical_encode(vectorize(query_text, vocab), params)
-    out = {}
-    for pid in pids:
-        p_vec, _ = lexical_encode(vectorize(docs[pid], vocab), params)
-        out[pid] = relevance(q_vec, p_vec)
-    return out
 
 
 def save_teacher_scores(table: TeacherScoreTable, path: str | Path) -> None:
@@ -341,7 +277,7 @@ def load_teacher_scores(path: str | Path) -> TeacherScoreTable:
                 scores[(qid, pid)] = float(score_s)
             except ValueError:
                 raise FormatError(f"{path}:{lineno}: score {score_s!r} is not a number") from None
-    return TeacherScoreTable(scores=scores, provenance="score-file")
+    return TeacherScoreTable(scores=scores)
 
 
 def table_teacher(table: TeacherScoreTable):
@@ -356,28 +292,26 @@ def table_teacher(table: TeacherScoreTable):
     return teacher
 
 
-def model_teacher(params: LexicalParams, vocab: Vocabulary, corpus: Corpus, queries: QuerySet):
-    """Teacher callable scoring candidates with a frozen lexical model."""
-    q_cache: dict[str, object] = {}
-    p_cache: dict[str, object] = {}
-    # The teacher is frozen, so a (query, passage) score never changes.
-    scores: dict[tuple[str, str], float] = {}
+def model_teacher(params: LexicalParams, index: InvertedIndex, vocab: Vocabulary, queries: QuerySet):
+    """Teacher callable scoring candidates with a frozen lexical model.
 
-    def score(qid: str, pid: str) -> float:
-        if qid not in q_cache:
-            q_cache[qid], _ = lexical_encode(vectorize(queries.queries[qid], vocab), params)
-        if pid not in p_cache:
-            p_cache[pid], _ = lexical_encode(vectorize(corpus.docs[pid], vocab), params)
-        return relevance(q_cache[qid], p_cache[pid])
+    Passages are read from `index`, the learned-weight index that
+    `encode_corpus` built with the same model, so no passage is encoded
+    again. Each query is encoded once and scored against the whole index by
+    `sparse_scores`, which equals `relevance` of the two encodings.
+    """
+    if params.kind != "lexical" or index_kind(index) != "lexical":
+        raise TypeError(
+            f"the teacher is a lexical model over its learned-weight index, "
+            f"got a {params.kind} model and a {index_kind(index)} index"
+        )
+    by_query: dict[str, np.ndarray] = {}
 
     def teacher(qid: str, pids: list[str], student_scores: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(pids))
-        for i, pid in enumerate(pids):
-            key = (qid, pid)
-            if key not in scores:
-                scores[key] = score(qid, pid)
-            out[i] = scores[key]
-        return out
+        if qid not in by_query:
+            q_vec, _ = lexical_encode(vectorize(queries.queries[qid], vocab), params)
+            by_query[qid] = sparse_scores(q_vec, index)
+        return by_query[qid][[index._row_of[pid] for pid in pids]]
 
     return teacher
 
@@ -446,7 +380,7 @@ def _zero_grads(grads: Params) -> None:
 
 
 def _needs_teacher(strategy: str) -> bool:
-    return strategy in ("rank-consistent", "margin-mse", "listnet", "kl", "filter")
+    return strategy != "none"
 
 
 @dataclass
@@ -622,13 +556,16 @@ def train_stage(
                     scores=scores,
                     teacher_scores=t_scores,
                 )
-                loss, grad_scores, cl_val, ll_val = _strategy_loss(config, cands)
-                if not np.isfinite(loss):
+                total, cl_val, ll_val = strategy_loss(
+                    config.strategy, cands, config.reg_weight,
+                    config.filter_threshold, config.kl_temperature,
+                )
+                if not np.isfinite(total.loss):
                     raise RuntimeError(
                         f"non-finite loss at stage {config.stage!r} epoch {epoch} query {qid!r}"
                     )
                 parts.append((cl_val, ll_val))
-                return loss, grad_scores
+                return total.loss, total.grad
 
             batch = TokenBatch([
                 row
@@ -655,36 +592,6 @@ def _apply_batch(params, grads, state, config: TrainConfig, batch_count: int) ->
         t /= batch_count
     adam_step(params, grads, state, config.lr, config.beta1, config.beta2, config.adam_eps)
     _zero_grads(grads)
-
-
-def _strategy_loss(config: TrainConfig, cands: CandidateSet):
-    """Return (total loss, d loss / d scores, contrastive part, teaching part)."""
-    if config.strategy == "none":
-        cl = contrastive_loss(cands)
-        return cl.loss, cl.grad, cl.loss, 0.0
-    if config.strategy == "filter":
-        kept = filter_false_negatives(cands, threshold=config.filter_threshold)
-        if not kept.neg_pids:
-            return 0.0, np.zeros(len(cands.scores)), 0.0, 0.0
-        cl = contrastive_loss(kept)
-        grad = np.zeros(len(cands.scores))
-        index = {pid: i for i, pid in enumerate(cands.pids)}
-        for g, pid in zip(cl.grad, kept.pids):
-            grad[index[pid]] = g
-        return cl.loss, grad, cl.loss, 0.0
-    cl = contrastive_loss(cands)
-    if config.strategy == "rank-consistent":
-        ll = rank_consistent_loss(cands, make_rank_pairs(cands))
-    elif config.strategy == "margin-mse":
-        ll = margin_mse_loss(cands, make_rank_pairs(cands))
-    elif config.strategy == "listnet":
-        ll = listnet_loss(cands)
-    elif config.strategy == "kl":
-        ll = kl_divergence_loss(cands, temperature=config.kl_temperature)
-    else:  # pragma: no cover - guarded by TrainConfig validation
-        raise ValueError(f"unknown strategy {config.strategy!r}")
-    total = combined_loss(cl, ll, config.reg_weight)
-    return total.loss, total.grad, cl.loss, ll.loss
 
 
 @dataclass
@@ -734,7 +641,6 @@ class PipelineConfig:
     resample_per_epoch: bool = False
     led_negatives: str = "mix"    # mix | self
     teacher_scores_file: str = ""
-    threads: int = 1
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -829,7 +735,6 @@ def stage_config(cfg: PipelineConfig, stage: str, strategy: str, m: int, epochs:
         lr=lr,
         batch_size=cfg.batch_size,
         m=m,
-        depth=cfg.depth,
         reg_weight=cfg.reg_weight,
         flops_weight=cfg.flops_weight,
         epochs=epochs,
@@ -868,7 +773,6 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> Pipe
     dense model's own negatives instead of the mixture (the plain
     continued-dense baseline when strategy is also "none").
     """
-    from . import retrieval
     from .data import load_collection, load_qrels, load_queries
 
     require_config_keys(cfg, ("collection", "train_queries", "train_qrels"))
@@ -888,8 +792,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> Pipe
     checkpoints: dict[str, Params] = {}
 
     # Warm-up: both retrievers on BM25 negatives.
-    bm25_index = build_index(doc_tvs)
-    bm25 = Bm25Backend(bm25_index, vocab, cfg.bm25_k1, cfg.bm25_b)
+    bm25 = Retriever(None, build_index(doc_tvs), vocab, cfg.bm25_k1, cfg.bm25_b)
     pools["bm25"] = mine_negatives(
         bm25, queries, qrels, cfg.depth, cfg.warmup_m, cfg.seed, source="bm25"
     )
@@ -908,9 +811,9 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> Pipe
 
     # Continue: lexical retriever on its own warm-up negatives.
     lex1_index = retrieval.encode_corpus(lex1, corpus, vocab)
-    lex1_backend = LexicalBackend(lex1, lex1_index, vocab)
+    lex1_retriever = Retriever(lex1, lex1_index, vocab)
     pools["lex1"] = mine_negatives(
-        lex1_backend, queries, qrels, cfg.depth, cfg.warmup_m, cfg.seed, source="lex1"
+        lex1_retriever, queries, qrels, cfg.depth, cfg.warmup_m, cfg.seed, source="lex1"
     )
     lex2, logs["lex2"] = train_stage(
         stage_config(cfg, "continue", "none", cfg.warmup_m, lex_epochs, stage_lr(cfg, "lex_continue")),
@@ -922,14 +825,14 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> Pipe
     lex2_index = retrieval.encode_corpus(lex2, corpus, vocab)
     den1_index = retrieval.encode_corpus(den1, corpus, vocab)
     pools["lex1_top"] = mine_negatives(
-        lex1_backend, queries, qrels, mix_depth, mix_depth, cfg.seed, source="lex1", sample=False
+        lex1_retriever, queries, qrels, mix_depth, mix_depth, cfg.seed, source="lex1", sample=False
     )
     pools["lex2_top"] = mine_negatives(
-        LexicalBackend(lex2, lex2_index, vocab), queries, qrels,
+        Retriever(lex2, lex2_index, vocab), queries, qrels,
         mix_depth, mix_depth, cfg.seed, source="lex2", sample=False,
     )
     pools["den1_top"] = mine_negatives(
-        DenseBackend(den1, den1_index, vocab), queries, qrels,
+        Retriever(den1, den1_index, vocab), queries, qrels,
         mix_depth, mix_depth, cfg.seed, source="den1", sample=False,
     )
     pools["mix"] = mix_pools(
@@ -945,7 +848,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> Pipe
         if cfg.teacher_scores_file:
             teacher = table_teacher(load_teacher_scores(cfg.teacher_scores_file))
         else:
-            teacher = model_teacher(lex2, vocab, corpus, queries)
+            teacher = model_teacher(lex2, lex2_index, vocab, queries)
     led, logs["led"] = train_stage(
         stage_config(cfg, "led", cfg.strategy, cfg.m, led_epochs, stage_lr(cfg, "led")),
         vocab, corpus, queries, qrels, led_pool, den1, teacher=teacher, doc_tvs=doc_tvs,
@@ -1010,7 +913,6 @@ def build_vocab_for(cfg: PipelineConfig, corpus: Corpus):
 
 def write_pipeline_artifacts(result: PipelineResult, cfg: PipelineConfig, out_dir: Path) -> None:
     """Write checkpoints, pools, runs, reports, and a digest manifest."""
-    from . import retrieval
     from .encoders import save_params
 
     out_dir.mkdir(parents=True, exist_ok=True)

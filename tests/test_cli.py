@@ -41,6 +41,24 @@ def workspace(tmp_path_factory):
     return d
 
 
+@pytest.fixture(scope="module")
+def checkpoints(workspace):
+    """Freshly initialized dense and lexical checkpoints over the toy vocabulary."""
+    from lexlab.data import CheckpointMeta, build_vocab, load_collection
+    from lexlab.encoders import DenseParams, LexicalParams, save_params
+
+    vocab = build_vocab(load_collection(workspace / "collection.tsv"))
+    paths = {}
+    for params in (DenseParams.init(vocab.size, 6, 5), LexicalParams.init(vocab.size, 6, 5)):
+        meta = CheckpointMeta(
+            kind=params.kind, vocab_size=vocab.size, dim=6, stage="init", step=0, seed=5,
+            config_digest="",
+        )
+        paths[params.kind] = workspace / f"{params.kind}.ckpt"
+        save_params(params, meta, paths[params.kind])
+    return paths
+
+
 def run_cli(*argv):
     return cli.main([str(a) for a in argv])
 
@@ -218,6 +236,52 @@ class TestModelCommands:
         index = load_index(out)
         assert index.n_docs == 50
         assert Path(str(out) + ".digest").exists()
+
+    def test_build_index_kind_follows_the_checkpoint(self, workspace, checkpoints, tmp_path):
+        from lexlab.retrieval import load_dense_index
+        from lexlab.sparse_index import LEARNED_WEIGHT, load_index
+
+        out = tmp_path / "dense.idx"
+        rc = run_cli(
+            "build-index", "--collection", workspace / "collection.tsv",
+            "--checkpoint", checkpoints["dense"], "--out", out,
+        )
+        assert rc == 0
+        assert load_dense_index(out).matrix.shape == (50, 6)
+        out = tmp_path / "lexical.idx"
+        rc = run_cli(
+            "build-index", "--collection", workspace / "collection.tsv",
+            "--checkpoint", checkpoints["lexical"], "--out", out,
+        )
+        assert rc == 0
+        index = load_index(out)
+        assert index.n_docs == 50 and index.semantics == LEARNED_WEIGHT
+
+    def test_train_rejects_a_dense_teacher(self, workspace, checkpoints, tmp_path, capsys):
+        pool = tmp_path / "pool.tsv"
+        assert run_cli("mine", "--config", workspace / "toy.cfg", "--out", pool) == 0
+        out = tmp_path / "led.ckpt"
+        rc = run_cli(
+            "train", "--config", workspace / "toy.cfg", "--pool", pool, "--out", out,
+            "--teacher-checkpoint", checkpoints["dense"], "--strategy", "rank-consistent",
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "lexical" in err and "dense" in err
+        assert not out.exists()
+
+    def test_train_rejects_an_init_of_another_kind(self, workspace, checkpoints, tmp_path, capsys):
+        pool = tmp_path / "pool.tsv"
+        assert run_cli("mine", "--config", workspace / "toy.cfg", "--out", pool) == 0
+        out = tmp_path / "lex.ckpt"
+        rc = run_cli(
+            "train", "--config", workspace / "toy.cfg", "--kind", "lexical", "--pool", pool,
+            "--init", checkpoints["dense"], "--out", out, "--strategy", "none",
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "lexical" in err and "dense" in err
+        assert not out.exists()
 
     def test_gradcheck_small(self, capsys):
         rc = run_cli("gradcheck", "--trials", "2")

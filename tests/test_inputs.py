@@ -5,6 +5,10 @@ Pool and teacher-score files round-trip and reject malformed lines with
 pipeline loads a file or mines a negative.
 """
 
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -60,7 +64,7 @@ class TestTeacherScoreFile:
     @settings(max_examples=60, deadline=None)
     def test_round_trip_at_twelve_digits(self, tmp_path_factory, scores):
         path = tmp_path_factory.mktemp("scores") / "s.tsv"
-        save_teacher_scores(TeacherScoreTable(scores=scores, provenance="score-file"), path)
+        save_teacher_scores(TeacherScoreTable(scores=scores), path)
         loaded = load_teacher_scores(path).scores
         assert loaded == {key: float(f"{v:.12g}") for key, v in scores.items()}
 
@@ -115,3 +119,15 @@ class TestConfigRanges:
             assert cli.main(["pipeline", "--config", str(cfg_path),
                              "--out-dir", str(tmp_path / "out")]) != 0
             assert not (tmp_path / "out").exists()
+
+
+class TestConfigDocs:
+    def test_readme_table_lists_every_config_key(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Configuration keys", 1)[1].split("\n## ", 1)[0]
+        documented = [
+            key
+            for line in section.splitlines() if line.startswith("| `")
+            for key in re.findall(r"`([^`]+)`", line.split("|")[1])
+        ]
+        assert sorted(documented) == sorted(f.name for f in fields(PipelineConfig))

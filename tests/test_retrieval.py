@@ -1,4 +1,7 @@
+import gc
+import itertools
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -6,8 +9,10 @@ import pytest
 
 from lexlab.data import Corpus, build_vocab, load_qrels, vectorize, vectorize_corpus
 from lexlab.encoders import DenseParams, LexicalParams, dense_encode, lexical_encode
+from lexlab import retrieval
 from lexlab.retrieval import (
     DenseIndex,
+    Retriever,
     RunFile,
     dense_search,
     encode_corpus,
@@ -22,7 +27,7 @@ from lexlab.retrieval import (
     save_dense_index,
     save_run,
 )
-from lexlab.sparse_index import InvertedIndex, Ranking
+from lexlab.sparse_index import InvertedIndex, Ranking, bm25_search, build_index, sparse_search
 from lexlab.data import QuerySet
 
 FIXTURE = Path(__file__).parent / "data" / "metric_fixture"
@@ -69,6 +74,25 @@ class TestEncodeCorpus:
                 if row in rows
             }
             assert got == pytest.approx(vec.weights)
+
+    def test_dense_index_equals_per_passage_encode(self, monkeypatch):
+        # "x" and "y" occur once and fall out of a min_df=2 vocabulary, so
+        # d3 is all out-of-vocabulary; d4 is empty. Blocks of two passages
+        # make the last block short.
+        docs = {"d0": "a b b", "d1": "b c", "d2": "a c c a", "d3": "x y", "d4": "", "d5": "c"}
+        corpus = Corpus.from_docs(docs)
+        vocab = build_vocab(corpus, min_df=2)
+        params = DenseParams.init(vocab.size, 4, seed=5)
+        params.proj[:] = np.random.default_rng(5).normal(size=params.proj.shape)
+        params.bias[:] = 0.25
+        monkeypatch.setattr(retrieval, "ENCODE_BLOCK", 2)
+        index = encode_corpus(params, corpus, vocab)
+        assert index.pids == sorted(docs)
+        for row, pid in enumerate(index.pids):
+            vec, _ = dense_encode(vectorize(docs[pid], vocab), params)
+            assert index.matrix[row].tobytes() == vec.tobytes()
+        assert not index.matrix[index.pids.index("d3")].any()
+        assert not index.matrix[index.pids.index("d4")].any()
 
 
 class TestDenseSearch:
@@ -160,6 +184,58 @@ class TestMakeRunAndIO:
         assert loaded.pids == index.pids
         assert loaded.matrix.tobytes() == index.matrix.tobytes()
         assert loaded.digest == "xyz"
+
+
+class TestRetriever:
+    def _setup(self):
+        corpus = Corpus.from_docs({f"d{i}": f"w{i % 4} w{(i + 1) % 4} w{i % 3}" for i in range(12)})
+        vocab = build_vocab(corpus)
+        dense = DenseParams.init(vocab.size, 4, 0)
+        lexical = LexicalParams.init(vocab.size, 4, 0)
+        indexes = {
+            "bm25": build_index(vectorize_corpus(corpus, vocab)),
+            "dense": encode_corpus(dense, corpus, vocab),
+            "lexical": encode_corpus(lexical, corpus, vocab),
+        }
+        return vocab, {"bm25": None, "dense": dense, "lexical": lexical}, indexes
+
+    def test_each_kind_searches_as_its_search_function(self):
+        vocab, params, indexes = self._setup()
+        tv = vectorize("w1 w2", vocab)
+        expected = {
+            "bm25": bm25_search(tv, indexes["bm25"], 5, k1=0.9, b=0.4, qid="q"),
+            "dense": dense_search(dense_encode(tv, params["dense"])[0], indexes["dense"], 5, qid="q"),
+            "lexical": sparse_search(
+                lexical_encode(tv, params["lexical"])[0], indexes["lexical"], 5, qid="q"
+            ),
+        }
+        for kind, index in indexes.items():
+            got = Retriever(params[kind], index, vocab, k1=0.9, b=0.4).search("w1 w2", 5, qid="q")
+            assert got == expected[kind]
+
+    def test_index_freed_when_the_run_is_done(self):
+        # A reference cycle through the retriever would keep the index alive
+        # until the cyclic collector runs, raising peak memory.
+        vocab, params, indexes = self._setup()
+        for kind in list(indexes):
+            ref = weakref.ref(indexes[kind])
+            gc.disable()
+            try:
+                make_run(params[kind], QuerySet(queries={"q": "w1"}), indexes.pop(kind), vocab, k=3)
+                assert ref() is None
+            finally:
+                gc.enable()
+
+    @pytest.mark.parametrize(
+        "model, index_kind", list(itertools.permutations(["bm25", "dense", "lexical"], 2))
+    )
+    def test_kind_mismatch_rejected(self, model, index_kind):
+        vocab, params, indexes = self._setup()
+        named = f"{index_kind} index .*, got {'no' if model == 'bm25' else 'a ' + model} model"
+        with pytest.raises(TypeError, match=named):
+            Retriever(params[model], indexes[index_kind], vocab)
+        with pytest.raises(TypeError, match=named):
+            make_run(params[model], QuerySet(queries={"q": "w1"}), indexes[index_kind], vocab)
 
 
 class TestMetrics:

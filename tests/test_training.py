@@ -11,10 +11,12 @@ from lexlab.encoders import (
     params_digest,
     relevance,
 )
+from lexlab.objectives import TEACHING_LOSSES
+from lexlab.retrieval import Retriever, encode_corpus
 from lexlab.sparse_index import build_index
 from lexlab.training import (
+    STRATEGIES,
     AdamState,
-    Bm25Backend,
     NegativePool,
     PipelineConfig,
     TeacherScoreTable,
@@ -22,7 +24,7 @@ from lexlab.training import (
     adam_step,
     config_digest,
     config_from_mapping,
-    lexical_teacher_scores,
+    _needs_teacher,
     load_pool,
     load_teacher_scores,
     mine_negatives,
@@ -56,28 +58,28 @@ def small_world(n_docs=30, n_queries=6, seed=0):
 class TestMining:
     def test_positive_never_mined(self):
         corpus, queries, qrels, vocab = small_world()
-        backend = Bm25Backend(build_index(vectorize_corpus(corpus, vocab)), vocab)
-        pool = mine_negatives(backend, queries, qrels, depth=20, m=5, seed=1)
+        retriever = Retriever(None, build_index(vectorize_corpus(corpus, vocab)), vocab)
+        pool = mine_negatives(retriever, queries, qrels, depth=20, m=5, seed=1)
         for qid in pool.by_query:
             for pids in pool.by_query[qid].values():
                 assert not qrels.positives(qid).intersection(pids)
 
     def test_same_seed_same_pool(self):
         corpus, queries, qrels, vocab = small_world()
-        backend = Bm25Backend(build_index(vectorize_corpus(corpus, vocab)), vocab)
-        a = mine_negatives(backend, queries, qrels, depth=20, m=5, seed=7)
-        b = mine_negatives(backend, queries, qrels, depth=20, m=5, seed=7)
+        retriever = Retriever(None, build_index(vectorize_corpus(corpus, vocab)), vocab)
+        a = mine_negatives(retriever, queries, qrels, depth=20, m=5, seed=7)
+        b = mine_negatives(retriever, queries, qrels, depth=20, m=5, seed=7)
         assert a.by_query == b.by_query
-        c = mine_negatives(backend, queries, qrels, depth=20, m=5, seed=8)
+        c = mine_negatives(retriever, queries, qrels, depth=20, m=5, seed=8)
         assert a.by_query != c.by_query
 
     def test_short_supply_takes_all(self, caplog):
         # Depth beyond the 4-passage collection: the ranking itself comes
         # back short, which is a real shortfall.
         corpus, queries, qrels, vocab = small_world(n_docs=4, n_queries=2)
-        backend = Bm25Backend(build_index(vectorize_corpus(corpus, vocab)), vocab)
+        retriever = Retriever(None, build_index(vectorize_corpus(corpus, vocab)), vocab)
         with caplog.at_level("WARNING"):
-            pool = mine_negatives(backend, queries, qrels, depth=10, m=4, seed=0)
+            pool = mine_negatives(retriever, queries, qrels, depth=10, m=4, seed=0)
         assert any("fewer than" in r.message for r in caplog.records)
         for qid in pool.by_query:
             assert len(pool.merged(qid)) <= 3
@@ -86,12 +88,12 @@ class TestMining:
         # m == depth and the positive is retrieved: one negative short by
         # design, so no warning, and the pool is still every eligible pid.
         corpus, queries, qrels, vocab = small_world()
-        backend = Bm25Backend(build_index(vectorize_corpus(corpus, vocab)), vocab)
+        retriever = Retriever(None, build_index(vectorize_corpus(corpus, vocab)), vocab)
         with caplog.at_level("WARNING"):
-            pool = mine_negatives(backend, queries, qrels, depth=8, m=8, seed=0, sample=False)
+            pool = mine_negatives(retriever, queries, qrels, depth=8, m=8, seed=0, sample=False)
         assert not [r for r in caplog.records if "fewer than" in r.message]
         for qid, text in queries.queries.items():
-            ranked = backend.search(text, 8).pids()
+            ranked = retriever.search(text, 8).pids()
             assert qrels.positives(qid) <= set(ranked)
             assert pool.merged(qid) == [p for p in ranked if p not in qrels.positives(qid)]
 
@@ -104,9 +106,9 @@ class TestMining:
 
     def test_depth_less_than_m_rejected(self):
         corpus, queries, qrels, vocab = small_world()
-        backend = Bm25Backend(build_index(vectorize_corpus(corpus, vocab)), vocab)
+        retriever = Retriever(None, build_index(vectorize_corpus(corpus, vocab)), vocab)
         with pytest.raises(ValueError):
-            mine_negatives(backend, queries, qrels, depth=3, m=5)
+            mine_negatives(retriever, queries, qrels, depth=3, m=5)
 
     def test_validate_pool_catches_leak(self):
         pool = NegativePool()
@@ -179,59 +181,91 @@ class TestPools:
             NegativePool().add("q1", "mystery", ["d1"])
 
 
+def encode_and_dot(params, vocab, query_text, docs, pids):
+    """Teacher oracle: encode the query and each passage, then `relevance`."""
+    q_vec, _ = lexical_encode(vectorize(query_text, vocab), params)
+    return {
+        pid: relevance(q_vec, lexical_encode(vectorize(docs[pid], vocab), params)[0])
+        for pid in pids
+    }
+
+
+def sparse_lexical_params(vocab_size, seed):
+    """Random lexical parameters, away from the tied initialization."""
+    rng = np.random.default_rng(seed)
+    params = LexicalParams.init(vocab_size, 4, seed)
+    params.emb[:] = rng.uniform(-0.8, 0.8, size=params.emb.shape)
+    params.expand[:] = rng.uniform(-0.8, 0.8, size=params.expand.shape)
+    params.bias[:] = rng.uniform(-0.6, 0.0, size=params.bias.shape)
+    return params
+
+
 class TestTeachers:
     def test_empty_pid_list(self):
         corpus, queries, qrels, vocab = small_world()
         params = LexicalParams.init(vocab.size, 4, 0)
-        scores = lexical_teacher_scores(params, vocab, "w0 c0", corpus.docs, [])
-        assert scores == {}
+        teacher = model_teacher(params, encode_corpus(params, corpus, vocab), vocab, queries)
+        assert len(teacher("q0", [], np.zeros(0))) == 0
 
     def test_model_scores_equal_direct_relevance(self):
         corpus, queries, qrels, vocab = small_world()
         params = LexicalParams.init(vocab.size, 4, 0)
-        scores = lexical_teacher_scores(params, vocab, "w0 c0", corpus.docs, ["d00", "d01"])
-        q_vec, _ = lexical_encode(vectorize("w0 c0", vocab), params)
-        for pid, score in scores.items():
-            p_vec, _ = lexical_encode(vectorize(corpus.docs[pid], vocab), params)
-            assert score == pytest.approx(relevance(q_vec, p_vec), abs=0)
+        teacher = model_teacher(params, encode_corpus(params, corpus, vocab), vocab, queries)
+        pids = sorted(corpus.docs)
+        for qid, text in queries.queries.items():
+            got = teacher(qid, pids, np.zeros(len(pids)))
+            q_vec, _ = lexical_encode(vectorize(text, vocab), params)
+            for pid, score in zip(pids, got):
+                p_vec, _ = lexical_encode(vectorize(corpus.docs[pid], vocab), params)
+                assert score == pytest.approx(relevance(q_vec, p_vec), abs=0)
 
     def test_score_file_roundtrip(self, tmp_path):
         table = TeacherScoreTable(
             scores={("q1", "d1"): 0.125, ("q1", "d2"): -3.5, ("q2", "d9"): 7.0},
-            provenance="score-file",
         )
         save_teacher_scores(table, tmp_path / "s.tsv")
         loaded = load_teacher_scores(tmp_path / "s.tsv")
         assert loaded.scores == table.scores
 
     def test_table_teacher_missing_pair(self):
-        teacher = table_teacher(TeacherScoreTable(scores={}, provenance="score-file"))
+        teacher = table_teacher(TeacherScoreTable(scores={}))
         with pytest.raises(ValueError, match="missing"):
             teacher("q1", ["d1"], np.zeros(1))
 
     def test_model_teacher_matches_helper(self):
         corpus, queries, qrels, vocab = small_world()
-        params = LexicalParams.init(vocab.size, 4, 0)
-        teacher = model_teacher(params, vocab, corpus, queries)
-        got = teacher("q0", ["d00", "d05"], np.zeros(2))
-        helper = lexical_teacher_scores(
-            params, vocab, queries.queries["q0"], corpus.docs, ["d00", "d05"]
-        )
-        assert list(got) == pytest.approx([helper["d00"], helper["d05"]])
+        params = sparse_lexical_params(vocab.size, 4)
+        teacher = model_teacher(params, encode_corpus(params, corpus, vocab), vocab, queries)
+        pids = sorted(corpus.docs, reverse=True)
+        for qid, text in queries.queries.items():
+            got = teacher(qid, pids, np.zeros(len(pids)))
+            helper = encode_and_dot(params, vocab, text, corpus.docs, pids)
+            assert got.tolist() == [helper[pid] for pid in pids]
 
-    def test_model_teacher_scores_each_pair_once(self, monkeypatch):
+    def test_model_teacher_encodes_no_passage(self, monkeypatch):
         from lexlab import training
 
         corpus, queries, qrels, vocab = small_world()
         params = LexicalParams.init(vocab.size, 4, 0)
-        scored = []
-        real = training.relevance
-        monkeypatch.setattr(training, "relevance", lambda a, b: scored.append(1) or real(a, b))
-        teacher = model_teacher(params, vocab, corpus, queries)
+        index = encode_corpus(params, corpus, vocab)
+        encoded = []
+        real = training.lexical_encode
+        monkeypatch.setattr(training, "lexical_encode", lambda tv, p: encoded.append(tv) or real(tv, p))
+        teacher = model_teacher(params, index, vocab, queries)
         first = teacher("q0", ["d00", "d05"], np.zeros(2))
         again = teacher("q0", ["d05", "d00", "d07"], np.zeros(3))
-        assert len(scored) == 3
+        assert encoded == [vectorize(queries.queries["q0"], vocab)]
         assert list(again[:2]) == [first[1], first[0]]
+
+    def test_model_teacher_rejects_other_kinds(self):
+        corpus, queries, qrels, vocab = small_world()
+        dense = DenseParams.init(vocab.size, 4, 0)
+        with pytest.raises(TypeError, match="lexical.*dense"):
+            model_teacher(dense, encode_corpus(dense, corpus, vocab), vocab, queries)
+        lexical = LexicalParams.init(vocab.size, 4, 0)
+        bm25_index = build_index(vectorize_corpus(corpus, vocab))
+        with pytest.raises(TypeError, match="lexical.*bm25"):
+            model_teacher(lexical, bm25_index, vocab, queries)
 
 
 class TestAdam:
@@ -267,8 +301,8 @@ class TestAdam:
 
 
 def make_pool(queries, qrels, corpus, vocab, m=4, seed=0):
-    backend = Bm25Backend(build_index(vectorize_corpus(corpus, vocab)), vocab)
-    return mine_negatives(backend, queries, qrels, depth=10, m=m, seed=seed)
+    retriever = Retriever(None, build_index(vectorize_corpus(corpus, vocab)), vocab)
+    return mine_negatives(retriever, queries, qrels, depth=10, m=m, seed=seed)
 
 
 class TestTrainStage:
@@ -358,6 +392,14 @@ class TestTrainStage:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(strategy="magic")
+
+    def test_strategies_come_from_the_loss_table(self):
+        teaching = [name for name in STRATEGIES if name not in ("none", "filter")]
+        assert sorted(teaching) == sorted(TEACHING_LOSSES)
+        assert len(set(teaching)) == len(teaching)
+        assert [name for name in STRATEGIES if _needs_teacher(name)] == [
+            name for name in STRATEGIES if name != "none"
+        ]
 
 
 class TestConfig:
