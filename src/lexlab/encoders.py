@@ -10,11 +10,12 @@ Backward passes are exact: the lexical max-pool routes gradient only through
 the recorded argmax token, and the ReLU gate contributes zero gradient at or
 below the kink.
 
-Training encodes whole optimizer batches at fixed parameters and keeps the
-per-input arithmetic bit for bit: dense rows of equal length pool through one
-stacked matmul (`TokenBatch`) whose items are the per-input products, and
-lexical inputs stay one GEMM each, because a GEMM over several inputs'
-tokens rounds differently.
+Each kind has one forward and one backward. Dense inputs encode as rows of a
+`TokenBatch`: rows of equal length pool through one stacked matmul whose
+items are the per-row products, so a row gets the same bits alone
+(`dense_encode`) as in any batch. Lexical inputs stay one GEMM each
+(`lexical_trace`), because a GEMM over several inputs' tokens rounds
+differently, and `LexicalRoutes` scatters their backward in bulk.
 """
 
 from __future__ import annotations
@@ -118,89 +119,16 @@ class TermWeightVector:
 
 
 @dataclass
-class DenseTrace:
-    term_ids: np.ndarray  # distinct in-vocab term ids, ascending
-    counts: np.ndarray    # float64, aligned with term_ids
-    n_invocab: float
-    pooled: np.ndarray    # h before projection
-    empty: bool
-    vocab_size: int
-    dim: int
-
-
-@dataclass
 class LexicalTrace:
     token_ids: np.ndarray     # distinct input term ids, ascending
     active_terms: np.ndarray  # vocab terms with positive pre-activation
     pre_activation: np.ndarray  # max-pooled z per active term
     source_token: np.ndarray    # argmax token (term id) per active term
     empty: bool
-    vocab_size: int
-    dim: int
 
     def structure(self) -> bytes:
         """Discrete forward state; differs iff a ReLU/max decision differs."""
         return self.active_terms.tobytes() + b"|" + self.source_token.tobytes()
-
-
-def token_ids(tv: TermVector) -> np.ndarray:
-    """Distinct in-vocabulary term ids of `tv`, ascending."""
-    return np.array(sorted(tv.counts), dtype=np.int64)
-
-
-def dense_encode(tv: TermVector, params: DenseParams) -> tuple[np.ndarray, DenseTrace]:
-    """Count-weighted mean of token embeddings followed by an affine map.
-
-    Empty or all-OOV input encodes to the zero vector with an empty trace;
-    that is a documented degenerate case, not an error.
-    """
-    d = params.dim
-    if not tv.counts:
-        trace = DenseTrace(
-            term_ids=np.empty(0, dtype=np.int64),
-            counts=np.empty(0),
-            n_invocab=0.0,
-            pooled=np.zeros(d),
-            empty=True,
-            vocab_size=params.vocab_size,
-            dim=d,
-        )
-        return np.zeros(d), trace
-    ids = token_ids(tv)
-    counts = np.array([float(tv.counts[int(t)]) for t in ids])
-    n = counts.sum()
-    h = counts @ params.emb[ids] / n
-    out = params.proj @ h + params.bias
-    trace = DenseTrace(
-        term_ids=ids,
-        counts=counts,
-        n_invocab=float(n),
-        pooled=h,
-        empty=False,
-        vocab_size=params.vocab_size,
-        dim=d,
-    )
-    return out, trace
-
-
-def dense_backward(
-    params: DenseParams,
-    trace: DenseTrace,
-    upstream: np.ndarray,
-    into: DenseParams | None = None,
-) -> DenseParams:
-    """Accumulate exact gradients of (upstream . output) into `into`."""
-    if trace.vocab_size != params.vocab_size or trace.dim != params.dim:
-        raise ValueError("trace does not match parameter shapes")
-    grads = into if into is not None else params.zeros_like()
-    if trace.empty:
-        return grads
-    g = upstream
-    grads.bias += g
-    grads.proj += np.outer(g, trace.pooled)
-    gh = params.proj.T @ g
-    grads.emb[trace.term_ids] += (trace.counts / trace.n_invocab)[:, None] * gh[None, :]
-    return grads
 
 
 TokenRow = tuple[np.ndarray, np.ndarray]  # ascending distinct term ids, their counts
@@ -208,17 +136,17 @@ TokenRow = tuple[np.ndarray, np.ndarray]  # ascending distinct term ids, their c
 
 def token_row(tv: TermVector) -> TokenRow:
     """One input as (ascending distinct in-vocabulary term ids, their counts)."""
-    ids = token_ids(tv)
+    ids = np.array(sorted(tv.counts), dtype=np.int64)
     return ids, np.array([float(tv.counts[t]) for t in ids.tolist()])
 
 
 class TokenBatch:
-    """The token rows of one optimizer batch, kept per row and grouped by length.
+    """Token rows kept per row and grouped by length.
 
     Lexical encoding takes the rows one by one (`row_ids`). For dense
     encoding, rows of one length pool through a single stacked matmul whose
-    items are the vector-matrix products `dense_encode` makes per input, so
-    a batch encodes each row exactly as `dense_encode` would.
+    items are one vector-matrix product per row, so a row encodes to the
+    same bits in any batch, alone included.
     """
 
     def __init__(self, rows: list[TokenRow]):
@@ -244,13 +172,23 @@ class TokenBatch:
 
 
 def dense_encode_batch(params: DenseParams, batch: TokenBatch) -> tuple[np.ndarray, np.ndarray]:
-    """`dense_encode` of every row; returns (outputs, pooled inputs), one row each."""
+    """Count-weighted mean of token embeddings followed by an affine map, per row.
+
+    Returns (outputs, pooled inputs), one row each. An empty or all-OOV row
+    encodes to the zero vector; that is a documented degenerate case, not an
+    error.
+    """
     pooled = np.zeros((len(batch), params.dim))
     for rows, ids, counts, n in batch.groups:
         pooled[rows] = np.matmul(counts, params.emb[ids])[:, 0] / n
     out = np.matmul(params.proj, pooled[:, :, None])[:, :, 0] + params.bias
     out[batch.empty] = 0.0
     return out, pooled
+
+
+def dense_encode(tv: TermVector, params: DenseParams) -> np.ndarray:
+    """The dense encoding of one input: `dense_encode_batch` of a one-row batch."""
+    return dense_encode_batch(params, TokenBatch([token_row(tv)]))[0][0]
 
 
 def dense_backward_batch(
@@ -262,9 +200,10 @@ def dense_backward_batch(
 ) -> DenseParams:
     """Accumulate gradients of sum_r upstream[r] . output[r] into `into`.
 
-    Equal to `dense_backward` row after row in batch order: every gradient
-    element receives the same additions in the same order. Empty rows and
-    rows with zero upstream add nothing and are skipped.
+    Rows contribute in batch order, so every gradient element receives the
+    same additions in the same order as it would from one-row batches
+    applied one after another. Empty rows and rows with zero upstream add
+    nothing and are skipped.
     """
     use = ~batch.empty & upstream.any(axis=1)
     g, h = upstream[use], pooled[use]
@@ -289,7 +228,6 @@ def lexical_trace(ids: np.ndarray, params: LexicalParams) -> LexicalTrace:
     active (positive) terms; it returns exactly what `lexical_encode` puts in
     its trace.
     """
-    vocab_size, dim = params.emb.shape
     if not len(ids):
         return LexicalTrace(
             token_ids=ids,
@@ -297,8 +235,6 @@ def lexical_trace(ids: np.ndarray, params: LexicalParams) -> LexicalTrace:
             pre_activation=np.empty(0),
             source_token=np.empty(0, dtype=np.int64),
             empty=True,
-            vocab_size=vocab_size,
-            dim=dim,
         )
     # The |V| x tokens GEMM plus bias, laid out tokens x |V| so that the max
     # over tokens runs along contiguous rows.
@@ -307,7 +243,7 @@ def lexical_trace(ids: np.ndarray, params: LexicalParams) -> LexicalTrace:
     zmax = z.max(axis=0)
     active = (zmax > 0.0).nonzero()[0]
     source = ids[z.take(active, axis=1).argmax(axis=0)]
-    return LexicalTrace(ids, active, zmax[active], source, False, vocab_size, dim)
+    return LexicalTrace(ids, active, zmax[active], source, False)
 
 
 def lexical_encode(tv: TermVector, params: LexicalParams) -> tuple[TermWeightVector, LexicalTrace]:
@@ -316,38 +252,9 @@ def lexical_encode(tv: TermVector, params: LexicalParams) -> tuple[TermWeightVec
     log1p(ReLU(.)) is monotone, so the max can be taken on the raw
     pre-activations; the argmax token is recorded for the backward pass.
     """
-    trace = lexical_trace(token_ids(tv), params)
+    trace = lexical_trace(token_row(tv)[0], params)
     weights = np.log1p(trace.pre_activation)
     return TermWeightVector(dict(zip(trace.active_terms.tolist(), weights.tolist()))), trace
-
-
-def lexical_backward(
-    params: LexicalParams,
-    trace: LexicalTrace,
-    upstream: dict[int, float] | np.ndarray,
-    into: LexicalParams | None = None,
-    scale: float = 1.0,
-) -> LexicalParams:
-    """Accumulate exact gradients of sum_v upstream[v] * weight(v).
-
-    `upstream` is either a sparse term -> gradient map or a full |V| vector.
-    Gradient flows only through each active term's recorded argmax token.
-    """
-    if trace.vocab_size != params.vocab_size or trace.dim != params.dim:
-        raise ValueError("trace does not match parameter shapes")
-    grads = into if into is not None else params.zeros_like()
-    if trace.empty or len(trace.active_terms) == 0:
-        return grads
-    if isinstance(upstream, np.ndarray):
-        gv = upstream[trace.active_terms] * scale
-    else:
-        gv = np.array(
-            [upstream.get(int(v), 0.0) for v in trace.active_terms]
-        ) * scale
-    routes = LexicalRoutes(params, grads)
-    routes.add(trace, gv)
-    routes.flush()
-    return grads
 
 
 class LexicalRoutes:
@@ -357,7 +264,7 @@ class LexicalRoutes:
     terms; `flush` scatters what is recorded with one `np.add.at` per
     tensor. `np.add.at` adds in input order, so each parameter element
     receives its additions in the order of the `add` calls, exactly as
-    separate `lexical_backward` calls would. Recording flushes itself
+    flushing after every call would. Recording flushes itself
     beyond `PENDING_LIMIT` entries, which bounds the scratch memory: an
     untrained model activates most of the vocabulary.
     """
@@ -452,89 +359,3 @@ def params_digest(params: Params) -> str:
         h.update(name.encode())
         h.update(np.ascontiguousarray(t, dtype="<f8").tobytes())
     return h.hexdigest()
-
-
-def _rand_term_vector(rng: np.random.Generator, vocab_size: int, max_tokens: int = 5) -> TermVector:
-    n_terms = int(rng.integers(1, max_tokens + 1))
-    ids = rng.choice(vocab_size, size=min(n_terms, vocab_size), replace=False)
-    counts = {int(t): int(rng.integers(1, 4)) for t in ids}
-    return TermVector(counts=counts, n=sum(counts.values()))
-
-
-def grad_check(
-    kind: str,
-    params: Params,
-    sample: TermVector,
-    eps: float = 1e-5,
-    seed: int = 0,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    The scalar objective is a fixed random linear functional of the encoder
-    output. Coordinates whose +/-eps perturbations land on different sides of
-    a ReLU or max-pool decision are skipped (the two-sided difference spans a
-    kink there and is meaningless for comparison).
-    """
-    if not (1e-7 <= eps <= 1e-3):
-        raise ValueError("eps must lie in [1e-7, 1e-3]")
-    rng = np.random.default_rng(seed)
-
-    if kind == "dense":
-        probe = rng.normal(size=params.dim)
-
-        def forward(p):
-            out, trace = dense_encode(sample, p)
-            return float(probe @ out), b"empty" if trace.empty else b"dense"
-
-        _, trace = dense_encode(sample, params)
-        analytic = dense_backward(params, trace, probe)
-    elif kind == "lexical":
-        probe = rng.normal(size=params.vocab_size)
-
-        def forward(p):
-            vec, trace = lexical_encode(sample, p)
-            val = sum(probe[t] * w for t, w in vec.weights.items())
-            return float(val), trace.structure()
-
-        _, trace = lexical_encode(sample, params)
-        analytic = lexical_backward(params, trace, probe)
-    else:
-        raise ValueError(f"unknown encoder kind {kind!r}")
-
-    return fd_max_rel_error(params, forward, analytic, eps)
-
-
-def fd_max_rel_error(
-    params: Params, forward, analytic: Params, eps: float, unread_emb_rows=()
-) -> float:
-    """Central finite differences over every parameter coordinate.
-
-    `forward(params) -> (value, structure)`; coordinates where the structure
-    at +eps and -eps differs are skipped as kink-adjacent. Embedding rows in
-    `unread_emb_rows` (terms absent from every input) are never read by the
-    forward, so their finite difference is exactly zero without evaluating
-    it, and their analytic gradient is held to that.
-    """
-    worst = 0.0
-    an_tensors = analytic.tensors()
-    unread = set(int(t) for t in unread_emb_rows)
-    for name, tensor in params.tensors().items():
-        flat = tensor.reshape(-1)
-        width = tensor.shape[1] if tensor.ndim == 2 else 1
-        for i, (orig, an) in enumerate(zip(flat.tolist(), an_tensors[name].reshape(-1).tolist())):
-            if name == "emb" and i // width in unread:
-                f_plus = f_minus = 0.0
-            else:
-                flat[i] = orig + eps
-                f_plus, s_plus = forward(params)
-                flat[i] = orig - eps
-                f_minus, s_minus = forward(params)
-                flat[i] = orig
-                if s_plus != s_minus:
-                    continue
-            fd = (f_plus - f_minus) / (2.0 * eps)
-            # The floor keeps central-difference roundoff (~|f|*1e-16/eps) on
-            # zero-gradient coordinates from registering as relative error.
-            err = abs(fd - an) / max(abs(fd) + abs(an), 1e-5)
-            worst = max(worst, err)
-    return worst

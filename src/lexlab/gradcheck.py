@@ -1,10 +1,14 @@
 """Finite-difference verification harness.
 
 Checks three layers: encoder parameter gradients, loss gradients with
-respect to candidate scores, and full compositions (parameters -> encoder ->
-relevance -> loss). Kink-adjacent coordinates are detected by comparing the
-discrete forward structure (ReLU gates, max-pool argmaxes, active hinges) at
-the +eps and -eps evaluation points and skipped when it differs.
+respect to their inputs (candidate scores, or lexical term weights for
+FLOPS), and full compositions (parameters -> encoder -> relevance -> loss).
+Every check runs `fd_max_rel_error`, one central-difference loop over a flat
+float64 array, against the functions that train: `dense_encode_batch` /
+`dense_backward_batch`, `lexical_trace` / `LexicalRoutes`, the losses, and
+`training.batch_step`. Kink-adjacent coordinates are detected by comparing
+the discrete forward structure (ReLU gates, max-pool argmaxes, active
+hinges) at the +eps and -eps evaluation points and skipped when it differs.
 """
 
 from __future__ import annotations
@@ -18,10 +22,13 @@ from .data import TermVector
 from .encoders import (
     DenseParams,
     LexicalParams,
-    TermWeightVector,
+    LexicalRoutes,
+    Params,
     TokenBatch,
-    fd_max_rel_error,
-    grad_check,
+    dense_backward_batch,
+    dense_encode_batch,
+    lexical_trace,
+    params_from_tensors,
     token_row,
 )
 from .objectives import TEACHING_LOSSES, CandidateSet, flops_penalty, strategy_loss
@@ -36,6 +43,101 @@ LOSS_NAMES = (
     "listnet",
     "flops",
 )
+
+
+def fd_max_rel_error(x: np.ndarray, forward, analytic: np.ndarray, eps: float, unread=()) -> float:
+    """Max relative error between `analytic` and central differences at `x`.
+
+    `x` is a flat float64 array that `forward() -> (value, structure)` reads;
+    each element in turn is set to +eps and -eps around its value and then
+    restored. Coordinates where the structure at +eps and -eps differs are
+    skipped as kink-adjacent. Coordinates in `unread` are never read by
+    `forward`, so their finite difference is exactly zero without
+    evaluating it, and their analytic gradient is held to that.
+    """
+    if not (1e-7 <= eps <= 1e-3):
+        raise ValueError("eps must lie in [1e-7, 1e-3]")
+    unread = set(np.asarray(unread, dtype=np.int64).tolist())
+    worst = 0.0
+    for i, (orig, an) in enumerate(zip(x.tolist(), analytic.tolist())):
+        if i in unread:
+            fd = 0.0
+        else:
+            x[i] = orig + eps
+            f_plus, s_plus = forward()
+            x[i] = orig - eps
+            f_minus, s_minus = forward()
+            x[i] = orig
+            if s_plus != s_minus:
+                continue
+            fd = (f_plus - f_minus) / (2.0 * eps)
+        # The floor keeps central-difference roundoff (~|f|*1e-16/eps) on
+        # zero-gradient coordinates from registering as relative error.
+        worst = max(worst, abs(fd - an) / max(abs(fd) + abs(an), 1e-5))
+    return worst
+
+
+def _flat(params: Params) -> np.ndarray:
+    """Every tensor of `params` in one flat float64 array, `emb` first."""
+    return np.concatenate([t.reshape(-1) for t in params.tensors().values()])
+
+
+def _flat_copy(params: Params) -> tuple[np.ndarray, Params]:
+    """A flat copy of `params` (see `_flat`) and parameters viewing it.
+
+    Setting an element of the array sets the parameter it holds, which is
+    how `fd_max_rel_error` perturbs a model.
+    """
+    x = _flat(params)
+    views, at = {}, 0
+    for name, t in params.tensors().items():
+        views[name] = x[at : at + t.size].reshape(t.shape)
+        at += t.size
+    return x, params_from_tensors(params.kind, views)
+
+
+def grad_check(
+    kind: str,
+    params: Params,
+    sample: TermVector,
+    eps: float = 1e-5,
+    seed: int = 0,
+) -> float:
+    """Max relative error between analytic and central-difference encoder gradients.
+
+    The scalar objective is a fixed random linear functional of the encoder
+    output. Coordinates whose +/-eps perturbations land on different sides of
+    a ReLU or max-pool decision are skipped (the two-sided difference spans a
+    kink there and is meaningless for comparison).
+    """
+    rng = np.random.default_rng(seed)
+    x, p = _flat_copy(params)
+    grads = p.zeros_like()
+    row = token_row(sample)
+    if kind == "dense":
+        probe = rng.normal(size=p.dim)
+        batch = TokenBatch([row])
+
+        def forward():
+            return float(probe @ dense_encode_batch(p, batch)[0][0]), b""
+
+        pooled = dense_encode_batch(p, batch)[1]
+        dense_backward_batch(p, batch, pooled, probe[None], grads)
+    elif kind == "lexical":
+        probe = rng.normal(size=p.vocab_size)
+
+        def forward():
+            trace = lexical_trace(row[0], p)
+            parts = probe[trace.active_terms] * np.log1p(trace.pre_activation)
+            return sum(parts.tolist()), trace.structure()
+
+        trace = lexical_trace(row[0], p)
+        routes = LexicalRoutes(p, grads)
+        routes.add(trace, probe[trace.active_terms])
+        routes.flush()
+    else:
+        raise ValueError(f"unknown encoder kind {kind!r}")
+    return fd_max_rel_error(x, forward, _flat(grads), eps)
 
 
 def _loss_and_structure(name: str, cands: CandidateSet):
@@ -74,54 +176,30 @@ def loss_grad_check(name: str, seed: int, eps: float = 1e-5, n_negs: int = 4) ->
     """Central differences of one loss with respect to its direct inputs."""
     rng = np.random.default_rng(seed)
     if name == "flops":
-        batch = [
-            TermWeightVector({int(t): float(w) for t, w in zip(
-                rng.choice(12, size=3, replace=False), rng.uniform(0.1, 2.0, size=3))})
+        # Three vectors of three distinct terms each; x holds their weights.
+        vecs = [
+            (rng.choice(12, size=3, replace=False), rng.uniform(0.1, 2.0, size=3))
             for _ in range(3)
         ]
-        lv = flops_penalty(batch, weight=0.7)
-        worst = 0.0
-        for b, vec in enumerate(batch):
-            for term in vec.weights:
-                def f(delta, b=b, term=term):
-                    perturbed = [
-                        TermWeightVector(
-                            {t: w + (delta if (i == b and t == term) else 0.0)
-                             for t, w in v.weights.items()}
-                        )
-                        for i, v in enumerate(batch)
-                    ]
-                    return flops_penalty(perturbed, weight=0.7).loss
+        terms = [t for t, _ in vecs]
+        x = np.concatenate([w for _, w in vecs])
+        values = np.split(x, 3)
 
-                fd = (f(eps) - f(-eps)) / (2 * eps)
-                an = lv.grad[b][term]
-                worst = max(worst, abs(fd - an) / max(abs(fd) + abs(an), 1e-5))
-        return worst
+        def forward():
+            return flops_penalty(terms, values, weight=0.7).loss, b""
 
+        analytic = flops_penalty(terms, values, weight=0.7).grad
+        return fd_max_rel_error(x, forward, analytic, eps)
+
+    # The set keeps the float64 scores array it was given: that array is x.
     cands = _random_cands(rng, n_negs)
-    lv, _ = _loss_and_structure(name, cands)
-    worst = 0.0
-    for i in range(len(cands.scores)):
-        def f(delta, i=i):
-            scores = cands.scores.copy()
-            scores[i] += delta
-            shifted = CandidateSet(
-                qid=cands.qid,
-                pos_pid=cands.pos_pid,
-                neg_pids=cands.neg_pids,
-                scores=scores,
-                teacher_scores=cands.teacher_scores,
-            )
-            return _loss_and_structure(name, shifted)
 
-        lv_p, s_p = f(eps)
-        lv_m, s_m = f(-eps)
-        if s_p != s_m:
-            continue
-        fd = (lv_p.loss - lv_m.loss) / (2 * eps)
-        an = lv.grad[i]
-        worst = max(worst, abs(fd - an) / max(abs(fd) + abs(an), 1e-5))
-    return worst
+    def forward():
+        lv, structure = _loss_and_structure(name, cands)
+        return lv.loss, structure
+
+    analytic = _loss_and_structure(name, cands)[0].grad
+    return fd_max_rel_error(cands.scores, forward, analytic, eps)
 
 
 def composed_grad_check(
@@ -179,9 +257,11 @@ def composed_grad_check(
         loss_structure.append(structure)
         return lv.loss, lv.grad
 
-    def forward(p):
+    x, params = _flat_copy(params)
+
+    def forward():
         loss_structure.clear()
-        step = batch_step(p, batch, sizes, loss_fn, flops_weight)
+        step = batch_step(params, batch, sizes, loss_fn, flops_weight)
         encoded = b"dense" if step.traces is None else b"".join(
             tr.structure() for tr in step.traces
         )
@@ -189,8 +269,10 @@ def composed_grad_check(
 
     grads = params.zeros_like()
     batch_step(params, batch, sizes, loss_fn, flops_weight, grads)
-    unread = np.setdiff1d(np.arange(vocab_size), batch.ids)
-    return fd_max_rel_error(params, forward, grads, eps, unread_emb_rows=unread)
+    # The embedding rows of terms in no input, at the head of x.
+    rows = np.setdiff1d(np.arange(vocab_size), batch.ids)
+    unread = (rows[:, None] * dim + np.arange(dim)).reshape(-1)
+    return fd_max_rel_error(x, forward, _flat(grads), eps, unread=unread)
 
 
 @dataclass

@@ -1,10 +1,10 @@
 """Training losses over per-query candidate sets.
 
 Every loss returns its value together with the exact gradient with respect to
-the student scores (flops_penalty, which acts on term-weight vectors, carries
-per-vector gradients instead). Softmax-based losses are stabilized by max
-subtraction. The rank-consistent hinge penalizes only pairs the student
-orders against the teacher; agreement, including exact ties, costs nothing.
+its inputs: the student scores, or for flops_penalty the lexical term
+weights. Softmax-based losses are stabilized by max subtraction. The
+rank-consistent hinge penalizes only pairs the student orders against the
+teacher; agreement, including exact ties, costs nothing.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .encoders import TermWeightVector
 
 
 @dataclass
@@ -49,7 +47,7 @@ class CandidateSet:
 @dataclass
 class LossValue:
     loss: float
-    grad: np.ndarray | list[dict[int, float]]
+    grad: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,41 +268,22 @@ def strategy_loss(
     return combined_loss(cl, ll, reg_weight), cl.loss, ll.loss
 
 
-def flops_penalty(batch: list[TermWeightVector], weight: float) -> LossValue:
+def flops_penalty(terms: list[np.ndarray], values: list[np.ndarray], weight: float) -> LossValue:
     """weight * sum_v (mean over the batch of weight(v))^2.
 
-    Gradients are reported per vector over each vector's stored entries.
+    The batch holds one vector per (term ids, weights) array pair; the
+    gradient is aligned with the weights of all vectors concatenated. The
+    batch mean accumulates vector by vector and the loss sums the squared
+    means in order of first appearance, so the result is bit for bit that
+    of a term -> weight dict accumulation in the same order.
     """
     if weight < 0:
         raise ValueError("flops weight must be >= 0")
-    if weight == 0.0 or not batch:
-        return LossValue(loss=0.0, grad=[{} for _ in batch])
-    terms = [np.fromiter(vec.weights, dtype=np.int64, count=len(vec)) for vec in batch]
-    values = [np.fromiter(vec.weights.values(), dtype=np.float64, count=len(vec)) for vec in batch]
-    loss, grads = flops_penalty_arrays(terms, values, weight)
-    return LossValue(
-        loss=loss, grad=[dict(zip(t.tolist(), g.tolist())) for t, g in zip(terms, grads)]
-    )
-
-
-def flops_penalty_arrays(
-    terms: list[np.ndarray], values: list[np.ndarray], weight: float
-) -> tuple[float, list[np.ndarray]]:
-    """`flops_penalty` over vectors given as aligned (term ids, weights) arrays.
-
-    Returns the loss and one gradient array per vector, aligned with its
-    terms. The batch mean accumulates vector by vector and the loss sums the
-    squared means in order of first appearance, so the result is bit-for-bit
-    that of a dict accumulation in the same order.
-    """
-    size = len(terms)
-    flat = np.concatenate(terms)
+    flat = np.concatenate([*terms, np.empty(0, dtype=np.int64)])
     if not len(flat):
-        return 0.0, [np.empty(0) for _ in terms]
+        return LossValue(loss=0.0, grad=np.empty(0))
     mean = np.zeros(flat.max() + 1)
-    np.add.at(mean, flat, np.concatenate(values) / size)
+    np.add.at(mean, flat, np.concatenate(values) / len(terms))
     by_appearance = mean[list(dict.fromkeys(flat.tolist()))]
     loss = weight * sum((by_appearance * by_appearance).tolist())
-    grad = weight * 2.0 * mean[flat] / size
-    ends = np.cumsum([len(t) for t in terms]).tolist()
-    return loss, [grad[end - len(t) : end] for t, end in zip(terms, ends)]
+    return LossValue(loss=loss, grad=weight * 2.0 * mean[flat] / len(terms))

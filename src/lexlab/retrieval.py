@@ -69,7 +69,7 @@ def encode_corpus(params: Params, corpus: Corpus, vocab: Vocabulary) -> DenseInd
     """Encode every passage with a frozen checkpoint, pid-ascending order.
 
     Dense passages are encoded by `dense_encode_batch` in blocks of
-    `ENCODE_BLOCK`, which gives each passage the bits `dense_encode` gives it.
+    `ENCODE_BLOCK`; a passage gets the same bits in any block.
     """
     digest = params_digest(params)
     pids = sorted(corpus.docs)
@@ -138,7 +138,7 @@ class Retriever:
     def search(self, text: str, k: int, qid: str = "") -> Ranking:
         tv = vectorize(text, self.vocab)
         if self.kind == "dense":
-            return dense_search(dense_encode(tv, self.params)[0], self.index, k, qid=qid)
+            return dense_search(dense_encode(tv, self.params), self.index, k, qid=qid)
         if self.kind == "lexical":
             return sparse_search(lexical_encode(tv, self.params)[0], self.index, k, qid=qid)
         return bm25_search(tv, self.index, k, self.k1, self.b, qid=qid)

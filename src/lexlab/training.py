@@ -42,7 +42,7 @@ from .encoders import (
     lexical_trace,
     token_row,
 )
-from .objectives import STRATEGIES, CandidateSet, flops_penalty_arrays, strategy_loss
+from .objectives import STRATEGIES, CandidateSet, flops_penalty, strategy_loss
 from . import retrieval
 from .retrieval import Retriever, index_kind
 from .sparse_index import InvertedIndex, build_index, sparse_scores
@@ -50,15 +50,6 @@ from .sparse_index import InvertedIndex, build_index, sparse_scores
 log = logging.getLogger(__name__)
 
 SOURCE_TAGS = ("bm25", "lex1", "lex2", "den1", "file")
-
-# Learning-rate presets reported for the original full-scale setup, kept as a
-# named profile; the desk profile uses the configured lr for every stage.
-PAPER_LR_PROFILE = {
-    "lex_warmup": 3e-5,
-    "lex_continue": 2e-5,
-    "den_warmup": 1e-5,
-    "led": 5e-6,
-}
 
 
 @dataclass
@@ -73,9 +64,6 @@ class TrainConfig:
     reg_weight: float = 1.2    # weight of the teaching loss in the total
     flops_weight: float = 0.0
     epochs: int = 3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     stage: str = "warmup"
     strategy: str = "none"
     filter_threshold: float = 0.95
@@ -404,8 +392,9 @@ def batch_step(
     (loss, d loss / d scores) for set k, the scores being query . candidate
     relevances. Lexical sets also pay the FLOPS penalty over the query and
     candidate vectors. With `grads` the exact parameter gradients of every
-    set's loss accumulate into it, bit for bit as the per-input
-    encode/backward functions would accumulate them set after set.
+    set's loss accumulate into it, bit for bit as encoding and
+    backpropagating one input at a time, set after set, would accumulate
+    them.
     """
     if isinstance(params, LexicalParams):
         return _lexical_step(params, batch, set_sizes, loss_fn, flops_weight, grads)
@@ -450,10 +439,8 @@ def _lexical_step(params: LexicalParams, batch, set_sizes, loss_fn, flops_weight
                 scores[i - 1] = q_dense[traces[i].active_terms] @ weights[i]
         loss, g = loss_fn(k, scores)
         if flops_weight > 0.0:
-            fl_loss, fl_grads = flops_penalty_arrays(
-                [tr.active_terms for tr in traces], weights, flops_weight
-            )
-            loss += fl_loss
+            flops = flops_penalty([tr.active_terms for tr in traces], weights, flops_weight)
+            loss += flops.loss
         losses.append(loss)
         if grads is None:
             continue
@@ -466,7 +453,8 @@ def _lexical_step(params: LexicalParams, batch, set_sizes, loss_fn, flops_weight
             if g[i - 1] != 0.0:
                 routes.add(traces[i], q_dense[traces[i].active_terms] * g[i - 1])
         if flops_weight > 0.0:
-            for tr, fg in zip(traces, fl_grads):
+            ends = np.cumsum([len(tr.active_terms) for tr in traces[:-1]])
+            for tr, fg in zip(traces, np.split(flops.grad, ends)):
                 routes.add(tr, fg)
     if routes is not None:
         routes.flush()
@@ -590,7 +578,7 @@ def train_stage(
 def _apply_batch(params, grads, state, config: TrainConfig, batch_count: int) -> None:
     for t in grads.tensors().values():
         t /= batch_count
-    adam_step(params, grads, state, config.lr, config.beta1, config.beta2, config.adam_eps)
+    adam_step(params, grads, state, config.lr)
     _zero_grads(grads)
 
 
@@ -611,8 +599,7 @@ class PipelineConfig:
     seed: int = 7
     dim: int = 16
     lr: float = 1e-2
-    lr_profile: str = "desk"      # desk | paper
-    lex_warmup_lr: float = 0.0    # per-stage overrides; 0 -> profile value
+    lex_warmup_lr: float = 0.0    # per-stage overrides; 0 -> lr
     lex_continue_lr: float = 0.0
     den_warmup_lr: float = 0.0
     led_lr: float = 0.0
@@ -630,9 +617,6 @@ class PipelineConfig:
     strategy: str = "rank-consistent"
     filter_threshold: float = 0.95
     kl_temperature: float = 1.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     min_df: int = 1
     max_vocab: int = 0            # 0 -> unlimited
     bm25_k1: float = 1.2
@@ -645,17 +629,22 @@ class PipelineConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        for key in ("dim", "depth", "m", "warmup_m", "batch_size", "epochs", "run_depth", "lr"):
+        for key in (
+            "dim", "depth", "m", "warmup_m", "batch_size", "epochs", "run_depth", "lr",
+            "kl_temperature", "min_df",
+        ):
             if not getattr(self, key) > 0:
                 raise ValueError(f"config key {key!r} must be > 0, got {getattr(self, key)!r}")
         for key in (
             *_STAGE_LR_KEYS.values(), "lex_epochs", "den_epochs", "led_epochs", "mix_depth",
-            "reg_weight", "flops_weight",
+            "reg_weight", "flops_weight", "filter_threshold", "max_vocab",
         ):
             if not getattr(self, key) >= 0:
                 raise ValueError(f"config key {key!r} must be >= 0, got {getattr(self, key)!r}")
-        if self.lr_profile not in ("desk", "paper"):
-            raise ValueError(f"unknown lr_profile {self.lr_profile!r}")
+        if self.depth < self.warmup_m:
+            raise ValueError(
+                f"config key 'depth' must be >= warmup_m ({self.warmup_m}), got {self.depth}"
+            )
         if self.led_negatives not in ("mix", "self"):
             raise ValueError(f"unknown led_negatives {self.led_negatives!r}")
 
@@ -720,12 +709,7 @@ _STAGE_LR_KEYS = {
 
 
 def stage_lr(cfg: PipelineConfig, stage_key: str) -> float:
-    override = getattr(cfg, _STAGE_LR_KEYS[stage_key])
-    if override:
-        return override
-    if cfg.lr_profile == "paper":
-        return PAPER_LR_PROFILE[stage_key]
-    return cfg.lr
+    return getattr(cfg, _STAGE_LR_KEYS[stage_key]) or cfg.lr
 
 
 def stage_config(cfg: PipelineConfig, stage: str, strategy: str, m: int, epochs: int, lr: float) -> TrainConfig:
@@ -738,9 +722,6 @@ def stage_config(cfg: PipelineConfig, stage: str, strategy: str, m: int, epochs:
         reg_weight=cfg.reg_weight,
         flops_weight=cfg.flops_weight,
         epochs=epochs,
-        beta1=cfg.beta1,
-        beta2=cfg.beta2,
-        adam_eps=cfg.adam_eps,
         stage=stage,
         strategy=strategy,
         filter_threshold=cfg.filter_threshold,

@@ -8,19 +8,22 @@ from lexlab.data import TermVector
 from lexlab.encoders import (
     DenseParams,
     LexicalParams,
+    LexicalRoutes,
     TermWeightVector,
-    dense_backward,
+    TokenBatch,
+    dense_backward_batch,
     dense_encode,
-    grad_check,
-    lexical_backward,
+    dense_encode_batch,
     lexical_encode,
     load_params,
     params_digest,
     params_from_tensors,
     relevance,
     save_params,
+    token_row,
 )
 from lexlab.data import CheckpointMeta
+from lexlab.gradcheck import grad_check
 
 
 def tv(counts):
@@ -44,30 +47,35 @@ def rand_lexical(vocab_size=9, dim=4, seed=0):
     return p
 
 
+def one_row(sample):
+    return TokenBatch([token_row(sample)])
+
+
 class TestDenseEncode:
     def test_identity_projection_single_token(self):
         p = DenseParams.init(6, 3, seed=1)  # proj = I, bias = 0
-        out, _ = dense_encode(tv({4: 1}), p)
+        out = dense_encode(tv({4: 1}), p)
         assert np.array_equal(out, p.emb[4])
 
     def test_zero_embeddings_give_bias(self):
         p = rand_dense()
         p.emb[:] = 0.0
-        out, _ = dense_encode(tv({0: 1, 1: 2}), p)
+        out = dense_encode(tv({0: 1, 1: 2}), p)
         assert np.allclose(out, p.bias, atol=0)
 
     def test_count_weighted_mean_matches_direct(self):
         p = rand_dense(seed=3)
-        out, trace = dense_encode(tv({0: 2, 1: 1}), p)
+        out, pooled = dense_encode_batch(p, one_row(tv({0: 2, 1: 1})))
         h = (2 * p.emb[0] + p.emb[1]) / 3
-        assert np.allclose(trace.pooled, h, atol=1e-15)
-        assert np.allclose(out, p.proj @ h + p.bias, atol=1e-15)
+        assert np.allclose(pooled[0], h, atol=1e-15)
+        assert np.allclose(out[0], p.proj @ h + p.bias, atol=1e-15)
+        assert out[0].tobytes() == dense_encode(tv({0: 2, 1: 1}), p).tobytes()
 
     def test_empty_input_zero_vector(self):
         p = rand_dense()
-        out, trace = dense_encode(TermVector(counts={}, n=2), p)
-        assert np.array_equal(out, np.zeros(p.dim))
-        assert trace.empty
+        empty = TermVector(counts={}, n=2)
+        assert np.array_equal(dense_encode(empty, p), np.zeros(p.dim))
+        assert one_row(empty).empty[0]
 
 
 class TestLexicalEncode:
@@ -154,19 +162,24 @@ class TestRelevance:
 class TestBackward:
     def test_zero_upstream_zero_grads(self):
         p = rand_dense(seed=5)
-        _, trace = dense_encode(tv({0: 1, 2: 1}), p)
-        g = dense_backward(p, trace, np.zeros(p.dim))
+        batch = one_row(tv({0: 1, 2: 1}))
+        pooled = dense_encode_batch(p, batch)[1]
+        g = dense_backward_batch(p, batch, pooled, np.zeros((1, p.dim)), p.zeros_like())
         assert all(not t.any() for t in g.tensors().values())
         lp = rand_lexical(seed=5)
         _, ltrace = lexical_encode(tv({0: 1, 2: 1}), lp)
-        lg = lexical_backward(lp, ltrace, {})
+        lg = lp.zeros_like()
+        routes = LexicalRoutes(lp, lg)
+        routes.add(ltrace, np.zeros(len(ltrace.active_terms)))
+        routes.flush()
         assert all(not t.any() for t in lg.tensors().values())
 
     def test_dense_bias_grad_is_upstream(self):
         p = DenseParams.init(6, 3, seed=0)  # proj = I
-        _, trace = dense_encode(tv({0: 1}), p)
+        batch = one_row(tv({0: 1}))
+        pooled = dense_encode_batch(p, batch)[1]
         up = np.array([0.5, -1.0, 2.0])
-        g = dense_backward(p, trace, up)
+        g = dense_backward_batch(p, batch, pooled, up[None], p.zeros_like())
         assert np.array_equal(g.bias, up)
 
     def test_dense_fd(self):
@@ -181,12 +194,11 @@ class TestBackward:
             sample = tv({1: 1, 4: 2})
             assert grad_check("lexical", p, sample, seed=seed) < 1e-4
 
-    def test_trace_params_mismatch(self):
-        p = rand_dense(vocab_size=9)
-        _, trace = dense_encode(tv({0: 1}), p)
-        other = rand_dense(vocab_size=11)
-        with pytest.raises(ValueError):
-            dense_backward(other, trace, np.zeros(other.dim))
+    def test_grad_check_leaves_params_unchanged(self):
+        for kind, p in (("dense", rand_dense(seed=2)), ("lexical", rand_lexical(seed=2))):
+            before = params_digest(p)
+            grad_check(kind, p, tv({1: 1, 4: 2}), seed=2)
+            assert params_digest(p) == before
 
     def test_grad_check_eps_bounds(self):
         p = rand_dense()

@@ -83,6 +83,7 @@ class TestTeacherScoreFile:
 class TestConfigRanges:
     @pytest.mark.parametrize("key", [
         "dim", "depth", "m", "warmup_m", "batch_size", "epochs", "run_depth", "lr",
+        "kl_temperature", "min_df",
     ])
     def test_positive_keys(self, key):
         for bad in (0, -3):
@@ -92,12 +93,17 @@ class TestConfigRanges:
     @pytest.mark.parametrize("key", [
         "lex_epochs", "den_epochs", "led_epochs", "mix_depth",
         "lex_warmup_lr", "lex_continue_lr", "den_warmup_lr", "led_lr",
-        "reg_weight", "flops_weight",
+        "reg_weight", "flops_weight", "filter_threshold", "max_vocab",
     ])
     def test_non_negative_keys(self, key):
         PipelineConfig(**{key: 0})
         with pytest.raises(ValueError, match=f"'{key}' must be >= 0"):
             PipelineConfig(**{key: -1})
+
+    def test_depth_at_least_warmup_m(self):
+        PipelineConfig(depth=5, warmup_m=5)
+        with pytest.raises(ValueError, match=r"'depth' must be >= warmup_m \(6\), got 5"):
+            PipelineConfig(depth=5, warmup_m=6)
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="'lr'"):
@@ -109,7 +115,7 @@ class TestConfigRanges:
 
         monkeypatch.setattr(training, "mine_negatives", forbidden)
         missing = str(tmp_path / "missing.tsv")
-        for key, value in (("depth", "-3"), ("dim", "0")):
+        for key, value in (("depth", "-3"), ("dim", "0"), ("kl_temperature", "0"), ("depth", "4")):
             mapping = {"collection": missing, "train_queries": missing, "train_qrels": missing,
                        key: value}
             with pytest.raises(ValueError, match=f"'{key}'"):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lexlab.encoders import TermWeightVector
 from lexlab.gradcheck import loss_grad_check
 from lexlab.objectives import (
     CandidateSet,
@@ -284,15 +283,16 @@ class TestFilter:
 
 class TestFlops:
     def test_zero_weight(self):
-        assert flops_penalty([TermWeightVector({0: 2.0})], 0.0).loss == 0.0
+        assert flops_penalty([np.array([0])], [np.array([2.0])], 0.0).loss == 0.0
 
     def test_empty_vectors(self):
-        assert flops_penalty([TermWeightVector({}), TermWeightVector({})], 1.0).loss == 0.0
+        lv = flops_penalty([np.array([], dtype=int)] * 2, [np.array([])] * 2, 1.0)
+        assert lv.loss == 0.0 and not len(lv.grad)
 
     def test_single_vector_formula(self):
-        lv = flops_penalty([TermWeightVector({3: 2.0})], 1.5)
+        lv = flops_penalty([np.array([3])], [np.array([2.0])], 1.5)
         assert lv.loss == pytest.approx(1.5 * 4.0, abs=1e-12)
-        assert lv.grad[0] == pytest.approx({3: 1.5 * 2 * 2.0})
+        assert lv.grad == pytest.approx([1.5 * 2 * 2.0])
 
     def test_fd(self):
         for seed in range(10):
@@ -300,7 +300,7 @@ class TestFlops:
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
-            flops_penalty([], -1.0)
+            flops_penalty([], [], -1.0)
 
 
 class TestExhaustiveOrderings:

@@ -33,6 +33,16 @@ from lexlab.data import QuerySet
 FIXTURE = Path(__file__).parent / "data" / "metric_fixture"
 
 
+def per_input_dense_encode(tv, params):
+    """The dense encoder applied to one input on its own: count-weighted mean
+    of the token embeddings, then the affine map; zero for an empty input."""
+    if not tv.counts:
+        return np.zeros(params.dim)
+    ids = np.array(sorted(tv.counts), dtype=np.int64)
+    counts = np.array([float(tv.counts[int(t)]) for t in ids])
+    return params.proj @ (counts @ params.emb[ids] / counts.sum()) + params.bias
+
+
 def run_from(entries_by_qid, tag="t"):
     return RunFile(
         rankings={
@@ -89,8 +99,9 @@ class TestEncodeCorpus:
         index = encode_corpus(params, corpus, vocab)
         assert index.pids == sorted(docs)
         for row, pid in enumerate(index.pids):
-            vec, _ = dense_encode(vectorize(docs[pid], vocab), params)
+            vec = per_input_dense_encode(vectorize(docs[pid], vocab), params)
             assert index.matrix[row].tobytes() == vec.tobytes()
+            assert dense_encode(vectorize(docs[pid], vocab), params).tobytes() == vec.tobytes()
         assert not index.matrix[index.pids.index("d3")].any()
         assert not index.matrix[index.pids.index("d4")].any()
 
@@ -156,7 +167,7 @@ class TestMakeRunAndIO:
         index = encode_corpus(params, corpus, vocab)
         run = make_run(params, queries, index, vocab, k=12, tag="x")
         for qid, text in queries.queries.items():
-            vec, _ = dense_encode(vectorize(text, vocab), params)
+            vec = dense_encode(vectorize(text, vocab), params)
             assert run.rankings[qid].entries == dense_search(vec, index, 12, qid=qid).entries
 
     def test_bm25_run(self):
@@ -204,7 +215,7 @@ class TestRetriever:
         tv = vectorize("w1 w2", vocab)
         expected = {
             "bm25": bm25_search(tv, indexes["bm25"], 5, k1=0.9, b=0.4, qid="q"),
-            "dense": dense_search(dense_encode(tv, params["dense"])[0], indexes["dense"], 5, qid="q"),
+            "dense": dense_search(dense_encode(tv, params["dense"]), indexes["dense"], 5, qid="q"),
             "lexical": sparse_search(
                 lexical_encode(tv, params["lexical"])[0], indexes["lexical"], 5, qid="q"
             ),
