@@ -88,18 +88,31 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _index_for(checkpoint: str | None, corpus, vocab):
-    """(params, index): the checkpoint's own index, or BM25's without one."""
-    if not checkpoint:
-        return None, build_index(vectorize_corpus(corpus, vocab))
-    params, _ = load_params(checkpoint)
-    return params, retrieval.encode_corpus(params, corpus, vocab)
+def _load_model(path: str | None, vocab, min_df: int, max_vocab: int):
+    """The checkpoint at `path` (None without one); it must fit the command's vocabulary."""
+    if not path:
+        return None
+    params, _ = load_params(path)
+    if params.vocab_size != vocab.size:
+        raise ValueError(
+            f"{path}: the checkpoint has a {params.vocab_size}-term vocabulary, but min_df "
+            f"{min_df} and max_vocab {max_vocab} give {vocab.size} terms on this collection"
+        )
+    return params
+
+
+def _index_for(params, corpus, vocab):
+    """The model's own index, or BM25's without a model."""
+    if params is None:
+        return build_index(vectorize_corpus(corpus, vocab))
+    return retrieval.encode_corpus(params, corpus, vocab)
 
 
 def cmd_build_index(args) -> int:
     corpus = load_collection(args.collection)
     vocab = _load_vocab_for(args, corpus)
-    _, index = _index_for(args.checkpoint, corpus, vocab)
+    params = _load_model(args.checkpoint, vocab, args.min_df, args.max_size)
+    index = _index_for(params, corpus, vocab)
     if isinstance(index, retrieval.DenseIndex):
         retrieval.save_dense_index(index, args.out)
     else:
@@ -115,7 +128,8 @@ def cmd_mine(args) -> int:
     queries = load_queries(cfg.train_queries)
     qrels = load_qrels(cfg.train_qrels)
     vocab = training.build_vocab_for(cfg, corpus)
-    params, index = _index_for(args.checkpoint, corpus, vocab)
+    params = _load_model(args.checkpoint, vocab, cfg.min_df, cfg.max_vocab)
+    index = _index_for(params, corpus, vocab)
     pool = training.mine_negatives(
         retrieval.Retriever(params, index, vocab, cfg.bm25_k1, cfg.bm25_b), queries, qrels,
         cfg.depth, cfg.warmup_m, cfg.seed, source=args.source, sample=not args.no_sample,
@@ -133,8 +147,8 @@ def cmd_train(args) -> int:
     qrels = load_qrels(cfg.train_qrels)
     vocab = training.build_vocab_for(cfg, corpus)
     pool = training.load_pool(args.pool)
-    if args.init:
-        init, _ = load_params(args.init)
+    init = _load_model(args.init, vocab, cfg.min_df, cfg.max_vocab)
+    if init is not None:
         if args.kind and args.kind != init.kind:
             raise ValueError(f"--kind is {args.kind} but --init {args.init} holds a {init.kind} model")
     elif args.kind == "lexical":
@@ -145,8 +159,9 @@ def cmd_train(args) -> int:
     if args.teacher_scores:
         teacher = training.table_teacher(training.load_teacher_scores(args.teacher_scores))
     elif args.teacher_checkpoint:
-        t_params, index = _index_for(args.teacher_checkpoint, corpus, vocab)
-        teacher = training.model_teacher(t_params, index, vocab, queries)
+        t_params = _load_model(args.teacher_checkpoint, vocab, cfg.min_df, cfg.max_vocab)
+        t_index = _index_for(t_params, corpus, vocab)
+        teacher = training.model_teacher(t_params, t_index, vocab, queries)
     stage_cfg = training.stage_config(
         cfg, args.stage, cfg.strategy, cfg.m, cfg.epochs, cfg.lr
     )
@@ -171,7 +186,8 @@ def cmd_retrieve(args) -> int:
     corpus = load_collection(cfg.collection)
     queries = load_queries(args.queries or cfg.eval_queries)
     vocab = training.build_vocab_for(cfg, corpus)
-    params, index = _index_for(args.checkpoint, corpus, vocab)
+    params = _load_model(args.checkpoint, vocab, cfg.min_df, cfg.max_vocab)
+    index = _index_for(params, corpus, vocab)
     k = args.k or min(cfg.run_depth, corpus.n_docs)
     run = retrieval.make_run(
         params, queries, index, vocab, k=k, tag=args.tag,

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CheckpointMeta, TermVector, load_checkpoint, save_checkpoint
+from .objectives import ordered_total
 
 _INIT_SCALE = 0.1
 
@@ -108,23 +109,26 @@ class LexicalParams:
 Params = DenseParams | LexicalParams
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TermWeightVector:
-    """Sparse term-id -> weight map; stored weights are strictly positive."""
+    """A sparse lexical vector; index build, search and `relevance` rely on its order."""
 
-    weights: dict[int, float]
+    terms: np.ndarray    # int64, strictly ascending
+    weights: np.ndarray  # float64, aligned with terms
 
-    def __len__(self) -> int:
-        return len(self.weights)
+    def __post_init__(self):
+        if self.terms.ndim != 1 or self.weights.shape != self.terms.shape:
+            raise ValueError(f"misaligned terms {self.terms.shape} and weights {self.weights.shape}")
+        if np.any(self.terms[1:] <= self.terms[:-1]):
+            raise ValueError("terms must be strictly ascending")
 
 
 @dataclass
 class LexicalTrace:
-    token_ids: np.ndarray     # distinct input term ids, ascending
-    active_terms: np.ndarray  # vocab terms with positive pre-activation
+    active_terms: np.ndarray    # vocab terms with positive pre-activation, ascending
     pre_activation: np.ndarray  # max-pooled z per active term
     source_token: np.ndarray    # argmax token (term id) per active term
-    empty: bool
+    weights: np.ndarray         # log1p(pre_activation): the term weights
 
     def structure(self) -> bytes:
         """Discrete forward state; differs iff a ReLU/max decision differs."""
@@ -221,20 +225,18 @@ def dense_backward_batch(
 
 
 def lexical_trace(ids: np.ndarray, params: LexicalParams) -> LexicalTrace:
-    """The lexical forward pass on ascending distinct term ids, without the weight map.
+    """The lexical forward pass on ascending distinct term ids.
 
     Scores every vocabulary term against every token in one GEMM, max-pools
-    over tokens, and takes the argmax token (the first, on ties) only for the
-    active (positive) terms; it returns exactly what `lexical_encode` puts in
-    its trace.
+    over tokens, takes the argmax token (the first, on ties) only for the
+    active (positive) terms, and log-saturates their maxima into weights.
     """
     if not len(ids):
         return LexicalTrace(
-            token_ids=ids,
             active_terms=np.empty(0, dtype=np.int64),
             pre_activation=np.empty(0),
             source_token=np.empty(0, dtype=np.int64),
-            empty=True,
+            weights=np.empty(0),
         )
     # The |V| x tokens GEMM plus bias, laid out tokens x |V| so that the max
     # over tokens runs along contiguous rows.
@@ -243,18 +245,18 @@ def lexical_trace(ids: np.ndarray, params: LexicalParams) -> LexicalTrace:
     zmax = z.max(axis=0)
     active = (zmax > 0.0).nonzero()[0]
     source = ids[z.take(active, axis=1).argmax(axis=0)]
-    return LexicalTrace(ids, active, zmax[active], source, False)
+    pre = zmax[active]
+    return LexicalTrace(active, pre, source, np.log1p(pre))
 
 
-def lexical_encode(tv: TermVector, params: LexicalParams) -> tuple[TermWeightVector, LexicalTrace]:
+def lexical_encode(tv: TermVector, params: LexicalParams) -> TermWeightVector:
     """Per-vocabulary-term weights: max over tokens of log(1 + ReLU(score)).
 
-    log1p(ReLU(.)) is monotone, so the max can be taken on the raw
-    pre-activations; the argmax token is recorded for the backward pass.
+    log1p(ReLU(.)) is monotone, so `lexical_trace` takes the max on the
+    raw pre-activations.
     """
     trace = lexical_trace(token_row(tv)[0], params)
-    weights = np.log1p(trace.pre_activation)
-    return TermWeightVector(dict(zip(trace.active_terms.tolist(), weights.tolist()))), trace
+    return TermWeightVector(trace.active_terms, trace.weights)
 
 
 class LexicalRoutes:
@@ -319,14 +321,16 @@ def add_rows_at(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> Non
 
 
 def relevance(q_vec, p_vec) -> float:
-    """Dot-product relevance; representation kinds must match."""
+    """Dot-product relevance; representation kinds must match.
+
+    Lexical vectors add their shared terms' products left to right in
+    ascending term order, as `sparse_index.sparse_scores` does.
+    """
     if isinstance(q_vec, np.ndarray) and isinstance(p_vec, np.ndarray):
         return float(q_vec @ p_vec)
     if isinstance(q_vec, TermWeightVector) and isinstance(p_vec, TermWeightVector):
-        a, b = q_vec.weights, p_vec.weights
-        if len(b) < len(a):
-            a, b = b, a
-        return sum(w * b[t] for t, w in a.items() if t in b)
+        _, qi, pi = np.intersect1d(q_vec.terms, p_vec.terms, assume_unique=True, return_indices=True)
+        return ordered_total(q_vec.weights[qi] * p_vec.weights[pi])
     raise TypeError(
         f"mismatched representation kinds: {type(q_vec).__name__} vs {type(p_vec).__name__}"
     )

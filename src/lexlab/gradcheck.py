@@ -128,7 +128,7 @@ def grad_check(
 
         def forward():
             trace = lexical_trace(row[0], p)
-            parts = probe[trace.active_terms] * np.log1p(trace.pre_activation)
+            parts = probe[trace.active_terms] * trace.weights
             return sum(parts.tolist()), trace.structure()
 
         trace = lexical_trace(row[0], p)

@@ -126,7 +126,7 @@ def _sequential_pair_sum(win, lose, win_step, lose_step, n: int) -> np.ndarray:
     return grad
 
 
-def _ordered_total(values: np.ndarray) -> float:
+def ordered_total(values: np.ndarray) -> float:
     """Left-to-right float sum, as `total += v` in a loop accumulates it."""
     return float(values.cumsum()[-1]) if len(values) else 0.0
 
@@ -147,7 +147,7 @@ def rank_consistent_loss(cands: CandidateSet, pairs: RankPairSet) -> LossValue:
     # Pairs whose hinge is active, in the row-major order of the mask.
     win, lose = (mask & (s[None, :] > s[:, None])).nonzero()
     grad = _sequential_pair_sum(win, lose, -inv, inv, n)
-    return LossValue(loss=_ordered_total(s[lose] - s[win]) * inv, grad=grad)
+    return LossValue(loss=ordered_total(s[lose] - s[win]) * inv, grad=grad)
 
 
 def combined_loss(cl: LossValue, ll: LossValue, weight: float) -> LossValue:
@@ -175,7 +175,7 @@ def margin_mse_loss(
     diff = (s[win] - s[lose]) - (t[win] - t[lose])
     step = 2.0 * diff * inv
     grad = _sequential_pair_sum(win, lose, step, -step, n)
-    return LossValue(loss=_ordered_total(diff * diff) * inv, grad=grad)
+    return LossValue(loss=ordered_total(diff * diff) * inv, grad=grad)
 
 
 def kl_divergence_loss(

@@ -34,6 +34,7 @@ from .sparse_index import (
     bm25_search,
     build_index,
     sparse_search,
+    top_k,
 )
 
 DENSE_INDEX_VERSION = 1
@@ -81,21 +82,14 @@ def encode_corpus(params: Params, corpus: Corpus, vocab: Vocabulary) -> DenseInd
             matrix[start : start + len(block)] = dense_encode_batch(params, batch)[0]
         return DenseIndex(pids=pids, matrix=matrix, digest=digest)
     if isinstance(params, LexicalParams):
-        vectors = {
-            pid: lexical_encode(vectorize(corpus.docs[pid], vocab), params)[0]
-            for pid in pids
-        }
+        vectors = {pid: lexical_encode(vectorize(corpus.docs[pid], vocab), params) for pid in pids}
         return build_index(vectors, digest=digest)
     raise TypeError(f"unsupported encoder parameters: {type(params).__name__}")
 
 
 def dense_search(query_vec: np.ndarray, index: DenseIndex, k: int, qid: str = "") -> Ranking:
     """Exact top-k by dot product with the (score desc, pid asc) tie-break."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    scores = index.matrix @ query_vec
-    order = np.argsort(-scores, kind="stable")[:k]
-    return Ranking(qid=qid, entries=[(index.pids[i], float(scores[i])) for i in order])
+    return top_k(index.pids, index.matrix @ query_vec, k, qid)
 
 
 def index_kind(index: DenseIndex | InvertedIndex) -> str:
@@ -140,7 +134,7 @@ class Retriever:
         if self.kind == "dense":
             return dense_search(dense_encode(tv, self.params), self.index, k, qid=qid)
         if self.kind == "lexical":
-            return sparse_search(lexical_encode(tv, self.params)[0], self.index, k, qid=qid)
+            return sparse_search(lexical_encode(tv, self.params), self.index, k, qid=qid)
         return bm25_search(tv, self.index, k, self.k1, self.b, qid=qid)
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import TermVector
-from .encoders import TermWeightVector
+from .encoders import TermWeightVector, token_row
 
 INDEX_VERSION = 1
 
@@ -46,11 +46,11 @@ class InvertedIndex:
     doc_len: np.ndarray  # token counts per row (raw-count indexes)
     total_tokens: int
     digest: str = ""
-    _row_of: dict[str, int] = field(default_factory=dict, repr=False)
+    row_of: dict[str, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if not self._row_of:
-            self._row_of = {pid: i for i, pid in enumerate(self.pids)}
+        if not self.row_of:
+            self.row_of = {pid: i for i, pid in enumerate(self.pids)}
 
     @property
     def n_docs(self) -> int:
@@ -67,46 +67,42 @@ class InvertedIndex:
 
 def build_index(
     vectors: dict[str, TermVector] | dict[str, TermWeightVector],
-    semantics: str | None = None,
     digest: str = "",
 ) -> InvertedIndex:
     """Build postings from term vectors (raw counts) or weight vectors.
 
-    Every nonzero entry lands in exactly one posting; posting lists are
-    ordered by ascending passage id.
+    The vector type sets the semantics: `TermVector`s give a raw-count
+    index, `TermWeightVector`s a learned-weight one. Every nonzero entry
+    lands in exactly one posting; posting lists are ordered by ascending
+    passage id.
     """
     pids = sorted(vectors)
-    if semantics is None:
-        first = next(iter(vectors.values()), None)
-        semantics = LEARNED_WEIGHT if isinstance(first, TermWeightVector) else RAW_COUNT
-    if semantics not in (RAW_COUNT, LEARNED_WEIGHT):
-        raise ValueError(f"unknown weight semantics {semantics!r}")
-
-    by_term: dict[int, tuple[list[int], list[float]]] = {}
-    doc_len = np.zeros(len(pids), dtype=np.int64)
-    total = 0
-    for row, pid in enumerate(pids):
-        vec = vectors[pid]
-        if isinstance(vec, TermWeightVector):
-            items = vec.weights
-        else:
-            items = vec.counts
-            doc_len[row] = vec.n
-            total += vec.n
-        for term in sorted(items):
-            rows, weights = by_term.setdefault(term, ([], []))
-            rows.append(row)
-            weights.append(float(items[term]))
-    postings = {
-        term: (np.array(rows, dtype=np.int64), np.array(weights, dtype=np.float64))
-        for term, (rows, weights) in sorted(by_term.items())
-    }
+    learned = isinstance(next(iter(vectors.values()), None), TermWeightVector)
+    if learned:
+        docs = [(vectors[pid].terms, vectors[pid].weights) for pid in pids]
+        doc_len = np.zeros(len(pids), dtype=np.int64)
+    else:
+        docs = [token_row(vectors[pid]) for pid in pids]
+        doc_len = np.array([vectors[pid].n for pid in pids], dtype=np.int64)
+    lens = np.array([len(terms) for terms, _ in docs], dtype=np.int64)
+    terms = np.concatenate([t for t, _ in docs] + [np.empty(0, dtype=np.int64)])
+    weights = np.concatenate([w for _, w in docs] + [np.empty(0)])
+    # A stable sort by term keeps each term's entries in ascending row order.
+    order = np.argsort(terms, kind="stable")
+    terms = terms[order]
+    doc_rows = np.repeat(np.arange(len(pids), dtype=np.int64), lens)[order]
+    weights = weights[order]
+    uniq, starts = np.unique(terms, return_index=True)
+    postings = dict(zip(
+        uniq.tolist(),
+        zip(np.split(doc_rows, starts[1:]), np.split(weights, starts[1:])),
+    ))
     return InvertedIndex(
         pids=pids,
         postings=postings,
-        semantics=semantics,
+        semantics=LEARNED_WEIGHT if learned else RAW_COUNT,
         doc_len=doc_len,
-        total_tokens=int(total),
+        total_tokens=int(doc_len.sum()),
         digest=digest,
     )
 
@@ -126,7 +122,7 @@ def bm25_score(
     """Okapi BM25 for one document; each distinct query term contributes once."""
     if index.semantics != RAW_COUNT:
         raise WeightSemanticsError("BM25 requires a raw-count index")
-    row = index._row_of.get(pid)
+    row = index.row_of.get(pid)
     if row is None:
         raise KeyError(f"unknown passage id {pid!r}")
     dl = float(index.doc_len[row])
@@ -146,10 +142,13 @@ def bm25_score(
     return score
 
 
-def _top_k(index: InvertedIndex, scores: np.ndarray, k: int, qid: str) -> Ranking:
+def top_k(pids: list[str], scores: np.ndarray, k: int, qid: str = "") -> Ranking:
+    """The k best of `pids` (ascending, as every index keeps them) by `scores`."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     # Stable argsort on -scores: ties keep ascending-pid (row) order.
     order = np.argsort(-scores, kind="stable")[:k]
-    return Ranking(qid=qid, entries=[(index.pids[i], float(scores[i])) for i in order])
+    return Ranking(qid=qid, entries=[(pids[i], float(scores[i])) for i in order])
 
 
 def bm25_search(
@@ -163,8 +162,6 @@ def bm25_search(
     """Exact BM25 top-k; documents sharing no query term rank by id with score 0."""
     if index.semantics != RAW_COUNT:
         raise WeightSemanticsError("BM25 requires a raw-count index")
-    if k < 1:
-        raise ValueError("k must be >= 1")
     scores = np.zeros(index.n_docs, dtype=np.float64)
     avgdl = index.avgdl
     for term in sorted(query.counts):
@@ -175,33 +172,30 @@ def bm25_search(
         w = idf(index.n_docs, len(rows))
         denom = tf + k1 * (1.0 - b + b * index.doc_len[rows] / avgdl)
         scores[rows] += w * tf * (k1 + 1.0) / denom
-    return _top_k(index, scores, k, qid)
+    return top_k(index.pids, scores, k, qid)
 
 
 def sparse_scores(query: TermWeightVector, index: InvertedIndex) -> np.ndarray:
     """Sparse dot product of `query` with every indexed passage, by row.
 
-    Each passage sums its products in ascending term order, as `relevance`
-    does for vectors stored in that order (those of `lexical_encode`), so
-    the scores equal `relevance` bit for bit.
+    Each passage adds its products in ascending term order, as `relevance`
+    does, so the scores equal `relevance` of the two vectors bit for bit.
     """
     if index.semantics != LEARNED_WEIGHT:
         raise WeightSemanticsError("sparse search requires a learned-weight index")
     scores = np.zeros(index.n_docs, dtype=np.float64)
-    for term in sorted(query.weights):
+    for term, weight in zip(query.terms.tolist(), query.weights.tolist()):
         rows_w = index.postings.get(term)
         if rows_w is None:
             continue
         rows, weights = rows_w
-        scores[rows] += query.weights[term] * weights
+        scores[rows] += weight * weights
     return scores
 
 
 def sparse_search(query: TermWeightVector, index: InvertedIndex, k: int, qid: str = "") -> Ranking:
     """Exact top-k by sparse dot product over a learned-weight index."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _top_k(index, sparse_scores(query, index), k, qid)
+    return top_k(index.pids, sparse_scores(query, index), k, qid)
 
 
 def save_index(index: InvertedIndex, path: str | Path) -> None:

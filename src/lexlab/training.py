@@ -68,7 +68,6 @@ class TrainConfig:
     strategy: str = "none"
     filter_threshold: float = 0.95
     kl_temperature: float = 1.0
-    resample_per_epoch: bool = False
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -187,8 +186,14 @@ def mine_negatives(
     return pool
 
 
-def _sample_union(parts: list[tuple[str, list[str]]], m_total: int, rng: random.Random):
-    """Dedup the ordered union, sample m_total, and keep source attribution."""
+def _sample_union(
+    parts: list[tuple[str, list[str]]], m_total: int, rng: random.Random
+) -> dict[str, list[str]]:
+    """Dedup the ordered union, sample m_total, and group the sample by source.
+
+    Each pid belongs to the first source that lists it. Groups keep the
+    sample's order and follow the order of `parts`; empty groups are left out.
+    """
     seen: set[str] = set()
     union: list[str] = []
     origin: dict[str, str] = {}
@@ -199,7 +204,10 @@ def _sample_union(parts: list[tuple[str, list[str]]], m_total: int, rng: random.
                 union.append(pid)
                 origin[pid] = source
     chosen = rng.sample(union, m_total) if len(union) > m_total else union
-    return chosen, origin
+    groups: dict[str, list[str]] = {source: [] for source, _ in parts}
+    for pid in chosen:
+        groups[origin[pid]].append(pid)
+    return {source: group for source, group in groups.items() if group}
 
 
 def mix_pools(
@@ -219,12 +227,9 @@ def mix_pools(
             ("lex2", lex2.merged(qid)),
             ("den1", den1.merged(qid)),
         ]
-        rng = random.Random(f"{seed}|mix|{qid}")
-        chosen, origin = _sample_union(parts, m_total, rng)
-        for source in ("lex1", "lex2", "den1"):
-            group = [pid for pid in chosen if origin[pid] == source]
-            if group:
-                mixed.add(qid, source, group)
+        groups = _sample_union(parts, m_total, random.Random(f"{seed}|mix|{qid}"))
+        for source, group in groups.items():
+            mixed.add(qid, source, group)
     return mixed
 
 
@@ -232,13 +237,9 @@ def subsample_pool(pool: NegativePool, m_total: int, seed: int) -> NegativePool:
     """Uniformly sample m_total negatives per query from a single pool."""
     out = NegativePool()
     for qid, sources in pool.by_query.items():
-        parts = [(source, pids) for source, pids in sources.items()]
-        rng = random.Random(f"{seed}|self|{qid}")
-        chosen, origin = _sample_union(parts, m_total, rng)
-        for source in sources:
-            group = [pid for pid in chosen if origin[pid] == source]
-            if group:
-                out.add(qid, source, group)
+        groups = _sample_union(list(sources.items()), m_total, random.Random(f"{seed}|self|{qid}"))
+        for source, group in groups.items():
+            out.add(qid, source, group)
     return out
 
 
@@ -297,9 +298,9 @@ def model_teacher(params: LexicalParams, index: InvertedIndex, vocab: Vocabulary
 
     def teacher(qid: str, pids: list[str], student_scores: np.ndarray) -> np.ndarray:
         if qid not in by_query:
-            q_vec, _ = lexical_encode(vectorize(queries.queries[qid], vocab), params)
+            q_vec = lexical_encode(vectorize(queries.queries[qid], vocab), params)
             by_query[qid] = sparse_scores(q_vec, index)
-        return by_query[qid][[index._row_of[pid] for pid in pids]]
+        return by_query[qid][[index.row_of[pid] for pid in pids]]
 
     return teacher
 
@@ -429,17 +430,18 @@ def _lexical_step(params: LexicalParams, batch, set_sizes, loss_fn, flops_weight
     for k, size in enumerate(set_sizes):
         traces = all_traces[start : start + size]
         start += size
-        weights = [np.log1p(tr.pre_activation) for tr in traces]
         q_trace = traces[0]
         q_dense = np.zeros(params.vocab_size)
-        q_dense[q_trace.active_terms] = weights[0]
+        q_dense[q_trace.active_terms] = q_trace.weights
         scores = np.zeros(size - 1)
         for i in range(1, size):
             if len(traces[i].active_terms):
-                scores[i - 1] = q_dense[traces[i].active_terms] @ weights[i]
+                scores[i - 1] = q_dense[traces[i].active_terms] @ traces[i].weights
         loss, g = loss_fn(k, scores)
         if flops_weight > 0.0:
-            flops = flops_penalty([tr.active_terms for tr in traces], weights, flops_weight)
+            flops = flops_penalty(
+                [tr.active_terms for tr in traces], [tr.weights for tr in traces], flops_weight
+            )
             loss += flops.loss
         losses.append(loss)
         if grads is None:
@@ -447,7 +449,7 @@ def _lexical_step(params: LexicalParams, batch, set_sizes, loss_fn, flops_weight
         upstream = np.zeros(params.vocab_size)
         for i in range(1, size):
             if g[i - 1] != 0.0 and len(traces[i].active_terms):
-                upstream[traces[i].active_terms] += g[i - 1] * weights[i]
+                upstream[traces[i].active_terms] += g[i - 1] * traces[i].weights
         routes.add(q_trace, upstream[q_trace.active_terms])
         for i in range(1, size):
             if g[i - 1] != 0.0:
@@ -519,15 +521,7 @@ def train_stage(
         epoch_losses = []
         for start in range(0, len(order), config.batch_size):
             chunk = order[start : start + config.batch_size]
-            cand_pids = []
-            for qid in chunk:
-                negs = merged[qid]
-                if config.resample_per_epoch and len(negs) > config.m:
-                    rng = random.Random(f"{config.seed}|{config.stage}|resample|{epoch}|{qid}")
-                    negs = rng.sample(negs, config.m)
-                else:
-                    negs = negs[: config.m]
-                cand_pids.append([min(qrels.positives(qid)), *negs])
+            cand_pids = [[min(qrels.positives(qid)), *merged[qid][: config.m]] for qid in chunk]
             parts = []
 
             def loss_fn(k: int, scores: np.ndarray):
@@ -622,7 +616,6 @@ class PipelineConfig:
     bm25_k1: float = 1.2
     bm25_b: float = 0.75
     run_depth: int = 1000
-    resample_per_epoch: bool = False
     led_negatives: str = "mix"    # mix | self
     teacher_scores_file: str = ""
 
@@ -671,14 +664,7 @@ def config_from_mapping(mapping: dict[str, str]) -> PipelineConfig:
         if key not in by_name:
             raise ValueError(f"unknown config key {key!r}")
         ftype = by_name[key].type
-        if ftype == "bool":
-            if raw.lower() in ("1", "true", "yes"):
-                kwargs[key] = True
-            elif raw.lower() in ("0", "false", "no"):
-                kwargs[key] = False
-            else:
-                raise ValueError(f"config key {key!r}: expected a boolean, got {raw!r}")
-        elif ftype == "int":
+        if ftype == "int":
             kwargs[key] = int(raw)
         elif ftype == "float":
             kwargs[key] = float(raw)
@@ -726,7 +712,6 @@ def stage_config(cfg: PipelineConfig, stage: str, strategy: str, m: int, epochs:
         strategy=strategy,
         filter_threshold=cfg.filter_threshold,
         kl_temperature=cfg.kl_temperature,
-        resample_per_epoch=cfg.resample_per_epoch,
     )
 
 

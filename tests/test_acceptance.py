@@ -206,26 +206,28 @@ class TestCriterion5:
         rng = np.random.default_rng(77)
         n_docs, n_terms, n_queries = 500, 60, 50
 
+        def by_term(terms, low, high):
+            # One weight per term, drawn in the order the terms were drawn.
+            weights = np.array([float(rng.uniform(low, high)) for _ in terms])
+            order = np.argsort(terms)
+            return TermWeightVector(terms[order], weights[order])
+
         # Sparse side.
         vectors = {}
         for i in range(n_docs):
             terms = rng.choice(n_terms, size=rng.integers(1, 10), replace=False)
-            vectors[f"d{i:04d}"] = TermWeightVector(
-                {int(t): float(rng.uniform(0.05, 2.0)) for t in terms}
-            )
+            vectors[f"d{i:04d}"] = by_term(terms, 0.05, 2.0)
         index = build_index(vectors)
         dense_mats = np.zeros((n_docs, n_terms))
         pids = sorted(vectors)
         for row, pid in enumerate(pids):
-            for t, w in vectors[pid].weights.items():
-                dense_mats[row, t] = w
+            dense_mats[row, vectors[pid].terms] = vectors[pid].weights
         sparse_ok = True
         for _ in range(n_queries):
             q_terms = rng.choice(n_terms, size=rng.integers(1, 6), replace=False)
-            query = TermWeightVector({int(t): float(rng.uniform(0.1, 1.5)) for t in q_terms})
+            query = by_term(q_terms, 0.1, 1.5)
             qv = np.zeros(n_terms)
-            for t, w in query.weights.items():
-                qv[t] = w
+            qv[query.terms] = query.weights
             scores = dense_mats @ qv
             expected = sorted(
                 ((pids[i], float(scores[i])) for i in range(n_docs)),

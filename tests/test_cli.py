@@ -283,6 +283,48 @@ class TestModelCommands:
         assert "lexical" in err and "dense" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("small_checkpoint", [True, False])
+    @pytest.mark.parametrize(
+        "command", ["build-index", "mine", "retrieve", "train --init", "train --teacher-checkpoint"]
+    )
+    def test_checkpoint_of_another_vocabulary_rejected(
+        self, workspace, checkpoints, tmp_path, capsys, command, small_checkpoint
+    ):
+        from lexlab.data import CheckpointMeta, build_vocab, load_collection
+        from lexlab.encoders import LexicalParams, save_params
+
+        full = build_vocab(load_collection(workspace / "collection.tsv")).size
+        if small_checkpoint:
+            # A 20-term checkpoint against the command's full vocabulary.
+            ckpt = tmp_path / "small.ckpt"
+            meta = CheckpointMeta(kind="lexical", vocab_size=20, dim=6, stage="init", step=0,
+                                  seed=5, config_digest="")
+            save_params(LexicalParams.init(20, 6, 5), meta, ckpt)
+            sizes, limit = (20, full), []
+        else:
+            # The full-vocabulary checkpoint against a command limited to 20 terms.
+            ckpt = checkpoints["lexical"]
+            flag = "--max-size" if command == "build-index" else "--max_vocab"
+            sizes, limit = (full, 20), [flag, 20]
+        pool, out = tmp_path / "pool.tsv", tmp_path / "out"
+        assert run_cli("mine", "--config", workspace / "toy.cfg", "--out", pool) == 0
+        config = ["--config", workspace / "toy.cfg"]
+        argv = {
+            "build-index": ["build-index", "--collection", workspace / "collection.tsv",
+                            "--checkpoint", ckpt],
+            "mine": ["mine", *config, "--checkpoint", ckpt],
+            "retrieve": ["retrieve", *config, "--checkpoint", ckpt],
+            "train --init": ["train", *config, "--pool", pool, "--init", ckpt],
+            "train --teacher-checkpoint": ["train", *config, "--pool", pool,
+                                           "--teacher-checkpoint", ckpt],
+        }[command]
+        capsys.readouterr()
+        assert run_cli(*argv, *limit, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "min_df" in err and "max_vocab" in err
+        assert f"{sizes[0]}-term" in err and f"give {sizes[1]} terms" in err
+        assert not out.exists()
+
     def test_gradcheck_small(self, capsys):
         rc = run_cli("gradcheck", "--trials", "2")
         assert rc == 0

@@ -15,6 +15,7 @@ from lexlab.encoders import (
     dense_encode,
     dense_encode_batch,
     lexical_encode,
+    lexical_trace,
     load_params,
     params_digest,
     params_from_tensors,
@@ -24,10 +25,15 @@ from lexlab.encoders import (
 )
 from lexlab.data import CheckpointMeta
 from lexlab.gradcheck import grad_check
+from lexlab.sparse_index import build_index, sparse_scores
 
 
 def tv(counts):
     return TermVector(counts=counts, n=sum(counts.values()))
+
+
+def vector(terms, weights):
+    return TermWeightVector(np.array(terms, dtype=np.int64), np.array(weights, dtype=float))
 
 
 def rand_dense(vocab_size=9, dim=4, seed=0):
@@ -83,17 +89,16 @@ class TestLexicalEncode:
         p = rand_lexical()
         p.expand[:] = 0.0
         p.bias[:] = -1.0
-        vec, trace = lexical_encode(tv({0: 1, 2: 1}), p)
-        assert vec.weights == {}
-        assert len(trace.active_terms) == 0
+        vec = lexical_encode(tv({0: 1, 2: 1}), p)
+        assert len(vec.terms) == 0 and vec.terms.dtype == np.int64 and vec.weights.dtype == np.float64
 
     def test_preactivation_e_minus_one_gives_weight_one(self):
         p = rand_lexical()
         p.expand[:] = 0.0
         p.bias[:] = -1.0
         p.bias[5] = math.e - 1.0  # z for term 5 equals e-1 for any token
-        vec, _ = lexical_encode(tv({0: 1}), p)
-        assert vec.weights == pytest.approx({5: 1.0})
+        vec = lexical_encode(tv({0: 1}), p)
+        assert vec.terms.tolist() == [5] and vec.weights == pytest.approx([1.0])
 
     def test_max_pool_then_log(self):
         # Two tokens with pre-activations 3 and 5 for one term -> log(6).
@@ -104,24 +109,24 @@ class TestLexicalEncode:
         p.emb[1, 0] = 5.0
         p.expand[2, 0] = 1.0
         p.bias[2] = 0.0
-        vec, trace = lexical_encode(tv({0: 1, 1: 1}), p)
-        assert vec.weights == pytest.approx({2: math.log(6.0)})
-        assert trace.source_token.tolist() == [1]
+        vec = lexical_encode(tv({0: 1, 1: 1}), p)
+        assert vec.terms.tolist() == [2] and vec.weights == pytest.approx([math.log(6.0)])
+        assert lexical_trace(np.array([0, 1]), p).source_token.tolist() == [1]
 
     def test_weights_strictly_positive(self):
         p = rand_lexical(seed=11)
-        vec, _ = lexical_encode(tv({0: 1, 3: 2, 7: 1}), p)
-        assert all(w > 0 for w in vec.weights.values())
+        vec = lexical_encode(tv({0: 1, 3: 2, 7: 1}), p)
+        assert len(vec.terms) and (vec.weights > 0).all()
 
     def test_empty_input(self):
         p = rand_lexical()
-        vec, trace = lexical_encode(TermVector(counts={}, n=0), p)
-        assert vec.weights == {} and trace.empty
+        vec = lexical_encode(TermVector(counts={}, n=0), p)
+        assert len(vec.terms) == 0 == len(vec.weights)
 
     def test_tied_init_opens_self_channel(self):
         p = LexicalParams.init(30, 8, seed=4)
-        vec, _ = lexical_encode(tv({12: 1}), p)
-        assert 12 in vec.weights  # self dot product is positive at init
+        vec = lexical_encode(tv({12: 1}), p)
+        assert 12 in vec.terms  # self dot product is positive at init
 
 
 class TestRelevance:
@@ -129,27 +134,56 @@ class TestRelevance:
         assert relevance(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
 
     def test_disjoint_sparse_supports(self):
-        a = TermWeightVector({0: 1.0, 1: 2.0})
-        b = TermWeightVector({2: 3.0})
+        a = vector([0, 1], [1.0, 2.0])
+        b = vector([2], [3.0])
         assert relevance(a, b) == 0.0
 
     def test_sparse_equals_densified(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
-            a_terms = rng.choice(15, size=rng.integers(0, 8), replace=False)
-            b_terms = rng.choice(15, size=rng.integers(0, 8), replace=False)
-            a = TermWeightVector({int(t): float(rng.uniform(0.1, 2)) for t in a_terms})
-            b = TermWeightVector({int(t): float(rng.uniform(0.1, 2)) for t in b_terms})
+            a_terms = np.sort(rng.choice(15, size=rng.integers(0, 8), replace=False))
+            b_terms = np.sort(rng.choice(15, size=rng.integers(0, 8), replace=False))
+            a = TermWeightVector(a_terms, rng.uniform(0.1, 2, size=len(a_terms)))
+            b = TermWeightVector(b_terms, rng.uniform(0.1, 2, size=len(b_terms)))
             da, db = np.zeros(15), np.zeros(15)
-            for t, w in a.weights.items():
-                da[t] = w
-            for t, w in b.weights.items():
-                db[t] = w
+            da[a.terms] = a.weights
+            db[b.terms] = b.weights
             assert relevance(a, b) == pytest.approx(float(da @ db), abs=1e-12)
 
     def test_kind_mismatch_rejected(self):
         with pytest.raises(TypeError):
-            relevance(np.zeros(3), TermWeightVector({0: 1.0}))
+            relevance(np.zeros(3), vector([0], [1.0]))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_sparse_equals_index_and_sequential_loop(self, data):
+        # Bit for bit: relevance, sparse_scores over an index of p, and a
+        # left-to-right loop over the shared terms in ascending order.
+        def draw():
+            terms = sorted(data.draw(st.sets(st.integers(0, 40), max_size=25)))
+            weights = data.draw(st.lists(st.floats(1e-3, 50.0), min_size=len(terms),
+                                         max_size=len(terms)))
+            return TermWeightVector(np.array(terms, dtype=np.int64), np.array(weights))
+
+        q, p = draw(), draw()
+        p_weight = dict(zip(p.terms.tolist(), p.weights.tolist()))
+        total = 0.0
+        for t, w in zip(q.terms.tolist(), q.weights.tolist()):
+            if t in p_weight:
+                total += w * p_weight[t]
+        (indexed,) = sparse_scores(q, build_index({"p": p}))
+        assert relevance(q, p) == indexed == total
+
+    @pytest.mark.parametrize("terms, weights", [
+        ([3, 1], [1.0, 1.0]),            # descending
+        ([1, 1], [1.0, 1.0]),            # duplicate
+        ([1, 2], [1.0]),                 # fewer weights than terms
+        ([1], [1.0, 2.0]),               # more weights than terms
+        ([[1, 2]], [[1.0, 2.0]]),        # not 1-D
+    ])
+    def test_vector_rejects_unsorted_duplicate_and_misaligned(self, terms, weights):
+        with pytest.raises(ValueError):
+            TermWeightVector(np.array(terms), np.array(weights))
 
     @given(st.floats(min_value=-10, max_value=10, allow_nan=False))
     @settings(max_examples=30)
@@ -167,7 +201,7 @@ class TestBackward:
         g = dense_backward_batch(p, batch, pooled, np.zeros((1, p.dim)), p.zeros_like())
         assert all(not t.any() for t in g.tensors().values())
         lp = rand_lexical(seed=5)
-        _, ltrace = lexical_encode(tv({0: 1, 2: 1}), lp)
+        ltrace = lexical_trace(np.array([0, 2]), lp)
         lg = lp.zeros_like()
         routes = LexicalRoutes(lp, lg)
         routes.add(ltrace, np.zeros(len(ltrace.active_terms)))

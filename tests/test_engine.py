@@ -15,11 +15,11 @@ from lexlab.encoders import (
     DenseParams,
     LexicalParams,
     LexicalRoutes,
-    TermWeightVector,
     TokenBatch,
     dense_backward_batch,
     dense_encode_batch,
     lexical_encode,
+    lexical_trace,
     token_row,
 )
 from lexlab.objectives import (
@@ -30,6 +30,15 @@ from lexlab.objectives import (
     rank_consistent_loss,
 )
 from lexlab.training import batch_step
+
+
+def trace_of(tv, params):
+    return lexical_trace(token_row(tv)[0], params)
+
+
+def as_dict(trace):
+    """A trace's term weights as the {term: weight} map the FLOPS oracle reads."""
+    return {int(t): float(w) for t, w in zip(trace.active_terms, np.log1p(trace.pre_activation))}
 
 
 def oracle_lexical_encode(tv, params):
@@ -66,7 +75,7 @@ def oracle_dense_backward(params, tv, pooled, upstream, grads):
 
 
 def oracle_lexical_backward(params, trace, upstream, grads, scale=1.0):
-    if trace.empty or len(trace.active_terms) == 0:
+    if len(trace.active_terms) == 0:
         return
     if isinstance(upstream, np.ndarray):
         gv = upstream[trace.active_terms] * scale
@@ -87,10 +96,10 @@ def oracle_flops(batch, weight):
     size = len(batch)
     mean = {}
     for vec in batch:
-        for term, w in vec.weights.items():
+        for term, w in vec.items():
             mean[term] = mean.get(term, 0.0) + w / size
     loss = weight * sum(m * m for m in mean.values())
-    grads = [{t: weight * 2.0 * mean[t] / size for t in vec.weights} for vec in batch]
+    grads = [{t: weight * 2.0 * mean[t] / size for t in vec} for vec in batch]
     return loss, grads
 
 
@@ -166,30 +175,32 @@ class TestLexicalEncodeIsBitIdentical:
     def test_matches_two_reduction_oracle(self, seed, vocab_size, dim, coarse, n_inputs):
         p = lexical_params(seed, vocab_size, dim, coarse)
         for tv in term_vectors(seed, vocab_size, n_inputs, 8):
-            vec, trace = lexical_encode(tv, p)
+            vec, trace = lexical_encode(tv, p), trace_of(tv, p)
             active, pre, src = oracle_lexical_encode(tv, p)
             assert trace.active_terms.dtype == np.int64
             assert np.array_equal(trace.active_terms, active)
             assert trace.pre_activation.tobytes() == pre.tobytes()
             assert np.array_equal(trace.source_token, src)
-            assert vec.weights == {int(v): float(np.log1p(z)) for v, z in zip(active, pre)}
+            weights = [float(np.log1p(z)) for z in pre]
+            assert trace.weights.tolist() == weights
+            assert vec.terms.tobytes() == active.tobytes() and vec.weights.tolist() == weights
 
     def test_tied_tokens_take_the_first(self):
         p = lexical_params(3, 6, 2, coarse=False)
         p.bias[:] = 1.0  # every term active
         p.emb[4] = p.emb[1]  # tokens 1 and 4 score every term identically
-        _, trace = lexical_encode(TermVector(counts={4: 1, 1: 2}, n=3), p)
+        trace = trace_of(TermVector(counts={4: 1, 1: 2}, n=3), p)
         active, pre, src = oracle_lexical_encode(TermVector(counts={1: 1, 4: 1}, n=2), p)
         assert len(active) and np.array_equal(trace.source_token, src)
         assert set(trace.source_token.tolist()) == {1}
 
     def test_empty_and_all_inactive(self):
         p = lexical_params(5, 7, 3, coarse=False)
-        _, trace = lexical_encode(TermVector(counts={}, n=3), p)
-        assert trace.empty and not len(trace.active_terms)
+        trace = trace_of(TermVector(counts={}, n=3), p)
+        assert not len(trace.active_terms) and not len(trace.weights)
         p.bias[:] = -100.0
-        vec, trace = lexical_encode(TermVector(counts={0: 1, 6: 2}, n=3), p)
-        assert not trace.empty and vec.weights == {} and not len(trace.source_token)
+        inactive = TermVector(counts={0: 1, 6: 2}, n=3)
+        assert not len(lexical_encode(inactive, p).terms) and not len(trace_of(inactive, p).source_token)
 
 
 class TestLexicalStepIsBitIdentical:
@@ -209,29 +220,28 @@ class TestLexicalStepIsBitIdentical:
         expected = p.zeros_like()
         expected_losses = []
         for k, set_tv in enumerate(sets_tv):
-            q_vec, q_trace = lexical_encode(set_tv[0], p)
+            q_trace = trace_of(set_tv[0], p)
             q_dense = np.zeros(vocab_size)
             q_dense[q_trace.active_terms] = np.log1p(q_trace.pre_activation)
-            encoded = [lexical_encode(tv, p) for tv in set_tv[1:]]
+            encoded = [trace_of(tv, p) for tv in set_tv[1:]]
             scores = np.zeros(n_cands)
-            for i, (_, tr) in enumerate(encoded):
+            for i, tr in enumerate(encoded):
                 if len(tr.active_terms):
                     scores[i] = q_dense[tr.active_terms] @ np.log1p(tr.pre_activation)
             g = upstream[k]
             loss = float(g @ scores)
             buf = np.zeros(vocab_size)
-            for i, (_, tr) in enumerate(encoded):
+            for i, tr in enumerate(encoded):
                 if g[i] != 0.0 and len(tr.active_terms):
                     buf[tr.active_terms] += g[i] * np.log1p(tr.pre_activation)
             oracle_lexical_backward(p, q_trace, buf, expected)
-            for i, (_, tr) in enumerate(encoded):
+            for i, tr in enumerate(encoded):
                 if g[i] != 0.0:
                     oracle_lexical_backward(p, tr, q_dense, expected, scale=g[i])
             if flops:
-                vecs = [q_vec] + [vec for vec, _ in encoded]
-                fl_loss, fl_grads = oracle_flops(vecs, flops)
+                fl_loss, fl_grads = oracle_flops([as_dict(tr) for tr in [q_trace, *encoded]], flops)
                 loss += fl_loss
-                for (tr, fg) in zip([q_trace] + [tr for _, tr in encoded], fl_grads):
+                for (tr, fg) in zip([q_trace, *encoded], fl_grads):
                     oracle_lexical_backward(p, tr, fg, expected)
             expected_losses.append(loss)
 
@@ -248,12 +258,12 @@ class TestLexicalStepIsBitIdentical:
     def test_flops_matches_dict_oracle(self, seed, n_vecs, weight):
         rng = np.random.default_rng(seed)
         batch = [
-            TermWeightVector({int(t): float(w) for t, w in zip(
-                np.sort(rng.choice(15, size=k, replace=False)), rng.uniform(0.01, 2.0, size=k))})
+            {int(t): float(w) for t, w in zip(
+                np.sort(rng.choice(15, size=k, replace=False)), rng.uniform(0.01, 2.0, size=k))}
             for k in rng.integers(0, 8, size=n_vecs)
         ]
-        terms = [np.fromiter(vec.weights, dtype=np.int64, count=len(vec)) for vec in batch]
-        values = [np.fromiter(vec.weights.values(), dtype=float, count=len(vec)) for vec in batch]
+        terms = [np.fromiter(vec, dtype=np.int64, count=len(vec)) for vec in batch]
+        values = [np.fromiter(vec.values(), dtype=float, count=len(vec)) for vec in batch]
         lv = flops_penalty(terms, values, weight)
         loss, grads = oracle_flops(batch, weight)
         assert lv.loss == loss
@@ -268,7 +278,7 @@ class TestLexicalStepIsBitIdentical:
         routes = LexicalRoutes(p, got)
         routes.PENDING_LIMIT = limit  # flushes part way, wherever the limit falls
         for tv in term_vectors(seed, vocab_size, n_calls, 6):
-            _, trace = lexical_encode(tv, p)
+            trace = trace_of(tv, p)
             gv = rng.normal(size=len(trace.active_terms))
             up = np.zeros(vocab_size)
             up[trace.active_terms] = gv

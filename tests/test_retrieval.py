@@ -76,14 +76,14 @@ class TestEncodeCorpus:
         index = encode_corpus(params, corpus, vocab)
         assert isinstance(index, InvertedIndex)
         for pid in corpus.docs:
-            vec, _ = lexical_encode(vectorize(corpus.docs[pid], vocab), params)
+            vec = lexical_encode(vectorize(corpus.docs[pid], vocab), params)
             row = index.pids.index(pid)
-            got = {
-                t: w[list(rows).index(row)]
+            got = [
+                (t, w[list(rows).index(row)])
                 for t, (rows, w) in index.postings.items()
                 if row in rows
-            }
-            assert got == pytest.approx(vec.weights)
+            ]
+            assert got == list(zip(vec.terms.tolist(), vec.weights.tolist()))
 
     def test_dense_index_equals_per_passage_encode(self, monkeypatch):
         # "x" and "y" occur once and fall out of a min_df=2 vocabulary, so
@@ -217,7 +217,7 @@ class TestRetriever:
             "bm25": bm25_search(tv, indexes["bm25"], 5, k1=0.9, b=0.4, qid="q"),
             "dense": dense_search(dense_encode(tv, params["dense"]), indexes["dense"], 5, qid="q"),
             "lexical": sparse_search(
-                lexical_encode(tv, params["lexical"])[0], indexes["lexical"], 5, qid="q"
+                lexical_encode(tv, params["lexical"]), indexes["lexical"], 5, qid="q"
             ),
         }
         for kind, index in indexes.items():

@@ -22,6 +22,13 @@ def tv(counts, n=None):
     return TermVector(counts=counts, n=n if n is not None else sum(counts.values()))
 
 
+def by_term(terms, weights):
+    """A `TermWeightVector` of terms drawn in any order, sorted by term."""
+    terms, weights = np.asarray(terms, dtype=np.int64), np.asarray(weights, dtype=float)
+    order = np.argsort(terms)
+    return TermWeightVector(terms[order], weights[order])
+
+
 def brute_force_bm25(query, vectors, k1=1.2, b=0.75):
     """Independent scalar reimplementation used as the oracle."""
     n_docs = len(vectors)
@@ -102,7 +109,7 @@ class TestBm25Score:
             assert bm25_score(query, pid, index) == pytest.approx(oracle[pid], abs=1e-9)
 
     def test_learned_weight_index_rejected(self):
-        index = build_index({"d": TermWeightVector({0: 0.5})})
+        index = build_index({"d": by_term([0], [0.5])})
         with pytest.raises(WeightSemanticsError):
             bm25_score(tv({0: 1}), "d", index)
         with pytest.raises(WeightSemanticsError):
@@ -162,18 +169,18 @@ class TestBm25Search:
 
 class TestSparseSearch:
     def test_empty_query_ranks_by_pid(self):
-        vectors = {f"d{i}": TermWeightVector({0: float(i + 1)}) for i in range(5)}
-        ranking = sparse_search(TermWeightVector({}), build_index(vectors), k=3)
+        vectors = {f"d{i}": by_term([0], [float(i + 1)]) for i in range(5)}
+        ranking = sparse_search(by_term([], []), build_index(vectors), k=3)
         assert ranking.pids() == ["d0", "d1", "d2"]
         assert all(s == 0.0 for _, s in ranking.entries)
 
     def test_single_shared_term_orders_by_weight(self):
         vectors = {
-            "a": TermWeightVector({7: 0.2}),
-            "b": TermWeightVector({7: 0.9}),
-            "c": TermWeightVector({7: 0.5}),
+            "a": by_term([7], [0.2]),
+            "b": by_term([7], [0.9]),
+            "c": by_term([7], [0.5]),
         }
-        ranking = sparse_search(TermWeightVector({7: 1.0}), build_index(vectors), k=3)
+        ranking = sparse_search(by_term([7], [1.0]), build_index(vectors), k=3)
         assert ranking.pids() == ["b", "c", "a"]
 
     def test_matches_dense_materialization(self):
@@ -182,21 +189,17 @@ class TestSparseSearch:
         vectors = {}
         for i in range(300):
             terms = rng.choice(n_terms, size=rng.integers(1, 9), replace=False)
-            vectors[f"d{i:03d}"] = TermWeightVector(
-                {int(t): float(rng.uniform(0.01, 2.0)) for t in terms}
-            )
+            vectors[f"d{i:03d}"] = by_term(terms, rng.uniform(0.01, 2.0, size=len(terms)))
         index = build_index(vectors)
         for _ in range(10):
             q_terms = rng.choice(n_terms, size=4, replace=False)
-            query = TermWeightVector({int(t): float(rng.uniform(0.1, 1.0)) for t in q_terms})
+            query = by_term(q_terms, rng.uniform(0.1, 1.0, size=len(q_terms)))
             dense_q = np.zeros(n_terms)
-            for t, w in query.weights.items():
-                dense_q[t] = w
+            dense_q[query.terms] = query.weights
             oracle = {}
             for pid, vec in vectors.items():
                 dense_d = np.zeros(n_terms)
-                for t, w in vec.weights.items():
-                    dense_d[t] = w
+                dense_d[vec.terms] = vec.weights
                 oracle[pid] = float(dense_q @ dense_d)
             expected = sorted(oracle.items(), key=lambda e: (-e[1], e[0]))
             got = sparse_search(query, index, k=len(vectors))
@@ -207,7 +210,7 @@ class TestSparseSearch:
     def test_raw_count_index_rejected(self):
         index = build_index({"d": tv({0: 1})})
         with pytest.raises(WeightSemanticsError):
-            sparse_search(TermWeightVector({0: 1.0}), index, 1)
+            sparse_search(by_term([0], [1.0]), index, 1)
 
 
 class TestPersistence:

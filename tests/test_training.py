@@ -183,9 +183,9 @@ class TestPools:
 
 def encode_and_dot(params, vocab, query_text, docs, pids):
     """Teacher oracle: encode the query and each passage, then `relevance`."""
-    q_vec, _ = lexical_encode(vectorize(query_text, vocab), params)
+    q_vec = lexical_encode(vectorize(query_text, vocab), params)
     return {
-        pid: relevance(q_vec, lexical_encode(vectorize(docs[pid], vocab), params)[0])
+        pid: relevance(q_vec, lexical_encode(vectorize(docs[pid], vocab), params))
         for pid in pids
     }
 
@@ -214,9 +214,9 @@ class TestTeachers:
         pids = sorted(corpus.docs)
         for qid, text in queries.queries.items():
             got = teacher(qid, pids, np.zeros(len(pids)))
-            q_vec, _ = lexical_encode(vectorize(text, vocab), params)
+            q_vec = lexical_encode(vectorize(text, vocab), params)
             for pid, score in zip(pids, got):
-                p_vec, _ = lexical_encode(vectorize(corpus.docs[pid], vocab), params)
+                p_vec = lexical_encode(vectorize(corpus.docs[pid], vocab), params)
                 assert score == pytest.approx(relevance(q_vec, p_vec), abs=0)
 
     def test_score_file_roundtrip(self, tmp_path):
@@ -406,19 +406,15 @@ class TestConfig:
     def test_parse_and_coerce(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text(
-            "# comment\ncollection = c.tsv\nseed = 11\nlr = 0.5\nresample_per_epoch = true\n"
+            "# comment\ncollection = c.tsv\nseed = 11\nlr = 0.5\nled_negatives = self\n"
         )
         cfg = config_from_mapping(parse_config_file(path))
-        assert cfg.seed == 11 and cfg.lr == 0.5 and cfg.resample_per_epoch is True
+        assert cfg.seed == 11 and cfg.lr == 0.5 and cfg.led_negatives == "self"
         assert cfg.collection == "c.tsv"
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
             config_from_mapping({"learning_rate": "0.1"})
-
-    def test_bad_bool_rejected(self):
-        with pytest.raises(ValueError, match="boolean"):
-            config_from_mapping({"resample_per_epoch": "maybe"})
 
     def test_digest_sensitivity(self):
         a = PipelineConfig(collection="x")
