@@ -68,8 +68,14 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(f"--{f.name}", dest=f.name, default=None, metavar="V")
 
 
+def _add_vocab_flags(parser: argparse.ArgumentParser) -> None:
+    """The vocabulary keys of commands that take no config, spelled as config flags."""
+    parser.add_argument("--min_df", type=int, default=1, metavar="V")
+    parser.add_argument("--max_vocab", type=int, default=0, metavar="V")
+
+
 def _load_vocab_for(args, corpus):
-    return build_vocab(corpus, args.min_df, args.max_size or None)
+    return build_vocab(corpus, args.min_df, args.max_vocab or None)
 
 
 def cmd_ingest(args) -> int:
@@ -111,7 +117,7 @@ def _index_for(params, corpus, vocab):
 def cmd_build_index(args) -> int:
     corpus = load_collection(args.collection)
     vocab = _load_vocab_for(args, corpus)
-    params = _load_model(args.checkpoint, vocab, args.min_df, args.max_size)
+    params = _load_model(args.checkpoint, vocab, args.min_df, args.max_vocab)
     index = _index_for(params, corpus, vocab)
     if isinstance(index, retrieval.DenseIndex):
         retrieval.save_dense_index(index, args.out)
@@ -170,7 +176,7 @@ def cmd_train(args) -> int:
     )
     digest = config_digest(cfg)
     meta = CheckpointMeta(
-        kind=params.kind, vocab_size=vocab.size, dim=cfg.dim, stage=args.stage,
+        kind=params.kind, vocab_size=vocab.size, dim=params.dim, stage=args.stage,
         step=tlog.optimizer_steps, seed=cfg.seed, config_digest=digest,
     )
     save_params(params, meta, args.out)
@@ -324,16 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--collection", required=True)
     p.add_argument("--queries")
     p.add_argument("--qrels")
-    p.add_argument("--min-df", type=int, default=1)
-    p.add_argument("--max-size", type=int, default=0)
+    _add_vocab_flags(p)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("build-index", help="build and persist an index")
     p.add_argument("--collection", required=True)
     p.add_argument("--checkpoint", help="model checkpoint, whose kind picks the index; omit for BM25")
     p.add_argument("--out", required=True)
-    p.add_argument("--min-df", type=int, default=1)
-    p.add_argument("--max-size", type=int, default=0)
+    _add_vocab_flags(p)
     p.set_defaults(func=cmd_build_index)
 
     p = sub.add_parser("mine", help="mine hard negatives with a model or BM25")

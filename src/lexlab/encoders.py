@@ -15,13 +15,17 @@ Each kind has one forward and one backward. Dense inputs encode as rows of a
 items are the per-row products, so a row gets the same bits alone
 (`dense_encode`) as in any batch. Lexical inputs stay one GEMM each
 (`lexical_trace`), because a GEMM over several inputs' tokens rounds
-differently, and `LexicalRoutes` scatters their backward in bulk.
+differently; the per-term bias is added after the max over tokens, which
+rounding leaves exact. At fixed parameters an input traces to the same bits
+every time, so a batch traces each distinct token row once, and
+`LexicalRoutes` scatters the backward of all its inputs in bulk.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -145,34 +149,61 @@ def token_row(tv: TermVector) -> TokenRow:
 
 
 class TokenBatch:
-    """Token rows kept per row and grouped by length.
+    """Token rows kept per row, grouped by length for dense encoding.
 
-    Lexical encoding takes the rows one by one (`row_ids`). For dense
-    encoding, rows of one length pool through a single stacked matmul whose
-    items are one vector-matrix product per row, so a row encodes to the
-    same bits in any batch, alone included.
+    Lexical encoding takes the rows one by one (`row_ids`) and never builds
+    the dense arrays below; each is built on first use. For dense encoding,
+    rows of one length pool through a single stacked matmul whose items are
+    one vector-matrix product per row, so a row encodes to the same bits in
+    any batch, alone included.
     """
 
     def __init__(self, rows: list[TokenRow]):
         self.row_ids = [ids for ids, _ in rows]
-        self.lens = np.array([len(ids) for ids in self.row_ids], dtype=np.int64)
-        self.starts = np.cumsum(self.lens) - self.lens
-        self.ids = np.concatenate(self.row_ids + [np.empty(0, dtype=np.int64)])
-        self.counts = np.concatenate([c for _, c in rows] + [np.empty(0)])
-        self.empty = self.lens == 0
-        self.n = np.zeros(len(rows))  # in-vocabulary token count per row
-        # Per length: the member rows, their ids (rows x length), counts
-        # (rows x 1 x length) and token totals (rows x 1), shaped for pooling.
-        self.groups = []
+        self.row_counts = [counts for _, counts in rows]
+
+    def __len__(self) -> int:
+        return len(self.row_ids)
+
+    @cached_property
+    def lens(self) -> np.ndarray:
+        return np.array([len(ids) for ids in self.row_ids], dtype=np.int64)
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        return np.cumsum(self.lens) - self.lens
+
+    @cached_property
+    def ids(self) -> np.ndarray:
+        return np.concatenate(self.row_ids + [np.empty(0, dtype=np.int64)])
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        return np.concatenate(self.row_counts + [np.empty(0)])
+
+    @cached_property
+    def empty(self) -> np.ndarray:
+        return self.lens == 0
+
+    @cached_property
+    def groups(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """Per length: the member rows, their ids (rows x length), counts
+        (rows x 1 x length) and token totals (rows x 1), shaped for pooling."""
+        groups = []
         for k in np.unique(self.lens[~self.empty]).tolist():
             members = np.flatnonzero(self.lens == k)
             at = self.starts[members, None] + np.arange(k)
             counts = self.counts[at]
-            self.n[members] = counts.sum(axis=1)
-            self.groups.append((members, self.ids[at], counts[:, None, :], self.n[members, None]))
+            groups.append((members, self.ids[at], counts[:, None, :], counts.sum(axis=1)[:, None]))
+        return groups
 
-    def __len__(self) -> int:
-        return len(self.lens)
+    @cached_property
+    def n(self) -> np.ndarray:
+        """In-vocabulary token count per row."""
+        n = np.zeros(len(self))
+        for members, _, _, totals in self.groups:
+            n[members] = totals[:, 0]
+        return n
 
 
 def dense_encode_batch(params: DenseParams, batch: TokenBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -228,8 +259,11 @@ def lexical_trace(ids: np.ndarray, params: LexicalParams) -> LexicalTrace:
     """The lexical forward pass on ascending distinct term ids.
 
     Scores every vocabulary term against every token in one GEMM, max-pools
-    over tokens, takes the argmax token (the first, on ties) only for the
-    active (positive) terms, and log-saturates their maxima into weights.
+    over tokens and then adds the term's bias, takes the argmax token of
+    score plus bias (the first, on ties) only for the active (positive)
+    terms, and log-saturates their maxima into weights. The result depends
+    on the ids and the parameters alone, so callers trace a repeated row
+    once.
     """
     if not len(ids):
         return LexicalTrace(
@@ -238,15 +272,19 @@ def lexical_trace(ids: np.ndarray, params: LexicalParams) -> LexicalTrace:
             source_token=np.empty(0, dtype=np.int64),
             weights=np.empty(0),
         )
-    # The |V| x tokens GEMM plus bias, laid out tokens x |V| so that the max
-    # over tokens runs along contiguous rows.
-    scores = (params.expand @ params.emb.take(ids, axis=0).T).T
-    z = np.add(scores, params.bias, order="C")
-    zmax = z.max(axis=0)
+    # The |V| x tokens GEMM. Its max over tokens runs on a tokens x |V|
+    # copy, along contiguous rows. Rounding is monotone, so
+    # max_t fl(s_t + b) = fl(max_t s_t + b) and the bias is added after the
+    # max. Adding it can turn s_1 < s_2 into a tie, so the argmax is taken
+    # over s + b, on the active terms' rows of the GEMM.
+    scores = params.expand @ params.emb.take(ids, axis=0).T
+    zmax = np.maximum.reduce(np.ascontiguousarray(scores.T))
+    zmax += params.bias
     active = (zmax > 0.0).nonzero()[0]
-    source = ids[z.take(active, axis=1).argmax(axis=0)]
     pre = zmax[active]
-    return LexicalTrace(active, pre, source, np.log1p(pre))
+    z = scores.take(active, axis=0)
+    z += params.bias[active][:, None]
+    return LexicalTrace(active, pre, ids[z.argmax(axis=1)], np.log1p(pre))
 
 
 def lexical_encode(tv: TermVector, params: LexicalParams) -> TermWeightVector:
@@ -263,12 +301,13 @@ class LexicalRoutes:
     """Lexical backward of many (trace, upstream) pairs, scattered in bulk.
 
     `add(trace, gv)` records d loss / d weight(v) for the trace's active
-    terms; `flush` scatters what is recorded with one `np.add.at` per
-    tensor. `np.add.at` adds in input order, so each parameter element
-    receives its additions in the order of the `add` calls, exactly as
-    flushing after every call would. Recording flushes itself
-    beyond `PENDING_LIMIT` entries, which bounds the scratch memory: an
-    untrained model activates most of the vocabulary.
+    terms by reference; `flush` drops the zero entries and forms the
+    coefficients over the concatenation of everything recorded, then
+    scatters with one `np.add.at` per tensor. `np.add.at` adds in input
+    order, so each parameter element receives its additions in the order of
+    the `add` calls, exactly as flushing after every call would. Recording
+    flushes itself beyond `PENDING_LIMIT` entries, which bounds the scratch
+    memory: an untrained model activates most of the vocabulary.
     """
 
     PENDING_LIMIT = 1024
@@ -276,33 +315,33 @@ class LexicalRoutes:
     def __init__(self, params: LexicalParams, into: LexicalParams):
         self.params = params
         self.into = into
-        self.terms: list[np.ndarray] = []
-        self.src: list[np.ndarray] = []
-        self.coef: list[np.ndarray] = []
+        self.traces: list[LexicalTrace] = []
+        self.gvs: list[np.ndarray] = []
         self.pending = 0
 
     def add(self, trace: LexicalTrace, gv: np.ndarray) -> None:
-        nz = gv.nonzero()[0]
-        if len(nz):
-            self.terms.append(trace.active_terms[nz])
-            self.src.append(trace.source_token[nz])
-            # d log1p(z) / dz at z > 0
-            self.coef.append(gv[nz] / (1.0 + trace.pre_activation[nz]))
-            self.pending += len(nz)
+        if len(gv):
+            self.traces.append(trace)
+            self.gvs.append(gv)
+            self.pending += len(gv)
             if self.pending > self.PENDING_LIMIT:
                 self.flush()
 
     def flush(self) -> None:
-        if not self.terms:
+        if not self.traces:
             return
-        terms = np.concatenate(self.terms)
-        src = np.concatenate(self.src)
-        coef = np.concatenate(self.coef)
-        self.terms, self.src, self.coef, self.pending = [], [], [], 0
+        gv = np.concatenate(self.gvs)
+        nz = gv.nonzero()[0]
+        terms = np.concatenate([tr.active_terms for tr in self.traces]).take(nz)
+        src = np.concatenate([tr.source_token for tr in self.traces]).take(nz)
+        pre = np.concatenate([tr.pre_activation for tr in self.traces]).take(nz)
+        self.traces, self.gvs, self.pending = [], [], 0
+        # d log1p(z) / dz at z > 0
+        coef = gv.take(nz) / (1.0 + pre)
         params, into = self.params, self.into
-        add_rows_at(into.expand, terms, coef[:, None] * params.emb[src])
+        add_rows_at(into.expand, terms, coef[:, None] * params.emb.take(src, axis=0))
         np.add.at(into.bias, terms, coef)
-        add_rows_at(into.emb, src, coef[:, None] * params.expand[terms])
+        add_rows_at(into.emb, src, coef[:, None] * params.expand.take(terms, axis=0))
 
 
 def add_rows_at(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:

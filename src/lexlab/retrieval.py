@@ -15,13 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Corpus, FormatError, Qrels, QuerySet, Vocabulary, vectorize
+from .data import Corpus, FormatError, Qrels, QuerySet, TermVector, Vocabulary, vectorize
 from .encoders import (
     DenseParams,
     LexicalParams,
     Params,
     TokenBatch,
-    dense_encode,
     dense_encode_batch,
     lexical_encode,
     params_digest,
@@ -66,23 +65,35 @@ class RunFile:
         return list(self.rankings)
 
 
-def encode_corpus(params: Params, corpus: Corpus, vocab: Vocabulary) -> DenseIndex | InvertedIndex:
+def encode_corpus(
+    params: Params,
+    corpus: Corpus,
+    vocab: Vocabulary,
+    doc_tvs: dict[str, TermVector] | None = None,
+) -> DenseIndex | InvertedIndex:
     """Encode every passage with a frozen checkpoint, pid-ascending order.
 
-    Dense passages are encoded by `dense_encode_batch` in blocks of
+    `doc_tvs` holds passages already vectorized over `vocab` (as
+    `vectorize_corpus` returns them); the others are vectorized here. Dense
+    passages are encoded by `dense_encode_batch` in blocks of
     `ENCODE_BLOCK`; a passage gets the same bits in any block.
     """
     digest = params_digest(params)
     pids = sorted(corpus.docs)
+    known = doc_tvs or {}
+
+    def tv(pid: str) -> TermVector:
+        return known[pid] if pid in known else vectorize(corpus.docs[pid], vocab)
+
     if isinstance(params, DenseParams):
         matrix = np.zeros((len(pids), params.dim))
         for start in range(0, len(pids), ENCODE_BLOCK):
             block = pids[start : start + ENCODE_BLOCK]
-            batch = TokenBatch([token_row(vectorize(corpus.docs[pid], vocab)) for pid in block])
+            batch = TokenBatch([token_row(tv(pid)) for pid in block])
             matrix[start : start + len(block)] = dense_encode_batch(params, batch)[0]
         return DenseIndex(pids=pids, matrix=matrix, digest=digest)
     if isinstance(params, LexicalParams):
-        vectors = {pid: lexical_encode(vectorize(corpus.docs[pid], vocab), params) for pid in pids}
+        vectors = {pid: lexical_encode(tv(pid), params) for pid in pids}
         return build_index(vectors, digest=digest)
     raise TypeError(f"unsupported encoder parameters: {type(params).__name__}")
 
@@ -130,12 +141,28 @@ class Retriever:
         self.b = b
 
     def search(self, text: str, k: int, qid: str = "") -> Ranking:
-        tv = vectorize(text, self.vocab)
+        return self.search_all({qid: text}, k)[qid]
+
+    def search_all(self, texts: dict[str, str], k: int) -> dict[str, Ranking]:
+        """Top-k of every query text, keyed and ordered like `texts`.
+
+        Dense queries encode in one `dense_encode_batch`; a query gets the
+        same bits in any batch, so each ranking equals its own `search`.
+        """
+        tvs = {qid: vectorize(text, self.vocab) for qid, text in texts.items()}
         if self.kind == "dense":
-            return dense_search(dense_encode(tv, self.params), self.index, k, qid=qid)
+            batch = TokenBatch([token_row(tv) for tv in tvs.values()])
+            vecs = dense_encode_batch(self.params, batch)[0]
+            return {qid: dense_search(vec, self.index, k, qid=qid) for qid, vec in zip(tvs, vecs)}
         if self.kind == "lexical":
-            return sparse_search(lexical_encode(tv, self.params), self.index, k, qid=qid)
-        return bm25_search(tv, self.index, k, self.k1, self.b, qid=qid)
+            return {
+                qid: sparse_search(lexical_encode(tv, self.params), self.index, k, qid=qid)
+                for qid, tv in tvs.items()
+            }
+        return {
+            qid: bm25_search(tv, self.index, k, self.k1, self.b, qid=qid)
+            for qid, tv in tvs.items()
+        }
 
 
 def make_run(
@@ -149,16 +176,20 @@ def make_run(
     bm25_b: float = 0.75,
 ) -> RunFile:
     """Retrieve top-k for every query with a `Retriever` over `index`."""
-    retriever = Retriever(params, index, vocab, bm25_k1, bm25_b)
-    rankings = {qid: retriever.search(text, k, qid=qid) for qid, text in queries.queries.items()}
+    rankings = Retriever(params, index, vocab, bm25_k1, bm25_b).search_all(queries.queries, k)
     return RunFile(rankings=rankings, tag=tag)
 
 
 def save_run(run: RunFile, path: str | Path) -> None:
+    """Six-column TREC lines, scores to six decimals, one write per query."""
+    tail = f" {run.tag}\n"
     with open(path, "w", encoding="utf-8") as f:
-        for qid in run.rankings:
-            for rank, (pid, score) in enumerate(run.rankings[qid].entries, 1):
-                f.write(f"{qid} Q0 {pid} {rank} {score:.6f} {run.tag}\n")
+        for qid, ranking in run.rankings.items():
+            head = f"{qid} Q0 "
+            f.write("".join([
+                f"{head}{pid} {rank} {score:.6f}{tail}"
+                for rank, (pid, score) in enumerate(ranking.entries, 1)
+            ]))
 
 
 def load_run(path: str | Path) -> RunFile:

@@ -148,7 +148,8 @@ def top_k(pids: list[str], scores: np.ndarray, k: int, qid: str = "") -> Ranking
         raise ValueError("k must be >= 1")
     # Stable argsort on -scores: ties keep ascending-pid (row) order.
     order = np.argsort(-scores, kind="stable")[:k]
-    return Ranking(qid=qid, entries=[(pids[i], float(scores[i])) for i in order])
+    ranked = [pids[i] for i in order.tolist()]
+    return Ranking(qid=qid, entries=list(zip(ranked, scores[order].tolist())))
 
 
 def bm25_search(

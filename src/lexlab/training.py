@@ -33,6 +33,7 @@ from .encoders import (
     DenseParams,
     LexicalParams,
     LexicalRoutes,
+    LexicalTrace,
     Params,
     TokenBatch,
     TokenRow,
@@ -422,21 +423,28 @@ def _dense_step(params: DenseParams, batch, set_sizes, loss_fn, grads) -> StepRe
 
 
 def _lexical_step(params: LexicalParams, batch, set_sizes, loss_fn, flops_weight, grads) -> StepResult:
-    # One GEMM per input and every gradient addition in the per-input order.
+    # One GEMM per distinct input and every gradient addition in the
+    # per-input order. A repeated row would trace to the same bits at fixed
+    # parameters, so it shares the first trace.
     routes = LexicalRoutes(params, grads) if grads is not None else None
     losses = []
-    all_traces = [lexical_trace(ids, params) for ids in batch.row_ids]
+    distinct: dict[bytes, LexicalTrace] = {}
+    all_traces = []
+    for ids in batch.row_ids:
+        key = ids.tobytes()
+        trace = distinct.get(key)
+        if trace is None:
+            trace = distinct[key] = lexical_trace(ids, params)
+        all_traces.append(trace)
     start = 0
     for k, size in enumerate(set_sizes):
         traces = all_traces[start : start + size]
         start += size
-        q_trace = traces[0]
+        q_trace, cands = traces[0], traces[1:]
         q_dense = np.zeros(params.vocab_size)
         q_dense[q_trace.active_terms] = q_trace.weights
-        scores = np.zeros(size - 1)
-        for i in range(1, size):
-            if len(traces[i].active_terms):
-                scores[i - 1] = q_dense[traces[i].active_terms] @ traces[i].weights
+        # An empty candidate scores the empty dot product, 0.0.
+        scores = np.array([q_dense.take(tr.active_terms) @ tr.weights for tr in cands])
         loss, g = loss_fn(k, scores)
         if flops_weight > 0.0:
             flops = flops_penalty(
@@ -447,17 +455,18 @@ def _lexical_step(params: LexicalParams, batch, set_sizes, loss_fn, flops_weight
         if grads is None:
             continue
         upstream = np.zeros(params.vocab_size)
-        for i in range(1, size):
-            if g[i - 1] != 0.0 and len(traces[i].active_terms):
-                upstream[traces[i].active_terms] += g[i - 1] * traces[i].weights
-        routes.add(q_trace, upstream[q_trace.active_terms])
-        for i in range(1, size):
-            if g[i - 1] != 0.0:
-                routes.add(traces[i], q_dense[traces[i].active_terms] * g[i - 1])
+        for gi, tr in zip(g, cands):
+            if gi != 0.0 and len(tr.active_terms):
+                upstream[tr.active_terms] += gi * tr.weights
+        routes.add(q_trace, upstream.take(q_trace.active_terms))
+        for gi, tr in zip(g, cands):
+            if gi != 0.0:
+                routes.add(tr, q_dense.take(tr.active_terms) * gi)
         if flops_weight > 0.0:
-            ends = np.cumsum([len(tr.active_terms) for tr in traces[:-1]])
-            for tr, fg in zip(traces, np.split(flops.grad, ends)):
-                routes.add(tr, fg)
+            at = 0
+            for tr in traces:
+                routes.add(tr, flops.grad[at : at + len(tr.active_terms)])
+                at += len(tr.active_terms)
     if routes is not None:
         routes.flush()
     return StepResult(losses=losses, traces=all_traces)
@@ -776,7 +785,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> Pipe
     checkpoints["den1"] = den1
 
     # Continue: lexical retriever on its own warm-up negatives.
-    lex1_index = retrieval.encode_corpus(lex1, corpus, vocab)
+    lex1_index = retrieval.encode_corpus(lex1, corpus, vocab, doc_tvs)
     lex1_retriever = Retriever(lex1, lex1_index, vocab)
     pools["lex1"] = mine_negatives(
         lex1_retriever, queries, qrels, cfg.depth, cfg.warmup_m, cfg.seed, source="lex1"
@@ -788,8 +797,8 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> Pipe
     checkpoints["lex2"] = lex2
 
     # Final stage: mixture of full-depth negatives from lex1, lex2, den1.
-    lex2_index = retrieval.encode_corpus(lex2, corpus, vocab)
-    den1_index = retrieval.encode_corpus(den1, corpus, vocab)
+    lex2_index = retrieval.encode_corpus(lex2, corpus, vocab, doc_tvs)
+    den1_index = retrieval.encode_corpus(den1, corpus, vocab, doc_tvs)
     pools["lex1_top"] = mine_negatives(
         lex1_retriever, queries, qrels, mix_depth, mix_depth, cfg.seed, source="lex1", sample=False
     )
@@ -845,7 +854,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> Pipe
             "lex1": lex1_index,
             "lex2": lex2_index,
             "den1": den1_index,
-            "led": retrieval.encode_corpus(led, corpus, vocab),
+            "led": retrieval.encode_corpus(led, corpus, vocab, doc_tvs),
         }
         for name in ("lex1", "lex2", "den1", "led"):
             runs[name] = retrieval.make_run(

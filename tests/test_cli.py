@@ -69,6 +69,18 @@ class TestBasics:
         out = capsys.readouterr().out
         assert "passages\t50" in out
 
+    def test_vocabulary_flags_spelled_as_config_keys(self, workspace, tmp_path, capsys):
+        collection = workspace / "collection.tsv"
+        assert run_cli("ingest", "--collection", collection, "--min_df", 1, "--max_vocab", 20) == 0
+        assert "vocab\t20" in capsys.readouterr().out
+        out = tmp_path / "bm25.idx"
+        assert run_cli("build-index", "--collection", collection, "--max_vocab", 20,
+                       "--out", out) == 0
+        for argv in (["ingest"], ["build-index", "--out", out]):
+            for flag in ("--min-df", "--max-size"):
+                with pytest.raises(SystemExit):
+                    run_cli(*argv, "--collection", collection, flag, 2)
+
     def test_error_prefix_and_exit_code(self, workspace, capsys):
         rc = run_cli("ingest", "--collection", workspace / "missing.tsv")
         assert rc == 1
@@ -283,6 +295,26 @@ class TestModelCommands:
         assert "lexical" in err and "dense" in err
         assert not out.exists()
 
+    def test_train_header_holds_the_trained_width(self, workspace, checkpoints, tmp_path):
+        # --dim sizes a fresh model only; a 6-dim --init stays 6-dim.
+        from lexlab.encoders import load_params
+
+        pool, ckpt = tmp_path / "pool.tsv", tmp_path / "lex.ckpt"
+        assert run_cli("mine", "--config", workspace / "toy.cfg", "--out", pool) == 0
+        rc = run_cli(
+            "train", "--config", workspace / "toy.cfg", "--pool", pool, "--init",
+            checkpoints["lexical"], "--dim", 16, "--epochs", 1, "--strategy", "none",
+            "--out", ckpt,
+        )
+        assert rc == 0
+        params, meta = load_params(ckpt)
+        assert params.dim == meta.dim == 6
+        rc = run_cli(
+            "retrieve", "--config", workspace / "toy.cfg", "--checkpoint", ckpt,
+            "--out", tmp_path / "run.trec",
+        )
+        assert rc == 0
+
     @pytest.mark.parametrize("small_checkpoint", [True, False])
     @pytest.mark.parametrize(
         "command", ["build-index", "mine", "retrieve", "train --init", "train --teacher-checkpoint"]
@@ -304,8 +336,7 @@ class TestModelCommands:
         else:
             # The full-vocabulary checkpoint against a command limited to 20 terms.
             ckpt = checkpoints["lexical"]
-            flag = "--max-size" if command == "build-index" else "--max_vocab"
-            sizes, limit = (full, 20), [flag, 20]
+            sizes, limit = (full, 20), ["--max_vocab", 20]
         pool, out = tmp_path / "pool.tsv", tmp_path / "out"
         assert run_cli("mine", "--config", workspace / "toy.cfg", "--out", pool) == 0
         config = ["--config", workspace / "toy.cfg"]

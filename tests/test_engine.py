@@ -1,8 +1,8 @@
 """The batched training engine against the per-input code it replaced.
 
 Each oracle below is the earlier implementation, kept here verbatim in
-substance: lexical encoding with two |V|-wide reductions, per-call lexical
-backward, the dict FLOPS penalty, per-document dense encode/backward, and
+substance: lexical encoding with two |V|-wide reductions and the bias added
+before the max, per-input lexical tracing and backward, the dict FLOPS penalty, per-document dense encode/backward, and
 the pair-list hinge and margin-MSE. Lexical paths and the pair losses must
 agree bit for bit, dense paths within 1e-12.
 """
@@ -194,6 +194,23 @@ class TestLexicalEncodeIsBitIdentical:
         assert len(active) and np.array_equal(trace.source_token, src)
         assert set(trace.source_token.tolist()) == {1}
 
+    def test_bias_rounding_tie_takes_the_first_token(self):
+        # Token 0 scores s_1 = 1 and token 1 scores s_2 = 1 + 2^-52 on term 2;
+        # adding the bias 1.0 rounds both to 2.0, so token 0 is the argmax.
+        p = LexicalParams.init(3, 1, 0)
+        p.emb[:, 0] = [1.0, np.nextafter(1.0, 2.0), -1.0]
+        p.expand[:, 0] = [-1.0, -1.0, 1.0]
+        p.bias[:] = [0.0, 0.0, 1.0]
+        ids = np.array([0, 1])
+        s = p.expand[2] @ p.emb[ids].T
+        assert s[0] < s[1] and s[0] + p.bias[2] == s[1] + p.bias[2]
+        trace = lexical_trace(ids, p)
+        assert trace.active_terms.tolist() == [2]
+        assert trace.source_token.tolist() == [0]
+        assert trace.pre_activation.tolist() == [2.0]
+        active, pre, src = oracle_lexical_encode(TermVector(counts={0: 1, 1: 1}, n=2), p)
+        assert np.array_equal(trace.active_terms, active) and np.array_equal(trace.source_token, src)
+
     def test_empty_and_all_inactive(self):
         p = lexical_params(5, 7, 3, coarse=False)
         trace = trace_of(TermVector(counts={}, n=3), p)
@@ -201,6 +218,50 @@ class TestLexicalEncodeIsBitIdentical:
         p.bias[:] = -100.0
         inactive = TermVector(counts={0: 1, 6: 2}, n=3)
         assert not len(lexical_encode(inactive, p).terms) and not len(trace_of(inactive, p).source_token)
+
+
+def oracle_lexical_step(p, sets_tv, upstream, flops):
+    """The per-input loop train_stage used to run: (gradients, per-set losses)."""
+    vocab_size = p.vocab_size
+    expected = p.zeros_like()
+    expected_losses = []
+    for k, set_tv in enumerate(sets_tv):
+        q_trace = trace_of(set_tv[0], p)
+        q_dense = np.zeros(vocab_size)
+        q_dense[q_trace.active_terms] = np.log1p(q_trace.pre_activation)
+        encoded = [trace_of(tv, p) for tv in set_tv[1:]]
+        scores = np.zeros(len(encoded))
+        for i, tr in enumerate(encoded):
+            if len(tr.active_terms):
+                scores[i] = q_dense[tr.active_terms] @ np.log1p(tr.pre_activation)
+        g = upstream[k]
+        loss = float(g @ scores)
+        buf = np.zeros(vocab_size)
+        for i, tr in enumerate(encoded):
+            if g[i] != 0.0 and len(tr.active_terms):
+                buf[tr.active_terms] += g[i] * np.log1p(tr.pre_activation)
+        oracle_lexical_backward(p, q_trace, buf, expected)
+        for i, tr in enumerate(encoded):
+            if g[i] != 0.0:
+                oracle_lexical_backward(p, tr, q_dense, expected, scale=g[i])
+        if flops:
+            fl_loss, fl_grads = oracle_flops([as_dict(tr) for tr in [q_trace, *encoded]], flops)
+            loss += fl_loss
+            for (tr, fg) in zip([q_trace, *encoded], fl_grads):
+                oracle_lexical_backward(p, tr, fg, expected)
+        expected_losses.append(loss)
+    return expected, expected_losses
+
+
+def assert_step_matches_oracle(p, sets_tv, upstream, flops):
+    expected, expected_losses = oracle_lexical_step(p, sets_tv, upstream, flops)
+    got = p.zeros_like()
+    batch = TokenBatch([token_row(tv) for set_tv in sets_tv for tv in set_tv])
+    step = batch_step(p, batch, [len(set_tv) for set_tv in sets_tv],
+                      lambda k, s: (float(upstream[k] @ s), upstream[k]), flops, got)
+    assert step.losses == expected_losses
+    for name, t in got.tensors().items():
+        assert t.tobytes() == expected.tensors()[name].tobytes(), name
 
 
 class TestLexicalStepIsBitIdentical:
@@ -215,43 +276,28 @@ class TestLexicalStepIsBitIdentical:
         sets_tv = [tvs[k * (1 + n_cands):(k + 1) * (1 + n_cands)] for k in range(n_sets)]
         rng = np.random.default_rng(seed + 2)
         upstream = [rng.normal(size=n_cands) * (rng.random(n_cands) < 0.7) for _ in range(n_sets)]
+        assert_step_matches_oracle(p, sets_tv, upstream, flops)
 
-        # The per-input loop train_stage used to run.
-        expected = p.zeros_like()
-        expected_losses = []
-        for k, set_tv in enumerate(sets_tv):
-            q_trace = trace_of(set_tv[0], p)
-            q_dense = np.zeros(vocab_size)
-            q_dense[q_trace.active_terms] = np.log1p(q_trace.pre_activation)
-            encoded = [trace_of(tv, p) for tv in set_tv[1:]]
-            scores = np.zeros(n_cands)
-            for i, tr in enumerate(encoded):
-                if len(tr.active_terms):
-                    scores[i] = q_dense[tr.active_terms] @ np.log1p(tr.pre_activation)
-            g = upstream[k]
-            loss = float(g @ scores)
-            buf = np.zeros(vocab_size)
-            for i, tr in enumerate(encoded):
-                if g[i] != 0.0 and len(tr.active_terms):
-                    buf[tr.active_terms] += g[i] * np.log1p(tr.pre_activation)
-            oracle_lexical_backward(p, q_trace, buf, expected)
-            for i, tr in enumerate(encoded):
-                if g[i] != 0.0:
-                    oracle_lexical_backward(p, tr, q_dense, expected, scale=g[i])
-            if flops:
-                fl_loss, fl_grads = oracle_flops([as_dict(tr) for tr in [q_trace, *encoded]], flops)
-                loss += fl_loss
-                for (tr, fg) in zip([q_trace, *encoded], fl_grads):
-                    oracle_lexical_backward(p, tr, fg, expected)
-            expected_losses.append(loss)
-
-        got = p.zeros_like()
-        batch = TokenBatch([token_row(tv) for set_tv in sets_tv for tv in set_tv])
-        step = batch_step(p, batch, [1 + n_cands] * n_sets,
-                          lambda k, s: (float(upstream[k] @ s), upstream[k]), flops, got)
-        assert step.losses == expected_losses
-        for name, t in got.tensors().items():
-            assert t.tobytes() == expected.tensors()[name].tobytes(), name
+    @given(**params_args, n_sets=st.integers(2, 4), n_cands=st.integers(1, 5),
+           flops=st.sampled_from([0.0, 0.7]))
+    @settings(max_examples=80, deadline=None)
+    def test_batch_step_with_repeated_rows(
+        self, seed, vocab_size, dim, coarse, n_sets, n_cands, flops
+    ):
+        # batch_step traces each distinct row once; the oracle traces every row.
+        p = lexical_params(seed, vocab_size, dim, coarse)
+        tvs = term_vectors(seed, vocab_size, n_sets * (1 + n_cands), 6)
+        sets_tv = [tvs[k * (1 + n_cands):(k + 1) * (1 + n_cands)] for k in range(n_sets)]
+        sets_tv[1][-1] = sets_tv[0][-1]  # the same passage in two sets
+        sets_tv[-1][1] = sets_tv[0][0]   # a query reused as a candidate
+        rng = np.random.default_rng(seed + 2)
+        for k in range(n_sets):
+            for i in range(1, 1 + n_cands):
+                if rng.random() < 0.3:  # more repeats, of any earlier row
+                    earlier = [tv for set_tv in sets_tv[:k] for tv in set_tv] + sets_tv[k][:i]
+                    sets_tv[k][i] = earlier[int(rng.integers(len(earlier)))]
+        upstream = [rng.normal(size=n_cands) * (rng.random(n_cands) < 0.7) for _ in range(n_sets)]
+        assert_step_matches_oracle(p, sets_tv, upstream, flops)
 
     @given(seed=st.integers(0, 10_000), n_vecs=st.integers(1, 6), weight=st.floats(0.01, 3.0))
     @settings(max_examples=80, deadline=None)

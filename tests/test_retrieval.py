@@ -106,6 +106,24 @@ class TestEncodeCorpus:
         assert not index.matrix[index.pids.index("d4")].any()
 
 
+    @pytest.mark.parametrize("kind", ["dense", "lexical"])
+    def test_given_vectors_encode_as_vectorized(self, kind):
+        docs = {"d0": "a b b", "d1": "b c", "d2": "a c c a", "d3": ""}
+        corpus = Corpus.from_docs(docs)
+        vocab = build_vocab(corpus)
+        params = (DenseParams if kind == "dense" else LexicalParams).init(vocab.size, 3, seed=2)
+        doc_tvs = vectorize_corpus(corpus, vocab)
+        del doc_tvs["d1"]  # a passage missing from the given vectors is vectorized
+        a, b = encode_corpus(params, corpus, vocab), encode_corpus(params, corpus, vocab, doc_tvs)
+        if kind == "dense":
+            assert a.matrix.tobytes() == b.matrix.tobytes()
+        else:
+            assert a.postings.keys() == b.postings.keys()
+            for t, (rows, w) in a.postings.items():
+                assert rows.tobytes() == b.postings[t][0].tobytes()
+                assert w.tobytes() == b.postings[t][1].tobytes()
+
+
 class TestDenseSearch:
     def test_k_at_least_n_returns_full(self):
         index = DenseIndex(pids=["a", "b"], matrix=np.eye(2))
@@ -187,6 +205,42 @@ class TestMakeRunAndIO:
         loaded = load_run(path)
         assert loaded.tag == "rt"
         assert loaded.rankings["q2"].entries == [("d3", 9.0)]
+
+    def test_save_run_matches_per_line_formatter(self, tmp_path):
+        # Negative, signed-zero, large and half-ulp-of-six-decimals scores.
+        edge = [-1.25, -0.0, 0.0, -2.5e-7, 2.5e-7, 5e-7, -5e-7, 1.0000005, 0.1234565,
+                2.0000015, 123456.0000005, 1e17, -3.5e300, 1e-320]
+        run = run_from({
+            "q1": [(f"d{i}", s) for i, s in enumerate(edge)],
+            "q2": [],
+            "q3": [("d9", -12.3456785)],
+        }, tag="fmt")
+        path = tmp_path / "run.trec"
+        save_run(run, path)
+        expected = "".join(
+            f"{qid} Q0 {pid} {rank} {score:.6f} {run.tag}\n"
+            for qid in run.rankings
+            for rank, (pid, score) in enumerate(run.rankings[qid].entries, 1)
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert "q1 Q0 d1 2 -0.000000 fmt" in expected.splitlines()
+
+    def test_dense_run_batches_queries_exactly(self):
+        # Queries of several lengths, one all out of vocabulary and one empty,
+        # encode in one batch; each ranking equals its own one-query search.
+        corpus, vocab, _ = self._setup()
+        queries = QuerySet(queries={"q1": "w0 w1", "q2": "w2", "q3": "zz", "q4": "",
+                                    "q5": "w3 w0 w1 w0", "q6": "w1"})
+        params = DenseParams.init(vocab.size, 4, 3)
+        params.proj[:] = np.random.default_rng(3).normal(size=params.proj.shape)
+        index = encode_corpus(params, corpus, vocab)
+        run = make_run(params, queries, index, vocab, k=12, tag="x")
+        assert list(run.rankings) == list(queries.queries)
+        for qid, text in queries.queries.items():
+            vec = dense_encode(vectorize(text, vocab), params)
+            expected = dense_search(vec, index, 12, qid=qid).entries
+            assert [(p, s.hex()) for p, s in run.rankings[qid].entries] == [
+                (p, s.hex()) for p, s in expected]
 
     def test_dense_index_roundtrip(self, tmp_path):
         index = DenseIndex(pids=["a", "b"], matrix=np.random.default_rng(0).normal(size=(2, 3)), digest="xyz")
