@@ -9,11 +9,13 @@ a constant (or single-entry) list normalizes to 0.5 everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
+import numpy as np
 
 from .data import Qrels
 from .retrieval import RunFile
-from .sparse_index import Ranking
+from .sparse_index import Ranking, top_rows
 
 BUCKET_RANGES = (
     ("Top 1", 1, 1),
@@ -26,23 +28,37 @@ BUCKET_RANGES = (
 )
 
 
-def _normalize_entries(entries: list[tuple[str, float]]) -> list[tuple[str, float]]:
-    if not entries:
-        return []
-    scores = [s for _, s in entries]
-    lo, hi = min(scores), max(scores)
+def _normalize(scores: np.ndarray) -> np.ndarray:
+    if not len(scores):
+        return scores
+    # argmin/argmax pick the first of equal extremes, as built-in min/max
+    # do, which decides between 0.0 and -0.0. They pick a NaN, the built-ins
+    # a number unless the NaN comes first, so NaN lists take the built-ins.
+    lo, hi = scores[scores.argmin()], scores[scores.argmax()]
+    if np.isnan(lo):
+        lo, hi = min(scores.tolist()), max(scores.tolist())
     if hi == lo:
-        return [(pid, 0.5) for pid, _ in entries]
-    return [(pid, (s - lo) / (hi - lo)) for pid, s in entries]
+        return np.full(len(scores), 0.5)
+    return (scores - lo) / (hi - lo)
 
 
 def normalize_run(run: RunFile) -> RunFile:
     """Min-max normalize every query's scores; order is preserved exactly."""
     rankings = {
-        qid: Ranking(qid=qid, entries=_normalize_entries(r.entries))
+        qid: Ranking(qid=qid, ids=r.ids, scores=_normalize(r.scores))
         for qid, r in run.rankings.items()
     }
     return RunFile(rankings=rankings, tag=run.tag)
+
+
+def _normalized_scores(ranking: Ranking | None):
+    """A map from a pid list to those pids' normalized scores in `ranking`:
+    0 for a pid it does not list, the last score for one it lists twice."""
+    if ranking is None:
+        return lambda ids: np.zeros(len(ids))
+    norm = np.append(_normalize(ranking.scores), 0.0)
+    last = dict(zip(ranking.ids, range(len(ranking.ids))))
+    return lambda ids: norm[np.fromiter(map(last.get, ids, repeat(-1)), np.intp, len(ids))]
 
 
 @dataclass
@@ -54,28 +70,26 @@ class FusedRun:
 def ensemble_fuse(run_a: RunFile, run_b: RunFile, k: int = 1000) -> FusedRun:
     """Sum per-query min-max normalized scores over the candidate union.
 
-    A candidate missing from one run contributes 0 from that side. The fused
-    list is re-ranked under the usual (score desc, pid asc) tie-break and
-    truncated to k.
+    A candidate missing from one run contributes 0 from that side; a pid a
+    run lists twice counts with its last score. The fused list is re-ranked
+    under the usual (score desc, pid asc) tie-break and truncated to k.
     """
     shared = set(run_a.rankings) & set(run_b.rankings)
     if not shared:
         raise ValueError("runs to fuse share no query ids")
-    norm_a = normalize_run(run_a)
-    norm_b = normalize_run(run_b)
     rankings: dict[str, Ranking] = {}
     components: dict[str, dict[str, tuple[float, float]]] = {}
     for qid in sorted(shared):
-        a = dict(norm_a.rankings[qid].entries)
-        b = dict(norm_b.rankings[qid].entries)
-        union = sorted(set(a) | set(b))
-        parts = {pid: (a.get(pid, 0.0), b.get(pid, 0.0)) for pid in union}
-        fused = sorted(
-            ((pid, sa + sb) for pid, (sa, sb) in parts.items()),
-            key=lambda e: (-e[1], e[0]),
-        )[:k]
-        rankings[qid] = Ranking(qid=qid, entries=fused)
-        components[qid] = {pid: parts[pid] for pid, _ in fused}
+        a, b = run_a.rankings[qid], run_b.rankings[qid]
+        union = sorted(set(a.ids).union(b.ids))
+        sa = _normalized_scores(a)(union)
+        sb = _normalized_scores(b)(union)
+        fused = sa + sb
+        # `union` ascends, so row order is the pid tie-break.
+        order = top_rows(fused, k)
+        ids = [union[i] for i in order.tolist()]
+        rankings[qid] = Ranking(qid=qid, ids=ids, scores=fused[order])
+        components[qid] = dict(zip(ids, zip(sa[order].tolist(), sb[order].tolist())))
     tag = f"{run_a.tag}+{run_b.tag}.fused"
     return FusedRun(run=RunFile(rankings=rankings, tag=tag), components=components)
 
@@ -96,9 +110,10 @@ class BucketTable:
 def _golden_rank(run: RunFile, qid: str, pid: str, depth: int) -> int:
     ranking = run.rankings.get(qid)
     if ranking is not None:
-        for rank, (cand, _) in enumerate(ranking.entries[:depth], 1):
-            if cand == pid:
-                return rank
+        try:
+            return ranking.ids.index(pid, 0, depth) + 1
+        except ValueError:
+            pass
     return depth + 1
 
 
@@ -173,25 +188,25 @@ def discrepancy_pairs(
     """Pairs where normalized lexical and dense scores differ by more than
     `margin`, from the lexical run's top stratum and its bottom stratum of
     the retrieved depth. A pid missing from a run scores 0 for that model."""
-    norm_lex = normalize_run(lex_run)
-    norm_den = normalize_run(den_run)
-    norm_led = normalize_run(led_run)
     biased: list[tuple[str, str, float, float, float]] = []
     unbiased: list[tuple[str, str, float, float, float]] = []
-    for qid, ranking in norm_lex.rankings.items():
-        den_scores = dict(norm_den.rankings[qid].entries) if qid in norm_den.rankings else {}
-        led_scores = dict(norm_led.rankings[qid].entries) if qid in norm_led.rankings else {}
-        entries = ranking.entries[:depth]
+    for qid, ranking in lex_run.rankings.items():
+        lex = _normalize(ranking.scores)
+        den = _normalized_scores(den_run.rankings.get(qid))
+        led = _normalized_scores(led_run.rankings.get(qid))
+        rows = range(len(lex))[:depth]
         # The bottom stratum never overlaps the top one on short lists.
-        strata = (
-            (biased, entries[:top_n]),
-            (unbiased, entries[max(top_n, len(entries) - bottom_n):]),
-        )
-        for out, stratum in strata:
-            for pid, lex_score in stratum:
-                den_score = den_scores.get(pid, 0.0)
-                if abs(lex_score - den_score) > margin:
-                    out.append((qid, pid, lex_score, den_score, led_scores.get(pid, 0.0)))
+        strata = ((biased, rows[:top_n]), (unbiased, rows[max(top_n, len(rows) - bottom_n):]))
+        for out, part in strata:
+            ids = ranking.ids[part.start : part.stop]
+            lex_part = lex[part.start : part.stop]
+            den_part = den(ids)
+            keep = np.flatnonzero(np.abs(lex_part - den_part) > margin).tolist()
+            kept = [ids[i] for i in keep]
+            out.extend(zip(
+                [qid] * len(kept), kept, lex_part[keep].tolist(), den_part[keep].tolist(),
+                led(kept).tolist(),
+            ))
     return DiscrepancySample(biased=biased, unbiased=unbiased, margin=margin)
 
 

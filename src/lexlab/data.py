@@ -9,8 +9,8 @@ so a save/load round trip is bit-exact.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +26,14 @@ class CheckpointError(ValueError):
     """Unreadable, truncated, or incompatible checkpoint file."""
 
 
+# Runs of `str.isalnum` codepoints: `\w` on str patterns is exactly
+# `str.isalnum` plus "_", so `[^\W_]` is exactly `str.isalnum`.
+_ALNUM_RUN = re.compile(r"[^\W_]+")
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase `text` and split it on every non-alphanumeric codepoint."""
-    return ["".join(g) for alnum, g in groupby(text.lower(), key=str.isalnum) if alnum]
+    return _ALNUM_RUN.findall(text.lower())
 
 
 @dataclass(frozen=True)

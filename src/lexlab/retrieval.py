@@ -181,19 +181,28 @@ def make_run(
 
 
 def save_run(run: RunFile, path: str | Path) -> None:
-    """Six-column TREC lines, scores to six decimals, one write per query."""
-    tail = f" {run.tag}\n"
+    """Six-column TREC lines, scores to six decimals, one write per query.
+
+    Each query's lines come from one `%` formatting of the line pattern
+    repeated once per passage; `%.6f` formats as `{:.6f}` does.
+    """
+    tail = f" {run.tag}\n".replace("%", "%%")
     with open(path, "w", encoding="utf-8") as f:
         for qid, ranking in run.rankings.items():
-            head = f"{qid} Q0 "
-            f.write("".join([
-                f"{head}{pid} {rank} {score:.6f}{tail}"
-                for rank, (pid, score) in enumerate(ranking.entries, 1)
-            ]))
+            n = len(ranking.ids)
+            values = [None] * (3 * n)
+            values[0::3] = ranking.ids
+            values[1::3] = range(1, n + 1)
+            values[2::3] = ranking.scores.tolist()
+            line = qid.replace("%", "%%") + " Q0 %s %d %.6f" + tail
+            f.write(line * n % tuple(values))
 
 
 def load_run(path: str | Path) -> RunFile:
-    rankings: dict[str, list[tuple[str, float]]] = {}
+    """Rankings in file order; a pid listed twice for one query stays twice."""
+    ids: dict[str, list[str]] = {}
+    scores: dict[str, list[float]] = {}
+    current = None
     tag = "run"
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -201,9 +210,17 @@ def load_run(path: str | Path) -> RunFile:
             if len(parts) != 6:
                 raise FormatError(f"{path}:{lineno}: expected 6 TREC run columns")
             qid, _, pid, _, score, tag = parts
-            rankings.setdefault(qid, []).append((pid, float(score)))
+            if qid != current:  # lines of one query are usually adjacent
+                current = qid
+                add_id = ids.setdefault(qid, []).append
+                add_score = scores.setdefault(qid, []).append
+            add_id(pid)
+            add_score(float(score))
     return RunFile(
-        rankings={qid: Ranking(qid=qid, entries=entries) for qid, entries in rankings.items()},
+        rankings={
+            qid: Ranking(qid=qid, ids=ids[qid], scores=np.array(scores[qid], dtype=np.float64))
+            for qid in ids
+        },
         tag=tag,
     )
 

@@ -27,15 +27,38 @@ class WeightSemanticsError(ValueError):
     """Operation applied to an index with the wrong weight semantics."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ranking:
-    """Per-query ranked list, strictly sorted by (score desc, pid asc)."""
+    """Per-query ranked list, strictly sorted by (score desc, pid asc).
+
+    `ids` and `scores` are aligned: `ids[i]` is the passage at rank i + 1 and
+    `scores[i]` (float64) its score.
+    """
 
     qid: str
-    entries: list[tuple[str, float]]
+    ids: list[str]
+    scores: np.ndarray
+
+    def __post_init__(self):
+        if self.scores.ndim != 1 or len(self.scores) != len(self.ids):
+            raise ValueError("a ranking needs one score per passage id")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Ranking):
+            return NotImplemented
+        return (
+            self.qid == other.qid
+            and self.ids == other.ids
+            and np.array_equal(self.scores, other.scores)
+        )
+
+    @property
+    def entries(self) -> list[tuple[str, float]]:
+        """(pid, score) pairs in rank order, built on each access."""
+        return list(zip(self.ids, self.scores.tolist()))
 
     def pids(self) -> list[str]:
-        return [pid for pid, _ in self.entries]
+        return self.ids
 
 
 @dataclass
@@ -142,14 +165,29 @@ def bm25_score(
     return score
 
 
-def top_k(pids: list[str], scores: np.ndarray, k: int, qid: str = "") -> Ranking:
-    """The k best of `pids` (ascending, as every index keeps them) by `scores`."""
+def top_rows(scores: np.ndarray, k: int) -> np.ndarray:
+    """Rows of the k best `scores`: the first k of a stable argsort of
+    `-scores`, so ties keep row order and NaN scores come last.
+
+    `np.partition` finds the k-th best score and only the rows at or above
+    it are sorted; when fewer than k rows are not NaN, all are sorted.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    # Stable argsort on -scores: ties keep ascending-pid (row) order.
-    order = np.argsort(-scores, kind="stable")[:k]
-    ranked = [pids[i] for i in order.tolist()]
-    return Ranking(qid=qid, entries=list(zip(ranked, scores[order].tolist())))
+    neg = -scores
+    if k < len(neg):
+        kth = np.partition(neg, k - 1)[k - 1]
+        rows = np.flatnonzero(neg <= kth)
+        if len(rows) >= k:
+            return rows[np.argsort(neg[rows], kind="stable")[:k]]
+    return np.argsort(neg, kind="stable")[:k]
+
+
+def top_k(pids: list[str], scores: np.ndarray, k: int, qid: str = "") -> Ranking:
+    """The k best of `pids` (ascending, as every index keeps them) by `scores`;
+    row order, hence pid order, breaks ties."""
+    order = top_rows(scores, k)
+    return Ranking(qid=qid, ids=[pids[i] for i in order.tolist()], scores=scores[order])
 
 
 def bm25_search(

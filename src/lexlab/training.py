@@ -311,13 +311,16 @@ class AdamState:
     t: int
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
+    scratch: dict[str, tuple[np.ndarray, np.ndarray]]  # two work arrays per tensor
 
     @classmethod
     def init(cls, params: Params) -> "AdamState":
+        tensors = params.tensors()
         return cls(
             t=0,
-            m={k: np.zeros_like(p) for k, p in params.tensors().items()},
-            v={k: np.zeros_like(p) for k, p in params.tensors().items()},
+            m={k: np.zeros_like(p) for k, p in tensors.items()},
+            v={k: np.zeros_like(p) for k, p in tensors.items()},
+            scratch={k: (np.empty_like(p), np.empty_like(p)) for k, p in tensors.items()},
         )
 
 
@@ -330,19 +333,35 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[Params, AdamState]:
-    """Standard bias-corrected Adam update, applied in place."""
+    """Standard bias-corrected Adam update, applied in place.
+
+    Runs the operations of `m_hat = m / (1 - beta1**t)`, `v_hat = v / (1 -
+    beta2**t)`, `p -= lr * m_hat / (sqrt(v_hat) + eps)` in that order, in the
+    state's work arrays, so it allocates no temporaries and gives the bits of
+    that formula.
+    """
     state.t += 1
+    correct1 = 1.0 - beta1**state.t
+    correct2 = 1.0 - beta2**state.t
     grad_tensors = grads.tensors()
     for name, p in params.tensors().items():
         g = grad_tensors[name]
         m, v = state.m[name], state.v[name]
+        step, denom = state.scratch[name]
         m *= beta1
-        m += (1.0 - beta1) * g
+        np.multiply(1.0 - beta1, g, out=step)
+        m += step
         v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**state.t)
-        v_hat = v / (1.0 - beta2**state.t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        np.multiply(1.0 - beta2, g, out=step)
+        step *= g
+        v += step
+        np.divide(m, correct1, out=step)
+        step *= lr
+        np.divide(v, correct2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step /= denom
+        p -= step
     return params, state
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lexlab.analysis import (
+    _golden_rank,
     discrepancy_pairs,
     emit_histogram,
     ensemble_fuse,
@@ -15,14 +16,165 @@ from lexlab.retrieval import RunFile
 from lexlab.sparse_index import Ranking
 
 
+def ranking_from(qid, entries):
+    return Ranking(
+        qid=qid, ids=[pid for pid, _ in entries], scores=np.array([float(s) for _, s in entries])
+    )
+
+
 def run_from(entries_by_qid, tag="t"):
     return RunFile(
-        rankings={
-            qid: Ranking(qid=qid, entries=[(pid, float(s)) for pid, s in entries])
-            for qid, entries in entries_by_qid.items()
-        },
+        rankings={qid: ranking_from(qid, entries) for qid, entries in entries_by_qid.items()},
         tag=tag,
     )
+
+
+# The tuple and dict bodies the analyses had before rankings became arrays,
+# kept as oracles. A run here is {qid: [(pid, score), ...]}.
+
+
+def oracle_normalize(entries):
+    if not entries:
+        return []
+    scores = [s for _, s in entries]
+    lo, hi = min(scores), max(scores)
+    if hi == lo:
+        return [(pid, 0.5) for pid, _ in entries]
+    return [(pid, (s - lo) / (hi - lo)) for pid, s in entries]
+
+
+def oracle_fuse(run_a, run_b, k):
+    rankings, components = {}, {}
+    for qid in sorted(set(run_a) & set(run_b)):
+        a = dict(oracle_normalize(run_a[qid]))
+        b = dict(oracle_normalize(run_b[qid]))
+        parts = {pid: (a.get(pid, 0.0), b.get(pid, 0.0)) for pid in sorted(set(a) | set(b))}
+        fused = sorted(
+            ((pid, sa + sb) for pid, (sa, sb) in parts.items()), key=lambda e: (-e[1], e[0])
+        )[:k]
+        rankings[qid] = fused
+        components[qid] = {pid: parts[pid] for pid, _ in fused}
+    return rankings, components
+
+
+def oracle_golden_rank(run, qid, pid, depth):
+    for rank, (cand, _) in enumerate(run.get(qid, [])[:depth], 1):
+        if cand == pid:
+            return rank
+    return depth + 1
+
+
+def oracle_discrepancy(lex, den, led, margin, top_n, bottom_n, depth):
+    biased, unbiased = [], []
+    for qid, ranking in lex.items():
+        entries = oracle_normalize(ranking)[:depth]
+        den_scores = dict(oracle_normalize(den[qid])) if qid in den else {}
+        led_scores = dict(oracle_normalize(led[qid])) if qid in led else {}
+        strata = (
+            (biased, entries[:top_n]),
+            (unbiased, entries[max(top_n, len(entries) - bottom_n):]),
+        )
+        for out, stratum in strata:
+            for pid, lex_score in stratum:
+                den_score = den_scores.get(pid, 0.0)
+                if abs(lex_score - den_score) > margin:
+                    out.append((qid, pid, lex_score, den_score, led_scores.get(pid, 0.0)))
+    return biased, unbiased
+
+
+def random_lists(rng, n_queries=40, pool=60):
+    """{qid: entries} with partial overlap between calls, and constant,
+    single-entry, empty, repeated-pid and signed-zero lists; some queries
+    are left out."""
+    out = {}
+    for q in range(n_queries):
+        shape = rng.integers(0, 8)
+        if shape == 0:
+            continue
+        n = int(rng.integers(1, pool))
+        pids = [f"d{i:03d}" for i in rng.choice(pool, size=n, replace=False)]
+        scores = np.round(rng.normal(size=n), int(rng.integers(0, 3)))  # rounding makes ties
+        scores[rng.random(n) < 0.1] = -0.0
+        if shape == 1:
+            scores[:] = 2.5
+        elif shape == 2:
+            pids, scores = pids[:1], scores[:1]
+        elif shape == 3:
+            pids, scores = [], scores[:0]
+        elif shape == 4:  # one pid listed twice, with another score
+            pids.append(pids[0])
+            scores = np.append(scores, float(rng.normal()))
+        elif shape == 5:  # non-negative, so the minimum is often a signed zero
+            scores = np.abs(scores)
+            scores[rng.random(n) < 0.3] = -0.0
+        out[f"q{q}"] = list(zip(pids, scores.tolist()))
+    return out
+
+
+def bits(entries):
+    return [(pid, score.hex()) for pid, score in entries]
+
+
+class TestArrayFormsMatchOracles:
+    def test_normalize(self):
+        rng = np.random.default_rng(20)
+        for _ in range(5):
+            lists = random_lists(rng)
+            normed = normalize_run(run_from(lists))
+            assert list(normed.rankings) == list(lists)
+            for qid, entries in lists.items():
+                assert bits(normed.rankings[qid].entries) == bits(oracle_normalize(entries))
+
+    def test_normalize_with_nan(self):
+        for scores in ([np.nan, 1.0, 3.0], [1.0, np.nan, 3.0], [2.0, 2.0, np.nan]):
+            entries = [(f"d{i}", s) for i, s in enumerate(scores)]
+            got = normalize_run(run_from({"q": entries})).rankings["q"].entries
+            assert bits(got) == bits(oracle_normalize(entries))
+
+    @pytest.mark.parametrize("k", [1, 5, 1000])
+    def test_fuse(self, k):
+        rng = np.random.default_rng(21 + k)
+        for _ in range(5):
+            lists_a, lists_b = random_lists(rng), random_lists(rng)
+            if not set(lists_a) & set(lists_b):
+                continue
+            fused = ensemble_fuse(run_from(lists_a), run_from(lists_b), k=k)
+            rankings, components = oracle_fuse(lists_a, lists_b, k)
+            assert list(fused.run.rankings) == list(rankings)
+            for qid, entries in rankings.items():
+                assert bits(fused.run.rankings[qid].entries) == bits(entries)
+                got = fused.components[qid]
+                assert list(got) == list(components[qid])
+                assert [tuple(x.hex() for x in got[p]) for p in got] == [
+                    tuple(x.hex() for x in components[qid][p]) for p in got]
+
+    def test_golden_rank(self):
+        rng = np.random.default_rng(22)
+        lists = random_lists(rng)
+        run = run_from(lists)
+        for q in range(45):
+            qid = f"q{q}"
+            for pid in ("d000", "d007", "d030", "d059", "zz"):
+                for depth in (1, 3, 10, 1000):
+                    want = oracle_golden_rank(lists, qid, pid, depth)
+                    assert _golden_rank(run, qid, pid, depth) == want
+
+    @pytest.mark.parametrize("top_n,bottom_n,depth", [(100, 100, 1000), (5, 5, 20), (10, 30, 25)])
+    def test_discrepancy(self, top_n, bottom_n, depth):
+        rng = np.random.default_rng(23 + depth)
+        for _ in range(5):
+            lex, den, led = random_lists(rng), random_lists(rng), random_lists(rng)
+            sample = discrepancy_pairs(
+                run_from(lex), run_from(den), run_from(led),
+                margin=0.2, top_n=top_n, bottom_n=bottom_n, depth=depth,
+            )
+            biased, unbiased = oracle_discrepancy(lex, den, led, 0.2, top_n, bottom_n, depth)
+
+            def row_bits(rows):
+                return [(q, p) + tuple(x.hex() for x in xs) for q, p, *xs in rows]
+
+            assert row_bits(sample.biased) == row_bits(biased)
+            assert row_bits(sample.unbiased) == row_bits(unbiased)
 
 
 class TestNormalize:
@@ -122,6 +274,11 @@ class TestFuse:
         run_b = run_from({"q": [(f"b{i}", 10.0 - i) for i in range(8)]})
         fused = ensemble_fuse(run_a, run_b, k=5)
         assert len(fused.run.rankings["q"].entries) == 5
+
+    def test_k_below_one_rejected(self):
+        run = run_from({"q": [("a", 1.0)]})
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            ensemble_fuse(run, run, k=0)
 
 
 class TestBuckets:

@@ -1,6 +1,9 @@
+import sys
+from itertools import groupby
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lexlab.data import (
     CheckpointMeta,
@@ -16,6 +19,12 @@ from lexlab.data import (
     tokenize,
     vectorize,
 )
+
+
+def groupby_tokenize(text):
+    """Runs of `str.isalnum` codepoints of the lowercased text: the
+    `tokenize` oracle."""
+    return ["".join(g) for alnum, g in groupby(text.lower(), key=str.isalnum) if alnum]
 
 
 class TestTokenize:
@@ -35,6 +44,16 @@ class TestTokenize:
     def test_idempotent_on_joined_output(self, text):
         once = tokenize(text)
         assert tokenize(" ".join(once)) == once
+
+    @settings(max_examples=500)
+    @given(st.text(st.characters(), max_size=60))
+    def test_matches_isalnum_runs(self, text):
+        assert tokenize(text) == groupby_tokenize(text)
+
+    def test_every_codepoint_splits_as_isalnum(self):
+        chars = [chr(c) for c in range(sys.maxunicode + 1)]  # lone surrogates too
+        for text in ("".join(chars), " ".join(chars), "_".join(chars)):
+            assert tokenize(text) == groupby_tokenize(text)
 
 
 class TestVocab:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lexlab.data import Corpus, build_vocab, load_qrels, vectorize, vectorize_corpus
+from lexlab.data import Corpus, FormatError, build_vocab, load_qrels, vectorize, vectorize_corpus
 from lexlab.encoders import DenseParams, LexicalParams, dense_encode, lexical_encode
 from lexlab import retrieval
 from lexlab.retrieval import (
@@ -43,12 +43,15 @@ def per_input_dense_encode(tv, params):
     return params.proj @ (counts @ params.emb[ids] / counts.sum()) + params.bias
 
 
+def ranking_from(qid, entries):
+    return Ranking(
+        qid=qid, ids=[pid for pid, _ in entries], scores=np.array([float(s) for _, s in entries])
+    )
+
+
 def run_from(entries_by_qid, tag="t"):
     return RunFile(
-        rankings={
-            qid: Ranking(qid=qid, entries=[(pid, float(s)) for pid, s in entries])
-            for qid, entries in entries_by_qid.items()
-        },
+        rankings={qid: ranking_from(qid, entries) for qid, entries in entries_by_qid.items()},
         tag=tag,
     )
 
@@ -177,7 +180,10 @@ class TestMakeRunAndIO:
         index = encode_corpus(params, corpus, vocab)
         a = make_run(params, queries, index, vocab, k=12, tag="x")
         b = make_run(params, queries, index, vocab, k=12, tag="x")
-        assert repr(a.rankings) == repr(b.rankings)
+        assert list(a.rankings) == list(b.rankings)
+        for qid, ranking in a.rankings.items():
+            assert ranking.pids() == b.rankings[qid].pids()
+            assert ranking.scores.tobytes() == b.rankings[qid].scores.tobytes()
 
     def test_composition_equals_per_query_search(self):
         corpus, vocab, queries = self._setup()
@@ -205,6 +211,47 @@ class TestMakeRunAndIO:
         loaded = load_run(path)
         assert loaded.tag == "rt"
         assert loaded.rankings["q2"].entries == [("d3", 9.0)]
+
+    def test_save_run_keeps_percent_signs(self, tmp_path):
+        run = run_from({"q%d": [("d%s", 1.5), ("d2", -0.5)], "q2": [("d1", 0.25)]}, tag="t%.6f")
+        path = tmp_path / "run.trec"
+        save_run(run, path)
+        assert path.read_text().splitlines() == [
+            "q%d Q0 d%s 1 1.500000 t%.6f",
+            "q%d Q0 d2 2 -0.500000 t%.6f",
+            "q2 Q0 d1 1 0.250000 t%.6f",
+        ]
+
+    def test_load_run_matches_tuple_reader(self, tmp_path):
+        # Interleaved queries, a pid listed twice, signed zeros and a run of
+        # ties; the reader the array form replaced is the oracle.
+        lines = [
+            "q2 Q0 d1 1 3.500000 t", "q1 Q0 d4 1 -0.000000 t", "q2 Q0 d2 2 1.000000 t",
+            "q2 Q0 d1 3 0.250000 t", "q1 Q0 d5 2 0.000000 t", "q3 Q0 d9 1 -1e-300 t",
+            "q2 Q0 d3 4 1.000000 t", "q1 Q0 d6 3 -7.125000 t",
+        ]
+        path = tmp_path / "run.trec"
+        path.write_text("\n".join(lines) + "\n")
+        expected: dict[str, list[tuple[str, float]]] = {}
+        for line in lines:
+            qid, _, pid, _, score, _ = line.split()
+            expected.setdefault(qid, []).append((pid, float(score)))
+        loaded = load_run(path)
+        assert list(loaded.rankings) == list(expected)
+        for qid, entries in expected.items():
+            got = loaded.rankings[qid]
+            assert got.qid == qid
+            assert [(p, s.hex()) for p, s in got.entries] == [(p, s.hex()) for p, s in entries]
+            assert got.scores.dtype == np.float64
+
+    def test_load_run_rejects_short_line_and_reads_empty_file(self, tmp_path):
+        path = tmp_path / "run.trec"
+        path.write_text("q1 Q0 d1 1 1.0 t\nq1 Q0 d2 2 0.5\n")
+        with pytest.raises(FormatError, match=r"run.trec:2: expected 6 TREC run columns"):
+            load_run(path)
+        path.write_text("")
+        empty = load_run(path)
+        assert empty.rankings == {} and empty.tag == "run"
 
     def test_save_run_matches_per_line_formatter(self, tmp_path):
         # Negative, signed-zero, large and half-ulp-of-six-decimals scores.

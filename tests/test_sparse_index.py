@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from lexlab.data import Corpus, TermVector, build_vocab, vectorize, vectorize_corpus
 from lexlab.encoders import TermWeightVector
 from lexlab.sparse_index import (
+    Ranking,
     WeightSemanticsError,
     bm25_score,
     bm25_search,
@@ -15,6 +16,7 @@ from lexlab.sparse_index import (
     load_index,
     save_index,
     sparse_search,
+    top_k,
 )
 
 
@@ -244,3 +246,77 @@ def test_idf_non_negative():
     for n in (1, 10, 1000):
         for df in range(1, n + 1):
             assert idf(n, df) >= 0.0
+
+
+def argsort_top_k(pids, scores, k):
+    """The first k of the full stable argsort of -scores: the `top_k` oracle."""
+    order = np.argsort(-scores, kind="stable")[:k]
+    return [pids[i] for i in order], scores[order]
+
+
+class TestTopK:
+    def check(self, scores, k):
+        scores = np.asarray(scores, dtype=np.float64)
+        pids = [f"d{i:04d}" for i in range(len(scores))]
+        got = top_k(pids, scores, k, qid="q")
+        ids, want = argsort_top_k(pids, scores, k)
+        assert got.qid == "q"
+        assert got.ids == ids
+        assert got.scores.tobytes() == want.tobytes()
+
+    def test_ties_straddling_the_cutoff(self):
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            n = int(rng.integers(2, 80))
+            # Four distinct values: most cutoffs fall inside a run of ties.
+            scores = rng.integers(0, 4, size=n).astype(np.float64)
+            for k in (1, 2, n // 2 or 1, n - 1, n, n + 5):
+                self.check(scores, k)
+
+    def test_signed_zeros_infinities_and_nan(self):
+        rng = np.random.default_rng(1)
+        values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.0])
+        for _ in range(3000):
+            n = int(rng.integers(1, 40))
+            scores = rng.choice(values, size=n)
+            self.check(scores, int(rng.integers(1, n + 3)))
+
+    def test_fewer_than_k_scores_that_are_not_nan(self):
+        self.check([np.nan, 2.0, np.nan, np.nan, 1.0, np.nan], 3)
+        self.check([np.nan, np.nan, np.nan], 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scores=st.lists(
+            st.floats(allow_nan=True, allow_infinity=True, width=64)
+            | st.sampled_from([0.0, -0.0, 1.0]),
+            min_size=1,
+            max_size=50,
+        ),
+        k=st.integers(min_value=1, max_value=60),
+    )
+    def test_matches_full_stable_argsort(self, scores, k):
+        self.check(scores, k)
+
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            top_k(["a"], np.array([1.0]), 0)
+
+
+class TestRanking:
+    def test_entries_are_derived_pairs_of_python_floats(self):
+        ranking = Ranking(qid="q", ids=["b", "a"], scores=np.array([2.0, -0.0]))
+        assert ranking.entries == [("b", 2.0), ("a", -0.0)]
+        assert all(type(score) is float for _, score in ranking.entries)
+        assert ranking.pids() is ranking.ids
+
+    def test_misaligned_fields_rejected(self):
+        with pytest.raises(ValueError, match="one score per passage id"):
+            Ranking(qid="q", ids=["a", "b"], scores=np.array([1.0]))
+
+    def test_equality_compares_ids_and_scores(self):
+        a = Ranking(qid="q", ids=["a"], scores=np.array([1.0]))
+        assert a == Ranking(qid="q", ids=["a"], scores=np.array([1.0]))
+        assert a != Ranking(qid="q", ids=["a"], scores=np.array([2.0]))
+        assert a != Ranking(qid="q", ids=["b"], scores=np.array([1.0]))
+        assert a != Ranking(qid="r", ids=["a"], scores=np.array([1.0]))

@@ -268,7 +268,48 @@ class TestTeachers:
             model_teacher(lexical, bm25_index, vocab, queries)
 
 
+def allocating_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Bias-corrected Adam written with a temporary per operation: the
+    `adam_step` oracle. `state` is (t, m, v) of dicts of arrays."""
+    t, m_all, v_all = state
+    t += 1
+    for name, p in params.tensors().items():
+        g = grads.tensors()[name]
+        m, v = m_all[name], v_all[name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    return t, m_all, v_all
+
+
 class TestAdam:
+    @pytest.mark.parametrize("kind", [DenseParams, LexicalParams])
+    def test_equals_allocating_formula_bit_for_bit(self, kind):
+        params = kind.init(7, 3, 2)
+        oracle = kind.init(7, 3, 2)
+        state = AdamState.init(params)
+        oracle_state = (0, {k: np.zeros_like(p) for k, p in oracle.tensors().items()},
+                        {k: np.zeros_like(p) for k, p in oracle.tensors().items()})
+        rng = np.random.default_rng(11)
+        for step in range(50):
+            grads = params.zeros_like()
+            if step % 7 != 3:  # every seventh step has all-zero gradients
+                for g in grads.tensors().values():
+                    g[:] = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=g.shape)
+                    g[rng.random(g.shape) < 0.3] = 0.0
+            lr = float(rng.choice([0.05, 0.015, 1e-4]))
+            adam_step(params, grads, state, lr=lr)
+            oracle_state = allocating_adam_step(oracle, grads, oracle_state, lr=lr)
+            assert state.t == oracle_state[0]
+            for name, p in params.tensors().items():
+                assert p.tobytes() == oracle.tensors()[name].tobytes()
+                assert state.m[name].tobytes() == oracle_state[1][name].tobytes()
+                assert state.v[name].tobytes() == oracle_state[2][name].tobytes()
+
     def test_zero_grads_keep_params(self):
         params = DenseParams.init(5, 3, 0)
         before = params_digest(params)
