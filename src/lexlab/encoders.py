@@ -15,10 +15,13 @@ Each kind has one forward and one backward. Dense inputs encode as rows of a
 items are the per-row products, so a row gets the same bits alone
 (`dense_encode`) as in any batch. Lexical inputs stay one GEMM each
 (`lexical_trace`), because a GEMM over several inputs' tokens rounds
-differently; the per-term bias is added after the max over tokens, which
-rounding leaves exact. At fixed parameters an input traces to the same bits
-every time, so a batch traces each distinct token row once, and
-`LexicalRoutes` scatters the backward of all its inputs in bulk.
+differently. The GEMM is tokens-major, so the max over tokens runs along
+contiguous rows, and its operand layouts make it round exactly as the
+vocabulary-major product `expand @ emb[ids].T`; the per-term bias is added
+after the max, which rounding leaves exact. At fixed parameters an input
+traces to the same bits every time, so a batch traces each distinct token
+row once, and `LexicalRoutes` scatters the backward of all its inputs in
+bulk.
 """
 
 from __future__ import annotations
@@ -258,7 +261,7 @@ def dense_backward_batch(
 def lexical_trace(ids: np.ndarray, params: LexicalParams) -> LexicalTrace:
     """The lexical forward pass on ascending distinct term ids.
 
-    Scores every vocabulary term against every token in one GEMM, max-pools
+    Scores every token against every vocabulary term in one GEMM, max-pools
     over tokens and then adds the term's bias, takes the argmax token of
     score plus bias (the first, on ties) only for the active (positive)
     terms, and log-saturates their maxima into weights. The result depends
@@ -272,19 +275,25 @@ def lexical_trace(ids: np.ndarray, params: LexicalParams) -> LexicalTrace:
             source_token=np.empty(0, dtype=np.int64),
             weights=np.empty(0),
         )
-    # The |V| x tokens GEMM. Its max over tokens runs on a tokens x |V|
-    # copy, along contiguous rows. Rounding is monotone, so
+    # The tokens x |V| GEMM: the max over tokens runs along its contiguous
+    # rows. BLAS picks its kernel, and so the rounding, from the operand
+    # layouts. A Fortran-ordered token block times the `expand.T` view sums
+    # each score as the vocabulary-major `expand @ emb[ids].T` does, bit for
+    # bit, on OpenBLAS 0.3.31 below width 32 and 10^6 multiply-adds (its
+    # small-matrix kernels); a C-ordered block or a contiguous copy of
+    # `expand.T` rounds differently. `tests/test_engine.py` holds the trace
+    # to that vocabulary-major oracle. Rounding is monotone, so
     # max_t fl(s_t + b) = fl(max_t s_t + b) and the bias is added after the
     # max. Adding it can turn s_1 < s_2 into a tie, so the argmax is taken
-    # over s + b, on the active terms' rows of the GEMM.
-    scores = params.expand @ params.emb.take(ids, axis=0).T
-    zmax = np.maximum.reduce(np.ascontiguousarray(scores.T))
+    # over s + b, on the active terms' columns.
+    scores = np.asfortranarray(params.emb.take(ids, axis=0)) @ params.expand.T
+    zmax = np.maximum.reduce(scores)
     zmax += params.bias
     active = (zmax > 0.0).nonzero()[0]
     pre = zmax[active]
-    z = scores.take(active, axis=0)
-    z += params.bias[active][:, None]
-    return LexicalTrace(active, pre, ids[z.argmax(axis=1)], np.log1p(pre))
+    z = scores.take(active, axis=1)
+    z += params.bias[active]
+    return LexicalTrace(active, pre, ids[z.argmax(axis=0)], np.log1p(pre))
 
 
 def lexical_encode(tv: TermVector, params: LexicalParams) -> TermWeightVector:
