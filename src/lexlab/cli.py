@@ -23,7 +23,7 @@ from pathlib import Path
 from . import analysis, gradcheck, retrieval, training
 from .data import (
     CheckpointMeta,
-    build_vocab,
+    build_vocab_for,
     load_collection,
     load_qrels,
     load_queries,
@@ -74,13 +74,9 @@ def _add_vocab_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max_vocab", type=int, default=0, metavar="V")
 
 
-def _load_vocab_for(args, corpus):
-    return build_vocab(corpus, args.min_df, args.max_vocab or None)
-
-
 def cmd_ingest(args) -> int:
     corpus = load_collection(args.collection)
-    vocab = _load_vocab_for(args, corpus)
+    vocab = build_vocab_for(corpus, args.min_df, args.max_vocab)
     print(f"passages\t{corpus.n_docs}")
     print(f"tokens\t{corpus.total_tokens}")
     print(f"avgdl\t{corpus.avgdl:.4f}")
@@ -116,7 +112,7 @@ def _index_for(params, corpus, vocab):
 
 def cmd_build_index(args) -> int:
     corpus = load_collection(args.collection)
-    vocab = _load_vocab_for(args, corpus)
+    vocab = build_vocab_for(corpus, args.min_df, args.max_vocab)
     params = _load_model(args.checkpoint, vocab, args.min_df, args.max_vocab)
     index = _index_for(params, corpus, vocab)
     if isinstance(index, retrieval.DenseIndex):
@@ -133,7 +129,7 @@ def cmd_mine(args) -> int:
     corpus = load_collection(cfg.collection)
     queries = load_queries(cfg.train_queries)
     qrels = load_qrels(cfg.train_qrels)
-    vocab = training.build_vocab_for(cfg, corpus)
+    vocab = build_vocab_for(corpus, cfg.min_df, cfg.max_vocab)
     params = _load_model(args.checkpoint, vocab, cfg.min_df, cfg.max_vocab)
     index = _index_for(params, corpus, vocab)
     pool = training.mine_negatives(
@@ -151,7 +147,7 @@ def cmd_train(args) -> int:
     corpus = load_collection(cfg.collection)
     queries = load_queries(cfg.train_queries)
     qrels = load_qrels(cfg.train_qrels)
-    vocab = training.build_vocab_for(cfg, corpus)
+    vocab = build_vocab_for(corpus, cfg.min_df, cfg.max_vocab)
     pool = training.load_pool(args.pool)
     init = _load_model(args.init, vocab, cfg.min_df, cfg.max_vocab)
     if init is not None:
@@ -169,7 +165,7 @@ def cmd_train(args) -> int:
         t_index = _index_for(t_params, corpus, vocab)
         teacher = training.model_teacher(t_params, t_index, vocab, queries)
     stage_cfg = training.stage_config(
-        cfg, args.stage, cfg.strategy, cfg.m, cfg.epochs, cfg.lr
+        cfg, training.Stage(args.stage, "lr", "epochs", "m"), cfg.strategy
     )
     params, tlog = training.train_stage(
         stage_cfg, vocab, corpus, queries, qrels, pool, init, teacher=teacher
@@ -191,7 +187,7 @@ def cmd_retrieve(args) -> int:
     cfg = _resolve_config(args)
     corpus = load_collection(cfg.collection)
     queries = load_queries(args.queries or cfg.eval_queries)
-    vocab = training.build_vocab_for(cfg, corpus)
+    vocab = build_vocab_for(corpus, cfg.min_df, cfg.max_vocab)
     params = _load_model(args.checkpoint, vocab, cfg.min_df, cfg.max_vocab)
     index = _index_for(params, corpus, vocab)
     k = args.k or min(cfg.run_depth, corpus.n_docs)

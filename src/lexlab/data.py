@@ -96,9 +96,6 @@ class Qrels:
         """Passages judged relevant (grade >= 1) for `qid`."""
         return {pid for pid, g in self.grades_for(qid).items() if g >= 1}
 
-    def query_ids(self) -> list[str]:
-        return list(self.by_query)
-
 
 @dataclass(frozen=True)
 class Vocabulary:
@@ -152,6 +149,11 @@ def build_vocab(corpus: Corpus, min_df: int = 1, max_size: int | None = None) ->
         id_to_term=[term for term, _ in kept],
         df=np.array([df for _, df in kept], dtype=np.int64),
     )
+
+
+def build_vocab_for(corpus: Corpus, min_df: int, max_vocab: int) -> Vocabulary:
+    """The vocabulary the config keys select; `max_vocab` 0 is unlimited."""
+    return build_vocab(corpus, min_df, max_vocab or None)
 
 
 def vectorize(text: str, vocab: Vocabulary) -> TermVector:

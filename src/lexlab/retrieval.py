@@ -61,9 +61,6 @@ class RunFile:
     rankings: dict[str, Ranking]
     tag: str
 
-    def query_ids(self) -> list[str]:
-        return list(self.rankings)
-
 
 def encode_corpus(
     params: Params,

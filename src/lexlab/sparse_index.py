@@ -83,10 +83,6 @@ class InvertedIndex:
     def avgdl(self) -> float:
         return self.total_tokens / self.n_docs if self.pids else 0.0
 
-    def df(self, term: int) -> int:
-        rows_w = self.postings.get(term)
-        return 0 if rows_w is None else len(rows_w[0])
-
 
 def build_index(
     vectors: dict[str, TermVector] | dict[str, TermWeightVector],
@@ -133,36 +129,6 @@ def build_index(
 def idf(n_docs: int, df: int) -> float:
     # +1 inside the log keeps scores non-negative.
     return math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
-
-
-def bm25_score(
-    query: TermVector,
-    pid: str,
-    index: InvertedIndex,
-    k1: float = 1.2,
-    b: float = 0.75,
-) -> float:
-    """Okapi BM25 for one document; each distinct query term contributes once."""
-    if index.semantics != RAW_COUNT:
-        raise WeightSemanticsError("BM25 requires a raw-count index")
-    row = index.row_of.get(pid)
-    if row is None:
-        raise KeyError(f"unknown passage id {pid!r}")
-    dl = float(index.doc_len[row])
-    avgdl = index.avgdl
-    score = 0.0
-    for term in sorted(query.counts):
-        rows_w = index.postings.get(term)
-        if rows_w is None:
-            continue
-        rows, weights = rows_w
-        pos = int(np.searchsorted(rows, row))
-        if pos >= len(rows) or rows[pos] != row:
-            continue
-        tf = weights[pos]
-        denom = tf + k1 * (1.0 - b + b * dl / avgdl)
-        score += idf(index.n_docs, len(rows)) * tf * (k1 + 1.0) / denom
-    return score
 
 
 def top_rows(scores: np.ndarray, k: int) -> np.ndarray:

@@ -15,6 +15,7 @@ import logging
 import random
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .data import (
     QuerySet,
     TermVector,
     Vocabulary,
+    build_vocab_for,
     vectorize,
     vectorize_corpus,
 )
@@ -103,9 +105,6 @@ class NegativePool:
                     seen.add(pid)
                     out.append(pid)
         return out
-
-    def query_ids(self) -> list[str]:
-        return list(self.by_query)
 
 
 def validate_pool(pool: NegativePool, qrels: Qrels) -> None:
@@ -644,7 +643,6 @@ class PipelineConfig:
     bm25_k1: float = 1.2
     bm25_b: float = 0.75
     run_depth: int = 1000
-    led_negatives: str = "mix"    # mix | self
     teacher_scores_file: str = ""
 
     def __post_init__(self):
@@ -657,8 +655,8 @@ class PipelineConfig:
             if not getattr(self, key) > 0:
                 raise ValueError(f"config key {key!r} must be > 0, got {getattr(self, key)!r}")
         for key in (
-            *_STAGE_LR_KEYS.values(), "lex_epochs", "den_epochs", "led_epochs", "mix_depth",
-            "reg_weight", "flops_weight", "filter_threshold", "max_vocab",
+            *(key for stage in STAGES.values() for key in (stage.lr_key, stage.epochs_key)),
+            "mix_depth", "reg_weight", "flops_weight", "filter_threshold", "max_vocab",
         ):
             if not getattr(self, key) >= 0:
                 raise ValueError(f"config key {key!r} must be >= 0, got {getattr(self, key)!r}")
@@ -666,8 +664,6 @@ class PipelineConfig:
             raise ValueError(
                 f"config key 'depth' must be >= warmup_m ({self.warmup_m}), got {self.depth}"
             )
-        if self.led_negatives not in ("mix", "self"):
-            raise ValueError(f"unknown led_negatives {self.led_negatives!r}")
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
@@ -714,29 +710,41 @@ def require_config_keys(cfg: PipelineConfig, keys: tuple[str, ...]) -> None:
             raise ValueError(f"missing config key {key!r}")
 
 
-_STAGE_LR_KEYS = {
-    "lex_warmup": "lex_warmup_lr",
-    "lex_continue": "lex_continue_lr",
-    "den_warmup": "den_warmup_lr",
-    "led": "led_lr",
+class Stage(NamedTuple):
+    """One training stage's recipe: its `TrainConfig.stage` phase, which
+    seeds the shuffle and goes into the checkpoint header, and the config
+    keys of its lr, epochs and negatives per query."""
+
+    phase: str
+    lr_key: str
+    epochs_key: str
+    m_key: str
+
+
+# The pipeline's stages, the lexical teacher's then the dense student's;
+# den2 and led_noreg, the ablation heads of the acceptance suite, train with
+# the led row.
+STAGES = {
+    "lex1": Stage("warmup", "lex_warmup_lr", "lex_epochs", "warmup_m"),
+    "lex2": Stage("continue", "lex_continue_lr", "lex_epochs", "warmup_m"),
+    "den1": Stage("warmup", "den_warmup_lr", "den_epochs", "warmup_m"),
+    "led": Stage("led", "led_lr", "led_epochs", "m"),
 }
 
 
-def stage_lr(cfg: PipelineConfig, stage_key: str) -> float:
-    return getattr(cfg, _STAGE_LR_KEYS[stage_key]) or cfg.lr
-
-
-def stage_config(cfg: PipelineConfig, stage: str, strategy: str, m: int, epochs: int, lr: float) -> TrainConfig:
+def stage_config(cfg: PipelineConfig, stage: Stage, strategy: str) -> TrainConfig:
+    """The `TrainConfig` of one stage; a zero lr or epochs key falls back to
+    `lr` or `epochs`."""
     return TrainConfig(
         seed=cfg.seed,
         dim=cfg.dim,
-        lr=lr,
+        lr=getattr(cfg, stage.lr_key) or cfg.lr,
         batch_size=cfg.batch_size,
-        m=m,
+        m=getattr(cfg, stage.m_key),
         reg_weight=cfg.reg_weight,
         flops_weight=cfg.flops_weight,
-        epochs=epochs,
-        stage=stage,
+        epochs=getattr(cfg, stage.epochs_key) or cfg.epochs,
+        stage=stage.phase,
         strategy=strategy,
         filter_threshold=cfg.filter_threshold,
         kl_temperature=cfg.kl_temperature,
@@ -761,11 +769,9 @@ class PipelineResult:
 def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> PipelineResult:
     """Run warm-up, continue, and final training, then optionally evaluate.
 
-    Produces the four staged checkpoints (lex1, lex2, den1, led). Every
-    mining pass is tagged by its source model and checked against the qrels
-    exclusion rule. With `led_negatives = self` the final stage trains on the
-    dense model's own negatives instead of the mixture (the plain
-    continued-dense baseline when strategy is also "none").
+    Produces the four staged checkpoints of `STAGES` (lex1, lex2, den1,
+    led). Every mining pass is tagged by its source model and checked
+    against the qrels exclusion rule.
     """
     from .data import load_collection, load_qrels, load_queries
 
@@ -774,80 +780,57 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> Pipe
     corpus = load_collection(cfg.collection)
     queries = load_queries(cfg.train_queries)
     qrels = load_qrels(cfg.train_qrels)
-    vocab = build_vocab_for(cfg, corpus)
+    vocab = build_vocab_for(corpus, cfg.min_df, cfg.max_vocab)
     doc_tvs = vectorize_corpus(corpus, vocab)
 
-    lex_epochs = cfg.lex_epochs or cfg.epochs
-    den_epochs = cfg.den_epochs or cfg.epochs
-    led_epochs = cfg.led_epochs or cfg.epochs
     mix_depth = cfg.mix_depth or cfg.depth
     pools: dict[str, NegativePool] = {}
     logs: dict[str, TrainLog] = {}
     checkpoints: dict[str, Params] = {}
+    indexes: dict[str, object] = {}
+
+    def train(name: str, pool: NegativePool, init: Params, strategy: str = "none", teacher=None):
+        checkpoints[name], logs[name] = train_stage(
+            stage_config(cfg, STAGES[name], strategy),
+            vocab, corpus, queries, qrels, pool, init, teacher, doc_tvs,
+        )
+        return checkpoints[name]
 
     # Warm-up: both retrievers on BM25 negatives.
     bm25 = Retriever(None, build_index(doc_tvs), vocab, cfg.bm25_k1, cfg.bm25_b)
     pools["bm25"] = mine_negatives(
         bm25, queries, qrels, cfg.depth, cfg.warmup_m, cfg.seed, source="bm25"
     )
-    lex0 = LexicalParams.init(vocab.size, cfg.dim, cfg.seed)
-    den0 = DenseParams.init(vocab.size, cfg.dim, cfg.seed)
-    lex1, logs["lex1"] = train_stage(
-        stage_config(cfg, "warmup", "none", cfg.warmup_m, lex_epochs, stage_lr(cfg, "lex_warmup")),
-        vocab, corpus, queries, qrels, pools["bm25"], lex0, doc_tvs=doc_tvs,
-    )
-    den1, logs["den1"] = train_stage(
-        stage_config(cfg, "warmup", "none", cfg.warmup_m, den_epochs, stage_lr(cfg, "den_warmup")),
-        vocab, corpus, queries, qrels, pools["bm25"], den0, doc_tvs=doc_tvs,
-    )
-    checkpoints["lex1"] = lex1
-    checkpoints["den1"] = den1
+    lex1 = train("lex1", pools["bm25"], LexicalParams.init(vocab.size, cfg.dim, cfg.seed))
+    den1 = train("den1", pools["bm25"], DenseParams.init(vocab.size, cfg.dim, cfg.seed))
 
     # Continue: lexical retriever on its own warm-up negatives.
-    lex1_index = retrieval.encode_corpus(lex1, corpus, vocab, doc_tvs)
-    lex1_retriever = Retriever(lex1, lex1_index, vocab)
+    indexes["lex1"] = retrieval.encode_corpus(lex1, corpus, vocab, doc_tvs)
     pools["lex1"] = mine_negatives(
-        lex1_retriever, queries, qrels, cfg.depth, cfg.warmup_m, cfg.seed, source="lex1"
+        Retriever(lex1, indexes["lex1"], vocab), queries, qrels,
+        cfg.depth, cfg.warmup_m, cfg.seed, source="lex1",
     )
-    lex2, logs["lex2"] = train_stage(
-        stage_config(cfg, "continue", "none", cfg.warmup_m, lex_epochs, stage_lr(cfg, "lex_continue")),
-        vocab, corpus, queries, qrels, pools["lex1"], lex1, doc_tvs=doc_tvs,
-    )
-    checkpoints["lex2"] = lex2
+    lex2 = train("lex2", pools["lex1"], lex1)
 
     # Final stage: mixture of full-depth negatives from lex1, lex2, den1.
-    lex2_index = retrieval.encode_corpus(lex2, corpus, vocab, doc_tvs)
-    den1_index = retrieval.encode_corpus(den1, corpus, vocab, doc_tvs)
-    pools["lex1_top"] = mine_negatives(
-        lex1_retriever, queries, qrels, mix_depth, mix_depth, cfg.seed, source="lex1", sample=False
-    )
-    pools["lex2_top"] = mine_negatives(
-        Retriever(lex2, lex2_index, vocab), queries, qrels,
-        mix_depth, mix_depth, cfg.seed, source="lex2", sample=False,
-    )
-    pools["den1_top"] = mine_negatives(
-        Retriever(den1, den1_index, vocab), queries, qrels,
-        mix_depth, mix_depth, cfg.seed, source="den1", sample=False,
-    )
+    indexes["lex2"] = retrieval.encode_corpus(lex2, corpus, vocab, doc_tvs)
+    indexes["den1"] = retrieval.encode_corpus(den1, corpus, vocab, doc_tvs)
+    for name in ("lex1", "lex2", "den1"):
+        pools[f"{name}_top"] = mine_negatives(
+            Retriever(checkpoints[name], indexes[name], vocab), queries, qrels,
+            mix_depth, mix_depth, cfg.seed, source=name, sample=False,
+        )
     pools["mix"] = mix_pools(
         pools["lex1_top"], pools["lex2_top"], pools["den1_top"], cfg.m, cfg.seed
     )
-    led_pool = pools["mix"]
-    if cfg.led_negatives == "self":
-        led_pool = subsample_pool(pools["den1_top"], cfg.m, cfg.seed)
-        pools["self"] = led_pool
 
     teacher = None
     if _needs_teacher(cfg.strategy):
         if cfg.teacher_scores_file:
             teacher = table_teacher(load_teacher_scores(cfg.teacher_scores_file))
         else:
-            teacher = model_teacher(lex2, lex2_index, vocab, queries)
-    led, logs["led"] = train_stage(
-        stage_config(cfg, "led", cfg.strategy, cfg.m, led_epochs, stage_lr(cfg, "led")),
-        vocab, corpus, queries, qrels, led_pool, den1, teacher=teacher, doc_tvs=doc_tvs,
-    )
-    checkpoints["led"] = led
+            teacher = model_teacher(lex2, indexes["lex2"], vocab, queries)
+    led = train("led", pools["mix"], den1, cfg.strategy, teacher)
     del teacher  # its caches are not needed by evaluation
 
     metas = {
@@ -855,7 +838,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> Pipe
             kind=params.kind,
             vocab_size=vocab.size,
             dim=cfg.dim,
-            stage={"lex1": "warmup", "den1": "warmup", "lex2": "continue", "led": "led"}[name],
+            stage=STAGES[name].phase,
             step=logs[name].optimizer_steps,
             seed=cfg.seed,
             config_digest=digest,
@@ -869,13 +852,8 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> Pipe
         eval_queries = load_queries(cfg.eval_queries)
         eval_qrels = load_qrels(cfg.eval_qrels)
         k = min(cfg.run_depth, corpus.n_docs)
-        indexes = {
-            "lex1": lex1_index,
-            "lex2": lex2_index,
-            "den1": den1_index,
-            "led": retrieval.encode_corpus(led, corpus, vocab, doc_tvs),
-        }
-        for name in ("lex1", "lex2", "den1", "led"):
+        indexes["led"] = retrieval.encode_corpus(led, corpus, vocab, doc_tvs)
+        for name in STAGES:
             runs[name] = retrieval.make_run(
                 checkpoints[name], eval_queries, indexes[name], vocab, k=k, tag=name
             )
@@ -897,12 +875,6 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> Pipe
     if out_dir is not None:
         write_pipeline_artifacts(result, cfg, Path(out_dir))
     return result
-
-
-def build_vocab_for(cfg: PipelineConfig, corpus: Corpus):
-    from .data import build_vocab
-
-    return build_vocab(corpus, cfg.min_df, cfg.max_vocab or None)
 
 
 def write_pipeline_artifacts(result: PipelineResult, cfg: PipelineConfig, out_dir: Path) -> None:

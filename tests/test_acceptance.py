@@ -75,33 +75,28 @@ def lab(tmp_path_factory):
     start = time.perf_counter()
     result = training.run_pipeline(cfg)
     doc_tvs = vectorize_corpus(result.corpus, result.vocab)
-
-    # DEN (Continue) analog: own negatives, no teaching.
-    self_pool = training.subsample_pool(result.pools["den1_top"], cfg.m, cfg.seed)
-    den2, _ = training.train_stage(
-        training.stage_config(cfg, "led", "none", cfg.m, cfg.led_epochs, cfg.led_lr),
-        result.vocab, result.corpus, result.queries, result.qrels,
-        self_pool, result.checkpoints["den1"], doc_tvs=doc_tvs,
-    )
-    # Mixed negatives without rank regularization.
-    led_noreg, _ = training.train_stage(
-        training.stage_config(cfg, "led", "none", cfg.m, cfg.led_epochs, cfg.led_lr),
-        result.vocab, result.corpus, result.queries, result.qrels,
-        result.pools["mix"], result.checkpoints["den1"], doc_tvs=doc_tvs,
-    )
+    # The ablation heads train with the led recipe from den1 without the
+    # teacher: den2 (the DEN Continue analog) on the dense model's own
+    # negatives, led_noreg on the mixed negatives.
+    heads = {}
+    for name, pool in (
+        ("den2", training.subsample_pool(result.pools["den1_top"], cfg.m, cfg.seed)),
+        ("led_noreg", result.pools["mix"]),
+    ):
+        heads[name], _ = training.train_stage(
+            training.stage_config(cfg, training.STAGES["led"], "none"),
+            result.vocab, result.corpus, result.queries, result.qrels,
+            pool, result.checkpoints["den1"], doc_tvs=doc_tvs,
+        )
 
     test_queries = load_queries(cfg.eval_queries)
     test_qrels = load_qrels(cfg.eval_qrels)
-    models = dict(result.checkpoints)
-    models["den2"] = den2
-    models["led_noreg"] = led_noreg
     k = min(cfg.run_depth, result.corpus.n_docs)
-    runs = {}
-    mrr = {}
-    for name, params in models.items():
-        index = retrieval.encode_corpus(params, result.corpus, result.vocab)
+    runs = dict(result.runs)
+    for name, params in heads.items():
+        index = retrieval.encode_corpus(params, result.corpus, result.vocab, doc_tvs)
         runs[name] = retrieval.make_run(params, test_queries, index, result.vocab, k=k, tag=name)
-        mrr[name] = mrr_at_k(runs[name], test_qrels, 10)
+    mrr = {name: mrr_at_k(run, test_qrels, 10) for name, run in runs.items()}
     elapsed = time.perf_counter() - start
 
     def subset_mean(result_, prefix):

@@ -9,7 +9,6 @@ from lexlab.encoders import TermWeightVector
 from lexlab.sparse_index import (
     Ranking,
     WeightSemanticsError,
-    bm25_score,
     bm25_search,
     build_index,
     idf,
@@ -84,22 +83,22 @@ class TestBuildIndex:
         for rows, _ in index.postings.values():
             assert all(rows[i] < rows[i + 1] for i in range(len(rows) - 1))
 
-    def test_df_matches_posting_length(self):
-        vectors = {"a": tv({0: 1, 1: 2}), "b": tv({0: 3})}
-        index = build_index(vectors)
-        assert index.df(0) == 2 and index.df(1) == 1 and index.df(9) == 0
+
+def bm25_by_pid(query, index):
+    """Every passage's BM25 score, read off a full-depth `bm25_search`."""
+    return dict(bm25_search(query, index, k=index.n_docs).entries)
 
 
 class TestBm25Score:
     def test_absent_term_contributes_zero(self):
         index = build_index({"d1": tv({0: 1}), "d2": tv({1: 1})})
-        assert bm25_score(tv({1: 1}), "d1", index) == 0.0
+        assert bm25_by_pid(tv({1: 1}), index)["d1"] == 0.0
 
     def test_single_doc_hand_value(self):
         # One doc "a", query "a": idf = ln(4/3), tf term cancels at |d| = avgdl.
         index = build_index({"d": tv({0: 1})})
         expected = math.log(4.0 / 3.0)
-        assert bm25_score(tv({0: 1}), "d", index) == pytest.approx(expected, abs=1e-12)
+        assert bm25_by_pid(tv({0: 1}), index)["d"] == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.28768, abs=5e-6)
 
     def test_three_doc_corpus_matches_oracle(self):
@@ -107,13 +106,12 @@ class TestBm25Score:
         index = build_index(vectors)
         query = tv({0: 1, 2: 1})
         oracle = brute_force_bm25(query, vectors)
+        scores = bm25_by_pid(query, index)
         for pid in vectors:
-            assert bm25_score(query, pid, index) == pytest.approx(oracle[pid], abs=1e-9)
+            assert scores[pid] == pytest.approx(oracle[pid], abs=1e-9)
 
     def test_learned_weight_index_rejected(self):
         index = build_index({"d": by_term([0], [0.5])})
-        with pytest.raises(WeightSemanticsError):
-            bm25_score(tv({0: 1}), "d", index)
         with pytest.raises(WeightSemanticsError):
             bm25_search(tv({0: 1}), index, 1)
 
@@ -123,8 +121,8 @@ class TestBm25Score:
         # Higher tf, all else fixed, never lowers the score.
         vectors = {"d1": tv({0: tf}, n=10), "d2": tv({0: tf + 1}, n=10), "pad": tv({1: 1}, n=10)}
         index = build_index(vectors)
-        q = tv({0: 1})
-        assert bm25_score(q, "d2", index) >= bm25_score(q, "d1", index)
+        scores = bm25_by_pid(tv({0: 1}), index)
+        assert scores["d2"] >= scores["d1"]
 
 
 class TestBm25Search:

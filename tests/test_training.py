@@ -15,6 +15,7 @@ from lexlab.objectives import TEACHING_LOSSES
 from lexlab.retrieval import Retriever, encode_corpus
 from lexlab.sparse_index import build_index
 from lexlab.training import (
+    STAGES,
     STRATEGIES,
     AdamState,
     NegativePool,
@@ -447,10 +448,10 @@ class TestConfig:
     def test_parse_and_coerce(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text(
-            "# comment\ncollection = c.tsv\nseed = 11\nlr = 0.5\nled_negatives = self\n"
+            "# comment\ncollection = c.tsv\nseed = 11\nlr = 0.5\nstrategy = kl\n"
         )
         cfg = config_from_mapping(parse_config_file(path))
-        assert cfg.seed == 11 and cfg.lr == 0.5 and cfg.led_negatives == "self"
+        assert cfg.seed == 11 and cfg.lr == 0.5 and cfg.strategy == "kl"
         assert cfg.collection == "c.tsv"
 
     def test_unknown_key_rejected(self):
@@ -521,14 +522,6 @@ class TestPipeline:
         for rel in ("checkpoints/led.ckpt", "runs/led.trec", "pools/mix.tsv"):
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
-    def test_self_negatives_mode_differs_from_mix(self, toy_fixture):
-        mix = run_pipeline(toy_config(toy_fixture))
-        selfneg = run_pipeline(toy_config(toy_fixture, led_negatives="self", strategy="none"))
-        assert "self" in selfneg.pools
-        assert params_digest(mix.checkpoints["led"]) != params_digest(selfneg.checkpoints["led"])
-        # Earlier stages are identical configuration -> identical checkpoints.
-        assert params_digest(mix.checkpoints["den1"]) == params_digest(selfneg.checkpoints["den1"])
-
     def test_missing_config_key_named(self, toy_fixture):
         cfg = toy_config(toy_fixture)
         cfg.collection = ""
@@ -537,7 +530,31 @@ class TestPipeline:
 
     def test_stage_config_carries_fields(self, toy_fixture):
         cfg = toy_config(toy_fixture, reg_weight=0.7, kl_temperature=2.0)
-        sc = stage_config(cfg, "led", "kl", 6, 3, 0.01)
+        sc = stage_config(cfg, STAGES["led"], "kl")
         assert sc.reg_weight == 0.7
         assert sc.kl_temperature == 2.0
         assert sc.stage == "led" and sc.strategy == "kl"
+
+    @pytest.mark.parametrize(
+        "name, phase, lr_key, epochs_key, m_key",
+        [
+            ("lex1", "warmup", "lex_warmup_lr", "lex_epochs", "warmup_m"),
+            ("lex2", "continue", "lex_continue_lr", "lex_epochs", "warmup_m"),
+            ("den1", "warmup", "den_warmup_lr", "den_epochs", "warmup_m"),
+            ("led", "led", "led_lr", "led_epochs", "m"),
+        ],
+    )
+    def test_stage_table_recipe(self, name, phase, lr_key, epochs_key, m_key):
+        # Every override differs from the others and from the base keys, so
+        # each value read names the key it came from.
+        overrides = dict(
+            lex_warmup_lr=0.001, lex_continue_lr=0.002, den_warmup_lr=0.003, led_lr=0.004,
+            lex_epochs=4, den_epochs=5, led_epochs=6,
+        )
+        base = dict(lr=0.05, epochs=9, warmup_m=3, m=7)
+        picked = stage_config(PipelineConfig(**base, **overrides), STAGES[name], "none")
+        assert (picked.lr, picked.epochs) == (overrides[lr_key], overrides[epochs_key])
+        fallback = stage_config(PipelineConfig(**base), STAGES[name], "none")
+        assert (fallback.lr, fallback.epochs) == (0.05, 9)
+        for sc in (picked, fallback):
+            assert sc.m == base[m_key] and sc.stage == phase
