@@ -20,8 +20,11 @@ contiguous rows, and its operand layouts make it round exactly as the
 vocabulary-major product `expand @ emb[ids].T`; the per-term bias is added
 after the max, which rounding leaves exact. At fixed parameters an input
 traces to the same bits every time, so a batch traces each distinct token
-row once, and `LexicalRoutes` scatters the backward of all its inputs in
-bulk.
+row once. Training then handles each candidate set as a few concatenated
+arrays (`LexicalTrace.join`): the query's upstream is one `np.bincount`
+over the candidates' terms, which adds in input order from +0.0 as a
+per-candidate loop would, and `LexicalRoutes` takes the set's backward in
+at most three chunks and scatters the backward of all inputs in bulk.
 """
 
 from __future__ import annotations
@@ -132,7 +135,9 @@ class TermWeightVector:
 
 @dataclass
 class LexicalTrace:
-    active_terms: np.ndarray    # vocab terms with positive pre-activation, ascending
+    """The forward state of one input, or of several joined back to back."""
+
+    active_terms: np.ndarray    # vocab terms with positive pre-activation, ascending per input
     pre_activation: np.ndarray  # max-pooled z per active term
     source_token: np.ndarray    # argmax token (term id) per active term
     weights: np.ndarray         # log1p(pre_activation): the term weights
@@ -140,6 +145,22 @@ class LexicalTrace:
     def structure(self) -> bytes:
         """Discrete forward state; differs iff a ReLU/max decision differs."""
         return self.active_terms.tobytes() + b"|" + self.source_token.tobytes()
+
+    @classmethod
+    def join(cls, traces: list["LexicalTrace"]) -> "LexicalTrace":
+        """The entries of `traces` concatenated in order."""
+        ints, floats = np.empty(0, dtype=np.int64), np.empty(0)
+        return cls(
+            np.concatenate([*(tr.active_terms for tr in traces), ints]),
+            np.concatenate([*(tr.pre_activation for tr in traces), floats]),
+            np.concatenate([*(tr.source_token for tr in traces), ints]),
+            np.concatenate([*(tr.weights for tr in traces), floats]),
+        )
+
+    def __getitem__(self, at: slice) -> "LexicalTrace":
+        return LexicalTrace(
+            self.active_terms[at], self.pre_activation[at], self.source_token[at], self.weights[at]
+        )
 
 
 TokenRow = tuple[np.ndarray, np.ndarray]  # ascending distinct term ids, their counts
@@ -307,16 +328,20 @@ def lexical_encode(tv: TermVector, params: LexicalParams) -> TermWeightVector:
 
 
 class LexicalRoutes:
-    """Lexical backward of many (trace, upstream) pairs, scattered in bulk.
+    """Lexical backward of many (trace, upstream) chunks, scattered in bulk.
 
     `add(trace, gv)` records d loss / d weight(v) for the trace's active
-    terms by reference; `flush` drops the zero entries and forms the
-    coefficients over the concatenation of everything recorded, then
-    scatters with one `np.add.at` per tensor. `np.add.at` adds in input
-    order, so each parameter element receives its additions in the order of
-    the `add` calls, exactly as flushing after every call would. Recording
-    flushes itself beyond `PENDING_LIMIT` entries, which bounds the scratch
-    memory: an untrained model activates most of the vocabulary.
+    terms by reference. The trace may be a `LexicalTrace.join` of several
+    inputs, so training adds a whole candidate set in at most three chunks:
+    the query, all candidates, and the FLOPS gradient of every row. `flush`
+    drops the zero entries (a candidate with zero upstream contributes only
+    zeros) and forms the coefficients over the concatenation of everything
+    recorded, then scatters with one `np.add.at` per tensor. `np.add.at`
+    adds in input order, so each parameter element receives its additions
+    in entry order wherever the flushes fall: chunked or one input per
+    call, the bits are those of a backward per input. Recording flushes
+    itself beyond `PENDING_LIMIT` entries, which bounds the scratch memory:
+    an untrained model activates most of the vocabulary.
     """
 
     PENDING_LIMIT = 1024

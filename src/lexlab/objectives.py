@@ -114,16 +114,14 @@ def _pair_mask(cands: CandidateSet, pairs: RankPairSet) -> np.ndarray:
 def _sequential_pair_sum(win, lose, win_step, lose_step, n: int) -> np.ndarray:
     """grad[lose] += lose_step; grad[win] += win_step, pair by pair in order.
 
-    One `np.add.at` over the interleaved updates adds to each element in the
-    same order as a Python loop over the pairs would.
+    One `np.bincount` over the interleaved updates adds to each element,
+    from +0.0, in the same order as a Python loop over the pairs would.
     """
     at = np.empty(2 * len(win), dtype=np.int64)
     at[0::2], at[1::2] = lose, win
     step = np.empty(2 * len(win))
     step[0::2], step[1::2] = lose_step, win_step
-    grad = np.zeros(n)
-    np.add.at(grad, at, step)
-    return grad
+    return np.bincount(at, weights=step, minlength=n)
 
 
 def ordered_total(values: np.ndarray) -> float:
@@ -273,17 +271,18 @@ def flops_penalty(terms: list[np.ndarray], values: list[np.ndarray], weight: flo
 
     The batch holds one vector per (term ids, weights) array pair; the
     gradient is aligned with the weights of all vectors concatenated. The
-    batch mean accumulates vector by vector and the loss sums the squared
-    means in order of first appearance, so the result is bit for bit that
-    of a term -> weight dict accumulation in the same order.
+    batch mean accumulates vector by vector (`np.bincount` adds in input
+    order from +0.0) and the loss sums the squared means in order of first
+    appearance, so the result is bit for bit that of a term -> weight dict
+    accumulation in the same order.
     """
     if weight < 0:
         raise ValueError("flops weight must be >= 0")
     flat = np.concatenate([*terms, np.empty(0, dtype=np.int64)])
     if not len(flat):
         return LossValue(loss=0.0, grad=np.empty(0))
-    mean = np.zeros(flat.max() + 1)
-    np.add.at(mean, flat, np.concatenate(values) / len(terms))
-    by_appearance = mean[list(dict.fromkeys(flat.tolist()))]
+    mean = np.bincount(flat, weights=np.concatenate(values) / len(terms))
+    first = np.unique(flat, return_index=True)[1]
+    by_appearance = mean[flat[np.sort(first)]]
     loss = weight * sum((by_appearance * by_appearance).tolist())
     return LossValue(loss=loss, grad=weight * 2.0 * mean[flat] / len(terms))

@@ -212,7 +212,10 @@ def load_run(path: str | Path) -> RunFile:
                 add_id = ids.setdefault(qid, []).append
                 add_score = scores.setdefault(qid, []).append
             add_id(pid)
-            add_score(float(score))
+            try:
+                add_score(float(score))
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: score {score!r} is not a number") from None
     return RunFile(
         rankings={
             qid: Ranking(qid=qid, ids=ids[qid], scores=np.array(scores[qid], dtype=np.float64))

@@ -14,6 +14,7 @@ import json
 import logging
 import random
 from dataclasses import dataclass, field, fields
+from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple
 
@@ -441,10 +442,10 @@ def _dense_step(params: DenseParams, batch, set_sizes, loss_fn, grads) -> StepRe
 
 
 def _lexical_step(params: LexicalParams, batch, set_sizes, loss_fn, flops_weight, grads) -> StepResult:
-    # One GEMM per distinct input and every gradient addition in the
+    # One GEMM per distinct input, then each candidate set as slices of the
+    # batch's traces joined back to back, with every gradient addition in the
     # per-input order. A repeated row would trace to the same bits at fixed
     # parameters, so it shares the first trace.
-    routes = LexicalRoutes(params, grads) if grads is not None else None
     losses = []
     distinct: dict[bytes, LexicalTrace] = {}
     all_traces = []
@@ -454,10 +455,15 @@ def _lexical_step(params: LexicalParams, batch, set_sizes, loss_fn, flops_weight
         if trace is None:
             trace = distinct[key] = lexical_trace(ids, params)
         all_traces.append(trace)
-    start = 0
+    if grads is not None:
+        routes = LexicalRoutes(params, grads)
+        joined = LexicalTrace.join(all_traces)
+        lens = [len(tr.active_terms) for tr in all_traces]
+        at = [0, *accumulate(lens)]  # each row's first entry in `joined`
+    end = 0
     for k, size in enumerate(set_sizes):
-        traces = all_traces[start : start + size]
-        start += size
+        start, end = end, end + size
+        traces = all_traces[start:end]
         q_trace, cands = traces[0], traces[1:]
         q_dense = np.zeros(params.vocab_size)
         q_dense[q_trace.active_terms] = q_trace.weights
@@ -472,20 +478,20 @@ def _lexical_step(params: LexicalParams, batch, set_sizes, loss_fn, flops_weight
         losses.append(loss)
         if grads is None:
             continue
-        upstream = np.zeros(params.vocab_size)
-        for gi, tr in zip(g, cands):
-            if gi != 0.0 and len(tr.active_terms):
-                upstream[tr.active_terms] += gi * tr.weights
+        # A term occurs once per row and bincount adds in input order from
+        # +0.0, so the query's upstream gets the bits of a per-candidate
+        # loop. A candidate with g = 0 adds only +-0.0, and flush drops its
+        # zero entries.
+        cand = joined[at[start + 1] : at[end]]
+        g_rep = np.repeat(g, lens[start + 1 : end])
+        upstream = np.bincount(
+            cand.active_terms, weights=g_rep * cand.weights, minlength=params.vocab_size
+        )
         routes.add(q_trace, upstream.take(q_trace.active_terms))
-        for gi, tr in zip(g, cands):
-            if gi != 0.0:
-                routes.add(tr, q_dense.take(tr.active_terms) * gi)
+        routes.add(cand, q_dense.take(cand.active_terms) * g_rep)
         if flops_weight > 0.0:
-            at = 0
-            for tr in traces:
-                routes.add(tr, flops.grad[at : at + len(tr.active_terms)])
-                at += len(tr.active_terms)
-    if routes is not None:
+            routes.add(joined[at[start] : at[end]], flops.grad)
+    if grads is not None:
         routes.flush()
     return StepResult(losses=losses, traces=all_traces)
 
@@ -667,16 +673,20 @@ class PipelineConfig:
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
+    """`key = value` lines; `#` starts a comment. A key may appear once."""
     out: dict[str, str] = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+            key, eq, value = line.partition("=")
+            key = key.strip()
+            if not eq or not key:
+                raise FormatError(f"{path}:{lineno}: expected 'key = value'")
+            if key in out:
+                raise FormatError(f"{path}:{lineno}: config key {key!r} given twice")
+            out[key] = value.strip()
     return out
 
 

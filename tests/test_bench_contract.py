@@ -5,8 +5,10 @@
 `topk_mismatch`, which checks them against brute-force scores. It also
 trains through `TrainConfig`, positional `train_stage` and `mine_negatives`
 calls and `run_pipeline` over its `LED_CONFIG` keys, and reads the files
-the pipeline writes by name. A change to that API then fails here rather
-than in a benchmark run.
+the pipeline writes by name. Its tracer counts `objectives.flops_penalty`
+by wrapping that function wherever lexlab refers to it, so a lexical step
+has to call it by name, once per candidate set. A change to that API then
+fails here rather than in a benchmark run.
 """
 
 import ast
@@ -19,7 +21,7 @@ import pytest
 
 from lexlab import data, synthetic, training
 from lexlab.data import Corpus, QuerySet, build_vocab, vectorize, vectorize_corpus
-from lexlab.encoders import DenseParams, LexicalParams
+from lexlab.encoders import DenseParams, LexicalParams, TokenBatch, token_row
 from lexlab.retrieval import encode_corpus, load_run, make_run, save_run
 from lexlab.sparse_index import bm25_search, build_index
 
@@ -135,6 +137,28 @@ def test_training_calls_keep_their_positions():
     assert list(inspect.signature(training.mine_negatives).parameters)[:6] == [
         "retriever", "queries", "qrels", "depth", "m", "seed",
     ]
+
+
+def test_lexical_step_calls_flops_penalty_once_per_set(world, monkeypatch):
+    _, vocab, queries, doc_tvs, params, _ = world
+    real, calls = training.flops_penalty, []
+
+    def counted(terms, values, weight):
+        calls.append(len(terms))
+        return real(terms, values, weight)
+
+    monkeypatch.setattr(training, "flops_penalty", counted)
+    def set_rows(qid, pids):
+        return [token_row(vectorize(queries.queries[qid], vocab)),
+                *(token_row(doc_tvs[pid]) for pid in pids)]
+
+    rows = set_rows("q0", ["d000", "d001", "d002"]) + set_rows("q1", ["d003", "d004"])
+    lexical = params["lexical"]
+    for grads in (None, lexical.zeros_like()):
+        calls.clear()
+        training.batch_step(lexical, TokenBatch(rows), [4, 3],
+                            lambda k, s: (float(s.sum()), np.ones_like(s)), 0.2, grads)
+        assert calls == [4, 3]
 
 
 def test_search_large_training_calls(toy_data):

@@ -10,6 +10,7 @@ pair losses must agree bit for bit, dense paths within 1e-12.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from lexlab import retrieval, training
@@ -18,6 +19,7 @@ from lexlab.encoders import (
     DenseParams,
     LexicalParams,
     LexicalRoutes,
+    LexicalTrace,
     TokenBatch,
     dense_backward_batch,
     dense_encode_batch,
@@ -366,6 +368,29 @@ class TestLexicalStepIsBitIdentical:
         upstream = [rng.normal(size=n_cands) * (rng.random(n_cands) < 0.7) for _ in range(n_sets)]
         assert_step_matches_oracle(p, sets_tv, upstream, flops)
 
+    @pytest.mark.parametrize("flops", [0.0, 0.7])
+    def test_edge_sets(self, flops):
+        # Sets of different sizes in one batch: one whose upstream is zero
+        # (+0.0 and -0.0) for every candidate, one holding a candidate with
+        # no active terms, a one-candidate set, and a query with no active
+        # terms.
+        p = lexical_params(11, 12, 3, coarse=False)
+        p.bias[:] = 0.05  # every row with a token activates its own terms
+        rows = [TermVector(counts={t: 1 + t % 3 for t in range(lo, lo + 3)}, n=6)
+                for lo in range(0, 10)]
+        empty = TermVector(counts={}, n=2)  # every token out of vocabulary
+        assert all(len(trace_of(tv, p).active_terms) for tv in rows)
+        assert not len(trace_of(empty, p).active_terms)
+        sets_tv = [
+            [rows[0], rows[1], rows[2], rows[3]],
+            [rows[4], rows[5], empty, rows[6]],
+            [rows[7], rows[8]],
+            [empty, rows[9], rows[2]],
+        ]
+        upstream = [np.array([0.0, -0.0, 0.0]), np.array([0.4, -1.3, 0.9]),
+                    np.array([-0.6]), np.array([1.1, -0.2])]
+        assert_step_matches_oracle(p, sets_tv, upstream, flops)
+
     @given(seed=st.integers(0, 10_000), n_vecs=st.integers(1, 6), weight=st.floats(0.01, 3.0))
     @settings(max_examples=80, deadline=None)
     def test_flops_matches_dict_oracle(self, seed, n_vecs, weight):
@@ -390,13 +415,22 @@ class TestLexicalStepIsBitIdentical:
         expected, got = p.zeros_like(), p.zeros_like()
         routes = LexicalRoutes(p, got)
         routes.PENDING_LIMIT = limit  # flushes part way, wherever the limit falls
+        traces, gvs = [], []
         for tv in term_vectors(seed, vocab_size, n_calls, 6):
             trace = trace_of(tv, p)
-            gv = rng.normal(size=len(trace.active_terms))
+            n = len(trace.active_terms)
+            gv = rng.normal(size=n) * (rng.random(n) < 0.8)  # some entries zero
             up = np.zeros(vocab_size)
             up[trace.active_terms] = gv
             oracle_lexical_backward(p, trace, up, expected)
-            routes.add(trace, gv)
+            traces.append(trace)
+            gvs.append(gv)
+        # Runs of consecutive traces, each added as one joined chunk the way
+        # training adds a candidate set's rows.
+        cuts = np.sort(rng.choice(np.arange(1, n_calls), size=int(rng.integers(n_calls)),
+                                  replace=False)).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, n_calls]):
+            routes.add(LexicalTrace.join(traces[lo:hi]), np.concatenate(gvs[lo:hi]))
         routes.flush()
         for name, t in got.tensors().items():
             assert t.tobytes() == expected.tensors()[name].tobytes(), name

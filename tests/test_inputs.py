@@ -1,8 +1,8 @@
 """Input files and configuration values fail early and say where.
 
-Pool and teacher-score files round-trip and reject malformed lines with
-`path:line`; `PipelineConfig` range-checks its numeric keys before the
-pipeline loads a file or mines a negative.
+Pool, teacher-score and run files round-trip or load, and reject malformed
+lines with `path:line`, as config files do; `PipelineConfig` range-checks
+its numeric keys before the pipeline loads a file or mines a negative.
 """
 
 import re
@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from lexlab import cli, training
 from lexlab.data import FormatError
+from lexlab.retrieval import load_run
 from lexlab.training import (
     SOURCE_TAGS,
     NegativePool,
@@ -22,6 +23,7 @@ from lexlab.training import (
     config_from_mapping,
     load_pool,
     load_teacher_scores,
+    parse_config_file,
     run_pipeline,
     save_pool,
     save_teacher_scores,
@@ -78,6 +80,39 @@ class TestTeacherScoreFile:
         path.write_text("q0\td0\t1.5\n" + line, encoding="utf-8")
         with pytest.raises(FormatError, match=f"s.tsv:2: {why}"):
             load_teacher_scores(path)
+
+
+class TestRunFile:
+    @pytest.mark.parametrize("score", ["high", "0.5x", "--1"])
+    def test_bad_score_names_path_and_line(self, tmp_path, score):
+        path = tmp_path / "run.trec"
+        path.write_text(f"q0 Q0 d0 1 1.500000 t\nq0 Q0 d1 2 {score} t\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=f"run.trec:2: score '{re.escape(score)}' is not a number"):
+            load_run(path)
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("text, why", [
+        ("seed = 3\nlr = 0.1\nseed = 9\n", ":3: config key 'seed' given twice"),
+        ("seed = 3\n = 4\n", ":2: expected 'key = value'"),
+    ])
+    def test_bad_line_names_path_and_line(self, tmp_path, text, why):
+        path = tmp_path / "c.cfg"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError, match=f"c.cfg{why}"):
+            parse_config_file(path)
+
+    def test_repeated_key_fails_before_any_work(self, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before the config was checked")
+
+        monkeypatch.setattr(training, "mine_negatives", forbidden)
+        monkeypatch.setattr(training, "run_pipeline", forbidden)
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text("seed = 3\nseed = 9\n", encoding="utf-8")
+        assert cli.main(["pipeline", "--config", str(cfg_path),
+                         "--out-dir", str(tmp_path / "out")]) != 0
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfigRanges:
