@@ -212,6 +212,8 @@ def discrepancy_pairs(
 
 def histogram_counts(values: list[float], bins: int) -> list[int]:
     """Counts over `bins` equal-width bins of [0, 1]; 1.0 lands in the last."""
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
     counts = [0] * bins
     for v in values:
         idx = min(int(v * bins), bins - 1)

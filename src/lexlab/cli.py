@@ -1,12 +1,13 @@
 """Command-line interface: one executable exposing the whole laboratory.
 
-Subcommands: ingest, build-index, train, mine, retrieve, evaluate, fuse,
-buckets, shift, gradcheck, pipeline, sweep. Flags of config-driven commands
-mirror PipelineConfig keys 1:1; precedence is flag > LED_SEED env var (seed
-only) > config file > default. Every produced file is accompanied by the
-resolved config digest (a ``.digest`` sidecar, plus ``manifest.json`` for
-pipeline runs). Errors print to stderr with an ``error:`` prefix and a
-non-zero exit code.
+Subcommands: ingest, train, mine, retrieve, evaluate, fuse, buckets, shift,
+gradcheck, pipeline, sweep. No index is written to disk: mine, retrieve and
+train --teacher-checkpoint build theirs in memory from the checkpoint (BM25
+without one). Flags of config-driven commands mirror PipelineConfig keys
+1:1; precedence is flag > LED_SEED env var (seed only) > config file >
+default. Every produced file is accompanied by the resolved config digest
+(a ``.digest`` sidecar, plus ``manifest.json`` for pipeline runs). Errors
+print to stderr with an ``error:`` prefix and a non-zero exit code.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .data import (
     vectorize_corpus,
 )
 from .encoders import DenseParams, LexicalParams, load_params, save_params
-from .sparse_index import build_index, save_index
+from .sparse_index import build_index
 from .training import (
     PipelineConfig,
     config_digest,
@@ -108,20 +109,6 @@ def _index_for(params, corpus, vocab):
     if params is None:
         return build_index(vectorize_corpus(corpus, vocab))
     return retrieval.encode_corpus(params, corpus, vocab)
-
-
-def cmd_build_index(args) -> int:
-    corpus = load_collection(args.collection)
-    vocab = build_vocab_for(corpus, args.min_df, args.max_vocab)
-    params = _load_model(args.checkpoint, vocab, args.min_df, args.max_vocab)
-    index = _index_for(params, corpus, vocab)
-    if isinstance(index, retrieval.DenseIndex):
-        retrieval.save_dense_index(index, args.out)
-    else:
-        save_index(index, args.out)
-    _write_digest(Path(args.out), _args_digest(args))
-    print(f"indexed {corpus.n_docs} passages -> {args.out}")
-    return 0
 
 
 def cmd_mine(args) -> int:
@@ -328,13 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qrels")
     _add_vocab_flags(p)
     p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("build-index", help="build and persist an index")
-    p.add_argument("--collection", required=True)
-    p.add_argument("--checkpoint", help="model checkpoint, whose kind picks the index; omit for BM25")
-    p.add_argument("--out", required=True)
-    _add_vocab_flags(p)
-    p.set_defaults(func=cmd_build_index)
 
     p = sub.add_parser("mine", help="mine hard negatives with a model or BM25")
     p.add_argument("--config")

@@ -8,7 +8,6 @@ judged in the qrels but missing from the run scoring zero.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,7 +22,6 @@ from .encoders import (
     TokenBatch,
     dense_encode_batch,
     lexical_encode,
-    params_digest,
     token_row,
 )
 from .sparse_index import (
@@ -36,7 +34,6 @@ from .sparse_index import (
     top_k,
 )
 
-DENSE_INDEX_VERSION = 1
 DEFAULT_RUN_DEPTH = 1000
 # Passages per dense encoding block. It bounds the gathered embeddings: on
 # the 8000-passage search-large fixture, blocks of 1024 raised the peak
@@ -49,7 +46,6 @@ ENCODE_BLOCK = 256
 class DenseIndex:
     pids: list[str]  # ascending
     matrix: np.ndarray  # n_docs x d
-    digest: str = ""
 
     @property
     def n_docs(self) -> int:
@@ -75,7 +71,6 @@ def encode_corpus(
     passages are encoded by `dense_encode_batch` in blocks of
     `ENCODE_BLOCK`; a passage gets the same bits in any block.
     """
-    digest = params_digest(params)
     pids = sorted(corpus.docs)
     known = doc_tvs or {}
 
@@ -88,10 +83,10 @@ def encode_corpus(
             block = pids[start : start + ENCODE_BLOCK]
             batch = TokenBatch([token_row(tv(pid)) for pid in block])
             matrix[start : start + len(block)] = dense_encode_batch(params, batch)[0]
-        return DenseIndex(pids=pids, matrix=matrix, digest=digest)
+        return DenseIndex(pids=pids, matrix=matrix)
     if isinstance(params, LexicalParams):
         vectors = {pid: lexical_encode(tv(pid), params) for pid in pids}
-        return build_index(vectors, digest=digest)
+        return build_index(vectors)
     raise TypeError(f"unsupported encoder parameters: {type(params).__name__}")
 
 
@@ -225,29 +220,6 @@ def load_run(path: str | Path) -> RunFile:
     )
 
 
-def save_dense_index(index: DenseIndex, path: str | Path) -> None:
-    header = {
-        "version": DENSE_INDEX_VERSION,
-        "dim": int(index.matrix.shape[1]),
-        "digest": index.digest,
-        "pids": index.pids,
-    }
-    with open(path, "wb") as f:
-        f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        f.write(b"\n")
-        f.write(np.ascontiguousarray(index.matrix, dtype="<f8").tobytes())
-
-
-def load_dense_index(path: str | Path) -> DenseIndex:
-    with open(path, "rb") as f:
-        header = json.loads(f.readline().decode("utf-8"))
-        if header["version"] != DENSE_INDEX_VERSION:
-            raise ValueError(f"{path}: unsupported dense index version")
-        pids = header["pids"]
-        matrix = np.frombuffer(f.read(), dtype="<f8").reshape(len(pids), header["dim"]).copy()
-    return DenseIndex(pids=pids, matrix=matrix, digest=header["digest"])
-
-
 @dataclass
 class MetricResult:
     name: str
@@ -338,6 +310,8 @@ def evaluate(
             k = int(k_s)
         except ValueError:
             raise ValueError(f"bad metric name {spec!r} (expected '<metric>@<k>')") from None
+        if k < 1:
+            raise ValueError(f"bad metric name {spec!r} (the cutoff must be >= 1)")
         if name == "mrr":
             result = mrr_at_k(run, qrels, k)
         elif name == "recall":

@@ -7,17 +7,13 @@ global tie-break (score descending, passage id ascending) a stable argsort.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .data import TermVector
 from .encoders import TermWeightVector, token_row
-
-INDEX_VERSION = 1
 
 RAW_COUNT = "raw-count"
 LEARNED_WEIGHT = "learned-weight"
@@ -68,7 +64,6 @@ class InvertedIndex:
     semantics: str
     doc_len: np.ndarray  # token counts per row (raw-count indexes)
     total_tokens: int
-    digest: str = ""
     row_of: dict[str, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -84,10 +79,7 @@ class InvertedIndex:
         return self.total_tokens / self.n_docs if self.pids else 0.0
 
 
-def build_index(
-    vectors: dict[str, TermVector] | dict[str, TermWeightVector],
-    digest: str = "",
-) -> InvertedIndex:
+def build_index(vectors: dict[str, TermVector] | dict[str, TermWeightVector]) -> InvertedIndex:
     """Build postings from term vectors (raw counts) or weight vectors.
 
     The vector type sets the semantics: `TermVector`s give a raw-count
@@ -122,7 +114,6 @@ def build_index(
         semantics=LEARNED_WEIGHT if learned else RAW_COUNT,
         doc_len=doc_len,
         total_tokens=int(doc_len.sum()),
-        digest=digest,
     )
 
 
@@ -201,50 +192,3 @@ def sparse_scores(query: TermWeightVector, index: InvertedIndex) -> np.ndarray:
 def sparse_search(query: TermWeightVector, index: InvertedIndex, k: int, qid: str = "") -> Ranking:
     """Exact top-k by sparse dot product over a learned-weight index."""
     return top_k(index.pids, sparse_scores(query, index), k, qid)
-
-
-def save_index(index: InvertedIndex, path: str | Path) -> None:
-    terms = sorted(index.postings)
-    header = {
-        "version": INDEX_VERSION,
-        "semantics": index.semantics,
-        "digest": index.digest,
-        "total_tokens": index.total_tokens,
-        "n_terms": len(terms),
-        "pids": index.pids,
-    }
-    with open(path, "wb") as f:
-        f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        f.write(b"\n")
-        f.write(np.array(terms, dtype="<i8").tobytes())
-        f.write(np.array([len(index.postings[t][0]) for t in terms], dtype="<i8").tobytes())
-        for t in terms:
-            rows, weights = index.postings[t]
-            f.write(np.ascontiguousarray(rows, dtype="<i8").tobytes())
-            f.write(np.ascontiguousarray(weights, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(index.doc_len, dtype="<i8").tobytes())
-
-
-def load_index(path: str | Path) -> InvertedIndex:
-    with open(path, "rb") as f:
-        header = json.loads(f.readline().decode("utf-8"))
-        if header["version"] != INDEX_VERSION:
-            raise ValueError(f"{path}: unsupported index version {header['version']}")
-        n_terms = header["n_terms"]
-        pids = header["pids"]
-        terms = np.frombuffer(f.read(n_terms * 8), dtype="<i8")
-        lengths = np.frombuffer(f.read(n_terms * 8), dtype="<i8")
-        postings = {}
-        for t, ln in zip(terms, lengths):
-            rows = np.frombuffer(f.read(int(ln) * 8), dtype="<i8").copy()
-            weights = np.frombuffer(f.read(int(ln) * 8), dtype="<f8").copy()
-            postings[int(t)] = (rows, weights)
-        doc_len = np.frombuffer(f.read(len(pids) * 8), dtype="<i8").copy()
-    return InvertedIndex(
-        pids=pids,
-        postings=postings,
-        semantics=header["semantics"],
-        doc_len=doc_len,
-        total_tokens=header["total_tokens"],
-        digest=header["digest"],
-    )

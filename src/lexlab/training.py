@@ -707,9 +707,28 @@ def config_from_mapping(mapping: dict[str, str]) -> PipelineConfig:
     return PipelineConfig(**kwargs)
 
 
+INPUT_FILE_KEYS = (
+    "collection", "train_queries", "train_qrels", "eval_queries", "eval_qrels",
+    "teacher_scores_file",
+)
+
+
 def config_digest(cfg: PipelineConfig) -> str:
+    """sha256 over every config key. A non-empty input file key counts by the
+    sha256 of its file's bytes, not its path, so the same data read from
+    another directory gives the same digest."""
+
+    def value(name: str):
+        v = getattr(cfg, name)
+        if name not in INPUT_FILE_KEYS or not v:
+            return v
+        try:
+            return hashlib.sha256(Path(v).read_bytes()).hexdigest()
+        except OSError as exc:
+            raise ValueError(f"config key {name!r}: cannot read {v}: {exc.strerror}") from None
+
     canonical = "".join(
-        f"{f.name}={getattr(cfg, f.name)!r}\n" for f in sorted(fields(cfg), key=lambda f: f.name)
+        f"{f.name}={value(f.name)!r}\n" for f in sorted(fields(cfg), key=lambda f: f.name)
     )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

@@ -417,6 +417,13 @@ class TestHistogram:
         assert sum(counts) == len(values)
         assert counts[-1] == 2  # 0.999 and 1.0 in the last bin
 
+    @pytest.mark.parametrize("bins", [0, -1])
+    def test_bins_below_one_rejected(self, bins):
+        with pytest.raises(ValueError, match="bins must be >= 1"):
+            histogram_counts([0.5], bins)
+        with pytest.raises(ValueError, match="bins must be >= 1"):
+            histogram_counts([], bins)
+
     def test_uniform_values_near_uniform_bins(self):
         rng = np.random.default_rng(3)
         values = list(rng.uniform(0, 1, size=4000))

@@ -69,22 +69,23 @@ class TestBasics:
         out = capsys.readouterr().out
         assert "passages\t50" in out
 
-    def test_vocabulary_flags_spelled_as_config_keys(self, workspace, tmp_path, capsys):
+    def test_vocabulary_flags_spelled_as_config_keys(self, workspace, capsys):
         collection = workspace / "collection.tsv"
         assert run_cli("ingest", "--collection", collection, "--min_df", 1, "--max_vocab", 20) == 0
         assert "vocab\t20" in capsys.readouterr().out
-        out = tmp_path / "bm25.idx"
-        assert run_cli("build-index", "--collection", collection, "--max_vocab", 20,
-                       "--out", out) == 0
-        for argv in (["ingest"], ["build-index", "--out", out]):
-            for flag in ("--min-df", "--max-size"):
-                with pytest.raises(SystemExit):
-                    run_cli(*argv, "--collection", collection, flag, 2)
+        for flag in ("--min-df", "--max-size"):
+            with pytest.raises(SystemExit):
+                run_cli("ingest", "--collection", collection, flag, 2)
 
     def test_error_prefix_and_exit_code(self, workspace, capsys):
         rc = run_cli("ingest", "--collection", workspace / "missing.tsv")
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_removed_build_index_command_rejected(self, workspace, tmp_path):
+        with pytest.raises(SystemExit):
+            run_cli("build-index", "--collection", workspace / "collection.tsv",
+                    "--out", tmp_path / "bm25.idx")
 
     def test_unknown_flag_rejected(self, workspace):
         with pytest.raises(SystemExit):
@@ -116,6 +117,14 @@ class TestEvaluateFuse:
             values[(metric, qid)] = float(value)
         assert values[("mrr@10", "all")] == pytest.approx(4 / 9, abs=1e-6)
         assert values[("recall@50", "all")] == pytest.approx(5 / 6, abs=1e-6)
+
+    def test_evaluate_rejects_a_cutoff_below_one(self, capsys):
+        rc = run_cli("evaluate", "--run", FIXTURE / "run.trec", "--qrels", FIXTURE / "qrels.txt",
+                     "--metrics", "mrr@0")
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "mrr@0" in captured.err
+        assert captured.out == ""
 
     def test_fuse_with_self_preserves_order(self, tmp_path, capsys):
         out = tmp_path / "fused.trec"
@@ -239,36 +248,6 @@ class TestModelCommands:
         assert rc == 0
         assert "mrr@10" in capsys.readouterr().out
 
-    def test_build_index_bm25(self, workspace, tmp_path):
-        out = tmp_path / "bm25.idx"
-        rc = run_cli("build-index", "--collection", workspace / "collection.tsv", "--out", out)
-        assert rc == 0
-        from lexlab.sparse_index import load_index
-
-        index = load_index(out)
-        assert index.n_docs == 50
-        assert Path(str(out) + ".digest").exists()
-
-    def test_build_index_kind_follows_the_checkpoint(self, workspace, checkpoints, tmp_path):
-        from lexlab.retrieval import load_dense_index
-        from lexlab.sparse_index import LEARNED_WEIGHT, load_index
-
-        out = tmp_path / "dense.idx"
-        rc = run_cli(
-            "build-index", "--collection", workspace / "collection.tsv",
-            "--checkpoint", checkpoints["dense"], "--out", out,
-        )
-        assert rc == 0
-        assert load_dense_index(out).matrix.shape == (50, 6)
-        out = tmp_path / "lexical.idx"
-        rc = run_cli(
-            "build-index", "--collection", workspace / "collection.tsv",
-            "--checkpoint", checkpoints["lexical"], "--out", out,
-        )
-        assert rc == 0
-        index = load_index(out)
-        assert index.n_docs == 50 and index.semantics == LEARNED_WEIGHT
-
     def test_train_rejects_a_dense_teacher(self, workspace, checkpoints, tmp_path, capsys):
         pool = tmp_path / "pool.tsv"
         assert run_cli("mine", "--config", workspace / "toy.cfg", "--out", pool) == 0
@@ -317,7 +296,7 @@ class TestModelCommands:
 
     @pytest.mark.parametrize("small_checkpoint", [True, False])
     @pytest.mark.parametrize(
-        "command", ["build-index", "mine", "retrieve", "train --init", "train --teacher-checkpoint"]
+        "command", ["mine", "retrieve", "train --init", "train --teacher-checkpoint"]
     )
     def test_checkpoint_of_another_vocabulary_rejected(
         self, workspace, checkpoints, tmp_path, capsys, command, small_checkpoint
@@ -341,8 +320,6 @@ class TestModelCommands:
         assert run_cli("mine", "--config", workspace / "toy.cfg", "--out", pool) == 0
         config = ["--config", workspace / "toy.cfg"]
         argv = {
-            "build-index": ["build-index", "--collection", workspace / "collection.tsv",
-                            "--checkpoint", ckpt],
             "mine": ["mine", *config, "--checkpoint", ckpt],
             "retrieve": ["retrieve", *config, "--checkpoint", ckpt],
             "train --init": ["train", *config, "--pool", pool, "--init", ckpt],

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lexlab.data import Corpus, TermVector, build_vocab, vectorize, vectorize_corpus
+from lexlab.data import TermVector
 from lexlab.encoders import TermWeightVector
 from lexlab.sparse_index import (
     Ranking,
@@ -12,8 +12,6 @@ from lexlab.sparse_index import (
     bm25_search,
     build_index,
     idf,
-    load_index,
-    save_index,
     sparse_search,
     top_k,
 )
@@ -211,33 +209,6 @@ class TestSparseSearch:
         index = build_index({"d": tv({0: 1})})
         with pytest.raises(WeightSemanticsError):
             sparse_search(by_term([0], [1.0]), index, 1)
-
-
-class TestPersistence:
-    def test_roundtrip_bit_exact(self, tmp_path):
-        corpus = Corpus.from_docs({"d1": "a b b", "d2": "b c", "d3": "a"})
-        vocab = build_vocab(corpus)
-        index = build_index(vectorize_corpus(corpus, vocab))
-        path = tmp_path / "idx.bin"
-        save_index(index, path)
-        loaded = load_index(path)
-        assert loaded.pids == index.pids
-        assert loaded.semantics == index.semantics
-        assert loaded.total_tokens == index.total_tokens
-        assert loaded.doc_len.tobytes() == index.doc_len.tobytes()
-        assert set(loaded.postings) == set(index.postings)
-        for t in index.postings:
-            assert loaded.postings[t][0].tobytes() == index.postings[t][0].tobytes()
-            assert loaded.postings[t][1].tobytes() == index.postings[t][1].tobytes()
-
-    def test_search_identical_after_reload(self, tmp_path):
-        corpus = Corpus.from_docs({f"d{i}": f"w{i % 5} w{i % 3}" for i in range(30)})
-        vocab = build_vocab(corpus)
-        index = build_index(vectorize_corpus(corpus, vocab))
-        save_index(index, tmp_path / "i.bin")
-        loaded = load_index(tmp_path / "i.bin")
-        q = vectorize("w1 w2", vocab)
-        assert bm25_search(q, index, 30).entries == bm25_search(q, loaded, 30).entries
 
 
 def test_idf_non_negative():

@@ -1,4 +1,5 @@
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -458,11 +459,26 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config key"):
             config_from_mapping({"learning_rate": "0.1"})
 
-    def test_digest_sensitivity(self):
-        a = PipelineConfig(collection="x")
-        b = PipelineConfig(collection="x", seed=8)
+    def test_digest_sensitivity(self, tmp_path):
+        x = tmp_path / "x.tsv"
+        x.write_text("d1\tsome text\n")
+        a = PipelineConfig(collection=str(x))
+        b = PipelineConfig(collection=str(x), seed=8)
         assert config_digest(a) != config_digest(b)
-        assert config_digest(a) == config_digest(PipelineConfig(collection="x"))
+        assert config_digest(a) == config_digest(PipelineConfig(collection=str(x)))
+        # Input files count by their bytes, not their path.
+        (tmp_path / "copy").mkdir()
+        same = tmp_path / "copy" / "y.tsv"
+        same.write_bytes(x.read_bytes())
+        other = tmp_path / "z.tsv"
+        other.write_text("d1\tother text\n")
+        assert config_digest(a) == config_digest(PipelineConfig(collection=str(same)))
+        assert config_digest(a) != config_digest(PipelineConfig(collection=str(other)))
+
+    def test_digest_names_a_missing_input_file(self, tmp_path):
+        missing = tmp_path / "absent.tsv"
+        with pytest.raises(ValueError, match=f"'eval_qrels'.*{missing}"):
+            config_digest(PipelineConfig(eval_qrels=str(missing)))
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -514,8 +530,10 @@ class TestPipeline:
             validate_pool(pool, result.qrels)
 
     def test_rerun_identical_artifacts(self, toy_fixture, tmp_path):
+        # The rerun reads a byte copy of the fixture from another directory.
+        copy = shutil.copytree(toy_fixture, tmp_path / "copy")
         run_pipeline(toy_config(toy_fixture), out_dir=tmp_path / "a")
-        run_pipeline(toy_config(toy_fixture), out_dir=tmp_path / "b")
+        run_pipeline(toy_config(copy), out_dir=tmp_path / "b")
         manifest_a = (tmp_path / "a" / "manifest.json").read_bytes()
         manifest_b = (tmp_path / "b" / "manifest.json").read_bytes()
         assert manifest_a == manifest_b
