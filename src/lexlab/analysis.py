@@ -131,6 +131,8 @@ def rank_buckets(
     rank depth+1, and queries whose reference rank exceeds `depth` are not
     bucketed.
     """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     models = [reference.tag, *others]
     table = BucketTable(models=models)
     per_query: list[tuple[int, dict[str, int]]] = []
@@ -188,6 +190,8 @@ def discrepancy_pairs(
     """Pairs where normalized lexical and dense scores differ by more than
     `margin`, from the lexical run's top stratum and its bottom stratum of
     the retrieved depth. A pid missing from a run scores 0 for that model."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     biased: list[tuple[str, str, float, float, float]] = []
     unbiased: list[tuple[str, str, float, float, float]] = []
     for qid, ranking in lex_run.rankings.items():

@@ -5,16 +5,15 @@ gradcheck, pipeline, sweep. No index is written to disk: mine, retrieve and
 train --teacher-checkpoint build theirs in memory from the checkpoint (BM25
 without one). Flags of config-driven commands mirror PipelineConfig keys
 1:1; precedence is flag > LED_SEED env var (seed only) > config file >
-default. Every produced file is accompanied by the resolved config digest
-(a ``.digest`` sidecar, plus ``manifest.json`` for pipeline runs). Errors
-print to stderr with an ``error:`` prefix and a non-zero exit code.
+default. Each command writes only its output: the provenance record is the
+config digest in each checkpoint header and, for pipeline runs,
+``manifest.json``. Errors print to stderr with an ``error:`` prefix and a
+non-zero exit code.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import logging
 import os
 import sys
@@ -40,15 +39,6 @@ from .training import (
 )
 
 log = logging.getLogger("lexlab")
-
-
-def _write_digest(path: Path, digest: str) -> None:
-    Path(str(path) + ".digest").write_text(digest + "\n")
-
-
-def _args_digest(args: argparse.Namespace) -> str:
-    payload = {k: str(v) for k, v in sorted(vars(args).items()) if k != "func"}
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
@@ -124,13 +114,13 @@ def cmd_mine(args) -> int:
         cfg.depth, cfg.warmup_m, cfg.seed, source=args.source, sample=not args.no_sample,
     )
     training.save_pool(pool, args.out)
-    _write_digest(Path(args.out), config_digest(cfg))
     print(f"mined negatives for {len(pool.by_query)} queries -> {args.out}")
     return 0
 
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
+    digest = config_digest(cfg)
     corpus = load_collection(cfg.collection)
     queries = load_queries(cfg.train_queries)
     qrels = load_qrels(cfg.train_qrels)
@@ -157,13 +147,11 @@ def cmd_train(args) -> int:
     params, tlog = training.train_stage(
         stage_cfg, vocab, corpus, queries, qrels, pool, init, teacher=teacher
     )
-    digest = config_digest(cfg)
     meta = CheckpointMeta(
         kind=params.kind, vocab_size=vocab.size, dim=params.dim, stage=args.stage,
         step=tlog.optimizer_steps, seed=cfg.seed, config_digest=digest,
     )
     save_params(params, meta, args.out)
-    _write_digest(Path(args.out), digest)
     for epoch, loss in enumerate(tlog.epoch_mean_loss):
         print(f"epoch\t{epoch}\t{loss:.6f}")
     print(f"checkpoint -> {args.out}")
@@ -183,7 +171,6 @@ def cmd_retrieve(args) -> int:
         bm25_k1=cfg.bm25_k1, bm25_b=cfg.bm25_b,
     )
     retrieval.save_run(run, args.out)
-    _write_digest(Path(args.out), config_digest(cfg))
     print(f"run with {len(run.rankings)} queries -> {args.out}")
     return 0
 
@@ -199,7 +186,6 @@ def cmd_evaluate(args) -> int:
         sys.stdout.write(retrieval.format_report(report, per_query=args.per_query))
     if args.out:
         Path(args.out).write_text(retrieval.format_report(report, per_query=True))
-        _write_digest(Path(args.out), _args_digest(args))
     return 0
 
 
@@ -208,7 +194,6 @@ def cmd_fuse(args) -> int:
     run_b = retrieval.load_run(args.run_b)
     fused = analysis.ensemble_fuse(run_a, run_b, k=args.k)
     retrieval.save_run(fused.run, args.out)
-    _write_digest(Path(args.out), _args_digest(args))
     print(f"fused {len(fused.run.rankings)} queries -> {args.out}")
     return 0
 
@@ -227,7 +212,6 @@ def cmd_buckets(args) -> int:
     sys.stdout.write(text)
     if args.out:
         Path(args.out).write_text(text)
-        _write_digest(Path(args.out), _args_digest(args))
     return 0
 
 
@@ -244,7 +228,6 @@ def cmd_shift(args) -> int:
     print(f"pairs: lex-biased={len(sample.biased)} lex-unbiased={len(sample.unbiased)}")
     if args.out:
         Path(args.out).write_text(text)
-        _write_digest(Path(args.out), _args_digest(args))
     return 0
 
 
@@ -298,7 +281,6 @@ def cmd_sweep(args) -> int:
     out = Path(args.out_dir) / "sweep.tsv"
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(table)
-    _write_digest(out, _args_digest(args))
     return 0
 
 

@@ -13,6 +13,7 @@ hinges) at the +eps and -eps evaluation points and skipped when it differs.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -53,7 +54,9 @@ def fd_max_rel_error(x: np.ndarray, forward, analytic: np.ndarray, eps: float, u
     restored. Coordinates where the structure at +eps and -eps differs are
     skipped as kink-adjacent. Coordinates in `unread` are never read by
     `forward`, so their finite difference is exactly zero without
-    evaluating it, and their analytic gradient is held to that.
+    evaluating it, and their analytic gradient is held to that. A checked
+    coordinate with a NaN or infinite difference or analytic value fails
+    the check with an infinite error.
     """
     if not (1e-7 <= eps <= 1e-3):
         raise ValueError("eps must lie in [1e-7, 1e-3]")
@@ -73,7 +76,12 @@ def fd_max_rel_error(x: np.ndarray, forward, analytic: np.ndarray, eps: float, u
             fd = (f_plus - f_minus) / (2.0 * eps)
         # The floor keeps central-difference roundoff (~|f|*1e-16/eps) on
         # zero-gradient coordinates from registering as relative error.
-        worst = max(worst, abs(fd - an) / max(abs(fd) + abs(an), 1e-5))
+        error = abs(fd - an) / max(abs(fd) + abs(an), 1e-5)
+        # A NaN or infinite fd or analytic value makes the ratio NaN, which
+        # max() would pass over.
+        if not math.isfinite(error):
+            return math.inf
+        worst = max(worst, error)
     return worst
 
 
@@ -288,6 +296,8 @@ class GradCheckReport:
 
 def run_suite(trials: int = 100, seed: int = 0, eps: float = 1e-5) -> GradCheckReport:
     """Encoder, loss, and composed checks over `trials` seeded instances."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     start = time.perf_counter()
     errors: dict[str, float] = {}
 

@@ -74,14 +74,10 @@ def _log_softmax(scores: np.ndarray) -> np.ndarray:
     return shifted - math.log(np.exp(shifted).sum())
 
 
-def _require_teacher(cands: CandidateSet, teacher_scores: np.ndarray | None) -> np.ndarray:
-    t = teacher_scores if teacher_scores is not None else cands.teacher_scores
-    if t is None:
+def _require_teacher(cands: CandidateSet) -> np.ndarray:
+    if cands.teacher_scores is None:
         raise ValueError("teacher scores required but not provided")
-    t = np.asarray(t, dtype=np.float64)
-    if len(t) != len(cands.scores):
-        raise ValueError("teacher scores do not align with candidates")
-    return t
+    return cands.teacher_scores
 
 
 def contrastive_loss(cands: CandidateSet) -> LossValue:
@@ -96,9 +92,9 @@ def contrastive_loss(cands: CandidateSet) -> LossValue:
     return LossValue(loss=-float(logp[0]), grad=grad)
 
 
-def make_rank_pairs(cands: CandidateSet, teacher_scores: np.ndarray | None = None) -> RankPairSet:
+def make_rank_pairs(cands: CandidateSet) -> RankPairSet:
     """All ordered candidate pairs the teacher strictly prefers; ties yield none."""
-    t = _require_teacher(cands, teacher_scores)
+    t = _require_teacher(cands)
     return RankPairSet(pids=tuple(cands.pids), mask=t[:, None] > t[None, :])
 
 
@@ -155,13 +151,9 @@ def combined_loss(cl: LossValue, ll: LossValue, weight: float) -> LossValue:
     return LossValue(loss=cl.loss + weight * ll.loss, grad=cl.grad + weight * ll.grad)
 
 
-def margin_mse_loss(
-    cands: CandidateSet,
-    pairs: RankPairSet,
-    teacher_scores: np.ndarray | None = None,
-) -> LossValue:
+def margin_mse_loss(cands: CandidateSet, pairs: RankPairSet) -> LossValue:
     """Mean squared difference between student and teacher pair margins."""
-    t = _require_teacher(cands, teacher_scores)
+    t = _require_teacher(cands)
     mask = _pair_mask(cands, pairs)
     n_pairs = np.count_nonzero(mask)
     n = len(cands.scores)
@@ -176,15 +168,11 @@ def margin_mse_loss(
     return LossValue(loss=ordered_total(diff * diff) * inv, grad=grad)
 
 
-def kl_divergence_loss(
-    cands: CandidateSet,
-    teacher_scores: np.ndarray | None = None,
-    temperature: float = 1.0,
-) -> LossValue:
+def kl_divergence_loss(cands: CandidateSet, temperature: float = 1.0) -> LossValue:
     """KL(softmax(teacher/T) || softmax(student/T)) over the candidate list."""
     if temperature <= 0:
         raise ValueError("temperature must be > 0")
-    t = _require_teacher(cands, teacher_scores)
+    t = _require_teacher(cands)
     logp = _log_softmax(t / temperature)
     logq = _log_softmax(cands.scores / temperature)
     p = np.exp(logp)
@@ -193,9 +181,9 @@ def kl_divergence_loss(
     return LossValue(loss=loss, grad=grad)
 
 
-def listnet_loss(cands: CandidateSet, teacher_scores: np.ndarray | None = None) -> LossValue:
+def listnet_loss(cands: CandidateSet) -> LossValue:
     """Cross-entropy between the teacher's and student's top-1 distributions."""
-    t = _require_teacher(cands, teacher_scores)
+    t = _require_teacher(cands)
     logp = _log_softmax(t)
     logq = _log_softmax(cands.scores)
     p = np.exp(logp)
@@ -204,13 +192,9 @@ def listnet_loss(cands: CandidateSet, teacher_scores: np.ndarray | None = None) 
     return LossValue(loss=loss, grad=grad)
 
 
-def filter_false_negatives(
-    cands: CandidateSet,
-    teacher_scores: np.ndarray | None = None,
-    threshold: float = 0.95,
-) -> CandidateSet:
+def filter_false_negatives(cands: CandidateSet, threshold: float = 0.95) -> CandidateSet:
     """Drop negatives whose teacher score reaches `threshold` x the positive's."""
-    t = _require_teacher(cands, teacher_scores)
+    t = _require_teacher(cands)
     cutoff = threshold * t[0]
     keep = [i for i in range(1, len(cands.scores)) if t[i] < cutoff]
     sel = [0, *keep]

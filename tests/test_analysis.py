@@ -346,12 +346,24 @@ class TestBuckets:
         assert lines[0].split("\t") == ["range", "count", "lex", "den"]
         assert lines[1].startswith("Top 1\t")
 
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_rejected(self, depth):
+        lex, den, qrels = self._runs()
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            rank_buckets(lex, {"den": den}, qrels, depth=depth)
+
 
 class TestDiscrepancy:
     def test_identical_runs_empty(self):
         run = run_from({"q": [(f"d{i}", 10.0 - i) for i in range(10)]})
         sample = discrepancy_pairs(run, run, run)
         assert sample.biased == [] and sample.unbiased == []
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_rejected(self, depth):
+        run = run_from({"q": [(f"d{i}", 10.0 - i) for i in range(3)]})
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            discrepancy_pairs(run, run, run, depth=depth)
 
     def test_counts_match_brute_force_filter(self):
         rng = np.random.default_rng(8)

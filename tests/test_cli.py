@@ -1,9 +1,11 @@
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lexlab import cli
+from lexlab import cli, gradcheck, training
 from lexlab.synthetic import write_fixture
 
 FIXTURE = Path(__file__).parent / "data" / "metric_fixture"
@@ -139,7 +141,46 @@ class TestEvaluateFuse:
         fused = load_run(out)
         for qid, ranking in original.rankings.items():
             assert fused.rankings[qid].pids() == ranking.pids()
-        assert Path(str(out) + ".digest").exists()
+
+
+class TestOutputs:
+    @pytest.mark.parametrize(
+        "command", ["mine", "train", "retrieve", "evaluate", "fuse", "buckets", "shift"]
+    )
+    def test_command_writes_only_its_out_file(self, workspace, tmp_path, command):
+        config = ["--config", workspace / "toy.cfg"]
+        run, qrels = FIXTURE / "run.trec", FIXTURE / "qrels.txt"
+        pool = tmp_path / "pool.tsv"
+        if command == "train":
+            assert run_cli("mine", *config, "--out", pool) == 0
+        argv = {
+            "mine": ["mine", *config],
+            "train": ["train", *config, "--pool", pool, "--epochs", 1, "--strategy", "none"],
+            "retrieve": ["retrieve", *config],
+            "evaluate": ["evaluate", "--run", run, "--qrels", qrels],
+            "fuse": ["fuse", "--run-a", run, "--run-b", run],
+            "buckets": ["buckets", "--reference", run, "--qrels", qrels],
+            "shift": ["shift", "--lex-run", run, "--den-run", run, "--led-run", run],
+        }[command]
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        assert run_cli(*argv, "--out", fresh / "out") == 0
+        assert [p.name for p in fresh.iterdir()] == ["out"]
+
+    @pytest.mark.parametrize(
+        "command, key", [("mine", "eval_qrels"), ("retrieve", "teacher_scores_file")]
+    )
+    def test_unread_input_key_may_name_a_missing_file(self, workspace, tmp_path, command, key):
+        full = workspace / "toy.cfg"
+        lines = [line for line in full.read_text().splitlines() if not line.startswith(key)]
+        partial = tmp_path / "partial.cfg"
+        partial.write_text("\n".join([*lines, f"{key} = {tmp_path / 'missing'}"]) + "\n")
+        written = []
+        for cfg in (full, partial):
+            out = tmp_path / f"{cfg.stem}.out"
+            assert run_cli(command, "--config", cfg, "--out", out) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
 
 class TestPipelineCli:
@@ -337,6 +378,49 @@ class TestModelCommands:
         rc = run_cli("gradcheck", "--trials", "2")
         assert rc == 0
         assert "worst" in capsys.readouterr().out
+
+    def test_gradcheck_fails_on_a_nan_gradient(self, monkeypatch, capsys):
+        real = gradcheck.flops_penalty
+
+        def nan_grad(terms, values, weight):
+            lv = real(terms, values, weight)
+            lv.grad[0] = np.nan
+            return lv
+
+        monkeypatch.setattr(gradcheck, "flops_penalty", nan_grad)
+        report = gradcheck.run_suite(trials=1)
+        assert report.max_errors["loss/flops"] == report.worst == math.inf
+        assert run_cli("gradcheck", "--trials", 1) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["gradcheck", "--trials", 0],
+        ["buckets", "--reference", FIXTURE / "run.trec", "--qrels", FIXTURE / "qrels.txt",
+         "--depth", 0],
+        ["shift", "--lex-run", FIXTURE / "run.trec", "--den-run", FIXTURE / "run.trec",
+         "--led-run", FIXTURE / "run.trec", "--depth", -1],
+    ])
+    def test_counts_below_one_rejected(self, argv, capsys):
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "must be >= 1" in captured.err
+        assert captured.out == ""
+
+    def test_train_reads_its_input_files_before_training(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        pool = tmp_path / "pool.tsv"
+        assert run_cli("mine", "--config", workspace / "toy.cfg", "--out", pool) == 0
+        calls = []
+        monkeypatch.setattr(training, "train_stage", lambda *a, **k: calls.append(a))
+        out = tmp_path / "den.ckpt"
+        rc = run_cli(
+            "train", "--config", workspace / "toy.cfg", "--pool", pool,
+            "--eval_qrels", tmp_path / "missing.txt", "--out", out,
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'eval_qrels'" in err
+        assert calls == [] and not out.exists()
 
     def test_buckets_and_shift(self, workspace, tmp_path, capsys):
         # Build two runs from checkpoints trained a single epoch.

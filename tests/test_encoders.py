@@ -24,7 +24,7 @@ from lexlab.encoders import (
     token_row,
 )
 from lexlab.data import CheckpointMeta
-from lexlab.gradcheck import grad_check
+from lexlab.gradcheck import fd_max_rel_error, grad_check
 from lexlab.sparse_index import build_index, sparse_scores
 
 
@@ -238,6 +238,24 @@ class TestBackward:
         p = rand_dense()
         with pytest.raises(ValueError):
             grad_check("dense", p, tv({0: 1}), eps=1e-2)
+
+    @pytest.mark.parametrize(
+        "analytic, finite",
+        [([2, 4], True), ([2, np.nan], False), ([np.nan, 4], False), ([2, np.inf], False)],
+    )
+    def test_fd_check_fails_non_finite_analytic_gradients(self, analytic, finite):
+        # f = x . x at [1, 2] has gradient [2, 4].
+        x = np.array([1.0, 2.0])
+        error = fd_max_rel_error(x, lambda: (float(x @ x), b""), np.array(analytic), 1e-5)
+        assert (error < 1e-9) if finite else error == math.inf
+
+    def test_fd_check_fails_a_non_finite_difference(self):
+        x = np.array([1.0, 2.0])
+
+        def forward():
+            return (math.nan if x[1] > 2.0 else float(x @ x)), b""
+
+        assert fd_max_rel_error(x, forward, np.array([2.0, 4.0]), 1e-5) == math.inf
 
 
 class TestScalingInvariance:
