@@ -3,11 +3,11 @@
 Subcommands: ingest, train, mine, retrieve, evaluate, fuse, buckets, shift,
 gradcheck, pipeline, sweep. No index is written to disk: mine, retrieve and
 train --teacher-checkpoint build theirs in memory from the checkpoint (BM25
-without one). Flags of config-driven commands mirror PipelineConfig keys
-1:1; precedence is flag > LED_SEED env var (seed only) > config file >
-default. Each command writes only its output: the provenance record is the
-config digest in each checkpoint header and, for pipeline runs,
-``manifest.json``. Errors print to stderr with an ``error:`` prefix and a
+without one). A config-driven command takes as flags the PipelineConfig
+keys of its COMMAND_KEYS entry; precedence is flag > LED_SEED env var (seed
+only) > config file > default. Each command writes only its output: the
+provenance record is the config digest in each checkpoint header and, for
+pipeline runs, ``manifest.json``. Errors print to stderr with an ``error:`` prefix and a
 non-zero exit code.
 """
 
@@ -47,27 +47,37 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
         mapping.update(parse_config_file(args.config))
     if "LED_SEED" in os.environ:
         mapping["seed"] = os.environ["LED_SEED"]
-    for f in fields(PipelineConfig):
-        value = getattr(args, f.name.replace("-", "_"), None)
-        if value is not None:
-            mapping[f.name] = value
+    mapping.update((k, v) for k, v in vars(args).items() if k in _ALL_KEYS and v is not None)
     return config_from_mapping(mapping)
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    for f in fields(PipelineConfig):
-        parser.add_argument(f"--{f.name}", dest=f.name, default=None, metavar="V")
+# The PipelineConfig keys each command reads, which are its only config flags.
+# A config file may set any key; pipeline and sweep take every key as a flag.
+_ALL_KEYS = tuple(f.name for f in fields(PipelineConfig))
+_VOCAB_KEYS = ("collection", "min_df", "max_vocab")
+_TRAIN_DATA_KEYS = (*_VOCAB_KEYS, "train_queries", "train_qrels", "seed")
+COMMAND_KEYS = {
+    "ingest": _VOCAB_KEYS,
+    "mine": (*_TRAIN_DATA_KEYS, "depth", "warmup_m", "bm25_k1", "bm25_b"),
+    "retrieve": (*_VOCAB_KEYS, "eval_queries", "run_depth", "bm25_k1", "bm25_b"),
+    "train": (*_TRAIN_DATA_KEYS, "dim", "lr", "batch_size", "epochs", "m", "reg_weight",
+              "flops_weight", "strategy", "filter_threshold", "kl_temperature",
+              "teacher_scores_file"),
+    "pipeline": _ALL_KEYS,
+    "sweep": _ALL_KEYS,
+}
 
 
-def _add_vocab_flags(parser: argparse.ArgumentParser) -> None:
-    """The vocabulary keys of commands that take no config, spelled as config flags."""
-    parser.add_argument("--min_df", type=int, default=1, metavar="V")
-    parser.add_argument("--max_vocab", type=int, default=0, metavar="V")
+def _add_config_flags(parser: argparse.ArgumentParser, keys: tuple[str, ...]) -> None:
+    for key in keys:
+        parser.add_argument(f"--{key}", dest=key, default=None, metavar="V")
 
 
 def cmd_ingest(args) -> int:
-    corpus = load_collection(args.collection)
-    vocab = build_vocab_for(corpus, args.min_df, args.max_vocab)
+    cfg = _resolve_config(args)
+    training.require_config_keys(cfg, ("collection",))
+    corpus = load_collection(cfg.collection)
+    vocab = build_vocab_for(corpus, cfg.min_df, cfg.max_vocab)
     print(f"passages\t{corpus.n_docs}")
     print(f"tokens\t{corpus.total_tokens}")
     print(f"avgdl\t{corpus.avgdl:.4f}")
@@ -126,6 +136,7 @@ def cmd_train(args) -> int:
     qrels = load_qrels(cfg.train_qrels)
     vocab = build_vocab_for(corpus, cfg.min_df, cfg.max_vocab)
     pool = training.load_pool(args.pool)
+    training.validate_pool(pool, qrels)
     init = _load_model(args.init, vocab, cfg.min_df, cfg.max_vocab)
     if init is not None:
         if args.kind and args.kind != init.kind:
@@ -135,8 +146,10 @@ def cmd_train(args) -> int:
     else:
         init = DenseParams.init(vocab.size, cfg.dim, cfg.seed)
     teacher = None
-    if args.teacher_scores:
-        teacher = training.table_teacher(training.load_teacher_scores(args.teacher_scores))
+    if cfg.teacher_scores_file and args.teacher_checkpoint:
+        raise ValueError("give teacher_scores_file or --teacher-checkpoint, not both")
+    if cfg.teacher_scores_file:
+        teacher = training.table_teacher(training.load_teacher_scores(cfg.teacher_scores_file))
     elif args.teacher_checkpoint:
         t_params = _load_model(args.teacher_checkpoint, vocab, cfg.min_df, cfg.max_vocab)
         t_index = _index_for(t_params, corpus, vocab)
@@ -161,13 +174,12 @@ def cmd_train(args) -> int:
 def cmd_retrieve(args) -> int:
     cfg = _resolve_config(args)
     corpus = load_collection(cfg.collection)
-    queries = load_queries(args.queries or cfg.eval_queries)
+    queries = load_queries(cfg.eval_queries)
     vocab = build_vocab_for(corpus, cfg.min_df, cfg.max_vocab)
     params = _load_model(args.checkpoint, vocab, cfg.min_df, cfg.max_vocab)
     index = _index_for(params, corpus, vocab)
-    k = args.k or min(cfg.run_depth, corpus.n_docs)
     run = retrieval.make_run(
-        params, queries, index, vocab, k=k, tag=args.tag,
+        params, queries, index, vocab, k=min(cfg.run_depth, corpus.n_docs), tag=args.tag,
         bm25_k1=cfg.bm25_k1, bm25_b=cfg.bm25_b,
     )
     retrieval.save_run(run, args.out)
@@ -252,13 +264,13 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.key not in {f.name for f in fields(PipelineConfig)}:
+    if args.key not in _ALL_KEYS:
         raise ValueError(f"unknown config key {args.key!r}")
     values = args.values.split(",")
     rows = []
     for value in values:
         sweep_args = argparse.Namespace(**vars(args))
-        setattr(sweep_args, args.key.replace("-", "_"), value)
+        setattr(sweep_args, args.key, value)
         cfg = _resolve_config(sweep_args)
         out_dir = Path(args.out_dir) / f"{args.key}={value}"
         result = training.run_pipeline(cfg, out_dir=out_dir)
@@ -292,10 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="load and validate corpus/query/qrels files")
-    p.add_argument("--collection", required=True)
     p.add_argument("--queries")
     p.add_argument("--qrels")
-    _add_vocab_flags(p)
+    _add_config_flags(p, COMMAND_KEYS["ingest"])
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("mine", help="mine hard negatives with a model or BM25")
@@ -304,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", default="bm25", choices=training.SOURCE_TAGS)
     p.add_argument("--no-sample", action="store_true", help="keep the top instead of sampling")
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, COMMAND_KEYS["mine"])
     p.set_defaults(func=cmd_mine)
 
     p = sub.add_parser("train", help="train one stage from a negative pool")
@@ -315,19 +326,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool", required=True)
     p.add_argument("--init", help="starting checkpoint (default: fresh init)")
     p.add_argument("--teacher-checkpoint", help="lexical teacher checkpoint")
-    p.add_argument("--teacher-scores", help="teacher score file (qid\\tpid\\tscore)")
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, COMMAND_KEYS["train"])
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("retrieve", help="encode queries and write a TREC run")
     p.add_argument("--config")
     p.add_argument("--checkpoint", help="model checkpoint; omit for BM25")
-    p.add_argument("--queries")
-    p.add_argument("--k", type=int, default=0)
     p.add_argument("--tag", default="lexlab")
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, COMMAND_KEYS["retrieve"])
     p.set_defaults(func=cmd_retrieve)
 
     p = sub.add_parser("evaluate", help="score a TREC run against qrels")
@@ -374,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="run the full two-stage training pipeline")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", default="artifacts")
-    _add_config_flags(p)
+    _add_config_flags(p, COMMAND_KEYS["pipeline"])
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("sweep", help="run the pipeline across values of one config key")
@@ -382,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key", required=True)
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--out-dir", default="sweep")
-    _add_config_flags(p)
+    _add_config_flags(p, COMMAND_KEYS["sweep"])
     p.set_defaults(func=cmd_sweep)
 
     return parser

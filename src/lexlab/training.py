@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import random
 from dataclasses import dataclass, field, fields
 from itertools import accumulate
@@ -137,6 +138,8 @@ def load_pool(path: str | Path) -> NegativePool:
             qid, source, pids_s = parts
             if source not in SOURCE_TAGS:
                 raise FormatError(f"{path}:{lineno}: unknown source tag {source!r}")
+            if source in pool.by_query.get(qid, {}):
+                raise FormatError(f"{path}:{lineno}: query {qid!r}, source {source} given twice")
             pool.add(qid, source, [p for p in pids_s.split(",") if p])
     return pool
 
@@ -244,18 +247,13 @@ def subsample_pool(pool: NegativePool, m_total: int, seed: int) -> NegativePool:
     return out
 
 
-@dataclass
-class TeacherScoreTable:
-    scores: dict[tuple[str, str], float]
-
-
-def save_teacher_scores(table: TeacherScoreTable, path: str | Path) -> None:
+def save_teacher_scores(scores: dict[tuple[str, str], float], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        for (qid, pid), score in sorted(table.scores.items()):
+        for (qid, pid), score in sorted(scores.items()):
             f.write(f"{qid}\t{pid}\t{score:.12g}\n")
 
 
-def load_teacher_scores(path: str | Path) -> TeacherScoreTable:
+def load_teacher_scores(path: str | Path) -> dict[tuple[str, str], float]:
     scores: dict[tuple[str, str], float] = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -264,18 +262,23 @@ def load_teacher_scores(path: str | Path) -> TeacherScoreTable:
                 raise FormatError(f"{path}:{lineno}: expected '<qid>\\t<pid>\\t<score>'")
             qid, pid, score_s = parts
             try:
-                scores[(qid, pid)] = float(score_s)
+                score = float(score_s)
             except ValueError:
                 raise FormatError(f"{path}:{lineno}: score {score_s!r} is not a number") from None
-    return TeacherScoreTable(scores=scores)
+            if not math.isfinite(score):
+                raise FormatError(f"{path}:{lineno}: score {score_s!r} is not finite")
+            if (qid, pid) in scores:
+                raise FormatError(f"{path}:{lineno}: query {qid!r}, passage {pid!r} given twice")
+            scores[(qid, pid)] = score
+    return scores
 
 
-def table_teacher(table: TeacherScoreTable):
-    """Teacher callable backed by a static score table."""
+def table_teacher(scores: dict[tuple[str, str], float]):
+    """Teacher callable backed by a static `(qid, pid) -> score` table."""
 
     def teacher(qid: str, pids: list[str], student_scores: np.ndarray) -> np.ndarray:
         try:
-            return np.array([table.scores[(qid, pid)] for pid in pids])
+            return np.array([scores[(qid, pid)] for pid in pids])
         except KeyError as exc:
             raise ValueError(f"teacher table missing score for query {qid!r}: {exc}") from None
 
@@ -654,6 +657,9 @@ class PipelineConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"config key {f.name!r} must be finite, got {getattr(self, f.name)!r}")
         for key in (
             "dim", "depth", "m", "warmup_m", "batch_size", "epochs", "run_depth", "lr",
             "kl_temperature", "min_df",
@@ -662,10 +668,12 @@ class PipelineConfig:
                 raise ValueError(f"config key {key!r} must be > 0, got {getattr(self, key)!r}")
         for key in (
             *(key for stage in STAGES.values() for key in (stage.lr_key, stage.epochs_key)),
-            "mix_depth", "reg_weight", "flops_weight", "filter_threshold", "max_vocab",
+            "mix_depth", "reg_weight", "flops_weight", "filter_threshold", "max_vocab", "bm25_k1",
         ):
             if not getattr(self, key) >= 0:
                 raise ValueError(f"config key {key!r} must be >= 0, got {getattr(self, key)!r}")
+        if not 0 <= self.bm25_b <= 1:
+            raise ValueError(f"config key 'bm25_b' must be in [0, 1], got {self.bm25_b!r}")
         if self.depth < self.warmup_m:
             raise ValueError(
                 f"config key 'depth' must be >= warmup_m ({self.warmup_m}), got {self.depth}"

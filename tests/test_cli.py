@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -282,7 +283,7 @@ class TestModelCommands:
         run_path = tmp_path / "run.trec"
         rc = run_cli(
             "retrieve", "--config", workspace / "toy.cfg", "--checkpoint", ckpt,
-            "--queries", workspace / "test_queries.tsv", "--out", run_path, "--tag", "den",
+            "--eval_queries", workspace / "test_queries.tsv", "--out", run_path, "--tag", "den",
         )
         assert rc == 0
         rc = run_cli("evaluate", "--run", run_path, "--qrels", workspace / "test_qrels.txt")
@@ -413,10 +414,14 @@ class TestModelCommands:
         calls = []
         monkeypatch.setattr(training, "train_stage", lambda *a, **k: calls.append(a))
         out = tmp_path / "den.ckpt"
-        rc = run_cli(
-            "train", "--config", workspace / "toy.cfg", "--pool", pool,
-            "--eval_qrels", tmp_path / "missing.txt", "--out", out,
+        cfg = tmp_path / "missing_eval.cfg"
+        cfg.write_text(
+            (workspace / "toy.cfg").read_text().replace(
+                f"eval_qrels = {workspace / 'test_qrels.txt'}",
+                f"eval_qrels = {tmp_path / 'missing.txt'}",
+            )
         )
+        rc = run_cli("train", "--config", cfg, "--pool", pool, "--out", out)
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'eval_qrels'" in err
@@ -436,11 +441,11 @@ class TestModelCommands:
         den_run = tmp_path / "den.trec"
         run_cli(
             "retrieve", "--config", workspace / "toy.cfg", "--checkpoint", lex_ckpt,
-            "--queries", workspace / "test_queries.tsv", "--out", lex_run, "--tag", "lex",
+            "--eval_queries", workspace / "test_queries.tsv", "--out", lex_run, "--tag", "lex",
         )
         run_cli(
             "retrieve", "--config", workspace / "toy.cfg",
-            "--queries", workspace / "test_queries.tsv", "--out", den_run, "--tag", "bm25",
+            "--eval_queries", workspace / "test_queries.tsv", "--out", den_run, "--tag", "bm25",
         )
         capsys.readouterr()
         rc = run_cli(
@@ -456,3 +461,169 @@ class TestModelCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert out.startswith("stratum\t")
+
+
+class TestCommandKeys:
+    """Each config-driven command takes as flags only the config keys it reads."""
+
+    REQUIRED = {"mine": ["--out", "o"], "retrieve": ["--out", "o"],
+                "train": ["--pool", "p", "--out", "o"]}
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_only_the_keys_a_command_reads_are_flags(self, command, capsys):
+        parser = cli.build_parser()
+        read = set(cli.COMMAND_KEYS[command])
+        for key in sorted(read):
+            parser.parse_args([command, *self.REQUIRED[command], f"--{key}", "1"])
+        for key in sorted({f.name for f in dataclasses.fields(training.PipelineConfig)} - read):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, *self.REQUIRED[command], f"--{key}", "1"])
+            # "unrecognized arguments", or "ambiguous option" for --m, a prefix of
+            # --min_df and --max_vocab.
+            err = capsys.readouterr().err
+            assert "error:" in err and f"--{key}" in err
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("mine", "--led_lr", 9), ("train", "--depth", 5), ("retrieve", "--seed", 1),
+    ])
+    def test_an_unread_key_flag_fails_before_any_work(
+        self, workspace, tmp_path, command, flag, value
+    ):
+        pool, out = tmp_path / "pool.tsv", tmp_path / "out"
+        assert run_cli("mine", "--config", workspace / "toy.cfg", "--out", pool) == 0
+        argv = [command, "--config", workspace / "toy.cfg", flag, value, "--out", out]
+        if command == "train":
+            argv += ["--pool", pool]
+        with pytest.raises(SystemExit):
+            run_cli(*argv)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["retrieve", "--queries", "q.tsv"], ["retrieve", "--k", 7],
+        ["train", "--pool", "p", "--teacher-scores", "t.tsv"],
+    ])
+    def test_removed_spellings_rejected(self, tmp_path, argv):
+        with pytest.raises(SystemExit):
+            run_cli(*argv, "--out", tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_ingest_requires_collection(self, capsys):
+        assert run_cli("ingest") == 1
+        assert capsys.readouterr().err == "error: missing config key 'collection'\n"
+
+    @pytest.mark.parametrize("command", ["ingest", "mine", "retrieve", "train"])
+    def test_entry_equals_the_keys_the_command_reads(
+        self, workspace, tmp_path, monkeypatch, command
+    ):
+        pool, out = tmp_path / "pool.tsv", tmp_path / "out"
+        assert run_cli("mine", "--config", workspace / "toy.cfg", "--out", pool) == 0
+        names = {f.name for f in dataclasses.fields(training.PipelineConfig)}
+        reads = set()
+
+        class RecordingConfig(training.PipelineConfig):
+            def __getattribute__(self, name):
+                if name in names:
+                    reads.add(name)
+                return super().__getattribute__(name)
+
+        resolve = cli._resolve_config
+
+        def recording(args):
+            cfg = resolve(args)
+            recorder = RecordingConfig(**{name: getattr(cfg, name) for name in names})
+            reads.clear()
+            return recorder
+
+        monkeypatch.setattr(cli, "_resolve_config", recording)
+        # train hashes every key into its header digest; that read is not a use.
+        monkeypatch.setattr(cli, "config_digest", lambda cfg: "")
+        config = ["--config", workspace / "toy.cfg", "--out", out]
+        argv = {
+            "ingest": ["ingest", "--collection", workspace / "collection.tsv"],
+            "mine": ["mine", *config],
+            "retrieve": ["retrieve", *config],
+            "train": ["train", *config, "--pool", pool, "--epochs", 1, "--strategy", "none"],
+        }[command]
+        assert run_cli(*argv) == 0
+        assert reads == set(cli.COMMAND_KEYS[command])
+
+
+class TestTrainInputs:
+    def test_train_reads_teacher_scores_file(self, workspace, tmp_path):
+        from lexlab.data import build_vocab_for, load_collection, load_qrels, load_queries
+        from lexlab.encoders import DenseParams, load_params
+
+        toy = workspace / "toy.cfg"
+        pool = tmp_path / "pool.tsv"
+        assert run_cli("mine", "--config", toy, "--out", pool) == 0
+        cfg = training.config_from_mapping(training.parse_config_file(toy))
+        corpus = load_collection(cfg.collection)
+        queries = load_queries(cfg.train_queries)
+        qrels = load_qrels(cfg.train_qrels)
+        vocab = build_vocab_for(corpus, cfg.min_df, cfg.max_vocab)
+        stage_cfg = training.stage_config(
+            dataclasses.replace(cfg, epochs=1), training.Stage("warmup", "lr", "epochs", "m"),
+            "rank-consistent",
+        )
+        digests, trained = [], []
+        for seed in (0, 1):
+            rng = np.random.default_rng(seed)
+            table = tmp_path / f"teacher{seed}.tsv"
+            training.save_teacher_scores(
+                {(q, p): float(rng.normal()) for q in queries.queries for p in sorted(corpus.docs)},
+                table,
+            )
+            out = tmp_path / f"led{seed}.ckpt"
+            rc = run_cli(
+                "train", "--config", toy, "--pool", pool, "--teacher_scores_file", table,
+                "--strategy", "rank-consistent", "--epochs", 1, "--out", out,
+            )
+            assert rc == 0
+            params, meta = load_params(out)
+            expected, _ = training.train_stage(
+                stage_cfg, vocab, corpus, queries, qrels, training.load_pool(pool),
+                DenseParams.init(vocab.size, cfg.dim, cfg.seed),
+                teacher=training.table_teacher(training.load_teacher_scores(table)),
+            )
+            for name, tensor in expected.tensors().items():
+                np.testing.assert_array_equal(params.tensors()[name], tensor)
+            digests.append(meta.config_digest)
+            trained.append(params.tensors()["proj"])
+        assert digests[0] != digests[1]
+        assert not np.array_equal(*trained)
+
+    def test_train_rejects_two_teachers(self, workspace, checkpoints, tmp_path, capsys):
+        pool, table, out = tmp_path / "pool.tsv", tmp_path / "teacher.tsv", tmp_path / "led.ckpt"
+        assert run_cli("mine", "--config", workspace / "toy.cfg", "--out", pool) == 0
+        table.write_text("")
+        rc = run_cli(
+            "train", "--config", workspace / "toy.cfg", "--pool", pool,
+            "--teacher_scores_file", table, "--teacher-checkpoint", checkpoints["lexical"],
+            "--out", out,
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "teacher_scores_file" in err and "--teacher-checkpoint" in err
+        assert not out.exists()
+
+    def test_train_rejects_a_pool_holding_a_positive(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        toy = workspace / "toy.cfg"
+        pool = tmp_path / "pool.tsv"
+        assert run_cli("mine", "--config", toy, "--out", pool) == 0
+        qid, pids = next(
+            (qid, sources["bm25"])
+            for qid, sources in training.load_pool(pool).by_query.items() if sources["bm25"]
+        )
+        qrels = tmp_path / "qrels2.txt"
+        qrels.write_text((workspace / "train_qrels.txt").read_text() + f"{qid} 0 {pids[0]} 1\n")
+        calls = []
+        monkeypatch.setattr(training, "train_stage", lambda *a, **k: calls.append(a))
+        out = tmp_path / "den.ckpt"
+        rc = run_cli("train", "--config", toy, "--train_qrels", qrels, "--pool", pool,
+                     "--out", out)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(qid) in err and "source bm25" in err
+        assert calls == [] and not out.exists()

@@ -5,6 +5,7 @@ lines with `path:line`, as config files do; `PipelineConfig` range-checks
 its numeric keys before the pipeline loads a file or mines a negative.
 """
 
+import math
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -19,7 +20,6 @@ from lexlab.training import (
     SOURCE_TAGS,
     NegativePool,
     PipelineConfig,
-    TeacherScoreTable,
     config_from_mapping,
     load_pool,
     load_teacher_scores,
@@ -51,6 +51,7 @@ class TestPoolFile:
         ("q1\tbm25\n", "expected"),
         ("q1\tbm25\td1\textra\n", "expected"),
         ("q1\tmystery\td1,d2\n", "unknown source tag 'mystery'"),
+        ("q0\tbm25\td1\n", "query 'q0', source bm25 given twice"),
     ])
     def test_bad_line_names_path_and_line(self, tmp_path, line, why):
         path = tmp_path / "pool.tsv"
@@ -66,14 +67,18 @@ class TestTeacherScoreFile:
     @settings(max_examples=60, deadline=None)
     def test_round_trip_at_twelve_digits(self, tmp_path_factory, scores):
         path = tmp_path_factory.mktemp("scores") / "s.tsv"
-        save_teacher_scores(TeacherScoreTable(scores=scores), path)
-        loaded = load_teacher_scores(path).scores
+        save_teacher_scores(scores, path)
+        loaded = load_teacher_scores(path)
         assert loaded == {key: float(f"{v:.12g}") for key, v in scores.items()}
 
     @pytest.mark.parametrize("line, why", [
         ("q1\td1\n", "expected"),
         ("q1\td1\t0.5\t7\n", "expected"),
         ("q1\td1\thigh\n", "score 'high' is not a number"),
+        ("q0\td0\t2.5\n", "query 'q0', passage 'd0' given twice"),
+        ("q1\td1\tnan\n", "score 'nan' is not finite"),
+        ("q1\td1\tinf\n", "score 'inf' is not finite"),
+        ("q1\td1\t-inf\n", "score '-inf' is not finite"),
     ])
     def test_bad_line_names_path_and_line(self, tmp_path, line, why):
         path = tmp_path / "s.tsv"
@@ -128,7 +133,7 @@ class TestConfigRanges:
     @pytest.mark.parametrize("key", [
         "lex_epochs", "den_epochs", "led_epochs", "mix_depth",
         "lex_warmup_lr", "lex_continue_lr", "den_warmup_lr", "led_lr",
-        "reg_weight", "flops_weight", "filter_threshold", "max_vocab",
+        "reg_weight", "flops_weight", "filter_threshold", "max_vocab", "bm25_k1",
     ])
     def test_non_negative_keys(self, key):
         PipelineConfig(**{key: 0})
@@ -140,6 +145,21 @@ class TestConfigRanges:
         with pytest.raises(ValueError, match=r"'depth' must be >= warmup_m \(6\), got 5"):
             PipelineConfig(depth=5, warmup_m=6)
 
+    @pytest.mark.parametrize(
+        "key", [f.name for f in fields(PipelineConfig) if f.type == "float"]
+    )
+    def test_non_finite_float_keys(self, key):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"'{key}' must be finite"):
+                PipelineConfig(**{key: bad})
+
+    def test_bm25_b_in_unit_interval(self):
+        PipelineConfig(bm25_b=0)
+        PipelineConfig(bm25_b=1)
+        for bad in (-0.1, 1.5):
+            with pytest.raises(ValueError, match=r"'bm25_b' must be in \[0, 1\], got"):
+                PipelineConfig(bm25_b=bad)
+
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="'lr'"):
             config_from_mapping({"lr": "nan"})
@@ -150,7 +170,8 @@ class TestConfigRanges:
 
         monkeypatch.setattr(training, "mine_negatives", forbidden)
         missing = str(tmp_path / "missing.tsv")
-        for key, value in (("depth", "-3"), ("dim", "0"), ("kl_temperature", "0"), ("depth", "4")):
+        for key, value in (("depth", "-3"), ("dim", "0"), ("kl_temperature", "0"), ("depth", "4"),
+                           ("bm25_b", "nan"), ("bm25_k1", "inf"), ("lr", "inf")):
             mapping = {"collection": missing, "train_queries": missing, "train_qrels": missing,
                        key: value}
             with pytest.raises(ValueError, match=f"'{key}'"):

@@ -21,7 +21,6 @@ from lexlab.training import (
     AdamState,
     NegativePool,
     PipelineConfig,
-    TeacherScoreTable,
     TrainConfig,
     adam_step,
     config_digest,
@@ -222,15 +221,13 @@ class TestTeachers:
                 assert score == pytest.approx(relevance(q_vec, p_vec), abs=0)
 
     def test_score_file_roundtrip(self, tmp_path):
-        table = TeacherScoreTable(
-            scores={("q1", "d1"): 0.125, ("q1", "d2"): -3.5, ("q2", "d9"): 7.0},
-        )
+        table = {("q1", "d1"): 0.125, ("q1", "d2"): -3.5, ("q2", "d9"): 7.0}
         save_teacher_scores(table, tmp_path / "s.tsv")
         loaded = load_teacher_scores(tmp_path / "s.tsv")
-        assert loaded.scores == table.scores
+        assert loaded == table
 
     def test_table_teacher_missing_pair(self):
-        teacher = table_teacher(TeacherScoreTable(scores={}))
+        teacher = table_teacher({})
         with pytest.raises(ValueError, match="missing"):
             teacher("q1", ["d1"], np.zeros(1))
 
