@@ -61,13 +61,7 @@ def _normalized_scores(ranking: Ranking | None):
     return lambda ids: norm[np.fromiter(map(last.get, ids, repeat(-1)), np.intp, len(ids))]
 
 
-@dataclass
-class FusedRun:
-    run: RunFile
-    components: dict[str, dict[str, tuple[float, float]]]  # qid -> pid -> (a, b)
-
-
-def ensemble_fuse(run_a: RunFile, run_b: RunFile, k: int = 1000) -> FusedRun:
+def ensemble_fuse(run_a: RunFile, run_b: RunFile, k: int = 1000) -> RunFile:
     """Sum per-query min-max normalized scores over the candidate union.
 
     A candidate missing from one run contributes 0 from that side; a pid a
@@ -78,20 +72,15 @@ def ensemble_fuse(run_a: RunFile, run_b: RunFile, k: int = 1000) -> FusedRun:
     if not shared:
         raise ValueError("runs to fuse share no query ids")
     rankings: dict[str, Ranking] = {}
-    components: dict[str, dict[str, tuple[float, float]]] = {}
     for qid in sorted(shared):
         a, b = run_a.rankings[qid], run_b.rankings[qid]
         union = sorted(set(a.ids).union(b.ids))
-        sa = _normalized_scores(a)(union)
-        sb = _normalized_scores(b)(union)
-        fused = sa + sb
+        fused = _normalized_scores(a)(union) + _normalized_scores(b)(union)
         # `union` ascends, so row order is the pid tie-break.
         order = top_rows(fused, k)
         ids = [union[i] for i in order.tolist()]
         rankings[qid] = Ranking(qid=qid, ids=ids, scores=fused[order])
-        components[qid] = dict(zip(ids, zip(sa[order].tolist(), sb[order].tolist())))
-    tag = f"{run_a.tag}+{run_b.tag}.fused"
-    return FusedRun(run=RunFile(rankings=rankings, tag=tag), components=components)
+    return RunFile(rankings=rankings, tag=f"{run_a.tag}+{run_b.tag}.fused")
 
 
 @dataclass
@@ -175,7 +164,6 @@ class DiscrepancySample:
 
     biased: list[tuple[str, str, float, float, float]]
     unbiased: list[tuple[str, str, float, float, float]]
-    margin: float
 
 
 def discrepancy_pairs(
@@ -211,7 +199,7 @@ def discrepancy_pairs(
                 [qid] * len(kept), kept, lex_part[keep].tolist(), den_part[keep].tolist(),
                 led(kept).tolist(),
             ))
-    return DiscrepancySample(biased=biased, unbiased=unbiased, margin=margin)
+    return DiscrepancySample(biased=biased, unbiased=unbiased)
 
 
 def histogram_counts(values: list[float], bins: int) -> list[int]:

@@ -4,8 +4,9 @@ Subcommands: ingest, train, mine, retrieve, evaluate, fuse, buckets, shift,
 gradcheck, pipeline, sweep. No index is written to disk: mine, retrieve and
 train --teacher-checkpoint build theirs in memory from the checkpoint (BM25
 without one). A config-driven command takes as flags the PipelineConfig
-keys of its COMMAND_KEYS entry; precedence is flag > LED_SEED env var (seed
-only) > config file > default. Each command writes only its output: the
+keys of its COMMAND_KEYS entry, each under its full name only (no flag may be
+abbreviated); precedence is flag > LED_SEED env var (seed, for commands that
+read it) > config file > default. Each command writes only its output: the
 provenance record is the config digest in each checkpoint header and, for
 pipeline runs, ``manifest.json``. Errors print to stderr with an ``error:`` prefix and a
 non-zero exit code.
@@ -14,6 +15,7 @@ non-zero exit code.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -23,7 +25,7 @@ from pathlib import Path
 from . import analysis, gradcheck, retrieval, training
 from .data import (
     CheckpointMeta,
-    build_vocab_for,
+    build_vocab,
     load_collection,
     load_qrels,
     load_queries,
@@ -45,7 +47,7 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     mapping: dict[str, str] = {}
     if getattr(args, "config", None):
         mapping.update(parse_config_file(args.config))
-    if "LED_SEED" in os.environ:
+    if "LED_SEED" in os.environ and "seed" in COMMAND_KEYS[args.command]:
         mapping["seed"] = os.environ["LED_SEED"]
     mapping.update((k, v) for k, v in vars(args).items() if k in _ALL_KEYS and v is not None)
     return config_from_mapping(mapping)
@@ -77,7 +79,7 @@ def cmd_ingest(args) -> int:
     cfg = _resolve_config(args)
     training.require_config_keys(cfg, ("collection",))
     corpus = load_collection(cfg.collection)
-    vocab = build_vocab_for(corpus, cfg.min_df, cfg.max_vocab)
+    vocab = build_vocab(corpus, cfg.min_df, cfg.max_vocab)
     print(f"passages\t{corpus.n_docs}")
     print(f"tokens\t{corpus.total_tokens}")
     print(f"avgdl\t{corpus.avgdl:.4f}")
@@ -116,7 +118,7 @@ def cmd_mine(args) -> int:
     corpus = load_collection(cfg.collection)
     queries = load_queries(cfg.train_queries)
     qrels = load_qrels(cfg.train_qrels)
-    vocab = build_vocab_for(corpus, cfg.min_df, cfg.max_vocab)
+    vocab = build_vocab(corpus, cfg.min_df, cfg.max_vocab)
     params = _load_model(args.checkpoint, vocab, cfg.min_df, cfg.max_vocab)
     index = _index_for(params, corpus, vocab)
     pool = training.mine_negatives(
@@ -130,11 +132,11 @@ def cmd_mine(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
-    digest = config_digest(cfg)
+    digest = config_digest(cfg, COMMAND_KEYS["train"])
     corpus = load_collection(cfg.collection)
     queries = load_queries(cfg.train_queries)
     qrels = load_qrels(cfg.train_qrels)
-    vocab = build_vocab_for(corpus, cfg.min_df, cfg.max_vocab)
+    vocab = build_vocab(corpus, cfg.min_df, cfg.max_vocab)
     pool = training.load_pool(args.pool)
     training.validate_pool(pool, qrels)
     init = _load_model(args.init, vocab, cfg.min_df, cfg.max_vocab)
@@ -175,7 +177,7 @@ def cmd_retrieve(args) -> int:
     cfg = _resolve_config(args)
     corpus = load_collection(cfg.collection)
     queries = load_queries(cfg.eval_queries)
-    vocab = build_vocab_for(corpus, cfg.min_df, cfg.max_vocab)
+    vocab = build_vocab(corpus, cfg.min_df, cfg.max_vocab)
     params = _load_model(args.checkpoint, vocab, cfg.min_df, cfg.max_vocab)
     index = _index_for(params, corpus, vocab)
     run = retrieval.make_run(
@@ -205,8 +207,8 @@ def cmd_fuse(args) -> int:
     run_a = retrieval.load_run(args.run_a)
     run_b = retrieval.load_run(args.run_b)
     fused = analysis.ensemble_fuse(run_a, run_b, k=args.k)
-    retrieval.save_run(fused.run, args.out)
-    print(f"fused {len(fused.run.rankings)} queries -> {args.out}")
+    retrieval.save_run(fused, args.out)
+    print(f"fused {len(fused.rankings)} queries -> {args.out}")
     return 0
 
 
@@ -301,7 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lexlab",
         description="Desk-scale retrieval laboratory: train, mine, retrieve, evaluate, analyze.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # No subcommand accepts a prefix of a flag: each flag has one spelling.
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False),
+    )
 
     p = sub.add_parser("ingest", help="load and validate corpus/query/qrels files")
     p.add_argument("--queries")

@@ -99,18 +99,14 @@ class Qrels:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Dense contiguous term-id assignment with per-term document frequency."""
+    """Dense contiguous term-id assignment."""
 
     term_to_id: dict[str, int]
     id_to_term: list[str]
-    df: np.ndarray  # int64, aligned with term ids
 
     @property
     def size(self) -> int:
         return len(self.id_to_term)
-
-    def __contains__(self, term: str) -> bool:
-        return term in self.term_to_id
 
 
 @dataclass(frozen=True)
@@ -120,40 +116,23 @@ class TermVector:
     counts: dict[int, int]
     n: int
 
-    @property
-    def n_invocab(self) -> int:
-        return sum(self.counts.values())
 
-    @property
-    def n_oov(self) -> int:
-        return self.n - self.n_invocab
-
-
-def build_vocab(corpus: Corpus, min_df: int = 1, max_size: int | None = None) -> Vocabulary:
-    """Select terms with df >= `min_df`, keeping at most `max_size` of them.
+def build_vocab(corpus: Corpus, min_df: int = 1, max_vocab: int = 0) -> Vocabulary:
+    """Select terms with df >= `min_df`, keeping at most `max_vocab` of them
+    (0 keeps all).
 
     Ranking is by descending df, ties broken by ascending term, and ids are
     assigned in that order.
     """
     if min_df < 1:
         raise ValueError("min_df must be >= 1")
-    if max_size is not None and max_size < 1:
-        raise ValueError("max_size must be >= 1")
-    kept = [(term, df) for term, df in corpus.df.items() if df >= min_df]
-    kept.sort(key=lambda td: (-td[1], td[0]))
-    if max_size is not None:
-        kept = kept[:max_size]
-    term_to_id = {term: i for i, (term, _) in enumerate(kept)}
-    return Vocabulary(
-        term_to_id=term_to_id,
-        id_to_term=[term for term, _ in kept],
-        df=np.array([df for _, df in kept], dtype=np.int64),
-    )
-
-
-def build_vocab_for(corpus: Corpus, min_df: int, max_vocab: int) -> Vocabulary:
-    """The vocabulary the config keys select; `max_vocab` 0 is unlimited."""
-    return build_vocab(corpus, min_df, max_vocab or None)
+    if max_vocab < 0:
+        raise ValueError("max_vocab must be >= 0")
+    kept = sorted((term for term, df in corpus.df.items() if df >= min_df),
+                  key=lambda term: (-corpus.df[term], term))
+    if max_vocab:
+        kept = kept[:max_vocab]
+    return Vocabulary(term_to_id={term: i for i, term in enumerate(kept)}, id_to_term=kept)
 
 
 def vectorize(text: str, vocab: Vocabulary) -> TermVector:

@@ -98,15 +98,6 @@ def make_rank_pairs(cands: CandidateSet) -> RankPairSet:
     return RankPairSet(pids=tuple(cands.pids), mask=t[:, None] > t[None, :])
 
 
-def _pair_mask(cands: CandidateSet, pairs: RankPairSet) -> np.ndarray:
-    """The pair mask, checked to be over the candidates of `cands`."""
-    if pairs.pids != tuple(cands.pids):
-        raise ValueError(
-            f"rank pairs are over pids {list(pairs.pids)}, not the candidates {cands.pids}"
-        )
-    return pairs.mask
-
-
 def _sequential_pair_sum(win, lose, win_step, lose_step, n: int) -> np.ndarray:
     """grad[lose] += lose_step; grad[win] += win_step, pair by pair in order.
 
@@ -125,13 +116,14 @@ def ordered_total(values: np.ndarray) -> float:
     return float(values.cumsum()[-1]) if len(values) else 0.0
 
 
-def rank_consistent_loss(cands: CandidateSet, pairs: RankPairSet) -> LossValue:
-    """Mean hinge on student disagreement: max(0, s(other) - s(preferred)).
+def rank_consistent_loss(cands: CandidateSet) -> LossValue:
+    """Mean hinge on student disagreement: max(0, s(other) - s(preferred))
+    over the teacher's rank pairs.
 
     Zero exactly when the student's strict order matches the teacher on every
     pair; the subgradient at an exact tie is zero.
     """
-    mask = _pair_mask(cands, pairs)
+    mask = make_rank_pairs(cands).mask
     n_pairs = np.count_nonzero(mask)
     n = len(cands.scores)
     if not n_pairs:
@@ -151,10 +143,11 @@ def combined_loss(cl: LossValue, ll: LossValue, weight: float) -> LossValue:
     return LossValue(loss=cl.loss + weight * ll.loss, grad=cl.grad + weight * ll.grad)
 
 
-def margin_mse_loss(cands: CandidateSet, pairs: RankPairSet) -> LossValue:
-    """Mean squared difference between student and teacher pair margins."""
+def margin_mse_loss(cands: CandidateSet) -> LossValue:
+    """Mean squared difference between student and teacher margins over the
+    teacher's rank pairs."""
     t = _require_teacher(cands)
-    mask = _pair_mask(cands, pairs)
+    mask = make_rank_pairs(cands).mask
     n_pairs = np.count_nonzero(mask)
     n = len(cands.scores)
     if not n_pairs:
@@ -210,8 +203,8 @@ def filter_false_negatives(cands: CandidateSet, threshold: float = 0.95) -> Cand
 # The teaching losses by strategy name: (candidates with teacher scores, KL
 # temperature) -> loss over the student scores.
 TEACHING_LOSSES = {
-    "rank-consistent": lambda cands, temperature: rank_consistent_loss(cands, make_rank_pairs(cands)),
-    "margin-mse": lambda cands, temperature: margin_mse_loss(cands, make_rank_pairs(cands)),
+    "rank-consistent": lambda cands, temperature: rank_consistent_loss(cands),
+    "margin-mse": lambda cands, temperature: margin_mse_loss(cands),
     "listnet": lambda cands, temperature: listnet_loss(cands),
     "kl": lambda cands, temperature: kl_divergence_loss(cands, temperature=temperature),
 }

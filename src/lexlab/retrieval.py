@@ -222,7 +222,6 @@ def load_run(path: str | Path) -> RunFile:
 
 @dataclass
 class MetricResult:
-    name: str
     per_query: dict[str, float]
     mean: float
 
@@ -252,7 +251,7 @@ def mrr_at_k(run: RunFile, qrels: Qrels, k: int = 10) -> MetricResult:
                 break
         per_query[qid] = value
     mean = sum(per_query.values()) / len(per_query) if per_query else 0.0
-    return MetricResult(name=f"mrr@{k}", per_query=per_query, mean=mean)
+    return MetricResult(per_query=per_query, mean=mean)
 
 
 def recall_at_k(run: RunFile, qrels: Qrels, k: int) -> MetricResult:
@@ -266,7 +265,7 @@ def recall_at_k(run: RunFile, qrels: Qrels, k: int) -> MetricResult:
         hits = sum(1 for pid in _ranked_pids(run, qid)[:k] if pid in positives)
         per_query[qid] = hits / len(positives)
     mean = sum(per_query.values()) / len(per_query) if per_query else 0.0
-    return MetricResult(name=f"recall@{k}", per_query=per_query, mean=mean)
+    return MetricResult(per_query=per_query, mean=mean)
 
 
 def ndcg_at_k(run: RunFile, qrels: Qrels, k: int = 10, exponential_gain: bool = False) -> MetricResult:
@@ -288,7 +287,7 @@ def ndcg_at_k(run: RunFile, qrels: Qrels, k: int = 10, exponential_gain: bool = 
         )
         per_query[qid] = dcg / idcg
     mean = sum(per_query.values()) / len(per_query) if per_query else 0.0
-    return MetricResult(name=f"ndcg@{k}", per_query=per_query, mean=mean)
+    return MetricResult(per_query=per_query, mean=mean)
 
 
 DEFAULT_METRICS = ("mrr@10", "recall@50", "recall@1000", "ndcg@10")

@@ -29,7 +29,7 @@ from .data import (
     QuerySet,
     TermVector,
     Vocabulary,
-    build_vocab_for,
+    build_vocab,
     vectorize,
     vectorize_corpus,
 )
@@ -276,7 +276,7 @@ def load_teacher_scores(path: str | Path) -> dict[tuple[str, str], float]:
 def table_teacher(scores: dict[tuple[str, str], float]):
     """Teacher callable backed by a static `(qid, pid) -> score` table."""
 
-    def teacher(qid: str, pids: list[str], student_scores: np.ndarray) -> np.ndarray:
+    def teacher(qid: str, pids: list[str]) -> np.ndarray:
         try:
             return np.array([scores[(qid, pid)] for pid in pids])
         except KeyError as exc:
@@ -300,7 +300,7 @@ def model_teacher(params: LexicalParams, index: InvertedIndex, vocab: Vocabulary
         )
     by_query: dict[str, np.ndarray] = {}
 
-    def teacher(qid: str, pids: list[str], student_scores: np.ndarray) -> np.ndarray:
+    def teacher(qid: str, pids: list[str]) -> np.ndarray:
         if qid not in by_query:
             q_vec = lexical_encode(vectorize(queries.queries[qid], vocab), params)
             by_query[qid] = sparse_scores(q_vec, index)
@@ -512,7 +512,7 @@ def train_stage(
 ) -> tuple[Params, TrainLog]:
     """Run one training stage and return the updated parameters and its log.
 
-    `teacher` is a callable ``(qid, pids, student_scores) -> scores`` aligned
+    `teacher` is a callable ``(qid, pids) -> scores`` aligned
     with the candidate pid order; it is required by every strategy except
     "none". Per step the loss is contrastive plus, when a teaching strategy is
     active, `reg_weight` times the strategy loss (the filter strategy instead
@@ -563,7 +563,7 @@ def train_stage(
             def loss_fn(k: int, scores: np.ndarray):
                 qid, pids = chunk[k], cand_pids[k]
                 t_scores = (
-                    np.asarray(teacher(qid, pids, scores.copy()), dtype=np.float64)
+                    np.asarray(teacher(qid, pids), dtype=np.float64)
                     if _needs_teacher(config.strategy)
                     else None
                 )
@@ -617,8 +617,8 @@ class PipelineConfig:
     """Flat configuration for the whole pipeline; every field is a config key.
 
     File format is ``key = value`` lines ('#' starts a comment); CLI flags
-    override file values, and the LED_SEED environment variable overrides the
-    seed from either source.
+    override file values, and for a command that reads the seed the LED_SEED
+    environment variable overrides the file's seed but not the flag.
     """
 
     collection: str = ""
@@ -706,12 +706,16 @@ def config_from_mapping(mapping: dict[str, str]) -> PipelineConfig:
         if key not in by_name:
             raise ValueError(f"unknown config key {key!r}")
         ftype = by_name[key].type
-        if ftype == "int":
-            kwargs[key] = int(raw)
-        elif ftype == "float":
-            kwargs[key] = float(raw)
-        else:
-            kwargs[key] = raw
+        try:
+            if ftype == "int":
+                kwargs[key] = int(raw)
+            elif ftype == "float":
+                kwargs[key] = float(raw)
+            else:
+                kwargs[key] = raw
+        except ValueError:
+            kind = "an integer" if ftype == "int" else "a number"
+            raise ValueError(f"config key {key!r} must be {kind}, got {raw!r}") from None
     return PipelineConfig(**kwargs)
 
 
@@ -721,10 +725,10 @@ INPUT_FILE_KEYS = (
 )
 
 
-def config_digest(cfg: PipelineConfig) -> str:
-    """sha256 over every config key. A non-empty input file key counts by the
-    sha256 of its file's bytes, not its path, so the same data read from
-    another directory gives the same digest."""
+def config_digest(cfg: PipelineConfig, keys: tuple[str, ...]) -> str:
+    """sha256 over the config keys `keys`. A non-empty input file key counts
+    by the sha256 of its file's bytes, not its path, so the same data read
+    from another directory gives the same digest."""
 
     def value(name: str):
         v = getattr(cfg, name)
@@ -735,9 +739,7 @@ def config_digest(cfg: PipelineConfig) -> str:
         except OSError as exc:
             raise ValueError(f"config key {name!r}: cannot read {v}: {exc.strerror}") from None
 
-    canonical = "".join(
-        f"{f.name}={value(f.name)!r}\n" for f in sorted(fields(cfg), key=lambda f: f.name)
-    )
+    canonical = "".join(f"{name}={value(name)!r}\n" for name in sorted(keys))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -813,11 +815,11 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> Pipe
     from .data import load_collection, load_qrels, load_queries
 
     require_config_keys(cfg, ("collection", "train_queries", "train_qrels"))
-    digest = config_digest(cfg)
+    digest = config_digest(cfg, tuple(f.name for f in fields(cfg)))
     corpus = load_collection(cfg.collection)
     queries = load_queries(cfg.train_queries)
     qrels = load_qrels(cfg.train_qrels)
-    vocab = build_vocab_for(corpus, cfg.min_df, cfg.max_vocab)
+    vocab = build_vocab(corpus, cfg.min_df, cfg.max_vocab)
     doc_tvs = vectorize_corpus(corpus, vocab)
 
     mix_depth = cfg.mix_depth or cfg.depth

@@ -22,7 +22,6 @@ from lexlab.objectives import (
     CandidateSet,
     combined_loss,
     contrastive_loss,
-    make_rank_pairs,
     rank_consistent_loss,
 )
 from lexlab.retrieval import DenseIndex, dense_search, evaluate, format_report, load_run, mrr_at_k
@@ -169,7 +168,7 @@ class TestCriterion3:
                     qid="q", pos_pid="p0", neg_pids=[f"p{i}" for i in range(1, n)],
                     scores=student, teacher_scores=teacher,
                 )
-                lv = rank_consistent_loss(c, make_rank_pairs(c))
+                lv = rank_consistent_loss(c)
                 agrees = perm == tuple(range(n))
                 ok &= (lv.loss == 0.0) if agrees else (lv.loss > 0.0)
                 checked += 1
@@ -188,7 +187,7 @@ class TestCriterion4:
                 scores=rng.normal(size=n), teacher_scores=rng.normal(size=n),
             )
             cl = contrastive_loss(c)
-            ll = rank_consistent_loss(c, make_rank_pairs(c))
+            ll = rank_consistent_loss(c)
             for lam in (0.0, 1.0, 1.2, 2.0):
                 total = combined_loss(cl, ll, lam)
                 worst = max(worst, abs(total.loss - (cl.loss + lam * ll.loss)))
@@ -353,12 +352,12 @@ class TestCriterion9:
 class TestCriterion10:
     def test_fusion_sanity(self, lab):
         fused = analysis.ensemble_fuse(lab["runs"]["led"], lab["runs"]["lex2"], k=lab["k"])
-        fused_mrr = mrr_at_k(fused.run, lab["qrels"], 10).mean
+        fused_mrr = mrr_at_k(fused, lab["qrels"], 10).mean
         floor = max(lab["mrr"]["led"].mean, lab["mrr"]["lex2"].mean) - 0.01
         a_ok = fused_mrr >= floor
         self_fused = analysis.ensemble_fuse(lab["runs"]["led"], lab["runs"]["led"], k=lab["k"])
         b_ok = all(
-            self_fused.run.rankings[qid].pids() == lab["runs"]["led"].rankings[qid].pids()
+            self_fused.rankings[qid].pids() == lab["runs"]["led"].rankings[qid].pids()
             for qid in lab["runs"]["led"].rankings
         )
         report(

@@ -44,17 +44,15 @@ def oracle_normalize(entries):
 
 
 def oracle_fuse(run_a, run_b, k):
-    rankings, components = {}, {}
+    rankings = {}
     for qid in sorted(set(run_a) & set(run_b)):
         a = dict(oracle_normalize(run_a[qid]))
         b = dict(oracle_normalize(run_b[qid]))
-        parts = {pid: (a.get(pid, 0.0), b.get(pid, 0.0)) for pid in sorted(set(a) | set(b))}
-        fused = sorted(
-            ((pid, sa + sb) for pid, (sa, sb) in parts.items()), key=lambda e: (-e[1], e[0])
+        rankings[qid] = sorted(
+            ((pid, a.get(pid, 0.0) + b.get(pid, 0.0)) for pid in sorted(set(a) | set(b))),
+            key=lambda e: (-e[1], e[0]),
         )[:k]
-        rankings[qid] = fused
-        components[qid] = {pid: parts[pid] for pid, _ in fused}
-    return rankings, components
+    return rankings
 
 
 def oracle_golden_rank(run, qid, pid, depth):
@@ -139,14 +137,10 @@ class TestArrayFormsMatchOracles:
             if not set(lists_a) & set(lists_b):
                 continue
             fused = ensemble_fuse(run_from(lists_a), run_from(lists_b), k=k)
-            rankings, components = oracle_fuse(lists_a, lists_b, k)
-            assert list(fused.run.rankings) == list(rankings)
+            rankings = oracle_fuse(lists_a, lists_b, k)
+            assert list(fused.rankings) == list(rankings)
             for qid, entries in rankings.items():
-                assert bits(fused.run.rankings[qid].entries) == bits(entries)
-                got = fused.components[qid]
-                assert list(got) == list(components[qid])
-                assert [tuple(x.hex() for x in got[p]) for p in got] == [
-                    tuple(x.hex() for x in components[qid][p]) for p in got]
+                assert bits(fused.rankings[qid].entries) == bits(entries)
 
     def test_golden_rank(self):
         rng = np.random.default_rng(22)
@@ -207,13 +201,13 @@ class TestFuse:
         entries = [("a", 5.0), ("b", 3.0), ("c", 1.0)]
         run = run_from({"q": entries})
         fused = ensemble_fuse(run, run)
-        assert fused.run.rankings["q"].pids() == ["a", "b", "c"]
+        assert fused.rankings["q"].pids() == ["a", "b", "c"]
 
     def test_top_in_both_stays_top(self):
         run_a = run_from({"q": [("top", 9.0), ("x", 1.0)]})
         run_b = run_from({"q": [("top", 4.0), ("y", 2.0)]})
         fused = ensemble_fuse(run_a, run_b)
-        assert fused.run.rankings["q"].pids()[0] == "top"
+        assert fused.rankings["q"].pids()[0] == "top"
 
     def test_matches_brute_force_union_sum(self):
         rng = np.random.default_rng(5)
@@ -244,8 +238,8 @@ class TestFuse:
                 ((p, na.get(p, 0.0) + nb.get(p, 0.0)) for p in union),
                 key=lambda e: (-e[1], e[0]),
             )
-            assert fused.run.rankings["q"].pids() == [p for p, _ in expected]
-            for (pid, score), (_, escore) in zip(fused.run.rankings["q"].entries, expected):
+            assert fused.rankings["q"].pids() == [p for p, _ in expected]
+            for (pid, score), (_, escore) in zip(fused.rankings["q"].entries, expected):
                 assert score == pytest.approx(escore, abs=1e-12)
 
     def test_symmetric(self):
@@ -253,17 +247,9 @@ class TestFuse:
         run_b = run_from({"q": [("b", 7.0), ("c", 2.0)]}, tag="B")
         ab = ensemble_fuse(run_a, run_b)
         ba = ensemble_fuse(run_b, run_a)
-        assert ab.run.rankings["q"].pids() == ba.run.rankings["q"].pids()
-        for (p1, s1), (p2, s2) in zip(ab.run.rankings["q"].entries, ba.run.rankings["q"].entries):
+        assert ab.rankings["q"].pids() == ba.rankings["q"].pids()
+        for (p1, s1), (p2, s2) in zip(ab.rankings["q"].entries, ba.rankings["q"].entries):
             assert p1 == p2 and s1 == pytest.approx(s2, abs=1e-12)
-
-    def test_component_scores_sum_to_fused(self):
-        run_a = run_from({"q": [("a", 3.0), ("b", 1.0)]})
-        run_b = run_from({"q": [("b", 7.0), ("c", 2.0)]})
-        fused = ensemble_fuse(run_a, run_b)
-        for pid, score in fused.run.rankings["q"].entries:
-            sa, sb = fused.components["q"][pid]
-            assert score == pytest.approx(sa + sb, abs=1e-12)
 
     def test_disjoint_queries_rejected(self):
         with pytest.raises(ValueError):
@@ -273,7 +259,7 @@ class TestFuse:
         run_a = run_from({"q": [(f"a{i}", 10.0 - i) for i in range(8)]})
         run_b = run_from({"q": [(f"b{i}", 10.0 - i) for i in range(8)]})
         fused = ensemble_fuse(run_a, run_b, k=5)
-        assert len(fused.run.rankings["q"].entries) == 5
+        assert len(fused.rankings["q"].entries) == 5
 
     def test_k_below_one_rejected(self):
         run = run_from({"q": [("a", 1.0)]})
@@ -419,7 +405,7 @@ class TestHistogram:
     def test_empty_sample_zero_bins(self):
         from lexlab.analysis import DiscrepancySample
 
-        text = emit_histogram(DiscrepancySample(biased=[], unbiased=[], margin=0.2), bins=4)
+        text = emit_histogram(DiscrepancySample(biased=[], unbiased=[]), bins=4)
         counts = [int(line.split("\t")[-1]) for line in text.strip().splitlines()[1:]]
         assert all(c == 0 for c in counts)
 

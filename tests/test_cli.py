@@ -168,18 +168,24 @@ class TestOutputs:
         assert run_cli(*argv, "--out", fresh / "out") == 0
         assert [p.name for p in fresh.iterdir()] == ["out"]
 
-    @pytest.mark.parametrize(
-        "command, key", [("mine", "eval_qrels"), ("retrieve", "teacher_scores_file")]
-    )
+    @pytest.mark.parametrize("command, key", [
+        ("mine", "eval_qrels"), ("retrieve", "teacher_scores_file"),
+        ("train", "eval_queries"), ("train", "eval_qrels"),
+    ])
     def test_unread_input_key_may_name_a_missing_file(self, workspace, tmp_path, command, key):
         full = workspace / "toy.cfg"
         lines = [line for line in full.read_text().splitlines() if not line.startswith(key)]
         partial = tmp_path / "partial.cfg"
         partial.write_text("\n".join([*lines, f"{key} = {tmp_path / 'missing'}"]) + "\n")
+        extra = []
+        if command == "train":
+            pool = tmp_path / "pool.tsv"
+            assert run_cli("mine", "--config", full, "--out", pool) == 0
+            extra = ["--pool", pool, "--strategy", "none", "--epochs", 1]
         written = []
         for cfg in (full, partial):
             out = tmp_path / f"{cfg.stem}.out"
-            assert run_cli(command, "--config", cfg, "--out", out) == 0
+            assert run_cli(command, "--config", cfg, *extra, "--out", out) == 0
             written.append(out.read_bytes())
         assert written[0] == written[1]
 
@@ -224,6 +230,26 @@ class TestPipelineCli:
         assert json.loads((tmp_path / "env" / "manifest.json").read_text()) == json.loads(
             (tmp_path / "flag" / "manifest.json").read_text()
         )
+
+    def test_led_seed_applies_only_to_commands_reading_seed(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("LED_SEED", "abc")
+        assert run_cli("ingest", "--collection", workspace / "collection.tsv") == 0
+        assert run_cli("retrieve", "--config", workspace / "toy.cfg", "--out", tmp_path / "run") == 0
+        capsys.readouterr()
+        assert run_cli("mine", "--config", workspace / "toy.cfg", "--out", tmp_path / "pool") == 1
+        assert capsys.readouterr().err == "error: config key 'seed' must be an integer, got 'abc'\n"
+        assert not (tmp_path / "pool").exists()
+
+    def test_bad_flag_value_names_its_key(self, workspace, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = run_cli("retrieve", "--config", workspace / "toy.cfg", "--run_depth", "abc", "--out", out)
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: config key 'run_depth' must be an integer, got 'abc'\n"
+        )
+        assert not out.exists()
 
 
 class TestSweep:
@@ -414,17 +440,11 @@ class TestModelCommands:
         calls = []
         monkeypatch.setattr(training, "train_stage", lambda *a, **k: calls.append(a))
         out = tmp_path / "den.ckpt"
-        cfg = tmp_path / "missing_eval.cfg"
-        cfg.write_text(
-            (workspace / "toy.cfg").read_text().replace(
-                f"eval_qrels = {workspace / 'test_qrels.txt'}",
-                f"eval_qrels = {tmp_path / 'missing.txt'}",
-            )
-        )
-        rc = run_cli("train", "--config", cfg, "--pool", pool, "--out", out)
+        rc = run_cli("train", "--config", workspace / "toy.cfg", "--pool", pool,
+                     "--teacher_scores_file", tmp_path / "missing.tsv", "--out", out)
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "'eval_qrels'" in err
+        assert err.startswith("error:") and "'teacher_scores_file'" in err
         assert calls == [] and not out.exists()
 
     def test_buckets_and_shift(self, workspace, tmp_path, capsys):
@@ -478,10 +498,19 @@ class TestCommandKeys:
         for key in sorted({f.name for f in dataclasses.fields(training.PipelineConfig)} - read):
             with pytest.raises(SystemExit):
                 parser.parse_args([command, *self.REQUIRED[command], f"--{key}", "1"])
-            # "unrecognized arguments", or "ambiguous option" for --m, a prefix of
-            # --min_df and --max_vocab.
             err = capsys.readouterr().err
-            assert "error:" in err and f"--{key}" in err
+            assert f"error: unrecognized arguments: --{key} 1" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["retrieve", "--out", "o", "--run_d", "7"],
+        ["train", "--pool", "p", "--out", "o", "--teacher_sc", "t.tsv"],
+        ["mine", "--out", "o", "--m", "9"],
+    ])
+    def test_no_flag_may_be_abbreviated(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(argv)
+        err = capsys.readouterr().err
+        assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in err
 
     @pytest.mark.parametrize("command, flag, value", [
         ("mine", "--led_lr", 9), ("train", "--depth", 5), ("retrieve", "--seed", 1),
@@ -535,8 +564,8 @@ class TestCommandKeys:
             return recorder
 
         monkeypatch.setattr(cli, "_resolve_config", recording)
-        # train hashes every key into its header digest; that read is not a use.
-        monkeypatch.setattr(cli, "config_digest", lambda cfg: "")
+        # train hashes its keys into its header digest; that read is not a use.
+        monkeypatch.setattr(cli, "config_digest", lambda cfg, keys: "")
         config = ["--config", workspace / "toy.cfg", "--out", out]
         argv = {
             "ingest": ["ingest", "--collection", workspace / "collection.tsv"],
@@ -550,7 +579,7 @@ class TestCommandKeys:
 
 class TestTrainInputs:
     def test_train_reads_teacher_scores_file(self, workspace, tmp_path):
-        from lexlab.data import build_vocab_for, load_collection, load_qrels, load_queries
+        from lexlab.data import build_vocab, load_collection, load_qrels, load_queries
         from lexlab.encoders import DenseParams, load_params
 
         toy = workspace / "toy.cfg"
@@ -560,7 +589,7 @@ class TestTrainInputs:
         corpus = load_collection(cfg.collection)
         queries = load_queries(cfg.train_queries)
         qrels = load_qrels(cfg.train_qrels)
-        vocab = build_vocab_for(corpus, cfg.min_df, cfg.max_vocab)
+        vocab = build_vocab(corpus, cfg.min_df, cfg.max_vocab)
         stage_cfg = training.stage_config(
             dataclasses.replace(cfg, epochs=1), training.Stage("warmup", "lr", "epochs", "m"),
             "rank-consistent",

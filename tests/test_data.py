@@ -64,7 +64,7 @@ class TestVocab:
 
     def test_df_tie_broken_lexicographically(self):
         corpus = Corpus.from_docs({"d1": "a b", "d2": "a c"})
-        vocab = build_vocab(corpus, min_df=1, max_size=2)
+        vocab = build_vocab(corpus, min_df=1, max_vocab=2)
         assert vocab.term_to_id == {"a": 0, "b": 1}
 
     def test_size_matches_distinct_token_count(self):
@@ -93,7 +93,12 @@ class TestVocab:
         with pytest.raises(ValueError):
             build_vocab(corpus, min_df=0)
         with pytest.raises(ValueError):
-            build_vocab(corpus, max_size=0)
+            build_vocab(corpus, max_vocab=-1)
+
+    def test_max_vocab_zero_keeps_every_term(self):
+        corpus = Corpus.from_docs({"d1": "a b", "d2": "a c"})
+        assert build_vocab(corpus, max_vocab=0).id_to_term == ["a", "b", "c"]
+        assert build_vocab(corpus, max_vocab=3) == build_vocab(corpus, max_vocab=0)
 
     def test_empty_corpus(self):
         vocab = build_vocab(Corpus.from_docs({}))
@@ -106,16 +111,14 @@ class TestVectorize:
         vocab = build_vocab(corpus)
         tv = vectorize("a a b", vocab)
         assert tv.counts == {vocab.term_to_id["a"]: 2, vocab.term_to_id["b"]: 1}
-        assert tv.n == 3
-        assert tv.n_oov == 0
+        assert tv.n == 3 == sum(tv.counts.values())
 
     def test_oov_counted_in_length_only(self):
         corpus = Corpus.from_docs({"d": "a"})
         vocab = build_vocab(corpus)
         tv = vectorize("z z", vocab)
         assert tv.counts == {}
-        assert tv.n == 2
-        assert tv.n_oov == 2
+        assert tv.n - sum(tv.counts.values()) == 2
 
     def test_corpus_total_counts_match_token_scan(self):
         rng = np.random.default_rng(3)
@@ -138,8 +141,7 @@ class TestVectorize:
         corpus = Corpus.from_docs({"d": "alpha beta gamma"})
         vocab = build_vocab(corpus)
         tv = vectorize(text, vocab)
-        assert tv.n >= tv.n_invocab
-        assert (tv.n == tv.n_invocab) == (tv.n_oov == 0)
+        assert tv.n >= sum(tv.counts.values())
 
 
 class TestCorpusStats:

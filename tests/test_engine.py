@@ -284,8 +284,8 @@ class TestEveryCallerTracesTheSameBits:
         scored = []
         monkeypatch.setattr(training, "sparse_scores", recording(training.sparse_scores, scored))
         teacher = model_teacher(p, index, vocab, queries)
-        teacher("q1", ["d0"], np.zeros(1))
-        teacher("q0", ["d0"], np.zeros(1))
+        teacher("q1", ["d0"])
+        teacher("q0", ["d0"])
         assert_lone(scored[1].terms, scored[1].weights)
 
 
@@ -494,7 +494,7 @@ class TestMaskLosses:
         assert pairs.pairs == [(c.pids[i], c.pids[j]) for i, j in oracle_pairs(c)]
         for loss_fn, oracle in ((rank_consistent_loss, oracle_hinge),
                                 (margin_mse_loss, oracle_margin_mse)):
-            lv = loss_fn(c, pairs)
+            lv = loss_fn(c)
             loss, grad = oracle(c)
             # Additions replay the pair order, so the results are exact.
             assert lv.loss == loss

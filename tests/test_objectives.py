@@ -108,13 +108,13 @@ class TestRankPairs:
 class TestRankConsistent:
     def test_agreement_gives_zero(self):
         c = cands([3.0, 2.0, 1.0], teacher=[9.0, 5.0, 1.0])
-        lv = rank_consistent_loss(c, make_rank_pairs(c))
+        lv = rank_consistent_loss(c)
         assert lv.loss == 0.0
         assert not lv.grad.any()
 
     def test_single_reversed_pair_is_margin(self):
         c = cands([1.0, 3.5], teacher=[2.0, 1.0])
-        lv = rank_consistent_loss(c, make_rank_pairs(c))
+        lv = rank_consistent_loss(c)
         assert lv.loss == pytest.approx(2.5, abs=1e-12)
 
     def test_matches_brute_force_mean(self):
@@ -130,26 +130,18 @@ class TestRankConsistent:
             for win, lose in pairs.pairs:
                 expected += max(0.0, s[idx[lose]] - s[idx[win]])
             expected /= max(len(pairs), 1)
-            lv = rank_consistent_loss(c, pairs)
+            lv = rank_consistent_loss(c)
             assert lv.loss == pytest.approx(expected, abs=1e-12)
 
     def test_empty_pairs_zero(self):
         c = cands([1.0, 2.0], teacher=[1.0, 1.0])
-        lv = rank_consistent_loss(c, make_rank_pairs(c))
+        lv = rank_consistent_loss(c)
         assert lv.loss == 0.0 and not lv.grad.any()
 
     def test_tie_has_zero_subgradient(self):
         c = cands([2.0, 2.0], teacher=[5.0, 1.0])
-        lv = rank_consistent_loss(c, make_rank_pairs(c))
+        lv = rank_consistent_loss(c)
         assert lv.loss == 0.0 and not lv.grad.any()
-
-    def test_unknown_pid_rejected(self):
-        from lexlab.objectives import RankPairSet
-
-        c = cands([1.0, 2.0], teacher=[2.0, 1.0])
-        with pytest.raises(ValueError):
-            ghost = RankPairSet(pids=("p+", "ghost"), mask=np.array([[False, True], [False, False]]))
-            rank_consistent_loss(c, ghost)
 
     def test_fd(self):
         for seed in range(10):
@@ -160,7 +152,7 @@ class TestCombined:
     def test_zero_weight_equals_contrastive(self):
         c = cands([1.0, 0.2, -0.3], teacher=[3, 2, 1])
         cl = contrastive_loss(c)
-        ll = rank_consistent_loss(c, make_rank_pairs(c))
+        ll = rank_consistent_loss(c)
         total = combined_loss(cl, ll, 0.0)
         assert total.loss == cl.loss
         assert np.array_equal(total.grad, cl.grad)
@@ -176,7 +168,7 @@ class TestCombined:
     def test_affine_in_weight(self):
         c = cands([0.4, -0.1, 0.9], teacher=[1, 3, 2])
         cl = contrastive_loss(c)
-        ll = rank_consistent_loss(c, make_rank_pairs(c))
+        ll = rank_consistent_loss(c)
         for w in (0.0, 1.0, 2.0):
             assert combined_loss(cl, ll, w).loss == pytest.approx(
                 cl.loss + w * ll.loss, abs=1e-12
@@ -192,12 +184,12 @@ class TestCombined:
 class TestMarginMse:
     def test_matching_margins_zero(self):
         c = cands([4.0, 2.0, 1.0], teacher=[4.0, 2.0, 1.0])
-        lv = margin_mse_loss(c, make_rank_pairs(c))
+        lv = margin_mse_loss(c)
         assert lv.loss == pytest.approx(0.0, abs=1e-18)
 
     def test_single_pair_squared_gap(self):
         c = cands([1.0, 0.0], teacher=[3.0, 0.0])
-        lv = margin_mse_loss(c, make_rank_pairs(c))
+        lv = margin_mse_loss(c)
         assert lv.loss == pytest.approx(4.0, abs=1e-12)
 
     def test_fd(self):
@@ -314,7 +306,7 @@ class TestExhaustiveOrderings:
             for perm in itertools.permutations(range(n)):
                 student = base[list(perm)]
                 c = cands(student, teacher=teacher)
-                lv = rank_consistent_loss(c, make_rank_pairs(c))
+                lv = rank_consistent_loss(c)
                 if perm == tuple(range(n)):
                     assert lv.loss == 0.0
                 else:

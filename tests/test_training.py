@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import shutil
 
@@ -41,6 +42,8 @@ from lexlab.training import (
     train_stage,
     validate_pool,
 )
+
+ALL_KEYS = tuple(f.name for f in dataclasses.fields(PipelineConfig))
 
 
 def small_world(n_docs=30, n_queries=6, seed=0):
@@ -206,7 +209,7 @@ class TestTeachers:
         corpus, queries, qrels, vocab = small_world()
         params = LexicalParams.init(vocab.size, 4, 0)
         teacher = model_teacher(params, encode_corpus(params, corpus, vocab), vocab, queries)
-        assert len(teacher("q0", [], np.zeros(0))) == 0
+        assert len(teacher("q0", [])) == 0
 
     def test_model_scores_equal_direct_relevance(self):
         corpus, queries, qrels, vocab = small_world()
@@ -214,7 +217,7 @@ class TestTeachers:
         teacher = model_teacher(params, encode_corpus(params, corpus, vocab), vocab, queries)
         pids = sorted(corpus.docs)
         for qid, text in queries.queries.items():
-            got = teacher(qid, pids, np.zeros(len(pids)))
+            got = teacher(qid, pids)
             q_vec = lexical_encode(vectorize(text, vocab), params)
             for pid, score in zip(pids, got):
                 p_vec = lexical_encode(vectorize(corpus.docs[pid], vocab), params)
@@ -229,7 +232,7 @@ class TestTeachers:
     def test_table_teacher_missing_pair(self):
         teacher = table_teacher({})
         with pytest.raises(ValueError, match="missing"):
-            teacher("q1", ["d1"], np.zeros(1))
+            teacher("q1", ["d1"])
 
     def test_model_teacher_matches_helper(self):
         corpus, queries, qrels, vocab = small_world()
@@ -237,7 +240,7 @@ class TestTeachers:
         teacher = model_teacher(params, encode_corpus(params, corpus, vocab), vocab, queries)
         pids = sorted(corpus.docs, reverse=True)
         for qid, text in queries.queries.items():
-            got = teacher(qid, pids, np.zeros(len(pids)))
+            got = teacher(qid, pids)
             helper = encode_and_dot(params, vocab, text, corpus.docs, pids)
             assert got.tolist() == [helper[pid] for pid in pids]
 
@@ -251,8 +254,8 @@ class TestTeachers:
         real = training.lexical_encode
         monkeypatch.setattr(training, "lexical_encode", lambda tv, p: encoded.append(tv) or real(tv, p))
         teacher = model_teacher(params, index, vocab, queries)
-        first = teacher("q0", ["d00", "d05"], np.zeros(2))
-        again = teacher("q0", ["d05", "d00", "d07"], np.zeros(3))
+        first = teacher("q0", ["d00", "d05"])
+        again = teacher("q0", ["d05", "d00", "d07"])
         assert encoded == [vectorize(queries.queries["q0"], vocab)]
         assert list(again[:2]) == [first[1], first[0]]
 
@@ -356,7 +359,7 @@ class TestTrainStage:
             seed=3, dim=4, lr=0.05, m=4, epochs=3, stage="s",
             strategy="rank-consistent", reg_weight=0.0,
         )
-        teacher = lambda qid, pids, scores: np.arange(len(pids), 0.0, -1.0)
+        teacher = lambda qid, pids: np.arange(len(pids), 0.0, -1.0)
         b, _ = train_stage(cfg_b, vocab, corpus, queries, qrels, pool, init, teacher=teacher)
         assert params_digest(a) == params_digest(b)
 
@@ -374,24 +377,12 @@ class TestTrainStage:
         assert len(losses) == 5
         assert all(losses[i + 1] < losses[i] for i in range(4))
 
-    def test_teacher_equal_to_student_gives_zero_ll(self):
-        corpus, queries, qrels, vocab = small_world()
-        pool = make_pool(queries, qrels, corpus, vocab)
-        cfg = TrainConfig(seed=2, dim=4, lr=0.05, m=4, epochs=2, stage="s", strategy="rank-consistent")
-        teacher = lambda qid, pids, scores: scores
-        _, log = train_stage(
-            cfg, vocab, corpus, queries, qrels, pool,
-            DenseParams.init(vocab.size, 4, 2), teacher=teacher,
-        )
-        assert log.steps
-        assert all(rec.ll == 0.0 for rec in log.steps)
-
     def test_total_is_cl_plus_weighted_ll(self):
         corpus, queries, qrels, vocab = small_world()
         pool = make_pool(queries, qrels, corpus, vocab)
         cfg = TrainConfig(seed=2, dim=4, lr=0.05, m=4, epochs=2, stage="s",
                           strategy="rank-consistent", reg_weight=1.2)
-        teacher = lambda qid, pids, scores: np.arange(len(pids), 0.0, -1.0)
+        teacher = lambda qid, pids: np.arange(len(pids), 0.0, -1.0)
         _, log = train_stage(
             cfg, vocab, corpus, queries, qrels, pool,
             DenseParams.init(vocab.size, 4, 2), teacher=teacher,
@@ -422,7 +413,7 @@ class TestTrainStage:
         corpus, queries, qrels, vocab = small_world()
         pool = make_pool(queries, qrels, corpus, vocab)
         cfg = TrainConfig(seed=2, dim=4, lr=0.05, m=4, epochs=2, stage="s", strategy="filter")
-        teacher = lambda qid, pids, scores: np.linspace(1.0, 0.1, len(pids))
+        teacher = lambda qid, pids: np.linspace(1.0, 0.1, len(pids))
         params, log = train_stage(
             cfg, vocab, corpus, queries, qrels, pool,
             DenseParams.init(vocab.size, 4, 2), teacher=teacher,
@@ -456,26 +447,38 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config key"):
             config_from_mapping({"learning_rate": "0.1"})
 
+    def test_bad_number_names_its_key(self):
+        with pytest.raises(ValueError, match="^config key 'run_depth' must be an integer, got 'abc'$"):
+            config_from_mapping({"run_depth": "abc"})
+        with pytest.raises(ValueError, match="^config key 'lr' must be a number, got '0,1'$"):
+            config_from_mapping({"lr": "0,1"})
+
     def test_digest_sensitivity(self, tmp_path):
         x = tmp_path / "x.tsv"
         x.write_text("d1\tsome text\n")
         a = PipelineConfig(collection=str(x))
         b = PipelineConfig(collection=str(x), seed=8)
-        assert config_digest(a) != config_digest(b)
-        assert config_digest(a) == config_digest(PipelineConfig(collection=str(x)))
+        assert config_digest(a, ALL_KEYS) != config_digest(b, ALL_KEYS)
+        assert config_digest(a, ALL_KEYS) == config_digest(PipelineConfig(collection=str(x)), ALL_KEYS)
         # Input files count by their bytes, not their path.
         (tmp_path / "copy").mkdir()
         same = tmp_path / "copy" / "y.tsv"
         same.write_bytes(x.read_bytes())
         other = tmp_path / "z.tsv"
         other.write_text("d1\tother text\n")
-        assert config_digest(a) == config_digest(PipelineConfig(collection=str(same)))
-        assert config_digest(a) != config_digest(PipelineConfig(collection=str(other)))
+        assert config_digest(a, ALL_KEYS) == config_digest(PipelineConfig(collection=str(same)), ALL_KEYS)
+        assert config_digest(a, ALL_KEYS) != config_digest(PipelineConfig(collection=str(other)), ALL_KEYS)
+
+    def test_digest_hashes_only_the_given_keys(self, tmp_path):
+        a = PipelineConfig(seed=1, eval_qrels=str(tmp_path / "absent.tsv"))
+        b = PipelineConfig(seed=1, lr=0.5)
+        assert config_digest(a, ("seed", "dim")) == config_digest(b, ("seed", "dim"))
+        assert config_digest(a, ("seed",)) != config_digest(a, ("seed", "dim"))
 
     def test_digest_names_a_missing_input_file(self, tmp_path):
         missing = tmp_path / "absent.tsv"
         with pytest.raises(ValueError, match=f"'eval_qrels'.*{missing}"):
-            config_digest(PipelineConfig(eval_qrels=str(missing)))
+            config_digest(PipelineConfig(eval_qrels=str(missing)), ALL_KEYS)
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
