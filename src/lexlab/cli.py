@@ -138,7 +138,6 @@ def cmd_train(args) -> int:
     qrels = load_qrels(cfg.train_qrels)
     vocab = build_vocab(corpus, cfg.min_df, cfg.max_vocab)
     pool = training.load_pool(args.pool)
-    training.validate_pool(pool, qrels)
     init = _load_model(args.init, vocab, cfg.min_df, cfg.max_vocab)
     if init is not None:
         if args.kind and args.kind != init.kind:

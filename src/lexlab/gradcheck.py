@@ -1,8 +1,9 @@
 """Finite-difference verification harness.
 
 Checks three layers: encoder parameter gradients, loss gradients with
-respect to their inputs (candidate scores, or lexical term weights for
-FLOPS), and full compositions (parameters -> encoder -> relevance -> loss).
+respect to their inputs (the candidate score array, index 0 the positive,
+or lexical term weights for FLOPS), and full compositions (parameters ->
+encoder -> relevance -> loss).
 Every check runs `fd_max_rel_error`, one central-difference loop over a flat
 float64 array, against the functions that train: `dense_encode_batch` /
 `dense_backward_batch`, `lexical_trace` / `LexicalRoutes`, the losses, and
@@ -32,7 +33,7 @@ from .encoders import (
     params_from_tensors,
     token_row,
 )
-from .objectives import TEACHING_LOSSES, CandidateSet, flops_penalty, strategy_loss
+from .objectives import TEACHING_LOSSES, flops_penalty, strategy_loss
 from .training import batch_step
 
 LOSS_NAMES = (
@@ -41,7 +42,6 @@ LOSS_NAMES = (
     "combined",
     "margin-mse",
     "kl",
-    "listnet",
     "flops",
 )
 
@@ -148,7 +148,7 @@ def grad_check(
     return fd_max_rel_error(x, forward, _flat(grads), eps)
 
 
-def _loss_and_structure(name: str, cands: CandidateSet):
+def _loss_and_structure(name: str, scores: np.ndarray, teacher: np.ndarray):
     """Evaluate one named loss as training does; returns (LossValue, discrete structure).
 
     "contrastive" and "combined" are the training losses of the strategies
@@ -156,28 +156,16 @@ def _loss_and_structure(name: str, cands: CandidateSet):
     losses themselves, "kl" at temperature 2.
     """
     if name == "contrastive":
-        lv = strategy_loss("none", cands)[0]
+        lv = strategy_loss("none", scores)[0]
     elif name == "combined":
-        lv = strategy_loss("rank-consistent", cands, reg_weight=1.2)[0]
+        lv = strategy_loss("rank-consistent", scores, teacher, reg_weight=1.2)[0]
     else:
-        lv = TEACHING_LOSSES[name](cands, 2.0)
+        lv = TEACHING_LOSSES[name](scores, teacher, 2.0)
     if name not in ("rank-consistent", "combined"):
         return lv, b""
-    s, t = cands.scores, cands.teacher_scores
+    s, t = scores, teacher
     # Which rank pairs' hinges are active: s(other) > s(preferred).
     return lv, ((t[:, None] > t[None, :]) & (s[None, :] > s[:, None])).tobytes()
-
-
-def _random_cands(rng: np.random.Generator, n_negs: int = 4) -> CandidateSet:
-    scores = rng.normal(size=n_negs + 1)
-    teacher = rng.normal(size=n_negs + 1)
-    return CandidateSet(
-        qid="q",
-        pos_pid="p+",
-        neg_pids=[f"n{i}" for i in range(n_negs)],
-        scores=scores,
-        teacher_scores=teacher,
-    )
 
 
 def loss_grad_check(name: str, seed: int, eps: float = 1e-5, n_negs: int = 4) -> float:
@@ -199,15 +187,15 @@ def loss_grad_check(name: str, seed: int, eps: float = 1e-5, n_negs: int = 4) ->
         analytic = flops_penalty(terms, values, weight=0.7).grad
         return fd_max_rel_error(x, forward, analytic, eps)
 
-    # The set keeps the float64 scores array it was given: that array is x.
-    cands = _random_cands(rng, n_negs)
+    scores = rng.normal(size=n_negs + 1)  # x: the array the loss reads
+    teacher = rng.normal(size=n_negs + 1)
 
     def forward():
-        lv, structure = _loss_and_structure(name, cands)
+        lv, structure = _loss_and_structure(name, scores, teacher)
         return lv.loss, structure
 
-    analytic = _loss_and_structure(name, cands)[0].grad
-    return fd_max_rel_error(cands.scores, forward, analytic, eps)
+    analytic = _loss_and_structure(name, scores, teacher)[0].grad
+    return fd_max_rel_error(scores, forward, analytic, eps)
 
 
 def composed_grad_check(
@@ -231,7 +219,6 @@ def composed_grad_check(
     q_tv = rand_tv(3)
     cand_tvs = [rand_tv(4) for _ in range(n_negs + 1)]
     teacher = rng.normal(size=n_negs + 1)
-    neg_pids = [f"n{i}" for i in range(n_negs)]
 
     if kind == "dense":
         params = DenseParams.init(vocab_size, dim, seed)
@@ -258,10 +245,7 @@ def composed_grad_check(
     def loss_fn(k, scores):
         if loss_name == "flops":
             return 0.0, np.zeros(len(scores))
-        cands = CandidateSet(
-            qid="q", pos_pid="p+", neg_pids=neg_pids, scores=scores, teacher_scores=teacher
-        )
-        lv, structure = _loss_and_structure(loss_name, cands)
+        lv, structure = _loss_and_structure(loss_name, scores, teacher)
         loss_structure.append(structure)
         return lv.loss, lv.grad
 

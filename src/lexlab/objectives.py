@@ -1,10 +1,12 @@
 """Training losses over per-query candidate sets.
 
-Every loss returns its value together with the exact gradient with respect to
-its inputs: the student scores, or for flops_penalty the lexical term
-weights. Softmax-based losses are stabilized by max subtraction. The
-rank-consistent hinge penalizes only pairs the student orders against the
-teacher; agreement, including exact ties, costs nothing.
+A candidate set is one or two aligned float64 arrays: the student's
+`scores` and the teacher's `teacher` scores, with index 0 the positive and
+the negatives after it. Every loss returns its value together with the
+exact gradient with respect to the student scores, or for flops_penalty the
+lexical term weights. Softmax-based losses are stabilized by max
+subtraction. The rank-consistent hinge penalizes only pairs the student
+orders against the teacher; agreement, including exact ties, costs nothing.
 """
 
 from __future__ import annotations
@@ -13,35 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass
-class CandidateSet:
-    """One query's positive and negatives with aligned score arrays.
-
-    Scores follow pid order: index 0 is the positive, then the negatives.
-    """
-
-    qid: str
-    pos_pid: str
-    neg_pids: list[str]
-    scores: np.ndarray
-    teacher_scores: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.pos_pid in self.neg_pids:
-            raise ValueError(f"positive {self.pos_pid!r} listed among negatives")
-        self.scores = np.asarray(self.scores, dtype=np.float64)
-        if len(self.scores) != 1 + len(self.neg_pids):
-            raise ValueError("scores do not align with [positive] + negatives")
-        if self.teacher_scores is not None:
-            self.teacher_scores = np.asarray(self.teacher_scores, dtype=np.float64)
-            if len(self.teacher_scores) != len(self.scores):
-                raise ValueError("teacher scores do not align with candidates")
-
-    @property
-    def pids(self) -> list[str]:
-        return [self.pos_pid, *self.neg_pids]
 
 
 @dataclass
@@ -54,16 +27,15 @@ class LossValue:
 class RankPairSet:
     """Ordered (preferred, other) pairs under the teacher's strict order.
 
-    `mask[i, j]` is True when candidate `pids[i]` is preferred to `pids[j]`.
+    `mask[i, j]` is True when candidate `i` is preferred to candidate `j`.
     """
 
-    pids: tuple[str, ...]
     mask: np.ndarray
 
     @property
-    def pairs(self) -> list[tuple[str, str]]:
+    def pairs(self) -> list[tuple[int, int]]:
         win, lose = np.nonzero(self.mask)
-        return [(self.pids[i], self.pids[j]) for i, j in zip(win.tolist(), lose.tolist())]
+        return list(zip(win.tolist(), lose.tolist()))
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.mask))
@@ -74,28 +46,21 @@ def _log_softmax(scores: np.ndarray) -> np.ndarray:
     return shifted - math.log(np.exp(shifted).sum())
 
 
-def _require_teacher(cands: CandidateSet) -> np.ndarray:
-    if cands.teacher_scores is None:
-        raise ValueError("teacher scores required but not provided")
-    return cands.teacher_scores
-
-
-def contrastive_loss(cands: CandidateSet) -> LossValue:
+def contrastive_loss(scores: np.ndarray) -> LossValue:
     """-log softmax at the positive over raw dot-product logits."""
-    if not cands.neg_pids:
+    if len(scores) < 2:
         raise ValueError("contrastive loss needs at least one negative")
-    if np.isnan(cands.scores).any():
-        raise ValueError(f"NaN score in candidate set for query {cands.qid!r}")
-    logp = _log_softmax(cands.scores)
+    if np.isnan(scores).any():
+        raise ValueError("NaN score in candidate set")
+    logp = _log_softmax(scores)
     grad = np.exp(logp)
     grad[0] -= 1.0
     return LossValue(loss=-float(logp[0]), grad=grad)
 
 
-def make_rank_pairs(cands: CandidateSet) -> RankPairSet:
+def make_rank_pairs(teacher: np.ndarray) -> RankPairSet:
     """All ordered candidate pairs the teacher strictly prefers; ties yield none."""
-    t = _require_teacher(cands)
-    return RankPairSet(pids=tuple(cands.pids), mask=t[:, None] > t[None, :])
+    return RankPairSet(mask=teacher[:, None] > teacher[None, :])
 
 
 def _sequential_pair_sum(win, lose, win_step, lose_step, n: int) -> np.ndarray:
@@ -116,19 +81,19 @@ def ordered_total(values: np.ndarray) -> float:
     return float(values.cumsum()[-1]) if len(values) else 0.0
 
 
-def rank_consistent_loss(cands: CandidateSet) -> LossValue:
+def rank_consistent_loss(scores: np.ndarray, teacher: np.ndarray) -> LossValue:
     """Mean hinge on student disagreement: max(0, s(other) - s(preferred))
     over the teacher's rank pairs.
 
     Zero exactly when the student's strict order matches the teacher on every
     pair; the subgradient at an exact tie is zero.
     """
-    mask = make_rank_pairs(cands).mask
+    mask = make_rank_pairs(teacher).mask
     n_pairs = np.count_nonzero(mask)
-    n = len(cands.scores)
+    n = len(scores)
     if not n_pairs:
         return LossValue(loss=0.0, grad=np.zeros(n))
-    s = cands.scores
+    s = scores
     inv = 1.0 / n_pairs
     # Pairs whose hinge is active, in the row-major order of the mask.
     win, lose = (mask & (s[None, :] > s[:, None])).nonzero()
@@ -143,16 +108,15 @@ def combined_loss(cl: LossValue, ll: LossValue, weight: float) -> LossValue:
     return LossValue(loss=cl.loss + weight * ll.loss, grad=cl.grad + weight * ll.grad)
 
 
-def margin_mse_loss(cands: CandidateSet) -> LossValue:
+def margin_mse_loss(scores: np.ndarray, teacher: np.ndarray) -> LossValue:
     """Mean squared difference between student and teacher margins over the
     teacher's rank pairs."""
-    t = _require_teacher(cands)
-    mask = make_rank_pairs(cands).mask
+    mask = make_rank_pairs(teacher).mask
     n_pairs = np.count_nonzero(mask)
-    n = len(cands.scores)
+    n = len(scores)
     if not n_pairs:
         return LossValue(loss=0.0, grad=np.zeros(n))
-    s = cands.scores
+    s, t = scores, teacher
     inv = 1.0 / n_pairs
     win, lose = mask.nonzero()
     diff = (s[win] - s[lose]) - (t[win] - t[lose])
@@ -161,85 +125,70 @@ def margin_mse_loss(cands: CandidateSet) -> LossValue:
     return LossValue(loss=ordered_total(diff * diff) * inv, grad=grad)
 
 
-def kl_divergence_loss(cands: CandidateSet, temperature: float = 1.0) -> LossValue:
-    """KL(softmax(teacher/T) || softmax(student/T)) over the candidate list."""
+def kl_divergence_loss(
+    scores: np.ndarray, teacher: np.ndarray, temperature: float = 1.0
+) -> LossValue:
+    """KL(softmax(teacher/T) || softmax(student/T)) over the candidate list.
+
+    At T = 1 its gradient is ListNet's top-1 cross-entropy gradient: the two
+    losses differ by the teacher's entropy, which the student cannot move.
+    """
     if temperature <= 0:
         raise ValueError("temperature must be > 0")
-    t = _require_teacher(cands)
-    logp = _log_softmax(t / temperature)
-    logq = _log_softmax(cands.scores / temperature)
+    logp = _log_softmax(teacher / temperature)
+    logq = _log_softmax(scores / temperature)
     p = np.exp(logp)
     loss = float((p * (logp - logq)).sum())
     grad = (np.exp(logq) - p) / temperature
     return LossValue(loss=loss, grad=grad)
 
 
-def listnet_loss(cands: CandidateSet) -> LossValue:
-    """Cross-entropy between the teacher's and student's top-1 distributions."""
-    t = _require_teacher(cands)
-    logp = _log_softmax(t)
-    logq = _log_softmax(cands.scores)
-    p = np.exp(logp)
-    loss = -float((p * logq).sum())
-    grad = np.exp(logq) - p
-    return LossValue(loss=loss, grad=grad)
-
-
-def filter_false_negatives(cands: CandidateSet, threshold: float = 0.95) -> CandidateSet:
-    """Drop negatives whose teacher score reaches `threshold` x the positive's."""
-    t = _require_teacher(cands)
-    cutoff = threshold * t[0]
-    keep = [i for i in range(1, len(cands.scores)) if t[i] < cutoff]
-    sel = [0, *keep]
-    return CandidateSet(
-        qid=cands.qid,
-        pos_pid=cands.pos_pid,
-        neg_pids=[cands.neg_pids[i - 1] for i in keep],
-        scores=cands.scores[sel],
-        teacher_scores=t[sel],
-    )
-
-
-# The teaching losses by strategy name: (candidates with teacher scores, KL
+# The teaching losses by strategy name: (scores, teacher scores, KL
 # temperature) -> loss over the student scores.
 TEACHING_LOSSES = {
-    "rank-consistent": lambda cands, temperature: rank_consistent_loss(cands),
-    "margin-mse": lambda cands, temperature: margin_mse_loss(cands),
-    "listnet": lambda cands, temperature: listnet_loss(cands),
-    "kl": lambda cands, temperature: kl_divergence_loss(cands, temperature=temperature),
+    "rank-consistent": lambda scores, teacher, temperature: rank_consistent_loss(scores, teacher),
+    "margin-mse": lambda scores, teacher, temperature: margin_mse_loss(scores, teacher),
+    "kl": kl_divergence_loss,
 }
 STRATEGIES = ("none", *TEACHING_LOSSES, "filter")
 
 
 def strategy_loss(
     strategy: str,
-    cands: CandidateSet,
+    scores: np.ndarray,
+    teacher: np.ndarray | None = None,
     reg_weight: float = 1.2,
     filter_threshold: float = 0.95,
     kl_temperature: float = 1.0,
 ) -> tuple[LossValue, float, float]:
     """The training loss of one candidate set: (total, contrastive part, teaching part).
 
-    "none" is the contrastive loss alone; "filter" is the contrastive loss
-    over the negatives the teacher does not flag; every other strategy adds
-    `reg_weight` times its teaching loss from `TEACHING_LOSSES`.
+    "none" is the contrastive loss alone and ignores `teacher`; "filter" is
+    the contrastive loss over the negatives whose teacher score stays below
+    `filter_threshold` times the positive's (a NaN teacher score drops its
+    negative); every other strategy adds `reg_weight` times its teaching
+    loss from `TEACHING_LOSSES`.
     """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r} (choose from {STRATEGIES})")
+    if strategy != "none":
+        if teacher is None:
+            raise ValueError(f"strategy {strategy!r} needs teacher scores")
+        if len(teacher) != len(scores):
+            raise ValueError("teacher scores do not align with candidates")
     if strategy == "filter":
-        kept = filter_false_negatives(cands, threshold=filter_threshold)
-        grad = np.zeros(len(cands.scores))
-        if not kept.neg_pids:
+        keep = teacher < filter_threshold * teacher[0]
+        keep[0] = True
+        grad = np.zeros(len(scores))
+        if not keep[1:].any():
             return LossValue(loss=0.0, grad=grad), 0.0, 0.0
-        cl = contrastive_loss(kept)
-        index = {pid: i for i, pid in enumerate(cands.pids)}
-        for g, pid in zip(cl.grad, kept.pids):
-            grad[index[pid]] = g
+        cl = contrastive_loss(scores[keep])
+        grad[keep] = cl.grad
         return LossValue(loss=cl.loss, grad=grad), cl.loss, 0.0
-    cl = contrastive_loss(cands)
+    cl = contrastive_loss(scores)
     if strategy == "none":
         return cl, cl.loss, 0.0
-    if strategy not in TEACHING_LOSSES:
-        raise ValueError(f"unknown strategy {strategy!r} (choose from {STRATEGIES})")
-    ll = TEACHING_LOSSES[strategy](cands, kl_temperature)
+    ll = TEACHING_LOSSES[strategy](scores, teacher, kl_temperature)
     return combined_loss(cl, ll, reg_weight), cl.loss, ll.loss
 
 

@@ -47,7 +47,7 @@ from .encoders import (
     lexical_trace,
     token_row,
 )
-from .objectives import STRATEGIES, CandidateSet, flops_penalty, strategy_loss
+from .objectives import STRATEGIES, flops_penalty, strategy_loss
 from . import retrieval
 from .retrieval import Retriever, index_kind
 from .sparse_index import InvertedIndex, build_index, sparse_scores
@@ -517,9 +517,11 @@ def train_stage(
     "none". Per step the loss is contrastive plus, when a teaching strategy is
     active, `reg_weight` times the strategy loss (the filter strategy instead
     drops teacher-flagged false negatives before the contrastive loss).
+    A pool that lists any qrels positive of its query is rejected up front.
     Parameters change only between optimizer batches, so each batch runs as
     one `batch_step`.
     """
+    validate_pool(pool, qrels)
     if _needs_teacher(config.strategy) and teacher is None:
         raise ValueError(f"strategy {config.strategy!r} requires a teacher")
     params = init_params.copy()
@@ -567,15 +569,8 @@ def train_stage(
                     if _needs_teacher(config.strategy)
                     else None
                 )
-                cands = CandidateSet(
-                    qid=qid,
-                    pos_pid=pids[0],
-                    neg_pids=pids[1:],
-                    scores=scores,
-                    teacher_scores=t_scores,
-                )
                 total, cl_val, ll_val = strategy_loss(
-                    config.strategy, cands, config.reg_weight,
+                    config.strategy, scores, t_scores, config.reg_weight,
                     config.filter_threshold, config.kl_temperature,
                 )
                 if not np.isfinite(total.loss):

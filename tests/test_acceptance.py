@@ -18,12 +18,7 @@ import pytest
 from lexlab import analysis, cli, gradcheck, retrieval, synthetic, training
 from lexlab.data import load_qrels, load_queries, vectorize_corpus
 from lexlab.encoders import TermWeightVector
-from lexlab.objectives import (
-    CandidateSet,
-    combined_loss,
-    contrastive_loss,
-    rank_consistent_loss,
-)
+from lexlab.objectives import combined_loss, contrastive_loss, rank_consistent_loss
 from lexlab.retrieval import DenseIndex, dense_search, evaluate, format_report, load_run, mrr_at_k
 from lexlab.sparse_index import build_index, sparse_search
 
@@ -164,11 +159,7 @@ class TestCriterion3:
             base = np.arange(n, 0, -1, dtype=float)
             for perm in itertools.permutations(range(n)):
                 student = base[list(perm)]
-                c = CandidateSet(
-                    qid="q", pos_pid="p0", neg_pids=[f"p{i}" for i in range(1, n)],
-                    scores=student, teacher_scores=teacher,
-                )
-                lv = rank_consistent_loss(c)
+                lv = rank_consistent_loss(student, teacher)
                 agrees = perm == tuple(range(n))
                 ok &= (lv.loss == 0.0) if agrees else (lv.loss > 0.0)
                 checked += 1
@@ -182,12 +173,9 @@ class TestCriterion4:
         worst = 0.0
         for _ in range(50):
             n = int(rng.integers(2, 7))
-            c = CandidateSet(
-                qid="q", pos_pid="p0", neg_pids=[f"p{i}" for i in range(1, n)],
-                scores=rng.normal(size=n), teacher_scores=rng.normal(size=n),
-            )
-            cl = contrastive_loss(c)
-            ll = rank_consistent_loss(c)
+            scores, teacher = rng.normal(size=n), rng.normal(size=n)
+            cl = contrastive_loss(scores)
+            ll = rank_consistent_loss(scores, teacher)
             for lam in (0.0, 1.0, 1.2, 2.0):
                 total = combined_loss(cl, ll, lam)
                 worst = max(worst, abs(total.loss - (cl.loss + lam * ll.loss)))

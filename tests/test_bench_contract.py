@@ -6,14 +6,17 @@
 trains through `TrainConfig`, positional `train_stage` and `mine_negatives`
 calls and `run_pipeline` over its `LED_CONFIG` keys, and reads the files
 the pipeline writes by name. Its tracer counts `objectives.flops_penalty`
-by wrapping that function wherever lexlab refers to it, so a lexical step
-has to call it by name, once per candidate set. A change to that API then
-fails here rather than in a benchmark run.
+and `objectives.make_rank_pairs` by wrapping each function wherever lexlab
+refers to it, so a lexical step has to call the first by name once per
+candidate set, and a pair-based teaching loss the second, whose `.pairs`
+the tracer counts. A change to that API then fails here rather than in a
+benchmark run.
 """
 
 import ast
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -26,13 +29,12 @@ from lexlab.retrieval import encode_corpus, load_run, make_run, save_run
 from lexlab.sparse_index import bm25_search, build_index
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-REFERENCE = PERFBENCH / "reference.py"
 K = 40
 
 
-def load_reference():
-    spec = importlib.util.spec_from_file_location("perfbench_reference", REFERENCE)
-    module = importlib.util.module_from_spec(spec)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
@@ -77,7 +79,7 @@ def brute_force(reference, kind, params, doc_tvs, query_tvs):
 
 @pytest.mark.parametrize("kind", ["bm25", "lexical", "dense"])
 def test_entries_pass_the_benchmark_top_k_check(world, kind, tmp_path):
-    reference = load_reference()
+    reference = load_perfbench("reference")
     corpus, vocab, queries, doc_tvs, params, indexes = world
     pids = sorted(corpus.docs)
     row_of = {pid: row for row, pid in enumerate(pids)}
@@ -182,6 +184,44 @@ def test_search_large_training_calls(toy_data):
         params, log = training.train_stage(
             config, vocab, corpus, queries, qrels, pool, init, None, doc_tvs)
         assert params.kind == kind and log.steps and log.optimizer_steps
+
+
+@pytest.mark.parametrize("strategy", ["rank-consistent", "margin-mse"])
+def test_rank_pair_counter_sees_every_teaching_set(toy_data, strategy):
+    corpus = data.load_collection(toy_data / "collection.tsv")
+    queries = data.load_queries(toy_data / "train_queries.tsv")
+    qrels = data.load_qrels(toy_data / "train_qrels.txt")
+    vocab = data.build_vocab(corpus)
+    doc_tvs = data.vectorize_corpus(corpus, vocab)
+    index = build_index(doc_tvs)
+
+    class Miner:
+        def search(self, text, k, qid=""):
+            return bm25_search(vectorize(text, vocab), index, k, qid=qid)
+
+    pool = training.mine_negatives(Miner(), queries, qrels, 10, 5, 5)
+    strict_pairs = []
+
+    def teacher(qid, pids):
+        t = np.arange(len(pids), 0.0, -1.0) // 2  # adjacent candidates tie
+        strict_pairs.append(int(np.count_nonzero(t[:, None] > t[None, :])))
+        return t
+
+    tracing = load_perfbench("tracing")
+    tracer = tracing.Tracer()
+    target = next(t for t in tracing.LAYER_TARGETS if t.name == "objectives.make_rank_pairs")
+    uninstall = tracing.install(tracer, (target,))
+    try:
+        config = training.TrainConfig(seed=5, dim=8, lr=0.03, batch_size=8, m=5, epochs=1,
+                                      stage="led", strategy=strategy)
+        _, log = training.train_stage(config, vocab, corpus, queries, qrels, pool,
+                                      DenseParams.init(vocab.size, 8, 5), teacher, doc_tvs)
+    finally:
+        uninstall()
+    calls = tracer.summarize(0, len(tracer.start)).get(target.name, [0])[0]
+    assert not tracer.missing and not tracer.hook_errors
+    assert calls == len(log.steps) == len(strict_pairs) > 0
+    assert tracer.counts["objectives.rank_pairs"] == sum(strict_pairs) > 0
 
 
 def test_led_pipeline_files(toy_data, tmp_path):

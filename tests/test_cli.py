@@ -635,9 +635,7 @@ class TestTrainInputs:
         assert "teacher_scores_file" in err and "--teacher-checkpoint" in err
         assert not out.exists()
 
-    def test_train_rejects_a_pool_holding_a_positive(
-        self, workspace, tmp_path, monkeypatch, capsys
-    ):
+    def test_train_rejects_a_pool_holding_a_positive(self, workspace, tmp_path, capsys):
         toy = workspace / "toy.cfg"
         pool = tmp_path / "pool.tsv"
         assert run_cli("mine", "--config", toy, "--out", pool) == 0
@@ -647,12 +645,10 @@ class TestTrainInputs:
         )
         qrels = tmp_path / "qrels2.txt"
         qrels.write_text((workspace / "train_qrels.txt").read_text() + f"{qid} 0 {pids[0]} 1\n")
-        calls = []
-        monkeypatch.setattr(training, "train_stage", lambda *a, **k: calls.append(a))
         out = tmp_path / "den.ckpt"
         rc = run_cli("train", "--config", toy, "--train_qrels", qrels, "--pool", pool,
                      "--out", out)
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(qid) in err and "source bm25" in err
-        assert calls == [] and not out.exists()
+        assert not out.exists()

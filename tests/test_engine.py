@@ -27,13 +27,7 @@ from lexlab.encoders import (
     lexical_trace,
     token_row,
 )
-from lexlab.objectives import (
-    CandidateSet,
-    flops_penalty,
-    make_rank_pairs,
-    margin_mse_loss,
-    rank_consistent_loss,
-)
+from lexlab.objectives import flops_penalty, make_rank_pairs, margin_mse_loss, rank_consistent_loss
 from lexlab.retrieval import Retriever, encode_corpus
 from lexlab.training import batch_step, model_teacher
 
@@ -109,14 +103,13 @@ def oracle_flops(batch, weight):
     return loss, grads
 
 
-def oracle_pairs(cands):
-    t, pids = cands.teacher_scores, cands.pids
-    return [(i, j) for i in range(len(pids)) for j in range(len(pids)) if t[i] > t[j]]
+def oracle_pairs(t):
+    return [(i, j) for i in range(len(t)) for j in range(len(t)) if t[i] > t[j]]
 
 
-def oracle_hinge(cands):
-    pairs = oracle_pairs(cands)
-    s, grad, total = cands.scores, np.zeros(len(cands.scores)), 0.0
+def oracle_hinge(s, t):
+    pairs = oracle_pairs(t)
+    grad, total = np.zeros(len(s)), 0.0
     if not pairs:
         return 0.0, grad
     inv = 1.0 / len(pairs)
@@ -128,9 +121,8 @@ def oracle_hinge(cands):
     return total * inv, grad
 
 
-def oracle_margin_mse(cands):
-    pairs = oracle_pairs(cands)
-    s, t = cands.scores, cands.teacher_scores
+def oracle_margin_mse(s, t):
+    pairs = oracle_pairs(t)
     grad, total = np.zeros(len(s)), 0.0
     if not pairs:
         return 0.0, grad
@@ -487,15 +479,13 @@ class TestMaskLosses:
         rng = np.random.default_rng(jitter)
         s = np.array(scores, dtype=float) + (rng.normal(size=n) if jitter % 2 else 0.0)
         t = np.array(teacher[:n], dtype=float)  # small integers: many teacher ties
-        c = CandidateSet(qid="q", pos_pid="p", neg_pids=[f"n{i}" for i in range(n - 1)],
-                         scores=s, teacher_scores=t)
-        pairs = make_rank_pairs(c)
-        assert len(pairs) == len(oracle_pairs(c))
-        assert pairs.pairs == [(c.pids[i], c.pids[j]) for i, j in oracle_pairs(c)]
+        pairs = make_rank_pairs(t)
+        assert len(pairs) == len(oracle_pairs(t))
+        assert pairs.pairs == oracle_pairs(t)
         for loss_fn, oracle in ((rank_consistent_loss, oracle_hinge),
                                 (margin_mse_loss, oracle_margin_mse)):
-            lv = loss_fn(c)
-            loss, grad = oracle(c)
+            lv = loss_fn(s, t)
+            loss, grad = oracle(s, t)
             # Additions replay the pair order, so the results are exact.
             assert lv.loss == loss
             assert lv.grad.tobytes() == grad.tobytes()

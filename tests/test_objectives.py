@@ -7,81 +7,68 @@ from hypothesis import given, settings, strategies as st
 
 from lexlab.gradcheck import loss_grad_check
 from lexlab.objectives import (
-    CandidateSet,
     combined_loss,
     contrastive_loss,
-    filter_false_negatives,
     flops_penalty,
     kl_divergence_loss,
-    listnet_loss,
     make_rank_pairs,
     margin_mse_loss,
     rank_consistent_loss,
+    strategy_loss,
 )
 
 
-def cands(scores, teacher=None):
-    scores = np.asarray(scores, dtype=float)
-    return CandidateSet(
-        qid="q",
-        pos_pid="p+",
-        neg_pids=[f"n{i}" for i in range(len(scores) - 1)],
-        scores=scores,
-        teacher_scores=None if teacher is None else np.asarray(teacher, dtype=float),
-    )
+def arr(values):
+    return np.asarray(values, dtype=float)
 
 
 class TestContrastive:
     def test_uniform_scores_log_n(self):
-        lv = contrastive_loss(cands([1.0, 1.0, 1.0, 1.0]))
+        lv = contrastive_loss(arr([1.0, 1.0, 1.0, 1.0]))
         assert lv.loss == pytest.approx(math.log(4), abs=1e-12)
 
     def test_dominant_positive_loss_to_zero(self):
-        lv = contrastive_loss(cands([60.0, 0.0, 0.0]))
+        lv = contrastive_loss(arr([60.0, 0.0, 0.0]))
         assert lv.loss < 1e-20
 
     def test_gradient_sums_to_zero_and_matches_fd(self):
         rng = np.random.default_rng(0)
         for seed in range(10):
             scores = rng.normal(size=5)
-            lv = contrastive_loss(cands(scores))
+            lv = contrastive_loss(scores)
             assert abs(lv.grad.sum()) < 1e-12
         for seed in range(10):
             assert loss_grad_check("contrastive", seed) < 1e-6
 
     def test_shift_invariance(self):
-        base = cands([0.5, -0.2, 1.1])
-        shifted = cands([100.5, 99.8, 101.1])
+        base = arr([0.5, -0.2, 1.1])
+        shifted = arr([100.5, 99.8, 101.1])
         assert contrastive_loss(base).loss == pytest.approx(
             contrastive_loss(shifted).loss, abs=1e-12
         )
 
     def test_requires_negative(self):
         with pytest.raises(ValueError):
-            contrastive_loss(cands([1.0]))
+            contrastive_loss(arr([1.0]))
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
-            contrastive_loss(cands([1.0, float("nan")]))
-
-    def test_positive_among_negatives_rejected(self):
-        with pytest.raises(ValueError):
-            CandidateSet(qid="q", pos_pid="n0", neg_pids=["n0"], scores=np.zeros(2))
+            contrastive_loss(arr([1.0, float("nan")]))
 
 
 class TestRankPairs:
     def test_all_ties_give_empty_set(self):
-        pairs = make_rank_pairs(cands([0, 0, 0], teacher=[2, 2, 2]))
+        pairs = make_rank_pairs(arr([2, 2, 2]))
         assert len(pairs) == 0
 
     def test_three_distinct_scores_give_three_pairs(self):
-        pairs = make_rank_pairs(cands([0, 0, 0], teacher=[3, 1, 2]))
+        pairs = make_rank_pairs(arr([3, 1, 2]))
         assert len(pairs) == 3
-        assert ("p+", "n0") in pairs.pairs and ("n1", "n0") in pairs.pairs
+        assert (0, 1) in pairs.pairs and (2, 1) in pairs.pairs
 
     def test_six_distinct_scores_give_fifteen(self):
         teacher = [5, 2, 9, 1, 4, 7]
-        pairs = make_rank_pairs(cands([0] * 6, teacher=teacher))
+        pairs = make_rank_pairs(arr(teacher))
         brute = sum(
             1
             for i, j in itertools.permutations(range(6), 2)
@@ -92,7 +79,7 @@ class TestRankPairs:
     @given(st.lists(st.integers(min_value=0, max_value=4), min_size=2, max_size=8))
     @settings(max_examples=60)
     def test_count_is_pairs_minus_ties(self, teacher):
-        pairs = make_rank_pairs(cands([0.0] * len(teacher), teacher=teacher))
+        pairs = make_rank_pairs(arr(teacher))
         expected = sum(
             1
             for i, j in itertools.combinations(range(len(teacher)), 2)
@@ -101,20 +88,22 @@ class TestRankPairs:
         assert len(pairs) == expected
 
     def test_requires_teacher(self):
-        with pytest.raises(ValueError):
-            make_rank_pairs(cands([0, 0]))
+        # Every strategy but "none" reads the teacher, which must align.
+        for strategy in ("rank-consistent", "margin-mse", "kl", "filter"):
+            with pytest.raises(ValueError, match="needs teacher"):
+                strategy_loss(strategy, arr([0, 0]))
+            with pytest.raises(ValueError, match="align"):
+                strategy_loss(strategy, arr([0, 0]), arr([1, 0, 2]))
 
 
 class TestRankConsistent:
     def test_agreement_gives_zero(self):
-        c = cands([3.0, 2.0, 1.0], teacher=[9.0, 5.0, 1.0])
-        lv = rank_consistent_loss(c)
+        lv = rank_consistent_loss(arr([3.0, 2.0, 1.0]), arr([9.0, 5.0, 1.0]))
         assert lv.loss == 0.0
         assert not lv.grad.any()
 
     def test_single_reversed_pair_is_margin(self):
-        c = cands([1.0, 3.5], teacher=[2.0, 1.0])
-        lv = rank_consistent_loss(c)
+        lv = rank_consistent_loss(arr([1.0, 3.5]), arr([2.0, 1.0]))
         assert lv.loss == pytest.approx(2.5, abs=1e-12)
 
     def test_matches_brute_force_mean(self):
@@ -122,25 +111,20 @@ class TestRankConsistent:
         for _ in range(20):
             s = rng.normal(size=6)
             t = rng.normal(size=6)
-            c = cands(s, teacher=t)
-            pairs = make_rank_pairs(c)
+            pairs = make_rank_pairs(t)
             expected = 0.0
-            pids = c.pids
-            idx = {pid: i for i, pid in enumerate(pids)}
             for win, lose in pairs.pairs:
-                expected += max(0.0, s[idx[lose]] - s[idx[win]])
+                expected += max(0.0, s[lose] - s[win])
             expected /= max(len(pairs), 1)
-            lv = rank_consistent_loss(c)
+            lv = rank_consistent_loss(s, t)
             assert lv.loss == pytest.approx(expected, abs=1e-12)
 
     def test_empty_pairs_zero(self):
-        c = cands([1.0, 2.0], teacher=[1.0, 1.0])
-        lv = rank_consistent_loss(c)
+        lv = rank_consistent_loss(arr([1.0, 2.0]), arr([1.0, 1.0]))
         assert lv.loss == 0.0 and not lv.grad.any()
 
     def test_tie_has_zero_subgradient(self):
-        c = cands([2.0, 2.0], teacher=[5.0, 1.0])
-        lv = rank_consistent_loss(c)
+        lv = rank_consistent_loss(arr([2.0, 2.0]), arr([5.0, 1.0]))
         assert lv.loss == 0.0 and not lv.grad.any()
 
     def test_fd(self):
@@ -150,9 +134,9 @@ class TestRankConsistent:
 
 class TestCombined:
     def test_zero_weight_equals_contrastive(self):
-        c = cands([1.0, 0.2, -0.3], teacher=[3, 2, 1])
-        cl = contrastive_loss(c)
-        ll = rank_consistent_loss(c)
+        s, t = arr([1.0, 0.2, -0.3]), arr([3, 2, 1])
+        cl = contrastive_loss(s)
+        ll = rank_consistent_loss(s, t)
         total = combined_loss(cl, ll, 0.0)
         assert total.loss == cl.loss
         assert np.array_equal(total.grad, cl.grad)
@@ -166,30 +150,27 @@ class TestCombined:
         assert total.loss == pytest.approx(1.6, abs=1e-12)
 
     def test_affine_in_weight(self):
-        c = cands([0.4, -0.1, 0.9], teacher=[1, 3, 2])
-        cl = contrastive_loss(c)
-        ll = rank_consistent_loss(c)
+        s, t = arr([0.4, -0.1, 0.9]), arr([1, 3, 2])
+        cl = contrastive_loss(s)
+        ll = rank_consistent_loss(s, t)
         for w in (0.0, 1.0, 2.0):
             assert combined_loss(cl, ll, w).loss == pytest.approx(
                 cl.loss + w * ll.loss, abs=1e-12
             )
 
     def test_negative_weight_rejected(self):
-        c = cands([0.0, 1.0], teacher=[1, 0])
-        cl = contrastive_loss(c)
+        cl = contrastive_loss(arr([0.0, 1.0]))
         with pytest.raises(ValueError):
             combined_loss(cl, cl, -0.5)
 
 
 class TestMarginMse:
     def test_matching_margins_zero(self):
-        c = cands([4.0, 2.0, 1.0], teacher=[4.0, 2.0, 1.0])
-        lv = margin_mse_loss(c)
+        lv = margin_mse_loss(arr([4.0, 2.0, 1.0]), arr([4.0, 2.0, 1.0]))
         assert lv.loss == pytest.approx(0.0, abs=1e-18)
 
     def test_single_pair_squared_gap(self):
-        c = cands([1.0, 0.0], teacher=[3.0, 0.0])
-        lv = margin_mse_loss(c)
+        lv = margin_mse_loss(arr([1.0, 0.0]), arr([3.0, 0.0]))
         assert lv.loss == pytest.approx(4.0, abs=1e-12)
 
     def test_fd(self):
@@ -199,27 +180,26 @@ class TestMarginMse:
 
 class TestKl:
     def test_identical_distributions_zero(self):
-        c = cands([0.3, -0.1, 0.7], teacher=[0.3, -0.1, 0.7])
-        assert kl_divergence_loss(c).loss == pytest.approx(0.0, abs=1e-15)
+        lv = kl_divergence_loss(arr([0.3, -0.1, 0.7]), arr([0.3, -0.1, 0.7]))
+        assert lv.loss == pytest.approx(0.0, abs=1e-15)
 
     def test_cross_entropy_identity(self):
         # KL(P||Q) == CE(P, Q) - H(P), verified numerically.
-        c = cands([0.0, 0.0, 0.0], teacher=[2.0, 1.0, -1.0])
         t = np.array([2.0, 1.0, -1.0])
         p = np.exp(t - t.max())
         p /= p.sum()
         q = np.full(3, 1 / 3)
         ce = -(p * np.log(q)).sum()
         ent = -(p * np.log(p)).sum()
-        assert kl_divergence_loss(c).loss == pytest.approx(ce - ent, abs=1e-12)
+        assert kl_divergence_loss(np.zeros(3), t).loss == pytest.approx(ce - ent, abs=1e-12)
 
     def test_gradient_sums_to_zero(self):
-        c = cands([1.0, 2.0, -0.5], teacher=[0.1, 0.2, 0.3])
-        assert abs(kl_divergence_loss(c).grad.sum()) < 1e-12
+        lv = kl_divergence_loss(arr([1.0, 2.0, -0.5]), arr([0.1, 0.2, 0.3]))
+        assert abs(lv.grad.sum()) < 1e-12
 
     def test_shift_invariance(self):
-        a = kl_divergence_loss(cands([1.0, 2.0], teacher=[0.5, 0.1]))
-        b = kl_divergence_loss(cands([31.0, 32.0], teacher=[-99.5, -99.9]))
+        a = kl_divergence_loss(arr([1.0, 2.0]), arr([0.5, 0.1]))
+        b = kl_divergence_loss(arr([31.0, 32.0]), arr([-99.5, -99.9]))
         assert a.loss == pytest.approx(b.loss, abs=1e-12)
 
     def test_fd(self):
@@ -227,50 +207,117 @@ class TestKl:
             assert loss_grad_check("kl", seed) < 1e-6
 
 
+def listnet_oracle(scores, teacher):
+    """ListNet's top-1 cross-entropy (Cao et al., 2007) and its gradient."""
+
+    def log_softmax(x):
+        shifted = x - x.max()
+        return shifted - math.log(np.exp(shifted).sum())
+
+    logp = log_softmax(teacher)
+    logq = log_softmax(scores)
+    p = np.exp(logp)
+    return -float((p * logq).sum()), np.exp(logq) - p
+
+
+def entropy(teacher):
+    p = np.exp(teacher - teacher.max())
+    p /= p.sum()
+    return -float((p * np.log(p)).sum())
+
+
 class TestListNet:
+    """The kl strategy at temperature 1 is ListNet less the teacher's entropy."""
+
     def test_equal_vectors_give_teacher_entropy(self):
         t = np.array([1.0, 0.0, -1.0])
-        c = cands(t.copy(), teacher=t.copy())
-        p = np.exp(t - t.max())
-        p /= p.sum()
-        entropy = -(p * np.log(p)).sum()
-        assert listnet_loss(c).loss == pytest.approx(entropy, abs=1e-12)
+        listnet, _ = listnet_oracle(t.copy(), t)
+        assert listnet == pytest.approx(entropy(t), abs=1e-12)
+        _, _, ll = strategy_loss("kl", t.copy(), t, kl_temperature=1.0)
+        assert ll == pytest.approx(listnet - entropy(t), abs=1e-12)
 
     def test_student_shift_invariance(self):
-        a = listnet_loss(cands([0.2, 0.9, -0.4], teacher=[1, 2, 3]))
-        b = listnet_loss(cands([10.2, 10.9, 9.6], teacher=[1, 2, 3]))
+        t = arr([1, 2, 3])
+        a = kl_divergence_loss(arr([0.2, 0.9, -0.4]), t, temperature=1.0)
+        b = kl_divergence_loss(arr([10.2, 10.9, 9.6]), t, temperature=1.0)
         assert a.loss == pytest.approx(b.loss, abs=1e-12)
 
-    def test_fd(self):
-        for seed in range(10):
-            assert loss_grad_check("listnet", seed) < 1e-6
+    def test_kl_at_unit_temperature_has_listnet_gradient(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n = int(rng.integers(2, 34))
+            s, t = rng.normal(size=n) * 3.0, rng.normal(size=n) * 3.0
+            total, cl, ll = strategy_loss("kl", s, t, reg_weight=1.2, kl_temperature=1.0)
+            listnet, listnet_grad = listnet_oracle(s, t)
+            assert kl_divergence_loss(s, t, 1.0).grad.tobytes() == listnet_grad.tobytes()
+            expected = contrastive_loss(s).grad + 1.2 * listnet_grad
+            assert total.grad.tobytes() == expected.tobytes()
+            assert listnet == pytest.approx(ll + entropy(t), abs=1e-9)
+
+
+def filter_oracle(scores, teacher, threshold):
+    """The kept candidate positions, the positive first, by a loop."""
+    return [0] + [i for i in range(1, len(scores)) if teacher[i] < threshold * teacher[0]]
 
 
 class TestFilter:
     def test_all_below_threshold_unchanged(self):
-        c = cands([0, 0, 0], teacher=[10.0, 1.0, 2.0])
-        kept = filter_false_negatives(c)
-        assert kept.neg_pids == c.neg_pids
+        s = arr([0.3, -0.2, 0.5])
+        total, cl, ll = strategy_loss("filter", s, arr([10.0, 1.0, 2.0]))
+        plain = contrastive_loss(s)
+        assert (total.loss, cl, ll) == (plain.loss, plain.loss, 0.0)
+        assert total.grad.tobytes() == plain.grad.tobytes()
 
     def test_negative_above_positive_removed(self):
-        c = cands([0, 0], teacher=[1.0, 1.5])
-        kept = filter_false_negatives(c, threshold=1.0)
-        assert kept.neg_pids == []
+        s = arr([0.3, 0.7, -0.1])
+        total, _, _ = strategy_loss("filter", s, arr([1.0, 1.5, 0.2]), filter_threshold=1.0)
+        assert total.grad[1] == 0.0
+        assert total.grad[[0, 2]].tobytes() == contrastive_loss(s[[0, 2]]).grad.tobytes()
 
     def test_removed_count_matches_brute_force(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
-            t = rng.uniform(0.0, 5.0, size=7)
-            c = cands(np.zeros(7), teacher=t)
-            kept = filter_false_negatives(c, threshold=0.95)
-            expected_removed = sum(1 for x in t[1:] if x >= 0.95 * t[0])
-            assert len(c.neg_pids) - len(kept.neg_pids) == expected_removed
+            s, t = rng.normal(size=7), rng.uniform(0.0, 5.0, size=7)
+            total, _, _ = strategy_loss("filter", s, t, filter_threshold=0.95)
+            expected_removed = [i for i in range(1, 7) if t[i] >= 0.95 * t[0]]
+            assert [i for i in range(1, 7) if total.grad[i] == 0.0] == expected_removed
 
     def test_scores_stay_aligned(self):
-        c = cands([9.0, 1.0, 2.0, 3.0], teacher=[1.0, 0.2, 5.0, 0.1])
-        kept = filter_false_negatives(c)
-        assert kept.pids == ["p+", "n0", "n2"]
-        assert list(kept.scores) == [9.0, 1.0, 3.0]
+        s = arr([9.0, 1.0, 2.0, 3.0])
+        total, _, _ = strategy_loss("filter", s, arr([1.0, 0.2, 5.0, 0.1]))
+        kept = contrastive_loss(arr([9.0, 1.0, 3.0]))
+        assert total.loss == kept.loss
+        assert total.grad.tolist() == [kept.grad[0], kept.grad[1], 0.0, kept.grad[2]]
+
+    def test_nan_teacher_score_dropped(self):
+        s = arr([0.5, 0.1, -0.3])
+        total, _, _ = strategy_loss("filter", s, arr([1.0, float("nan"), 0.2]))
+        assert total.grad[1] == 0.0
+        assert total.grad[[0, 2]].tobytes() == contrastive_loss(s[[0, 2]]).grad.tobytes()
+
+    def test_no_kept_negative_gives_zero(self):
+        for teacher in ([1.0, 1.0, 1.0], [float("nan"), 0.1, 0.2], [1.0, float("nan")]):
+            t = arr(teacher)
+            total, cl, ll = strategy_loss("filter", np.linspace(0.1, 0.5, len(t)), t)
+            assert (total.loss, cl, ll) == (0.0, 0.0, 0.0)
+            assert not total.grad.any()
+
+    def test_matches_keep_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            n = int(rng.integers(2, 34))
+            s, t = rng.normal(size=n), rng.uniform(-1.0, 3.0, size=n)
+            t[rng.random(n) < 0.1] = np.nan
+            total, cl, _ = strategy_loss("filter", s, t, filter_threshold=0.9)
+            keep = filter_oracle(s, t, 0.9)
+            dropped = np.setdiff1d(np.arange(n), keep)
+            assert total.grad[dropped].tobytes() == np.zeros(len(dropped)).tobytes()
+            if len(keep) == 1:
+                assert total.loss == cl == 0.0
+                continue
+            expected = contrastive_loss(s[keep])
+            assert total.loss == cl == expected.loss
+            assert total.grad[keep].tobytes() == expected.grad.tobytes()
 
 
 class TestFlops:
@@ -305,8 +352,7 @@ class TestExhaustiveOrderings:
             base = np.arange(n, 0, -1, dtype=float)
             for perm in itertools.permutations(range(n)):
                 student = base[list(perm)]
-                c = cands(student, teacher=teacher)
-                lv = rank_consistent_loss(c)
+                lv = rank_consistent_loss(student, teacher)
                 if perm == tuple(range(n)):
                     assert lv.loss == 0.0
                 else:

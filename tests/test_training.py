@@ -420,6 +420,17 @@ class TestTrainStage:
         )
         assert log.steps
 
+    def test_pool_listing_another_positive_rejected(self):
+        # q0 trains on its smallest positive, d00; a pool that lists its other
+        # positive, d10, as a negative must not train it as one.
+        corpus, queries, _, vocab = small_world()
+        qrels = Qrels.from_entries({("q0", "d00"): 1, ("q0", "d10"): 1})
+        pool = NegativePool()
+        pool.add("q0", "bm25", ["d03", "d10", "d04"])
+        cfg = TrainConfig(seed=2, dim=4, lr=0.05, m=4, epochs=1, stage="s", strategy="none")
+        with pytest.raises(ValueError, match=r"contains positives \['d10'\]"):
+            train_stage(cfg, vocab, corpus, queries, qrels, pool, DenseParams.init(vocab.size, 4, 2))
+
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(strategy="magic")
