@@ -26,7 +26,6 @@ from .encoders import (
     TermWeightVector,
     dense_encode,
     lexical_encode,
-    relevance,
 )
 from .retrieval import Retriever, RunFile, evaluate, make_run
 from .training import PipelineConfig, TrainConfig, run_pipeline, train_stage

@@ -42,15 +42,6 @@ def _normalize(scores: np.ndarray) -> np.ndarray:
     return (scores - lo) / (hi - lo)
 
 
-def normalize_run(run: RunFile) -> RunFile:
-    """Min-max normalize every query's scores; order is preserved exactly."""
-    rankings = {
-        qid: Ranking(qid=qid, ids=r.ids, scores=_normalize(r.scores))
-        for qid, r in run.rankings.items()
-    }
-    return RunFile(rankings=rankings, tag=run.tag)
-
-
 def _normalized_scores(ranking: Ranking | None):
     """A map from a pid list to those pids' normalized scores in `ranking`:
     0 for a pid it does not list, the last score for one it lists twice."""

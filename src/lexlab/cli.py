@@ -29,10 +29,8 @@ from .data import (
     load_collection,
     load_qrels,
     load_queries,
-    vectorize_corpus,
 )
 from .encoders import DenseParams, LexicalParams, load_params, save_params
-from .sparse_index import build_index
 from .training import (
     PipelineConfig,
     config_digest,
@@ -106,21 +104,15 @@ def _load_model(path: str | None, vocab, min_df: int, max_vocab: int):
     return params
 
 
-def _index_for(params, corpus, vocab):
-    """The model's own index, or BM25's without a model."""
-    if params is None:
-        return build_index(vectorize_corpus(corpus, vocab))
-    return retrieval.encode_corpus(params, corpus, vocab)
-
-
 def cmd_mine(args) -> int:
     cfg = _resolve_config(args)
+    training.require_config_keys(cfg, ("collection", "train_queries", "train_qrels"))
     corpus = load_collection(cfg.collection)
     queries = load_queries(cfg.train_queries)
     qrels = load_qrels(cfg.train_qrels)
     vocab = build_vocab(corpus, cfg.min_df, cfg.max_vocab)
     params = _load_model(args.checkpoint, vocab, cfg.min_df, cfg.max_vocab)
-    index = _index_for(params, corpus, vocab)
+    index = retrieval.encode_corpus(params, corpus, vocab)
     pool = training.mine_negatives(
         retrieval.Retriever(params, index, vocab, cfg.bm25_k1, cfg.bm25_b), queries, qrels,
         cfg.depth, cfg.warmup_m, cfg.seed, source=args.source, sample=not args.no_sample,
@@ -132,6 +124,7 @@ def cmd_mine(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
+    training.require_config_keys(cfg, ("collection", "train_queries", "train_qrels"))
     digest = config_digest(cfg, COMMAND_KEYS["train"])
     corpus = load_collection(cfg.collection)
     queries = load_queries(cfg.train_queries)
@@ -153,7 +146,7 @@ def cmd_train(args) -> int:
         teacher = training.table_teacher(training.load_teacher_scores(cfg.teacher_scores_file))
     elif args.teacher_checkpoint:
         t_params = _load_model(args.teacher_checkpoint, vocab, cfg.min_df, cfg.max_vocab)
-        t_index = _index_for(t_params, corpus, vocab)
+        t_index = retrieval.encode_corpus(t_params, corpus, vocab)
         teacher = training.model_teacher(t_params, t_index, vocab, queries)
     stage_cfg = training.stage_config(
         cfg, training.Stage(args.stage, "lr", "epochs", "m"), cfg.strategy
@@ -174,11 +167,12 @@ def cmd_train(args) -> int:
 
 def cmd_retrieve(args) -> int:
     cfg = _resolve_config(args)
+    training.require_config_keys(cfg, ("collection", "eval_queries"))
     corpus = load_collection(cfg.collection)
     queries = load_queries(cfg.eval_queries)
     vocab = build_vocab(corpus, cfg.min_df, cfg.max_vocab)
     params = _load_model(args.checkpoint, vocab, cfg.min_df, cfg.max_vocab)
-    index = _index_for(params, corpus, vocab)
+    index = retrieval.encode_corpus(params, corpus, vocab)
     run = retrieval.make_run(
         params, queries, index, vocab, k=min(cfg.run_depth, corpus.n_docs), tag=args.tag,
         bm25_k1=cfg.bm25_k1, bm25_b=cfg.bm25_b,

@@ -3,8 +3,9 @@
 The dense encoder pools count-weighted token embeddings and applies an affine
 map; the lexical encoder scores every vocabulary term against each input
 token, max-pools over tokens, and log-saturates the ReLU-gated result into a
-sparse term-weight vector. Both share the dot-product relevance function, so
-either one can play query or passage side of a dual-encoder retriever.
+sparse term-weight vector. Either scores a query against a passage by the dot
+product of their encodings (`sparse_index.sparse_scores` for lexical vectors),
+so it can play query or passage side of a dual-encoder retriever.
 
 Backward passes are exact: the lexical max-pool routes gradient only through
 the recorded argmax token, and the ReLU gate contributes zero gradient at or
@@ -29,14 +30,12 @@ at most three chunks and scatters the backward of all inputs in bulk.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .data import CheckpointMeta, TermVector, load_checkpoint, save_checkpoint
-from .objectives import ordered_total
 
 _INIT_SCALE = 0.1
 
@@ -121,7 +120,7 @@ Params = DenseParams | LexicalParams
 
 @dataclass(frozen=True, eq=False)
 class TermWeightVector:
-    """A sparse lexical vector; index build, search and `relevance` rely on its order."""
+    """A sparse lexical vector; index build, search and `sparse_scores` rely on its order."""
 
     terms: np.ndarray    # int64, strictly ascending
     weights: np.ndarray  # float64, aligned with terms
@@ -393,22 +392,6 @@ def add_rows_at(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> Non
     np.add.at(target.reshape(-1), at, np.ascontiguousarray(values).reshape(-1))
 
 
-def relevance(q_vec, p_vec) -> float:
-    """Dot-product relevance; representation kinds must match.
-
-    Lexical vectors add their shared terms' products left to right in
-    ascending term order, as `sparse_index.sparse_scores` does.
-    """
-    if isinstance(q_vec, np.ndarray) and isinstance(p_vec, np.ndarray):
-        return float(q_vec @ p_vec)
-    if isinstance(q_vec, TermWeightVector) and isinstance(p_vec, TermWeightVector):
-        _, qi, pi = np.intersect1d(q_vec.terms, p_vec.terms, assume_unique=True, return_indices=True)
-        return ordered_total(q_vec.weights[qi] * p_vec.weights[pi])
-    raise TypeError(
-        f"mismatched representation kinds: {type(q_vec).__name__} vs {type(p_vec).__name__}"
-    )
-
-
 def params_from_tensors(kind: str, tensors: dict[str, np.ndarray]) -> Params:
     if kind == "dense":
         return DenseParams(emb=tensors["emb"], proj=tensors["proj"], bias=tensors["bias"])
@@ -427,12 +410,3 @@ def load_params(path) -> tuple[Params, CheckpointMeta]:
     if params.vocab_size != meta.vocab_size or params.dim != meta.dim:
         raise ValueError(f"{path}: header dimensions do not match tensor shapes")
     return params, meta
-
-
-def params_digest(params: Params) -> str:
-    h = hashlib.sha256()
-    h.update(params.kind.encode())
-    for name, t in params.tensors().items():
-        h.update(name.encode())
-        h.update(np.ascontiguousarray(t, dtype="<f8").tobytes())
-    return h.hexdigest()

@@ -59,12 +59,14 @@ class RunFile:
 
 
 def encode_corpus(
-    params: Params,
+    params: Params | None,
     corpus: Corpus,
     vocab: Vocabulary,
     doc_tvs: dict[str, TermVector] | None = None,
 ) -> DenseIndex | InvertedIndex:
-    """Encode every passage with a frozen checkpoint, pid-ascending order.
+    """Encode every passage with a frozen checkpoint, pid-ascending order;
+    without one (`params` None) index the raw counts that BM25 searches, as
+    `Retriever` and `make_run` read a `None` model.
 
     `doc_tvs` holds passages already vectorized over `vocab` (as
     `vectorize_corpus` returns them); the others are vectorized here. Dense
@@ -77,6 +79,8 @@ def encode_corpus(
     def tv(pid: str) -> TermVector:
         return known[pid] if pid in known else vectorize(corpus.docs[pid], vocab)
 
+    if params is None:
+        return build_index({pid: tv(pid) for pid in pids})
     if isinstance(params, DenseParams):
         matrix = np.zeros((len(pids), params.dim))
         for start in range(0, len(pids), ENCODE_BLOCK):

@@ -174,8 +174,9 @@ def bm25_search(
 def sparse_scores(query: TermWeightVector, index: InvertedIndex) -> np.ndarray:
     """Sparse dot product of `query` with every indexed passage, by row.
 
-    Each passage adds its products in ascending term order, as `relevance`
-    does, so the scores equal `relevance` of the two vectors bit for bit.
+    Each passage adds its products in ascending term order, so its score is
+    the left-to-right sum over the terms it shares with the query, bit for
+    bit; `relevance` in `tests/helpers.py` is that sum.
     """
     if index.semantics != LEARNED_WEIGHT:
         raise WeightSemanticsError("sparse search requires a learned-weight index")

@@ -20,7 +20,7 @@ same seed reproduces the files byte for byte.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 COMMON_WORDS = (
@@ -36,10 +36,6 @@ class FixtureInfo:
     train_qrels: dict[tuple[str, str], int]
     test_queries: dict[str, str]
     test_qrels: dict[tuple[str, str], int]
-    exact_test_qids: list[str] = field(default_factory=list)
-    para_test_qids: list[str] = field(default_factory=list)
-    exact_train_qids: list[str] = field(default_factory=list)
-    para_train_qids: list[str] = field(default_factory=list)
 
 
 def build_fixture(
@@ -68,7 +64,6 @@ def build_fixture(
     train_qrels: dict[tuple[str, str], int] = {}
     test_queries: dict[str, str] = {}
     test_qrels: dict[tuple[str, str], int] = {}
-    info = FixtureInfo(docs, train_queries, train_qrels, test_queries, test_qrels)
 
     def commons(k: int) -> list[str]:
         return rng.sample(COMMON_WORDS, k)
@@ -97,13 +92,11 @@ def build_fixture(
         qid = f"tq-ex-{i:04d}"
         train_queries[qid] = exact_query(marker, c)
         train_qrels[(qid, pid)] = 1
-        info.exact_train_qids.append(qid)
     for i in range(exact_test):
         marker, pid, c = markers[i]
         qid = f"te-ex-{i:04d}"
         test_queries[qid] = exact_query(marker, c)
         test_qrels[(qid, pid)] = 1
-        info.exact_test_qids.append(qid)
 
     # Paraphrase groups: query vocabulary never appears in the golden passage.
     n_groups = para_supers * groups_per_super
@@ -134,13 +127,11 @@ def build_fixture(
         qid = f"tq-pa-{i:04d}"
         train_queries[qid] = para_query(q_words, s)
         train_qrels[(qid, pid)] = 1
-        info.para_train_qids.append(qid)
     for i in range(para_test):
         g, s, q_words, pid = groups[i]
         qid = f"te-pa-{i:04d}"
         test_queries[qid] = para_query(q_words, s)
         test_qrels[(qid, pid)] = 1
-        info.para_test_qids.append(qid)
 
     # Filler passages pad the collection and add vocabulary noise.
     filler_words = [
@@ -152,7 +143,7 @@ def build_fixture(
         words = rng.sample(filler_words, filler_len - 3) + commons(3)
         rng.shuffle(words)
         docs[pid] = " ".join(words)
-    return info
+    return FixtureInfo(docs, train_queries, train_qrels, test_queries, test_qrels)
 
 
 def write_fixture(out_dir: str | Path, seed: int = 13, **knobs) -> FixtureInfo:

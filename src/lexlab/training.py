@@ -247,12 +247,6 @@ def subsample_pool(pool: NegativePool, m_total: int, seed: int) -> NegativePool:
     return out
 
 
-def save_teacher_scores(scores: dict[tuple[str, str], float], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for (qid, pid), score in sorted(scores.items()):
-            f.write(f"{qid}\t{pid}\t{score:.12g}\n")
-
-
 def load_teacher_scores(path: str | Path) -> dict[tuple[str, str], float]:
     scores: dict[tuple[str, str], float] = {}
     with open(path, encoding="utf-8") as f:
@@ -291,7 +285,7 @@ def model_teacher(params: LexicalParams, index: InvertedIndex, vocab: Vocabulary
     Passages are read from `index`, the learned-weight index that
     `encode_corpus` built with the same model, so no passage is encoded
     again. Each query is encoded once and scored against the whole index by
-    `sparse_scores`, which equals `relevance` of the two encodings.
+    `sparse_scores`, the dot product of the two encodings.
     """
     if params.kind != "lexical" or index_kind(index) != "lexical":
         raise TypeError(
@@ -379,7 +373,6 @@ class StepRecord:
 
 @dataclass
 class TrainLog:
-    stage: str
     epoch_mean_loss: list[float] = field(default_factory=list)
     steps: list[StepRecord] = field(default_factory=list)
     optimizer_steps: int = 0
@@ -529,7 +522,7 @@ def train_stage(
     state = AdamState.init(params)
     if doc_tvs is None:
         doc_tvs = {}
-    train_log = TrainLog(stage=config.stage)
+    train_log = TrainLog()
     doc_rows: dict[str, TokenRow] = {}
 
     def row_of(pid: str) -> TokenRow:
@@ -542,10 +535,11 @@ def train_stage(
     query_rows = {qid: token_row(vectorize(text, vocab)) for qid, text in queries.queries.items()}
     merged: dict[str, list[str]] = {}
     for qid in queries.queries:
-        if not qrels.positives(qid) or not pool.merged(qid):
+        pids = pool.merged(qid)
+        if not qrels.positives(qid) or not pids:
             train_log.skipped_queries += 1
             continue
-        merged[qid] = pool.merged(qid)
+        merged[qid] = pids
     if train_log.skipped_queries:
         log.warning(
             "stage %s: skipping %d queries without positives or pooled negatives",
@@ -907,11 +901,11 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> Pipe
         digest=digest,
     )
     if out_dir is not None:
-        write_pipeline_artifacts(result, cfg, Path(out_dir))
+        write_pipeline_artifacts(result, Path(out_dir))
     return result
 
 
-def write_pipeline_artifacts(result: PipelineResult, cfg: PipelineConfig, out_dir: Path) -> None:
+def write_pipeline_artifacts(result: PipelineResult, out_dir: Path) -> None:
     """Write checkpoints, pools, runs, reports, and a digest manifest."""
     from .encoders import save_params
 

@@ -4,7 +4,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines as they execute. The directional experiments (criteria 6-10) share one
 pipeline run over the committed synthetic corpus (generator + pinned seed);
 its thresholds were validated once during fixture construction and are
-pinned here.
+pinned here, and `tests/test_data.py` pins the fixture's bytes.
 """
 
 import itertools
@@ -57,7 +57,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 def lab(tmp_path_factory):
     """One full pipeline run on the synthetic corpus plus ablation variants."""
     d = tmp_path_factory.mktemp("fixture")
-    info = synthetic.write_fixture(d, seed=FIXTURE_SEED)
+    synthetic.write_fixture(d, seed=FIXTURE_SEED)
     cfg = training.PipelineConfig(
         collection=str(d / "collection.tsv"),
         train_queries=str(d / "train_queries.tsv"),
@@ -100,7 +100,6 @@ def lab(tmp_path_factory):
     return {
         "cfg": cfg,
         "dir": d,
-        "info": info,
         "result": result,
         "runs": runs,
         "mrr": mrr,

@@ -3,12 +3,12 @@ import pytest
 
 from lexlab.analysis import (
     _golden_rank,
+    _normalize,
     discrepancy_pairs,
     emit_histogram,
     ensemble_fuse,
     format_bucket_table,
     histogram_counts,
-    normalize_run,
     rank_buckets,
 )
 from lexlab.data import Qrels
@@ -27,6 +27,15 @@ def run_from(entries_by_qid, tag="t"):
         rankings={qid: ranking_from(qid, entries) for qid, entries in entries_by_qid.items()},
         tag=tag,
     )
+
+
+def normalize_run(run):
+    """`run` with each query's scores min-max normalized as the analyses see them."""
+    rankings = {
+        qid: Ranking(qid=qid, ids=r.ids, scores=_normalize(r.scores))
+        for qid, r in run.rankings.items()
+    }
+    return RunFile(rankings=rankings, tag=run.tag)
 
 
 # The tuple and dict bodies the analyses had before rankings became arrays,
@@ -173,27 +182,19 @@ class TestArrayFormsMatchOracles:
 
 class TestNormalize:
     def test_min_max(self):
-        run = run_from({"q": [("a", 6.0), ("b", 4.0), ("c", 2.0)]})
-        normed = normalize_run(run)
-        assert [s for _, s in normed.rankings["q"].entries] == [1.0, 0.5, 0.0]
+        assert _normalize(np.array([6.0, 4.0, 2.0])).tolist() == [1.0, 0.5, 0.0]
 
     def test_single_entry_is_half(self):
-        normed = normalize_run(run_from({"q": [("a", 42.0)]}))
-        assert normed.rankings["q"].entries == [("a", 0.5)]
+        assert _normalize(np.array([42.0])).tolist() == [0.5]
 
     def test_constant_list_is_half(self):
-        normed = normalize_run(run_from({"q": [("a", 3.0), ("b", 3.0)]}))
-        assert [s for _, s in normed.rankings["q"].entries] == [0.5, 0.5]
+        assert _normalize(np.array([3.0, 3.0])).tolist() == [0.5, 0.5]
 
     def test_order_preserved(self):
-        rng = np.random.default_rng(1)
-        entries = sorted(
-            [(f"d{i}", float(rng.normal())) for i in range(30)],
-            key=lambda e: (-e[1], e[0]),
-        )
-        run = run_from({"q": entries})
-        normed = normalize_run(run)
-        assert [pid for pid, _ in normed.rankings["q"].entries] == [pid for pid, _ in entries]
+        scores = -np.sort(-np.random.default_rng(1).normal(size=30))
+        normed = _normalize(scores)
+        assert normed[0] == 1.0 and normed[-1] == 0.0
+        assert np.all(np.diff(normed) < 0)
 
 
 class TestFuse:

@@ -9,6 +9,8 @@ import pytest
 from lexlab import cli, gradcheck, training
 from lexlab.synthetic import write_fixture
 
+from helpers import save_teacher_scores
+
 FIXTURE = Path(__file__).parent / "data" / "metric_fixture"
 
 
@@ -101,6 +103,23 @@ class TestBasics:
         assert rc == 1
         assert "collection" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key", [
+        ("mine", "collection"), ("mine", "train_queries"), ("mine", "train_qrels"),
+        ("train", "collection"), ("train", "train_queries"), ("train", "train_qrels"),
+        ("retrieve", "collection"), ("retrieve", "eval_queries"),
+    ])
+    def test_missing_input_key_named_before_any_work(
+        self, workspace, tmp_path, capsys, command, key
+    ):
+        lines = (workspace / "toy.cfg").read_text().splitlines()
+        partial = tmp_path / "partial.cfg"
+        partial.write_text("\n".join(line for line in lines if not line.startswith(f"{key} ")) + "\n")
+        extra = ["--pool", tmp_path / "pool.tsv"] if command == "train" else []
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", partial, *extra, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: missing config key {key!r}\n"
+        assert list(tmp_path.iterdir()) == [partial]
+
     def test_unknown_config_key_named(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("collection = x\nmystery_knob = 2\n")
@@ -120,6 +139,28 @@ class TestEvaluateFuse:
             values[(metric, qid)] = float(value)
         assert values[("mrr@10", "all")] == pytest.approx(4 / 9, abs=1e-6)
         assert values[("recall@50", "all")] == pytest.approx(5 / 6, abs=1e-6)
+
+    @pytest.mark.parametrize("exponential_gain", [False, True])
+    def test_evaluate_per_query(self, capsys, exponential_gain):
+        # q1 ranks d2 (grade 1) above d1 (grade 3), so its gains are 1 and 3,
+        # or 2^1 - 1 and 2^3 - 1 under exponential gain.
+        flag = ["--exponential-gain"] if exponential_gain else []
+        rc = run_cli("evaluate", "--run", FIXTURE / "run.trec", "--qrels", FIXTURE / "qrels.txt",
+                     "--metrics", "ndcg@10", "--per-query", *flag)
+        assert rc == 0
+        g1, g3 = (1, 7) if exponential_gain else (1, 3)
+        q1 = (g1 + g3 / math.log2(3)) / (g3 + g1 / math.log2(3))
+        rows = (("q1", q1), ("q2", 0.5), ("q3", 0.0), ("all", (q1 + 0.5) / 3))
+        assert capsys.readouterr().out == "".join(f"ndcg@10\t{q}\t{v:.6f}\n" for q, v in rows)
+
+    def test_evaluate_table(self, capsys):
+        rc = run_cli("evaluate", "--run", FIXTURE / "run.trec", "--qrels", FIXTURE / "qrels.txt",
+                     "--metrics", "mrr@10,ndcg@10", "--table")
+        assert rc == 0
+        q1 = (1 + 3 / math.log2(3)) / (3 + 1 / math.log2(3))
+        assert capsys.readouterr().out == (
+            f"metric   mean\nmrr@10   {4 / 9:.4f}\nndcg@10  {(q1 + 0.5) / 3:.4f}\n"
+        )
 
     def test_evaluate_rejects_a_cutoff_below_one(self, capsys):
         rc = run_cli("evaluate", "--run", FIXTURE / "run.trec", "--qrels", FIXTURE / "qrels.txt",
@@ -598,7 +639,7 @@ class TestTrainInputs:
         for seed in (0, 1):
             rng = np.random.default_rng(seed)
             table = tmp_path / f"teacher{seed}.tsv"
-            training.save_teacher_scores(
+            save_teacher_scores(
                 {(q, p): float(rng.normal()) for q in queries.queries for p in sorted(corpus.docs)},
                 table,
             )

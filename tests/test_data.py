@@ -1,3 +1,4 @@
+import hashlib
 import sys
 from itertools import groupby
 
@@ -19,6 +20,7 @@ from lexlab.data import (
     tokenize,
     vectorize,
 )
+from lexlab.synthetic import write_fixture
 
 
 def groupby_tokenize(text):
@@ -260,3 +262,32 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(path)
+
+
+# sha256 of each file `write_fixture` writes at the acceptance seed (13) and
+# at perfbench's default seed (1). The acceptance thresholds were validated
+# on these bytes.
+FIXTURE_SHA256 = {
+    13: {
+        "collection.tsv": "ded0ae4faef62164410d9624e760f093ed248355babf5010aa21a62c7b50d2c9",
+        "train_queries.tsv": "657b57ee1780f87783ee53405d818ca81119a004e77df7017d01370ea59a6894",
+        "train_qrels.txt": "d18bc6f6909e1efafc3e45731c2a8ce122ae4129dc5c264f8f4c7d7e8725d5cf",
+        "test_queries.tsv": "fb4e1468afcc1de4e9229022a3fe24cf9148088c17f09283957756e576fc1469",
+        "test_qrels.txt": "06ed7877759b0c98fa8295f26421409aae00506ed629a3c5de7dd4f3a8346bc5",
+    },
+    1: {
+        "collection.tsv": "57becde18c984ee8fbae51e3ea6a28f4b510cc20098fb6ae29a3cc85fbdca39b",
+        "train_queries.tsv": "fb1fc850fa83ab9f3b51eee67bbba243bedd9cc5212311cae4e944c895437115",
+        "train_qrels.txt": "d18bc6f6909e1efafc3e45731c2a8ce122ae4129dc5c264f8f4c7d7e8725d5cf",
+        "test_queries.tsv": "15482bbe932865594f23898db1f0a002b0ce4821f1b0b14f535c5d5c3dfc8415",
+        "test_qrels.txt": "06ed7877759b0c98fa8295f26421409aae00506ed629a3c5de7dd4f3a8346bc5",
+    },
+}
+
+
+class TestSyntheticFixture:
+    @pytest.mark.parametrize("seed", sorted(FIXTURE_SHA256))
+    def test_written_bytes_are_pinned(self, tmp_path, seed):
+        write_fixture(tmp_path, seed=seed)
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+        assert written == FIXTURE_SHA256[seed]

@@ -26,8 +26,9 @@ from lexlab.training import (
     parse_config_file,
     run_pipeline,
     save_pool,
-    save_teacher_scores,
 )
+
+from helpers import save_teacher_scores
 
 ids = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-_.", min_size=1, max_size=8)
 

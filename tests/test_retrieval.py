@@ -18,6 +18,7 @@ from lexlab.retrieval import (
     encode_corpus,
     evaluate,
     format_report,
+    index_kind,
     load_run,
     make_run,
     mrr_at_k,
@@ -104,6 +105,19 @@ class TestEncodeCorpus:
             assert dense_encode(vectorize(docs[pid], vocab), params).tobytes() == vec.tobytes()
         assert not index.matrix[index.pids.index("d3")].any()
         assert not index.matrix[index.pids.index("d4")].any()
+
+    def test_no_model_gives_the_bm25_index(self):
+        corpus = Corpus.from_docs({"d2": "a b b", "d0": "b c", "d1": "", "d3": "c a a"})
+        vocab = build_vocab(corpus)
+        index = encode_corpus(None, corpus, vocab)
+        expected = build_index(vectorize_corpus(corpus, vocab))
+        assert index_kind(index) == "bm25"
+        assert index.pids == expected.pids == ["d0", "d1", "d2", "d3"]
+        assert index.doc_len.tolist() == expected.doc_len.tolist()
+        assert index.postings.keys() == expected.postings.keys()
+        for t, (rows, w) in expected.postings.items():
+            assert rows.tobytes() == index.postings[t][0].tobytes()
+            assert w.tobytes() == index.postings[t][1].tobytes()
 
 
     @pytest.mark.parametrize("kind", ["dense", "lexical"])
@@ -418,6 +432,25 @@ class TestEvaluate:
         assert report.mean("recall@50") == pytest.approx((1.0 + 1.0 + 0.5) / 3, abs=1e-9)
         assert report.mean("recall@1000") == pytest.approx(1.0, abs=1e-9)
         assert report.mean("ndcg@10") == pytest.approx((ndcg_q1 + 0.5 + 0.0) / 3, abs=1e-9)
+
+    def test_fixture_exponential_gain_by_hand(self):
+        # q1 ranks d2 (grade 1) above d1 (grade 3); q2's d7 (grade 1) is
+        # third; q3's d9 (grade 2) is eleventh and d10 (grade 1) sixtieth.
+        run = load_run(FIXTURE / "run.trec")
+        qrels = load_qrels(FIXTURE / "qrels.txt")
+        q1 = (1 + 7 / math.log2(3)) / (7 + 1 / math.log2(3))
+        at10 = ndcg_at_k(run, qrels, 10, exponential_gain=True)
+        assert at10.per_query == pytest.approx({"q1": q1, "q2": 0.5, "q3": 0.0}, abs=1e-12)
+        assert at10.mean == pytest.approx((q1 + 0.5) / 3, abs=1e-12)
+        q3 = (3 / math.log2(12)) / (3 + 1 / math.log2(3))
+        at20 = ndcg_at_k(run, qrels, 20, exponential_gain=True)
+        assert at20.per_query == pytest.approx({"q1": q1, "q2": 0.5, "q3": q3}, abs=1e-12)
+        linear = ndcg_at_k(run, qrels, 20)
+        assert linear.per_query["q3"] == pytest.approx(
+            (2 / math.log2(12)) / (2 + 1 / math.log2(3)), abs=1e-12
+        )
+        report = evaluate(run, qrels, ("ndcg@10",), exponential_gain=True)
+        assert report.results["ndcg@10"] == at10
 
     def test_all_metrics_in_unit_interval(self):
         run = load_run(FIXTURE / "run.trec")

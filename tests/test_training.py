@@ -10,8 +10,6 @@ from lexlab.encoders import (
     DenseParams,
     LexicalParams,
     lexical_encode,
-    params_digest,
-    relevance,
 )
 from lexlab.objectives import TEACHING_LOSSES
 from lexlab.retrieval import Retriever, encode_corpus
@@ -35,13 +33,14 @@ from lexlab.training import (
     parse_config_file,
     run_pipeline,
     save_pool,
-    save_teacher_scores,
     stage_config,
     subsample_pool,
     table_teacher,
     train_stage,
     validate_pool,
 )
+
+from helpers import params_digest, relevance, save_teacher_scores
 
 ALL_KEYS = tuple(f.name for f in dataclasses.fields(PipelineConfig))
 
