@@ -212,12 +212,22 @@ class TokenBatch:
     def groups(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
         """Per length: the member rows, their ids (rows x length), counts
         (rows x 1 x length) and token totals (rows x 1), shaped for pooling."""
+        # One stable sort by length, empty rows first, and one gather of the
+        # other rows' tokens in that order; each length is then a slice.
+        order = np.argsort(self.lens, kind="stable")[np.count_nonzero(self.empty):]
+        lens = self.lens[order]
+        first = np.cumsum(lens) - lens  # each sorted row's first token
+        at = np.repeat(self.starts[order] - first, lens) + np.arange(lens.sum())
+        ids, counts = self.ids[at], self.counts[at]
+        bounds = [*np.flatnonzero(np.diff(lens, prepend=0)).tolist(), len(order)]
         groups = []
-        for k in np.unique(self.lens[~self.empty]).tolist():
-            members = np.flatnonzero(self.lens == k)
-            at = self.starts[members, None] + np.arange(k)
-            counts = self.counts[at]
-            groups.append((members, self.ids[at], counts[:, None, :], counts.sum(axis=1)[:, None]))
+        for a, b in zip(bounds, bounds[1:]):
+            shape = (b - a, int(lens[a]))
+            lo, hi = int(first[a]), int(first[a]) + shape[0] * shape[1]
+            c = counts[lo:hi].reshape(shape)
+            groups.append(
+                (order[a:b], ids[lo:hi].reshape(shape), c[:, None, :], c.sum(axis=1)[:, None])
+            )
         return groups
 
     @cached_property

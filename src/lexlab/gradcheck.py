@@ -33,7 +33,7 @@ from .encoders import (
     params_from_tensors,
     token_row,
 )
-from .objectives import TEACHING_LOSSES, flops_penalty, strategy_loss
+from .objectives import TEACHING_LOSSES, RankPairSet, flops_penalty, make_rank_pairs, strategy_loss
 from .training import batch_step
 
 LOSS_NAMES = (
@@ -148,24 +148,26 @@ def grad_check(
     return fd_max_rel_error(x, forward, _flat(grads), eps)
 
 
-def _loss_and_structure(name: str, scores: np.ndarray, teacher: np.ndarray):
+def _loss_and_structure(name: str, scores: np.ndarray, teacher: np.ndarray, pairs: RankPairSet):
     """Evaluate one named loss as training does; returns (LossValue, discrete structure).
 
     "contrastive" and "combined" are the training losses of the strategies
     "none" and "rank-consistent" (weight 1.2); the others are the teaching
-    losses themselves, "kl" at temperature 2.
+    losses themselves, "kl" at temperature 2. `pairs` is the fixed teacher's
+    `make_rank_pairs`, built once per check as `train_stage` builds it once
+    per query.
     """
     if name == "contrastive":
         lv = strategy_loss("none", scores)[0]
     elif name == "combined":
-        lv = strategy_loss("rank-consistent", scores, teacher, reg_weight=1.2)[0]
+        lv = strategy_loss("rank-consistent", scores, teacher, reg_weight=1.2, pairs=pairs)[0]
     else:
-        lv = TEACHING_LOSSES[name](scores, teacher, 2.0)
+        lv = TEACHING_LOSSES[name](scores, teacher, pairs, 2.0)
     if name not in ("rank-consistent", "combined"):
         return lv, b""
-    s, t = scores, teacher
+    s = scores
     # Which rank pairs' hinges are active: s(other) > s(preferred).
-    return lv, ((t[:, None] > t[None, :]) & (s[None, :] > s[:, None])).tobytes()
+    return lv, (pairs.mask & (s[None, :] > s[:, None])).tobytes()
 
 
 def loss_grad_check(name: str, seed: int, eps: float = 1e-5, n_negs: int = 4) -> float:
@@ -189,12 +191,13 @@ def loss_grad_check(name: str, seed: int, eps: float = 1e-5, n_negs: int = 4) ->
 
     scores = rng.normal(size=n_negs + 1)  # x: the array the loss reads
     teacher = rng.normal(size=n_negs + 1)
+    pairs = make_rank_pairs(teacher)
 
     def forward():
-        lv, structure = _loss_and_structure(name, scores, teacher)
+        lv, structure = _loss_and_structure(name, scores, teacher, pairs)
         return lv.loss, structure
 
-    analytic = _loss_and_structure(name, scores, teacher)[0].grad
+    analytic = _loss_and_structure(name, scores, teacher, pairs)[0].grad
     return fd_max_rel_error(scores, forward, analytic, eps)
 
 
@@ -219,6 +222,7 @@ def composed_grad_check(
     q_tv = rand_tv(3)
     cand_tvs = [rand_tv(4) for _ in range(n_negs + 1)]
     teacher = rng.normal(size=n_negs + 1)
+    pairs = make_rank_pairs(teacher)
 
     if kind == "dense":
         params = DenseParams.init(vocab_size, dim, seed)
@@ -242,12 +246,12 @@ def composed_grad_check(
     flops_weight = 0.7 if loss_name == "flops" else 0.0
     loss_structure = []
 
-    def loss_fn(k, scores):
+    def loss_fn(scores):
         if loss_name == "flops":
-            return 0.0, np.zeros(len(scores))
-        lv, structure = _loss_and_structure(loss_name, scores, teacher)
+            return [0.0], [np.zeros(len(scores[0]))]
+        lv, structure = _loss_and_structure(loss_name, scores[0], teacher, pairs)
         loss_structure.append(structure)
-        return lv.loss, lv.grad
+        return [lv.loss], [lv.grad]
 
     x, params = _flat_copy(params)
 

@@ -1,25 +1,31 @@
-"""Training losses over per-query candidate sets.
+"""Training losses over candidate sets.
 
 A candidate set is one or two aligned float64 arrays: the student's
 `scores` and the teacher's `teacher` scores, with index 0 the positive and
-the negatives after it. Every loss returns its value together with the
-exact gradient with respect to the student scores, or for flops_penalty the
-lexical term weights. Softmax-based losses are stabilized by max
-subtraction. The rank-consistent hinge penalizes only pairs the student
-orders against the teacher; agreement, including exact ties, costs nothing.
+the negatives after it. Every loss takes one set's vector or a (sets x
+candidates) matrix whose rows are sets of one length, and gives each row the
+bits that set gets alone: row maxima and sums run along C-contiguous rows,
+logarithms are `math.log` per row, and the pair and left-to-right sums keep
+each row's order. It returns its value together with the exact gradient
+with respect to the student scores (a float and a vector for one set, one
+entry and one row per set for a matrix), or for flops_penalty the lexical
+term weights. Softmax-based losses are stabilized by max subtraction. The
+rank-consistent hinge penalizes only pairs the student orders against the
+teacher; agreement, including exact ties, costs nothing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 
 @dataclass
 class LossValue:
-    loss: float
+    loss: float | np.ndarray  # one entry per row for a matrix of sets
     grad: np.ndarray
 
 
@@ -27,10 +33,18 @@ class LossValue:
 class RankPairSet:
     """Ordered (preferred, other) pairs under the teacher's strict order.
 
-    `mask[i, j]` is True when candidate `i` is preferred to candidate `j`.
+    `mask[i, j]` is True when candidate `i` is preferred to candidate `j`; a
+    stack of sets holds one such mask per set.
     """
 
     mask: np.ndarray
+
+    @cached_property
+    def inv_count(self) -> np.ndarray:
+        """1 / each set's pair count, 1.0 for a set without pairs (its pair
+        losses and their gradients are zero)."""
+        counts = self.mask.reshape(-1, self.mask.shape[-1] ** 2).sum(axis=1)
+        return 1.0 / np.maximum(counts, 1)
 
     @property
     def pairs(self) -> list[tuple[int, int]]:
@@ -41,26 +55,41 @@ class RankPairSet:
         return int(np.count_nonzero(self.mask))
 
 
+def _rows(x: np.ndarray) -> np.ndarray:
+    """One set's vector as a one-row matrix; a matrix as it is."""
+    return x[None] if x.ndim == 1 else x
+
+
+def _value(loss: np.ndarray, grad: np.ndarray, like: np.ndarray) -> LossValue:
+    """Row results, as one set's float and vector when `like` is a vector."""
+    if like.ndim == 1:
+        return LossValue(loss=float(loss[0]), grad=grad[0])
+    return LossValue(loss=loss, grad=grad)
+
+
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max()
-    return shifted - math.log(np.exp(shifted).sum())
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    log_z = [math.log(z) for z in np.exp(shifted).sum(axis=1).tolist()]
+    shifted -= np.array(log_z)[:, None]
+    return shifted
 
 
 def contrastive_loss(scores: np.ndarray) -> LossValue:
     """-log softmax at the positive over raw dot-product logits."""
-    if len(scores) < 2:
+    s = _rows(scores)
+    if s.shape[1] < 2:
         raise ValueError("contrastive loss needs at least one negative")
-    if np.isnan(scores).any():
+    if np.isnan(s).any():
         raise ValueError("NaN score in candidate set")
-    logp = _log_softmax(scores)
+    logp = _log_softmax(s)
     grad = np.exp(logp)
-    grad[0] -= 1.0
-    return LossValue(loss=-float(logp[0]), grad=grad)
+    grad[:, 0] -= 1.0
+    return _value(-logp[:, 0], grad, scores)
 
 
 def make_rank_pairs(teacher: np.ndarray) -> RankPairSet:
     """All ordered candidate pairs the teacher strictly prefers; ties yield none."""
-    return RankPairSet(mask=teacher[:, None] > teacher[None, :])
+    return RankPairSet(mask=teacher[..., :, None] > teacher[..., None, :])
 
 
 def _sequential_pair_sum(win, lose, win_step, lose_step, n: int) -> np.ndarray:
@@ -76,29 +105,54 @@ def _sequential_pair_sum(win, lose, win_step, lose_step, n: int) -> np.ndarray:
     return np.bincount(at, weights=step, minlength=n)
 
 
-def ordered_total(values: np.ndarray) -> float:
-    """Left-to-right float sum, as `total += v` in a loop accumulates it."""
-    return float(values.cumsum()[-1]) if len(values) else 0.0
+def _ordered_row_totals(values: np.ndarray, row: np.ndarray, n_rows: int) -> np.ndarray:
+    """Per row, the left-to-right float sum of its entries of `values`, as
+    `total += v` in a loop accumulates it; 0.0 for a row without entries.
+
+    `row` gives each value's row, in ascending order. The rows are laid out
+    zero-padded at their ends, so a row-wise `cumsum` adds each row's
+    values in order and its last value is reached before any padding.
+    """
+    if n_rows == 1:
+        return values.cumsum()[-1:] if len(values) else np.zeros(1)
+    counts = np.bincount(row, minlength=n_rows)
+    totals = np.zeros(n_rows)
+    if not len(values):
+        return totals
+    padded = np.zeros((n_rows, counts.max()))
+    padded[row, np.arange(len(row)) - (np.cumsum(counts) - counts)[row]] = values
+    has = counts.nonzero()[0]
+    totals[has] = padded.cumsum(axis=1)[has, counts[has] - 1]
+    return totals
 
 
-def rank_consistent_loss(scores: np.ndarray, teacher: np.ndarray) -> LossValue:
+def _rank_pairs(s: np.ndarray, teacher: np.ndarray, pairs: RankPairSet | None):
+    """The teacher's rank-pair masks, one per row of `s`, and their `inv_count`."""
+    pairs = make_rank_pairs(teacher) if pairs is None else pairs
+    return pairs.mask.reshape(len(s), s.shape[1], s.shape[1]), pairs.inv_count
+
+
+def rank_consistent_loss(
+    scores: np.ndarray, teacher: np.ndarray, pairs: RankPairSet | None = None
+) -> LossValue:
     """Mean hinge on student disagreement: max(0, s(other) - s(preferred))
     over the teacher's rank pairs.
 
     Zero exactly when the student's strict order matches the teacher on every
-    pair; the subgradient at an exact tie is zero.
+    pair; the subgradient at an exact tie is zero. `pairs` is
+    `make_rank_pairs(teacher)`, for a caller that keeps it.
     """
-    mask = make_rank_pairs(teacher).mask
-    n_pairs = np.count_nonzero(mask)
-    n = len(scores)
-    if not n_pairs:
-        return LossValue(loss=0.0, grad=np.zeros(n))
-    s = scores
-    inv = 1.0 / n_pairs
-    # Pairs whose hinge is active, in the row-major order of the mask.
-    win, lose = (mask & (s[None, :] > s[:, None])).nonzero()
-    grad = _sequential_pair_sum(win, lose, -inv, inv, n)
-    return LossValue(loss=ordered_total(s[lose] - s[win]) * inv, grad=grad)
+    s = _rows(scores)
+    mask, inv = _rank_pairs(s, teacher, pairs)
+    # Pairs whose hinge is active, in the row-major order of the masks, as
+    # positions in the flattened rows.
+    row, win, lose = (mask & (s[:, None, :] > s[:, :, None])).nonzero()
+    start = row * s.shape[1]
+    win, lose, flat = start + win, start + lose, s.reshape(-1)
+    step = inv[row]
+    grad = _sequential_pair_sum(win, lose, -step, step, s.size).reshape(s.shape)
+    loss = _ordered_row_totals(flat[lose] - flat[win], row, len(s)) * inv
+    return _value(loss, grad, scores)
 
 
 def combined_loss(cl: LossValue, ll: LossValue, weight: float) -> LossValue:
@@ -108,21 +162,21 @@ def combined_loss(cl: LossValue, ll: LossValue, weight: float) -> LossValue:
     return LossValue(loss=cl.loss + weight * ll.loss, grad=cl.grad + weight * ll.grad)
 
 
-def margin_mse_loss(scores: np.ndarray, teacher: np.ndarray) -> LossValue:
+def margin_mse_loss(
+    scores: np.ndarray, teacher: np.ndarray, pairs: RankPairSet | None = None
+) -> LossValue:
     """Mean squared difference between student and teacher margins over the
-    teacher's rank pairs."""
-    mask = make_rank_pairs(teacher).mask
-    n_pairs = np.count_nonzero(mask)
-    n = len(scores)
-    if not n_pairs:
-        return LossValue(loss=0.0, grad=np.zeros(n))
-    s, t = scores, teacher
-    inv = 1.0 / n_pairs
-    win, lose = mask.nonzero()
-    diff = (s[win] - s[lose]) - (t[win] - t[lose])
-    step = 2.0 * diff * inv
-    grad = _sequential_pair_sum(win, lose, step, -step, n)
-    return LossValue(loss=ordered_total(diff * diff) * inv, grad=grad)
+    teacher's rank pairs (`pairs`, built from `teacher` when not given)."""
+    s, t = _rows(scores), _rows(teacher)
+    mask, inv = _rank_pairs(s, teacher, pairs)
+    row, win, lose = mask.nonzero()
+    start = row * s.shape[1]
+    win, lose, s_flat, t_flat = start + win, start + lose, s.reshape(-1), t.reshape(-1)
+    diff = (s_flat[win] - s_flat[lose]) - (t_flat[win] - t_flat[lose])
+    step = 2.0 * diff * inv[row]
+    grad = _sequential_pair_sum(win, lose, step, -step, s.size).reshape(s.shape)
+    loss = _ordered_row_totals(diff * diff, row, len(s)) * inv
+    return _value(loss, grad, scores)
 
 
 def kl_divergence_loss(
@@ -135,22 +189,43 @@ def kl_divergence_loss(
     """
     if temperature <= 0:
         raise ValueError("temperature must be > 0")
-    logp = _log_softmax(teacher / temperature)
-    logq = _log_softmax(scores / temperature)
+    logp = _log_softmax(_rows(teacher) / temperature)
+    logq = _log_softmax(_rows(scores) / temperature)
     p = np.exp(logp)
-    loss = float((p * (logp - logq)).sum())
+    loss = (p * (logp - logq)).sum(axis=1)
     grad = (np.exp(logq) - p) / temperature
-    return LossValue(loss=loss, grad=grad)
+    return _value(loss, grad, scores)
 
 
-# The teaching losses by strategy name: (scores, teacher scores, KL
-# temperature) -> loss over the student scores.
+# The teaching losses by strategy name: (scores, teacher scores, the
+# teacher's rank pairs or None, KL temperature) -> loss over the student
+# scores.
 TEACHING_LOSSES = {
-    "rank-consistent": lambda scores, teacher, temperature: rank_consistent_loss(scores, teacher),
-    "margin-mse": lambda scores, teacher, temperature: margin_mse_loss(scores, teacher),
-    "kl": kl_divergence_loss,
+    "rank-consistent": lambda s, t, pairs, temperature: rank_consistent_loss(s, t, pairs),
+    "margin-mse": lambda s, t, pairs, temperature: margin_mse_loss(s, t, pairs),
+    "kl": lambda s, t, pairs, temperature: kl_divergence_loss(s, t, temperature),
 }
 STRATEGIES = ("none", *TEACHING_LOSSES, "filter")
+PAIR_STRATEGIES = ("rank-consistent", "margin-mse")  # their losses read the rank pairs
+
+
+def _filtered_contrastive(s: np.ndarray, t: np.ndarray, threshold: float) -> LossValue:
+    """Per row, the contrastive loss over the positive and the negatives whose
+    teacher score stays below `threshold` times the positive's; zero for a
+    row that keeps no negative. Rows that keep as many go through one call."""
+    keep = t < threshold * t[:, :1]
+    keep[:, 0] = True
+    kept = np.count_nonzero(keep, axis=1)
+    loss, grad = np.zeros(len(s)), np.zeros(s.shape)
+    for k in np.unique(kept[kept > 1]).tolist():
+        rows = (kept == k).nonzero()[0]
+        sub = keep[rows]
+        cl = contrastive_loss(s[rows][sub].reshape(len(rows), k))
+        loss[rows] = cl.loss
+        g = np.zeros((len(rows), s.shape[1]))
+        g[sub] = cl.grad.reshape(-1)
+        grad[rows] = g
+    return LossValue(loss=loss, grad=grad)
 
 
 def strategy_loss(
@@ -160,55 +235,102 @@ def strategy_loss(
     reg_weight: float = 1.2,
     filter_threshold: float = 0.95,
     kl_temperature: float = 1.0,
-) -> tuple[LossValue, float, float]:
-    """The training loss of one candidate set: (total, contrastive part, teaching part).
+    pairs: RankPairSet | None = None,
+) -> tuple[LossValue, float | np.ndarray, float | np.ndarray]:
+    """The training loss of one candidate set, or of each row of a matrix of
+    sets: (total, contrastive part, teaching part).
 
     "none" is the contrastive loss alone and ignores `teacher`; "filter" is
     the contrastive loss over the negatives whose teacher score stays below
     `filter_threshold` times the positive's (a NaN teacher score drops its
     negative); every other strategy adds `reg_weight` times its teaching
-    loss from `TEACHING_LOSSES`.
+    loss from `TEACHING_LOSSES`, which reads `pairs` when given.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r} (choose from {STRATEGIES})")
     if strategy != "none":
         if teacher is None:
             raise ValueError(f"strategy {strategy!r} needs teacher scores")
-        if len(teacher) != len(scores):
+        if teacher.shape != scores.shape:
             raise ValueError("teacher scores do not align with candidates")
+    s = _rows(scores)
+    ll = np.zeros(len(s))
     if strategy == "filter":
-        keep = teacher < filter_threshold * teacher[0]
-        keep[0] = True
-        grad = np.zeros(len(scores))
-        if not keep[1:].any():
-            return LossValue(loss=0.0, grad=grad), 0.0, 0.0
-        cl = contrastive_loss(scores[keep])
-        grad[keep] = cl.grad
-        return LossValue(loss=cl.loss, grad=grad), cl.loss, 0.0
-    cl = contrastive_loss(scores)
-    if strategy == "none":
-        return cl, cl.loss, 0.0
-    ll = TEACHING_LOSSES[strategy](scores, teacher, kl_temperature)
-    return combined_loss(cl, ll, reg_weight), cl.loss, ll.loss
+        total = _filtered_contrastive(s, _rows(teacher), filter_threshold)
+        cl = total.loss
+    else:
+        total = contrastive_loss(s)
+        cl = total.loss
+        if strategy != "none":
+            teaching = TEACHING_LOSSES[strategy](s, _rows(teacher), pairs, kl_temperature)
+            total, ll = combined_loss(total, teaching, reg_weight), teaching.loss
+    if scores.ndim == 1:
+        return _value(total.loss, total.grad, scores), float(cl[0]), float(ll[0])
+    return total, cl, ll
 
 
-def flops_penalty(terms: list[np.ndarray], values: list[np.ndarray], weight: float) -> LossValue:
-    """weight * sum_v (mean over the batch of weight(v))^2.
+def batch_loss(
+    strategy: str,
+    scores: list[np.ndarray],
+    teacher: list[np.ndarray] | None = None,
+    pairs: list[RankPairSet] | None = None,
+    reg_weight: float = 1.2,
+    filter_threshold: float = 0.95,
+    kl_temperature: float = 1.0,
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, np.ndarray]:
+    """`strategy_loss` of every set of a batch: (losses, gradients, contrastive
+    parts, teaching parts), one each per set.
 
-    The batch holds one vector per (term ids, weights) array pair; the
-    gradient is aligned with the weights of all vectors concatenated. The
-    batch mean accumulates vector by vector (`np.bincount` adds in input
-    order from +0.0) and the loss sums the squared means in order of first
-    appearance, so the result is bit for bit that of a term -> weight dict
-    accumulation in the same order.
+    `teacher` and `pairs` are per-set lists aligned with `scores`. The sets
+    of one length go through one `strategy_loss` call as the rows of a
+    matrix, so each gets the bits it gets alone.
+    """
+    by_length: dict[int, list[int]] = {}
+    for k, s in enumerate(scores):
+        by_length.setdefault(len(s), []).append(k)
+    losses, cl, ll = np.empty(len(scores)), np.empty(len(scores)), np.empty(len(scores))
+    grads: list[np.ndarray] = [np.empty(0)] * len(scores)
+    for members in by_length.values():
+        total, cl[members], ll[members] = strategy_loss(
+            strategy,
+            np.stack([scores[k] for k in members]),
+            None if teacher is None else np.stack([teacher[k] for k in members]),
+            reg_weight,
+            filter_threshold,
+            kl_temperature,
+            None if pairs is None else RankPairSet(np.stack([pairs[k].mask for k in members])),
+        )
+        losses[members] = total.loss
+        for k, g in zip(members, total.grad):
+            grads[k] = g
+    return losses, grads, cl, ll
+
+
+def flops_penalty(
+    terms: list[np.ndarray], values: list[np.ndarray], weight: float, sizes: list[int] | None = None
+) -> LossValue:
+    """weight * sum_v (mean over a set of vectors of weight(v))^2, per set.
+
+    The vectors are (term ids, weights) array pairs. `sizes` splits them
+    into consecutive sets, each with its own mean and penalty, and the loss
+    has one entry per set; without it they form one set and the loss is a
+    float. The gradient is aligned with the weights of all vectors
+    concatenated. A set's mean accumulates vector by vector (`np.bincount`
+    adds in input order from +0.0) and its loss sums the squared means left
+    to right in order of first appearance, so each set gets bit for bit the
+    result of a term -> weight dict accumulation over that set alone.
     """
     if weight < 0:
         raise ValueError("flops weight must be >= 0")
+    n_vecs = np.array([len(terms)] if sizes is None else sizes, dtype=np.int64)
     flat = np.concatenate([*terms, np.empty(0, dtype=np.int64)])
-    if not len(flat):
-        return LossValue(loss=0.0, grad=np.empty(0))
-    mean = np.bincount(flat, weights=np.concatenate(values) / len(terms))
-    first = np.unique(flat, return_index=True)[1]
-    by_appearance = mean[flat[np.sort(first)]]
-    loss = weight * sum((by_appearance * by_appearance).tolist())
-    return LossValue(loss=loss, grad=weight * 2.0 * mean[flat] / len(terms))
+    set_of = np.arange(len(n_vecs)).repeat(n_vecs).repeat([len(t) for t in terms])
+    size = n_vecs[set_of]  # vectors in each entry's set
+    # One bin per (term, set), so each set's means stay its own.
+    key = flat * len(n_vecs) + set_of
+    mean = np.bincount(key, weights=np.concatenate([*values, np.empty(0)]) / size)
+    first = np.sort(np.unique(key, return_index=True)[1])
+    by_appearance = mean[key[first]]
+    loss = weight * _ordered_row_totals(by_appearance * by_appearance, set_of[first], len(n_vecs))
+    grad = weight * 2.0 * mean[key] / size
+    return LossValue(loss=float(loss[0]) if sizes is None else loss, grad=grad)

@@ -47,7 +47,14 @@ from .encoders import (
     lexical_trace,
     token_row,
 )
-from .objectives import STRATEGIES, flops_penalty, strategy_loss
+from .objectives import (
+    PAIR_STRATEGIES,
+    STRATEGIES,
+    RankPairSet,
+    batch_loss,
+    flops_penalty,
+    make_rank_pairs,
+)
 from . import retrieval
 from .retrieval import Retriever, index_kind
 from .sparse_index import InvertedIndex, build_index, sparse_scores
@@ -75,13 +82,27 @@ class TrainConfig:
     kl_temperature: float = 1.0
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r} (choose from {STRATEGIES})")
-        for name in ("dim", "lr", "batch_size", "m", "epochs"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.reg_weight < 0 or self.flops_weight < 0:
-            raise ValueError("loss weights must be >= 0")
+        _check_ranges(
+            self,
+            positive=("dim", "lr", "batch_size", "m", "epochs", "kl_temperature"),
+            non_negative=("reg_weight", "flops_weight", "filter_threshold"),
+        )
+
+
+def _check_ranges(cfg, positive: tuple[str, ...], non_negative: tuple[str, ...]) -> None:
+    """Reject an unknown strategy, a non-finite float field, a `positive` key
+    that is not > 0 and a `non_negative` key below 0, naming the key."""
+    if cfg.strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {cfg.strategy!r} (choose from {STRATEGIES})")
+    for f in fields(cfg):
+        if f.type == "float" and not math.isfinite(getattr(cfg, f.name)):
+            raise ValueError(f"config key {f.name!r} must be finite, got {getattr(cfg, f.name)!r}")
+    for key in positive:
+        if not getattr(cfg, key) > 0:
+            raise ValueError(f"config key {key!r} must be > 0, got {getattr(cfg, key)!r}")
+    for key in non_negative:
+        if not getattr(cfg, key) >= 0:
+            raise ValueError(f"config key {key!r} must be >= 0, got {getattr(cfg, key)!r}")
 
 
 @dataclass
@@ -405,11 +426,13 @@ def batch_step(
     """Forward, loss and backward of one optimizer batch at fixed parameters.
 
     `batch` holds the candidate sets back to back, `set_sizes` rows each: a
-    query row followed by its candidates' rows. `loss_fn(k, scores)` returns
-    (loss, d loss / d scores) for set k, the scores being query . candidate
-    relevances. Lexical sets also pay the FLOPS penalty over the query and
-    candidate vectors. With `grads` the exact parameter gradients of every
-    set's loss accumulate into it, bit for bit as encoding and
+    query row followed by its candidates' rows. The step scores every set
+    first, a score being a query . candidate relevance, and then calls
+    `loss_fn(scores)` once, with the list of every set's score vector; it
+    returns each set's loss and d loss / d scores. Lexical sets also pay the
+    FLOPS penalty over the query and candidate vectors, all sets in one
+    `flops_penalty` call. With `grads` the exact parameter gradients of
+    every set's loss accumulate into it, bit for bit as encoding and
     backpropagating one input at a time, set after set, would accumulate
     them.
     """
@@ -420,21 +443,16 @@ def batch_step(
 
 def _dense_step(params: DenseParams, batch, set_sizes, loss_fn, grads) -> StepResult:
     out, pooled = dense_encode_batch(params, batch)
-    upstream = np.zeros_like(out)
-    losses = []
-    start = 0
-    for k, size in enumerate(set_sizes):
-        end = start + size
-        q, cands = out[start], out[start + 1 : end]
-        loss, g = loss_fn(k, cands @ q)
-        losses.append(loss)
-        if grads is not None:
-            upstream[start] = g @ cands
-            upstream[start + 1 : end] = g[:, None] * q
-        start = end
+    starts = [0, *accumulate(set_sizes)]
+    spans = list(zip(starts, starts[1:]))  # each set's rows, its query's first
+    losses, g = loss_fn([out[a + 1 : b] @ out[a] for a, b in spans])
     if grads is not None:
+        upstream = np.zeros_like(out)
+        for (a, b), g_k in zip(spans, g):
+            upstream[a] = g_k @ out[a + 1 : b]
+            upstream[a + 1 : b] = g_k[:, None] * out[a]
         dense_backward_batch(params, batch, pooled, upstream, grads)
-    return StepResult(losses=losses, traces=None)
+    return StepResult(losses=list(map(float, losses)), traces=None)
 
 
 def _lexical_step(params: LexicalParams, batch, set_sizes, loss_fn, flops_weight, grads) -> StepResult:
@@ -442,7 +460,6 @@ def _lexical_step(params: LexicalParams, batch, set_sizes, loss_fn, flops_weight
     # batch's traces joined back to back, with every gradient addition in the
     # per-input order. A repeated row would trace to the same bits at fixed
     # parameters, so it shares the first trace.
-    losses = []
     distinct: dict[bytes, LexicalTrace] = {}
     all_traces = []
     for ids in batch.row_ids:
@@ -451,45 +468,44 @@ def _lexical_step(params: LexicalParams, batch, set_sizes, loss_fn, flops_weight
         if trace is None:
             trace = distinct[key] = lexical_trace(ids, params)
         all_traces.append(trace)
+    starts = [0, *accumulate(set_sizes)]
+    spans = list(zip(starts, starts[1:]))  # each set's rows, its query's first
+    q_denses, scores = [], []
+    for a, b in spans:
+        q_dense = np.zeros(params.vocab_size)
+        q_dense[all_traces[a].active_terms] = all_traces[a].weights
+        q_denses.append(q_dense)
+        # An empty candidate scores the empty dot product, 0.0.
+        cands = all_traces[a + 1 : b]
+        scores.append(np.array([q_dense.take(tr.active_terms) @ tr.weights for tr in cands]))
+    losses, g = loss_fn(scores)
+    if flops_weight > 0.0:
+        flops = flops_penalty(
+            [tr.active_terms for tr in all_traces], [tr.weights for tr in all_traces],
+            flops_weight, set_sizes,
+        )
+        losses = np.add(losses, flops.loss)
     if grads is not None:
         routes = LexicalRoutes(params, grads)
         joined = LexicalTrace.join(all_traces)
         lens = [len(tr.active_terms) for tr in all_traces]
         at = [0, *accumulate(lens)]  # each row's first entry in `joined`
-    end = 0
-    for k, size in enumerate(set_sizes):
-        start, end = end, end + size
-        traces = all_traces[start:end]
-        q_trace, cands = traces[0], traces[1:]
-        q_dense = np.zeros(params.vocab_size)
-        q_dense[q_trace.active_terms] = q_trace.weights
-        # An empty candidate scores the empty dot product, 0.0.
-        scores = np.array([q_dense.take(tr.active_terms) @ tr.weights for tr in cands])
-        loss, g = loss_fn(k, scores)
-        if flops_weight > 0.0:
-            flops = flops_penalty(
-                [tr.active_terms for tr in traces], [tr.weights for tr in traces], flops_weight
+        for k, (a, b) in enumerate(spans):
+            # A term occurs once per row and bincount adds in input order
+            # from +0.0, so the query's upstream gets the bits of a
+            # per-candidate loop. A candidate with g = 0 adds only +-0.0,
+            # and flush drops its zero entries.
+            q_trace, cand = all_traces[a], joined[at[a + 1] : at[b]]
+            g_rep = np.repeat(g[k], lens[a + 1 : b])
+            upstream = np.bincount(
+                cand.active_terms, weights=g_rep * cand.weights, minlength=params.vocab_size
             )
-            loss += flops.loss
-        losses.append(loss)
-        if grads is None:
-            continue
-        # A term occurs once per row and bincount adds in input order from
-        # +0.0, so the query's upstream gets the bits of a per-candidate
-        # loop. A candidate with g = 0 adds only +-0.0, and flush drops its
-        # zero entries.
-        cand = joined[at[start + 1] : at[end]]
-        g_rep = np.repeat(g, lens[start + 1 : end])
-        upstream = np.bincount(
-            cand.active_terms, weights=g_rep * cand.weights, minlength=params.vocab_size
-        )
-        routes.add(q_trace, upstream.take(q_trace.active_terms))
-        routes.add(cand, q_dense.take(cand.active_terms) * g_rep)
-        if flops_weight > 0.0:
-            routes.add(joined[at[start] : at[end]], flops.grad)
-    if grads is not None:
+            routes.add(q_trace, upstream.take(q_trace.active_terms))
+            routes.add(cand, q_denses[k].take(cand.active_terms) * g_rep)
+            if flops_weight > 0.0:
+                routes.add(joined[at[a] : at[b]], flops.grad[at[a] : at[b]])
         routes.flush()
-    return StepResult(losses=losses, traces=all_traces)
+    return StepResult(losses=list(map(float, losses)), traces=all_traces)
 
 
 def train_stage(
@@ -507,15 +523,18 @@ def train_stage(
 
     `teacher` is a callable ``(qid, pids) -> scores`` aligned
     with the candidate pid order; it is required by every strategy except
-    "none". Per step the loss is contrastive plus, when a teaching strategy is
-    active, `reg_weight` times the strategy loss (the filter strategy instead
-    drops teacher-flagged false negatives before the contrastive loss).
-    A pool that lists any qrels positive of its query is rejected up front.
-    Parameters change only between optimizer batches, so each batch runs as
-    one `batch_step`.
+    "none", and it scores each trained query's candidates once, before the
+    first optimizer step. Per step the loss is contrastive plus, when a
+    teaching strategy is active, `reg_weight` times the strategy loss (the
+    filter strategy instead drops teacher-flagged false negatives before the
+    contrastive loss). A pool that lists any qrels positive of its query is
+    rejected up front. Parameters change only between optimizer batches, so
+    each batch runs as one `batch_step` with one `batch_loss` call.
     """
     validate_pool(pool, qrels)
-    if _needs_teacher(config.strategy) and teacher is None:
+    needs_teacher = _needs_teacher(config.strategy)
+    needs_pairs = config.strategy in PAIR_STRATEGIES
+    if needs_teacher and teacher is None:
         raise ValueError(f"strategy {config.strategy!r} requires a teacher")
     params = init_params.copy()
     grads = params.zeros_like()
@@ -532,14 +551,26 @@ def train_stage(
             doc_rows[pid] = token_row(doc_tvs[pid])
         return doc_rows[pid]
 
-    query_rows = {qid: token_row(vectorize(text, vocab)) for qid, text in queries.queries.items()}
-    merged: dict[str, list[str]] = {}
-    for qid in queries.queries:
+    # Per trained query, built once per stage as none of it changes between
+    # epochs: its candidate set's token rows (the query's, then the
+    # positive's and the negatives'), the teacher's scores and their rank pairs.
+    set_rows: dict[str, list[TokenRow]] = {}
+    teacher_of: dict[str, np.ndarray] = {}
+    pairs_of: dict[str, RankPairSet] = {}
+    for qid, text in queries.queries.items():
         pids = pool.merged(qid)
         if not qrels.positives(qid) or not pids:
             train_log.skipped_queries += 1
             continue
-        merged[qid] = pids
+        cand_pids = [min(qrels.positives(qid)), *pids[: config.m]]
+        set_rows[qid] = [token_row(vectorize(text, vocab)), *(row_of(pid) for pid in cand_pids)]
+        if needs_teacher:
+            t = np.asarray(teacher(qid, cand_pids), dtype=np.float64)
+            if t.shape != (len(cand_pids),):
+                raise ValueError(f"teacher scores for query {qid!r} do not align with candidates")
+            teacher_of[qid] = t
+            if needs_pairs:
+                pairs_of[qid] = make_rank_pairs(t)
     if train_log.skipped_queries:
         log.warning(
             "stage %s: skipping %d queries without positives or pooled negatives",
@@ -548,42 +579,35 @@ def train_stage(
         )
 
     for epoch in range(config.epochs):
-        order = list(merged)
+        order = list(set_rows)
         random.Random(f"{config.seed}|{config.stage}|order|{epoch}").shuffle(order)
         epoch_losses = []
         for start in range(0, len(order), config.batch_size):
             chunk = order[start : start + config.batch_size]
-            cand_pids = [[min(qrels.positives(qid)), *merged[qid][: config.m]] for qid in chunk]
             parts = []
 
-            def loss_fn(k: int, scores: np.ndarray):
-                qid, pids = chunk[k], cand_pids[k]
-                t_scores = (
-                    np.asarray(teacher(qid, pids), dtype=np.float64)
-                    if _needs_teacher(config.strategy)
-                    else None
+            def loss_fn(scores: list[np.ndarray]):
+                losses, g, cl, ll = batch_loss(
+                    config.strategy, scores,
+                    [teacher_of[qid] for qid in chunk] if needs_teacher else None,
+                    [pairs_of[qid] for qid in chunk] if needs_pairs else None,
+                    config.reg_weight, config.filter_threshold, config.kl_temperature,
                 )
-                total, cl_val, ll_val = strategy_loss(
-                    config.strategy, scores, t_scores, config.reg_weight,
-                    config.filter_threshold, config.kl_temperature,
-                )
-                if not np.isfinite(total.loss):
+                bad = (~np.isfinite(losses)).nonzero()[0]
+                if len(bad):
                     raise RuntimeError(
-                        f"non-finite loss at stage {config.stage!r} epoch {epoch} query {qid!r}"
+                        f"non-finite loss at stage {config.stage!r} epoch {epoch} "
+                        f"query {chunk[bad[0]]!r}"
                     )
-                parts.append((cl_val, ll_val))
-                return total.loss, total.grad
+                parts.extend(zip(cl.tolist(), ll.tolist()))
+                return losses, g
 
-            batch = TokenBatch([
-                row
-                for qid, pids in zip(chunk, cand_pids)
-                for row in (query_rows[qid], *(row_of(pid) for pid in pids))
-            ])
-            sizes = [1 + len(pids) for pids in cand_pids]
+            batch = TokenBatch([row for qid in chunk for row in set_rows[qid]])
+            sizes = [len(set_rows[qid]) for qid in chunk]
             step = batch_step(params, batch, sizes, loss_fn, config.flops_weight, grads)
             for qid, loss, (cl_val, ll_val) in zip(chunk, step.losses, parts):
                 train_log.steps.append(
-                    StepRecord(epoch=epoch, qid=qid, loss=float(loss), cl=cl_val, ll=ll_val)
+                    StepRecord(epoch=epoch, qid=qid, loss=loss, cl=cl_val, ll=ll_val)
                 )
                 epoch_losses.append(loss)
             _apply_batch(params, grads, state, config, len(chunk))
@@ -644,23 +668,18 @@ class PipelineConfig:
     teacher_scores_file: str = ""
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"config key {f.name!r} must be finite, got {getattr(self, f.name)!r}")
-        for key in (
-            "dim", "depth", "m", "warmup_m", "batch_size", "epochs", "run_depth", "lr",
-            "kl_temperature", "min_df",
-        ):
-            if not getattr(self, key) > 0:
-                raise ValueError(f"config key {key!r} must be > 0, got {getattr(self, key)!r}")
-        for key in (
-            *(key for stage in STAGES.values() for key in (stage.lr_key, stage.epochs_key)),
-            "mix_depth", "reg_weight", "flops_weight", "filter_threshold", "max_vocab", "bm25_k1",
-        ):
-            if not getattr(self, key) >= 0:
-                raise ValueError(f"config key {key!r} must be >= 0, got {getattr(self, key)!r}")
+        _check_ranges(
+            self,
+            positive=(
+                "dim", "depth", "m", "warmup_m", "batch_size", "epochs", "run_depth", "lr",
+                "kl_temperature", "min_df",
+            ),
+            non_negative=(
+                *(key for stage in STAGES.values() for key in (stage.lr_key, stage.epochs_key)),
+                "mix_depth", "reg_weight", "flops_weight", "filter_threshold", "max_vocab",
+                "bm25_k1",
+            ),
+        )
         if not 0 <= self.bm25_b <= 1:
             raise ValueError(f"config key 'bm25_b' must be in [0, 1], got {self.bm25_b!r}")
         if self.depth < self.warmup_m:

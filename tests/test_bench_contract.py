@@ -7,9 +7,10 @@ trains through `TrainConfig`, positional `train_stage` and `mine_negatives`
 calls and `run_pipeline` over its `LED_CONFIG` keys, and reads the files
 the pipeline writes by name. Its tracer counts `objectives.flops_penalty`
 and `objectives.make_rank_pairs` by wrapping each function wherever lexlab
-refers to it, so a lexical step has to call the first by name once per
-candidate set, and a pair-based teaching loss the second, whose `.pairs`
-the tracer counts. A change to that API then fails here rather than in a
+refers to it, so a lexical step has to call the first by name, once per
+optimizer batch over every set's rows, and a stage with a pair-based
+teaching loss the second, once per trained query, whose `.pairs` the
+tracer counts. A change to that API then fails here rather than in a
 benchmark run.
 """
 
@@ -141,26 +142,35 @@ def test_training_calls_keep_their_positions():
     ]
 
 
-def test_lexical_step_calls_flops_penalty_once_per_set(world, monkeypatch):
+def test_lexical_step_calls_flops_penalty_once_per_batch(world, monkeypatch):
     _, vocab, queries, doc_tvs, params, _ = world
     real, calls = training.flops_penalty, []
 
-    def counted(terms, values, weight):
-        calls.append(len(terms))
-        return real(terms, values, weight)
+    def counted(terms, values, weight, sizes=None):
+        calls.append((terms, sizes))
+        return real(terms, values, weight, sizes)
 
     monkeypatch.setattr(training, "flops_penalty", counted)
     def set_rows(qid, pids):
         return [token_row(vectorize(queries.queries[qid], vocab)),
                 *(token_row(doc_tvs[pid]) for pid in pids)]
 
+    def loss_fn(scores):
+        return [float(s.sum()) for s in scores], [np.ones_like(s) for s in scores]
+
     rows = set_rows("q0", ["d000", "d001", "d002"]) + set_rows("q1", ["d003", "d004"])
     lexical = params["lexical"]
     for grads in (None, lexical.zeros_like()):
         calls.clear()
-        training.batch_step(lexical, TokenBatch(rows), [4, 3],
-                            lambda k, s: (float(s.sum()), np.ones_like(s)), 0.2, grads)
-        assert calls == [4, 3]
+        step = training.batch_step(lexical, TokenBatch(rows), [4, 3], loss_fn, 0.2, grads)
+        # One call covers both sets' rows, in batch order, split by set.
+        assert len(calls) == 1 and list(calls[0][1]) == [4, 3]
+        assert [t.tobytes() for t in calls[0][0]] == [
+            tr.active_terms.tobytes() for tr in step.traces
+        ]
+        calls.clear()
+        training.batch_step(lexical, TokenBatch(rows), [4, 3], loss_fn, 0.0, grads)
+        assert calls == []
 
 
 def test_search_large_training_calls(toy_data):

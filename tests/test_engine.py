@@ -256,7 +256,7 @@ class TestEveryCallerTracesTheSameBits:
             assert terms.tobytes() == lone.active_terms.tobytes()
             assert weights.tobytes() == lone.weights.tobytes()
 
-        step = batch_step(p, TokenBatch(rows), [3], lambda k, s: (0.0, np.zeros_like(s)))
+        step = batch_step(p, TokenBatch(rows), [3], lambda scores: ([0.0], [np.zeros_like(scores[0])]))
         traced = step.traces[1]
         assert_lone(traced.active_terms, traced.weights)
         assert traced.source_token.tobytes() == lone.source_token.tobytes()
@@ -319,7 +319,8 @@ def assert_step_matches_oracle(p, sets_tv, upstream, flops):
     got = p.zeros_like()
     batch = TokenBatch([token_row(tv) for set_tv in sets_tv for tv in set_tv])
     step = batch_step(p, batch, [len(set_tv) for set_tv in sets_tv],
-                      lambda k, s: (float(upstream[k] @ s), upstream[k]), flops, got)
+                      lambda scores: ([float(g @ s) for g, s in zip(upstream, scores)], upstream),
+                      flops, got)
     assert step.losses == expected_losses
     for name, t in got.tensors().items():
         assert t.tobytes() == expected.tensors()[name].tobytes(), name

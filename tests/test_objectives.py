@@ -7,6 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from lexlab.gradcheck import loss_grad_check
 from lexlab.objectives import (
+    PAIR_STRATEGIES,
+    STRATEGIES,
+    batch_loss,
     combined_loss,
     contrastive_loss,
     flops_penalty,
@@ -15,6 +18,15 @@ from lexlab.objectives import (
     margin_mse_loss,
     rank_consistent_loss,
     strategy_loss,
+)
+
+from helpers import (
+    set_contrastive,
+    set_flops,
+    set_kl,
+    set_margin_mse,
+    set_rank_consistent,
+    set_strategy_loss,
 )
 
 
@@ -357,3 +369,115 @@ class TestExhaustiveOrderings:
                     assert lv.loss == 0.0
                 else:
                     assert lv.loss > 0.0
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+class TestRowWiseMatchesPerSetOracles:
+    """Every loss over a matrix of sets, and FLOPS over a batch of sets, gives
+    each set the bits of its per-set form in `tests/helpers.py`."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lengths=st.lists(st.sampled_from([2, 3, 6, 9, 33]), min_size=1, max_size=8),
+        strategy=st.sampled_from(STRATEGIES),
+        ties=st.booleans(),
+        threshold=st.sampled_from([0.5, 0.95, 1.0]),
+        temperature=st.sampled_from([1.0, 2.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_batch_loss_matches_per_set_strategy_loss(
+        self, seed, lengths, strategy, ties, threshold, temperature
+    ):
+        rng = np.random.default_rng(seed)
+        scores = [rng.normal(size=n) * 3.0 for n in lengths]
+        # Small integer teacher scores tie often.
+        teacher = [rng.integers(-2, 3, size=n).astype(float) if ties else rng.normal(size=n)
+                   for n in lengths]
+        teacher[0][:] = 1.0  # all ties: no rank pairs
+        if len(lengths) > 1:
+            scores[1] = teacher[1].copy()  # the student agrees: no active hinge
+        if len(lengths) > 2:
+            teacher[2][1:] = abs(teacher[2][0]) + 10.0  # filter drops every negative
+        pairs = [make_rank_pairs(t) for t in teacher]
+        losses, grads, cl, ll = batch_loss(
+            strategy, scores, None if strategy == "none" else teacher,
+            pairs if strategy in PAIR_STRATEGIES else None, 1.2, threshold, temperature,
+        )
+        for k in range(len(lengths)):
+            total, cl_k, ll_k = set_strategy_loss(
+                strategy, scores[k], teacher[k], 1.2, threshold, temperature
+            )
+            assert bits(losses[k]) == bits(total.loss)
+            assert grads[k].tobytes() == total.grad.tobytes()
+            assert (bits(cl[k]), bits(ll[k])) == (bits(cl_k), bits(ll_k))
+
+    @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 6), n=st.integers(2, 12),
+           ties=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_each_loss_row_by_row(self, seed, n_rows, n, ties):
+        rng = np.random.default_rng(seed)
+        s = rng.normal(size=(n_rows, n))
+        shape = (n_rows, n)
+        t = rng.integers(-1, 2, size=shape).astype(float) if ties else rng.normal(size=shape)
+        row_forms = [
+            (contrastive_loss(s), lambda r: set_contrastive(s[r])),
+            (rank_consistent_loss(s, t), lambda r: set_rank_consistent(s[r], t[r])),
+            (margin_mse_loss(s, t), lambda r: set_margin_mse(s[r], t[r])),
+            (kl_divergence_loss(s, t, 2.0), lambda r: set_kl(s[r], t[r], 2.0)),
+        ]
+        for lv, oracle in row_forms:
+            for r in range(n_rows):
+                expected = oracle(r)
+                assert bits(lv.loss[r]) == bits(expected.loss)
+                assert lv.grad[r].tobytes() == expected.grad.tobytes()
+        # The one-set call forms are one-row cases of the same code.
+        for one, expected in (
+            (contrastive_loss(s[0]), set_contrastive(s[0])),
+            (rank_consistent_loss(s[0], t[0]), set_rank_consistent(s[0], t[0])),
+            (margin_mse_loss(s[0], t[0]), set_margin_mse(s[0], t[0])),
+            (kl_divergence_loss(s[0], t[0], 2.0), set_kl(s[0], t[0], 2.0)),
+        ):
+            assert type(one.loss) is float and bits(one.loss) == bits(expected.loss)
+            assert one.grad.tobytes() == expected.grad.tobytes()
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_nan_score_in_one_row_rejected(self, strategy):
+        scores = [np.array([0.1, 0.2, 0.3]), np.array([0.4, np.nan, 0.0]), np.array([1.0, 2.0])]
+        teacher = [np.array([3.0, 2.0, 1.0]), np.array([3.0, 1.0, 2.0]), np.array([1.0, 0.0])]
+        with pytest.raises(ValueError, match="NaN score"):
+            set_strategy_loss(strategy, scores[1], teacher[1])
+        pairs = [make_rank_pairs(t) for t in teacher] if strategy in PAIR_STRATEGIES else None
+        with pytest.raises(ValueError, match="NaN score"):
+            batch_loss(strategy, scores, None if strategy == "none" else teacher, pairs)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 6), min_size=1, max_size=6),
+        weight=st.floats(0.01, 3.0),
+        empty_set=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_flops_per_set_matches_oracle(self, seed, sizes, weight, empty_set):
+        rng = np.random.default_rng(seed)
+        # Vectors of 0-8 ascending terms: empty traces occur, and with
+        # `empty_set` a whole set has no active term.
+        n_terms = rng.integers(0, 9, size=sum(sizes))
+        if empty_set:
+            n_terms[: sizes[0]] = 0
+        terms = [np.sort(rng.choice(20, size=int(k), replace=False)).astype(np.int64)
+                 for k in n_terms]
+        values = [rng.uniform(0.01, 2.0, size=len(t)) for t in terms]
+        lv = flops_penalty(terms, values, weight, sizes)
+        bounds = np.cumsum([0, *sizes]).tolist()
+        entry = np.cumsum([0, *map(len, terms)]).tolist()
+        assert len(lv.loss) == len(sizes) and len(lv.grad) == entry[-1]
+        for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            expected = set_flops(terms[a:b], values[a:b], weight)
+            assert bits(lv.loss[k]) == bits(expected.loss)
+            assert lv.grad[entry[a]:entry[b]].tobytes() == expected.grad.tobytes()
+            one = flops_penalty(terms[a:b], values[a:b], weight)
+            assert type(one.loss) is float and bits(one.loss) == bits(expected.loss)
+            assert one.grad.tobytes() == expected.grad.tobytes()

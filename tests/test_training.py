@@ -1,10 +1,12 @@
 import dataclasses
+import hashlib
 import math
 import shutil
 
 import numpy as np
 import pytest
 
+from lexlab import training
 from lexlab.data import Corpus, Qrels, QuerySet, build_vocab, vectorize, vectorize_corpus
 from lexlab.encoders import (
     DenseParams,
@@ -244,8 +246,6 @@ class TestTeachers:
             assert got.tolist() == [helper[pid] for pid in pids]
 
     def test_model_teacher_encodes_no_passage(self, monkeypatch):
-        from lexlab import training
-
         corpus, queries, qrels, vocab = small_world()
         params = LexicalParams.init(vocab.size, 4, 0)
         index = encode_corpus(params, corpus, vocab)
@@ -434,6 +434,56 @@ class TestTrainStage:
         with pytest.raises(ValueError):
             TrainConfig(strategy="magic")
 
+    def test_teacher_scores_each_query_once_before_training(self, monkeypatch):
+        corpus, queries, qrels, vocab = small_world()
+        pool = make_pool(queries, qrels, corpus, vocab)
+        calls, steps = [], []
+        real_adam = training.adam_step
+
+        def teacher(qid, pids):
+            calls.append((qid, len(steps)))
+            return np.arange(len(pids), 0.0, -1.0)
+
+        def counted_adam(*args, **kwargs):
+            steps.append(1)
+            return real_adam(*args, **kwargs)
+
+        monkeypatch.setattr(training, "adam_step", counted_adam)
+        cfg = TrainConfig(seed=2, dim=4, lr=0.05, m=4, epochs=3, batch_size=2, stage="s",
+                          strategy="rank-consistent")
+        _, log = train_stage(cfg, vocab, corpus, queries, qrels, pool,
+                             DenseParams.init(vocab.size, 4, 2), teacher=teacher)
+        trained = sorted({rec.qid for rec in log.steps})
+        assert sorted(qid for qid, _ in calls) == trained == sorted(queries.queries)
+        assert all(n_steps == 0 for _, n_steps in calls)  # all before the first step
+        assert len(steps) == log.optimizer_steps == 9
+
+    def test_missing_teacher_score_fails_before_any_step(self, monkeypatch):
+        corpus, queries, qrels, vocab = small_world()
+        pool = make_pool(queries, qrels, corpus, vocab)
+        table = {(qid, pid): 1.0 for qid in queries.queries
+                 for pid in [min(qrels.positives(qid)), *pool.merged(qid)]}
+        last = list(queries.queries)[-1]
+        del table[(last, pool.merged(last)[0])]
+        monkeypatch.setattr(training, "adam_step", lambda *a, **k: pytest.fail("stepped"))
+        # One query per batch, so a lookup made per batch would step first.
+        cfg = TrainConfig(seed=2, dim=4, lr=0.05, batch_size=1, m=4, epochs=1, stage="s",
+                          strategy="kl")
+        with pytest.raises(ValueError, match=f"missing score for query {last!r}"):
+            train_stage(cfg, vocab, corpus, queries, qrels, pool,
+                        DenseParams.init(vocab.size, 4, 2), teacher=table_teacher(table))
+
+    @pytest.mark.parametrize("bad, key", [
+        (dict(lr=math.nan), "lr"),
+        (dict(lr=math.inf), "lr"),
+        (dict(reg_weight=math.nan), "reg_weight"),
+        (dict(strategy="kl", kl_temperature=0.0), "kl_temperature"),
+        (dict(filter_threshold=-1.0), "filter_threshold"),
+    ])
+    def test_out_of_range_values_rejected_when_built(self, bad, key):
+        with pytest.raises(ValueError, match=f"config key '{key}' must be"):
+            TrainConfig(**bad)
+
     def test_strategies_come_from_the_loss_table(self):
         teaching = [name for name in STRATEGIES if name not in ("none", "filter")]
         assert sorted(teaching) == sorted(TEACHING_LOSSES)
@@ -524,7 +574,26 @@ def toy_config(d, **overrides):
     return PipelineConfig(**base)
 
 
+# sha256 of the led checkpoint per strategy on the toy fixture, with FLOPS in
+# the lexical stages and KL at temperature 2, as the per-set training loop
+# wrote it before the losses ran one call per batch.
+LED_CHECKPOINT_SHA256 = {
+    "none": "f1a07383dcd4acc61be59a3cd800bfb43ae26bb329b1e777b79fa4b0e976e67d",
+    "kl": "84d43c31d9a706f51475ccab3e178e28a090e5d070598b60b7811f48b18d62a3",
+    "margin-mse": "4454d60cf6b6331badf3c15ea3cbe43cbb0c66ca35340bdc03c926ae65e56db0",
+    "filter": "cdff51c0599d658e7388abeec6ad8215d9afbf23bf17a03998bda1b6ac3c097b",
+}
+
+
 class TestPipeline:
+    @pytest.mark.parametrize("strategy", sorted(LED_CHECKPOINT_SHA256))
+    def test_led_checkpoint_bytes_are_pinned(self, toy_fixture, tmp_path, strategy):
+        cfg = toy_config(toy_fixture, strategy=strategy, flops_weight=0.2, kl_temperature=2.0,
+                         eval_queries="", eval_qrels="")
+        run_pipeline(cfg, out_dir=tmp_path)
+        digest = hashlib.sha256((tmp_path / "checkpoints" / "led.ckpt").read_bytes()).hexdigest()
+        assert digest == LED_CHECKPOINT_SHA256[strategy]
+
     def test_pipeline_completes_with_four_checkpoints(self, toy_fixture, tmp_path):
         result = run_pipeline(toy_config(toy_fixture), out_dir=tmp_path / "arts")
         assert sorted(result.checkpoints) == ["den1", "led", "lex1", "lex2"]
