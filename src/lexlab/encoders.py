@@ -5,7 +5,8 @@ map; the lexical encoder scores every vocabulary term against each input
 token, max-pools over tokens, and log-saturates the ReLU-gated result into a
 sparse term-weight vector. Either scores a query against a passage by the dot
 product of their encodings (`sparse_index.sparse_scores` for lexical vectors),
-so it can play query or passage side of a dual-encoder retriever.
+so it can play query or passage side of a dual-encoder retriever. Each
+model keeps its tensors as views of one flat buffer (`_FlatParams`).
 
 Backward passes are exact: the lexical max-pool routes gradient only through
 the recorded argmax token, and the ReLU gate contributes zero gradient at or
@@ -30,6 +31,7 @@ at most three chunks and scatters the backward of all inputs in bulk.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,15 +42,30 @@ from .data import CheckpointMeta, TermVector, load_checkpoint, save_checkpoint
 _INIT_SCALE = 0.1
 
 
-@dataclass
-class DenseParams:
-    """Embedding table, projection, and bias of the dense retriever."""
+class _FlatParams:
+    """A model's tensors as views of one flat float64 buffer, `flat`.
 
-    emb: np.ndarray   # |V| x d
-    proj: np.ndarray  # d x d
-    bias: np.ndarray  # d
+    `layout` gives the tensors in buffer order, `emb` first. Assigning a
+    tensor or `flat` writes into its view, so no tensor comes loose from the
+    buffer, and elementwise work (Adam, gradient scaling and zeroing, the
+    finite-difference checks' perturbations) runs on `flat` in one pass.
+    """
 
-    kind = "dense"
+    def __init__(self, vocab_size: int, dim: int, flat: np.ndarray | None = None):
+        shapes = self.layout(vocab_size, dim)
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        if flat is None:
+            flat = np.zeros(sum(sizes))
+        parts = np.split(flat, np.cumsum(sizes)[:-1])
+        views = {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
+        self.__dict__.update(flat=flat, **views)
+
+    def __setattr__(self, name: str, value) -> None:
+        view = getattr(self, name)
+        if value is not view:  # `p.bias += u` hands back the view itself
+            if np.shape(value) != view.shape:
+                raise ValueError(f"{self.kind} tensor {name!r} has shape {view.shape}, got {np.shape(value)}")
+            view[...] = value
 
     @property
     def vocab_size(self) -> int:
@@ -59,50 +76,42 @@ class DenseParams:
         return self.emb.shape[1]
 
     def tensors(self) -> dict[str, np.ndarray]:
-        return {"emb": self.emb, "proj": self.proj, "bias": self.bias}
+        return {name: getattr(self, name) for name in self.layout(self.vocab_size, self.dim)}
 
-    def copy(self) -> "DenseParams":
-        return DenseParams(self.emb.copy(), self.proj.copy(), self.bias.copy())
+    def copy(self):
+        return type(self)(self.vocab_size, self.dim, self.flat.copy())
 
-    def zeros_like(self) -> "DenseParams":
-        return DenseParams(np.zeros_like(self.emb), np.zeros_like(self.proj), np.zeros_like(self.bias))
+    def zeros_like(self):
+        return type(self)(self.vocab_size, self.dim)
+
+
+class DenseParams(_FlatParams):
+    """Embedding table, projection, and bias of the dense retriever."""
+
+    kind = "dense"
+
+    @staticmethod
+    def layout(vocab_size: int, dim: int) -> dict[str, tuple[int, ...]]:
+        return {"emb": (vocab_size, dim), "proj": (dim, dim), "bias": (dim,)}
 
     @classmethod
     def init(cls, vocab_size: int, dim: int, seed: int) -> "DenseParams":
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-        return cls(
-            emb=rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=(vocab_size, dim)),
-            proj=np.eye(dim),
-            bias=np.zeros(dim),
-        )
+        params = cls(vocab_size, dim)
+        params.emb = rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=(vocab_size, dim))
+        params.proj = np.eye(dim)
+        return params
 
 
-@dataclass
-class LexicalParams:
-    """Embedding table, vocabulary expansion matrix, and per-term bias."""
-
-    emb: np.ndarray     # |V| x d
-    expand: np.ndarray  # |V| x d, one scoring row per vocabulary term
-    bias: np.ndarray    # |V|
+class LexicalParams(_FlatParams):
+    """Embedding table, vocabulary expansion matrix (one scoring row per
+    vocabulary term), and per-term bias."""
 
     kind = "lexical"
 
-    @property
-    def vocab_size(self) -> int:
-        return self.emb.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.emb.shape[1]
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {"emb": self.emb, "expand": self.expand, "bias": self.bias}
-
-    def copy(self) -> "LexicalParams":
-        return LexicalParams(self.emb.copy(), self.expand.copy(), self.bias.copy())
-
-    def zeros_like(self) -> "LexicalParams":
-        return LexicalParams(np.zeros_like(self.emb), np.zeros_like(self.expand), np.zeros_like(self.bias))
+    @staticmethod
+    def layout(vocab_size: int, dim: int) -> dict[str, tuple[int, ...]]:
+        return {"emb": (vocab_size, dim), "expand": (vocab_size, dim), "bias": (vocab_size,)}
 
     @classmethod
     def init(cls, vocab_size: int, dim: int, seed: int) -> "LexicalParams":
@@ -111,8 +120,9 @@ class LexicalParams:
         # birth (self dot product), which is what makes exact term matching
         # learnable. The two tensors train independently afterwards.
         rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-        emb = rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=(vocab_size, dim))
-        return cls(emb=emb, expand=emb.copy(), bias=np.zeros(vocab_size))
+        params = cls(vocab_size, dim)
+        params.emb = params.expand = rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=(vocab_size, dim))
+        return params
 
 
 Params = DenseParams | LexicalParams
@@ -388,26 +398,28 @@ class LexicalRoutes:
 
 
 def add_rows_at(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
-    """``np.add.at(target, rows, values)`` for a 2-D target.
+    """``np.add.at(target, rows, values)`` for a 2-D model tensor.
 
-    A C-contiguous target takes one 1-D `np.add.at` over its flattened view,
-    which numpy runs several times faster than the 2-D form, with the same
-    additions in the same order.
+    The tensor is a C-contiguous view of its model's buffer, so this takes
+    one 1-D `np.add.at` over its flattened view, which numpy runs several
+    times faster than the 2-D form, with the same additions in the same order.
     """
-    if not target.flags.c_contiguous:
-        np.add.at(target, rows, values)
-        return
     width = target.shape[1]
     at = (rows[:, None] * width + np.arange(width)).reshape(-1)
     np.add.at(target.reshape(-1), at, np.ascontiguousarray(values).reshape(-1))
 
 
 def params_from_tensors(kind: str, tensors: dict[str, np.ndarray]) -> Params:
-    if kind == "dense":
-        return DenseParams(emb=tensors["emb"], proj=tensors["proj"], bias=tensors["bias"])
-    if kind == "lexical":
-        return LexicalParams(emb=tensors["emb"], expand=tensors["expand"], bias=tensors["bias"])
-    raise ValueError(f"unknown encoder kind {kind!r}")
+    """A model of `kind` holding copies of `tensors`, which must fill its layout."""
+    cls = {"dense": DenseParams, "lexical": LexicalParams}.get(kind)
+    if cls is None:
+        raise ValueError(f"unknown encoder kind {kind!r}")
+    params = cls(*tensors["emb"].shape)
+    if tensors.keys() != params.tensors().keys():
+        raise ValueError(f"a {kind} model holds tensors {list(params.tensors())}, got {list(tensors)}")
+    for name, t in tensors.items():
+        setattr(params, name, t)
+    return params
 
 
 def save_params(params: Params, meta: CheckpointMeta, path) -> None:

@@ -5,7 +5,8 @@ respect to their inputs (the candidate score array, index 0 the positive,
 or lexical term weights for FLOPS), and full compositions (parameters ->
 encoder -> relevance -> loss).
 Every check runs `fd_max_rel_error`, one central-difference loop over a flat
-float64 array, against the functions that train: `dense_encode_batch` /
+float64 array (for parameters, a model's own `flat` buffer, never the
+caller's), against the functions that train: `dense_encode_batch` /
 `dense_backward_batch`, `lexical_trace` / `LexicalRoutes`, the losses, and
 `training.batch_step`. Kink-adjacent coordinates are detected by comparing
 the discrete forward structure (ReLU gates, max-pool argmaxes, active
@@ -30,11 +31,15 @@ from .encoders import (
     dense_backward_batch,
     dense_encode_batch,
     lexical_trace,
-    params_from_tensors,
     token_row,
 )
 from .objectives import TEACHING_LOSSES, RankPairSet, flops_penalty, make_rank_pairs, strategy_loss
 from .training import batch_step
+
+# Negatives per loss check; vocabulary size, width and negatives of each
+# composed check.
+LOSS_NEGS = 4
+COMPOSED_VOCAB_SIZE, COMPOSED_DIM, COMPOSED_NEGS = 10, 3, 3
 
 LOSS_NAMES = (
     "contrastive",
@@ -85,25 +90,6 @@ def fd_max_rel_error(x: np.ndarray, forward, analytic: np.ndarray, eps: float, u
     return worst
 
 
-def _flat(params: Params) -> np.ndarray:
-    """Every tensor of `params` in one flat float64 array, `emb` first."""
-    return np.concatenate([t.reshape(-1) for t in params.tensors().values()])
-
-
-def _flat_copy(params: Params) -> tuple[np.ndarray, Params]:
-    """A flat copy of `params` (see `_flat`) and parameters viewing it.
-
-    Setting an element of the array sets the parameter it holds, which is
-    how `fd_max_rel_error` perturbs a model.
-    """
-    x = _flat(params)
-    views, at = {}, 0
-    for name, t in params.tensors().items():
-        views[name] = x[at : at + t.size].reshape(t.shape)
-        at += t.size
-    return x, params_from_tensors(params.kind, views)
-
-
 def grad_check(
     kind: str,
     params: Params,
@@ -119,7 +105,7 @@ def grad_check(
     kink there and is meaningless for comparison).
     """
     rng = np.random.default_rng(seed)
-    x, p = _flat_copy(params)
+    p = params.copy()
     grads = p.zeros_like()
     row = token_row(sample)
     if kind == "dense":
@@ -145,7 +131,7 @@ def grad_check(
         routes.flush()
     else:
         raise ValueError(f"unknown encoder kind {kind!r}")
-    return fd_max_rel_error(x, forward, _flat(grads), eps)
+    return fd_max_rel_error(p.flat, forward, grads.flat, eps)
 
 
 def _loss_and_structure(name: str, scores: np.ndarray, teacher: np.ndarray, pairs: RankPairSet):
@@ -170,7 +156,7 @@ def _loss_and_structure(name: str, scores: np.ndarray, teacher: np.ndarray, pair
     return lv, (pairs.mask & (s[None, :] > s[:, None])).tobytes()
 
 
-def loss_grad_check(name: str, seed: int, eps: float = 1e-5, n_negs: int = 4) -> float:
+def loss_grad_check(name: str, seed: int, eps: float = 1e-5) -> float:
     """Central differences of one loss with respect to its direct inputs."""
     rng = np.random.default_rng(seed)
     if name == "flops":
@@ -189,8 +175,8 @@ def loss_grad_check(name: str, seed: int, eps: float = 1e-5, n_negs: int = 4) ->
         analytic = flops_penalty(terms, values, weight=0.7).grad
         return fd_max_rel_error(x, forward, analytic, eps)
 
-    scores = rng.normal(size=n_negs + 1)  # x: the array the loss reads
-    teacher = rng.normal(size=n_negs + 1)
+    scores = rng.normal(size=LOSS_NEGS + 1)  # x: the array the loss reads
+    teacher = rng.normal(size=LOSS_NEGS + 1)
     pairs = make_rank_pairs(teacher)
 
     def forward():
@@ -201,36 +187,28 @@ def loss_grad_check(name: str, seed: int, eps: float = 1e-5, n_negs: int = 4) ->
     return fd_max_rel_error(scores, forward, analytic, eps)
 
 
-def composed_grad_check(
-    kind: str,
-    loss_name: str,
-    seed: int,
-    eps: float = 1e-5,
-    vocab_size: int = 10,
-    dim: int = 3,
-    n_negs: int = 3,
-) -> float:
+def composed_grad_check(kind: str, loss_name: str, seed: int, eps: float = 1e-5) -> float:
     """Full-chain check: parameters -> encode -> dot products -> loss."""
     rng = np.random.default_rng(seed)
 
     def rand_tv(max_terms: int) -> TermVector:
         k = int(rng.integers(1, max_terms + 1))
-        ids = rng.choice(vocab_size, size=k, replace=False)
+        ids = rng.choice(COMPOSED_VOCAB_SIZE, size=k, replace=False)
         counts = {int(t): int(rng.integers(1, 3)) for t in ids}
         return TermVector(counts=counts, n=sum(counts.values()))
 
     q_tv = rand_tv(3)
-    cand_tvs = [rand_tv(4) for _ in range(n_negs + 1)]
-    teacher = rng.normal(size=n_negs + 1)
+    cand_tvs = [rand_tv(4) for _ in range(COMPOSED_NEGS + 1)]
+    teacher = rng.normal(size=COMPOSED_NEGS + 1)
     pairs = make_rank_pairs(teacher)
 
     if kind == "dense":
-        params = DenseParams.init(vocab_size, dim, seed)
+        params = DenseParams.init(COMPOSED_VOCAB_SIZE, COMPOSED_DIM, seed)
         params.emb[:] = rng.uniform(-0.5, 0.5, size=params.emb.shape)
         params.proj[:] = rng.uniform(-0.5, 0.5, size=params.proj.shape)
         params.bias[:] = rng.uniform(-0.2, 0.2, size=params.bias.shape)
     elif kind == "lexical":
-        params = LexicalParams.init(vocab_size, dim, seed)
+        params = LexicalParams.init(COMPOSED_VOCAB_SIZE, COMPOSED_DIM, seed)
         params.emb[:] = rng.uniform(-0.8, 0.8, size=params.emb.shape)
         params.expand[:] = rng.uniform(-0.8, 0.8, size=params.expand.shape)
         params.bias[:] = rng.uniform(-0.1, 0.1, size=params.bias.shape)
@@ -253,8 +231,6 @@ def composed_grad_check(
         loss_structure.append(structure)
         return [lv.loss], [lv.grad]
 
-    x, params = _flat_copy(params)
-
     def forward():
         loss_structure.clear()
         step = batch_step(params, batch, sizes, loss_fn, flops_weight)
@@ -265,10 +241,10 @@ def composed_grad_check(
 
     grads = params.zeros_like()
     batch_step(params, batch, sizes, loss_fn, flops_weight, grads)
-    # The embedding rows of terms in no input, at the head of x.
-    rows = np.setdiff1d(np.arange(vocab_size), batch.ids)
-    unread = (rows[:, None] * dim + np.arange(dim)).reshape(-1)
-    return fd_max_rel_error(x, forward, _flat(grads), eps, unread=unread)
+    # The embedding rows of terms in no input, at the head of `flat`.
+    rows = np.setdiff1d(np.arange(COMPOSED_VOCAB_SIZE), batch.ids)
+    unread = (rows[:, None] * COMPOSED_DIM + np.arange(COMPOSED_DIM)).reshape(-1)
+    return fd_max_rel_error(params.flat, forward, grads.flat, eps, unread=unread)
 
 
 @dataclass
@@ -286,6 +262,8 @@ def run_suite(trials: int = 100, seed: int = 0, eps: float = 1e-5) -> GradCheckR
     """Encoder, loss, and composed checks over `trials` seeded instances."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     start = time.perf_counter()
     errors: dict[str, float] = {}
 

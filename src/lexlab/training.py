@@ -85,7 +85,7 @@ class TrainConfig:
         _check_ranges(
             self,
             positive=("dim", "lr", "batch_size", "m", "epochs", "kl_temperature"),
-            non_negative=("reg_weight", "flops_weight", "filter_threshold"),
+            non_negative=("seed", "reg_weight", "flops_weight", "filter_threshold"),
         )
 
 
@@ -305,21 +305,19 @@ def model_teacher(params: LexicalParams, index: InvertedIndex, vocab: Vocabulary
 
     Passages are read from `index`, the learned-weight index that
     `encode_corpus` built with the same model, so no passage is encoded
-    again. Each query is encoded once and scored against the whole index by
-    `sparse_scores`, the dot product of the two encodings.
+    again. Each call encodes the query and scores it against the whole index
+    by `sparse_scores`, the dot product of the two encodings; `train_stage`
+    calls it once per query, so nothing is cached.
     """
     if params.kind != "lexical" or index_kind(index) != "lexical":
         raise TypeError(
             f"the teacher is a lexical model over its learned-weight index, "
             f"got a {params.kind} model and a {index_kind(index)} index"
         )
-    by_query: dict[str, np.ndarray] = {}
 
     def teacher(qid: str, pids: list[str]) -> np.ndarray:
-        if qid not in by_query:
-            q_vec = lexical_encode(vectorize(queries.queries[qid], vocab), params)
-            by_query[qid] = sparse_scores(q_vec, index)
-        return by_query[qid][[index.row_of[pid] for pid in pids]]
+        q_vec = lexical_encode(vectorize(queries.queries[qid], vocab), params)
+        return sparse_scores(q_vec, index)[[index.row_of[pid] for pid in pids]]
 
     return teacher
 
@@ -327,19 +325,14 @@ def model_teacher(params: LexicalParams, index: InvertedIndex, vocab: Vocabulary
 @dataclass
 class AdamState:
     t: int
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    scratch: dict[str, tuple[np.ndarray, np.ndarray]]  # two work arrays per tensor
+    m: np.ndarray  # m and v align with `params.flat`
+    v: np.ndarray
+    scratch: tuple[np.ndarray, np.ndarray]  # two work arrays
 
     @classmethod
     def init(cls, params: Params) -> "AdamState":
-        tensors = params.tensors()
-        return cls(
-            t=0,
-            m={k: np.zeros_like(p) for k, p in tensors.items()},
-            v={k: np.zeros_like(p) for k, p in tensors.items()},
-            scratch={k: (np.empty_like(p), np.empty_like(p)) for k, p in tensors.items()},
-        )
+        n = params.flat.size
+        return cls(t=0, m=np.zeros(n), v=np.zeros(n), scratch=(np.empty(n), np.empty(n)))
 
 
 def adam_step(
@@ -354,32 +347,30 @@ def adam_step(
     """Standard bias-corrected Adam update, applied in place.
 
     Runs the operations of `m_hat = m / (1 - beta1**t)`, `v_hat = v / (1 -
-    beta2**t)`, `p -= lr * m_hat / (sqrt(v_hat) + eps)` in that order, in the
-    state's work arrays, so it allocates no temporaries and gives the bits of
-    that formula.
+    beta2**t)`, `p -= lr * m_hat / (sqrt(v_hat) + eps)` in that order over
+    the whole flat buffer, in the state's work arrays, so it allocates no
+    temporaries and, every operation being elementwise, gives each element
+    the bits of that formula.
     """
     state.t += 1
     correct1 = 1.0 - beta1**state.t
     correct2 = 1.0 - beta2**state.t
-    grad_tensors = grads.tensors()
-    for name, p in params.tensors().items():
-        g = grad_tensors[name]
-        m, v = state.m[name], state.v[name]
-        step, denom = state.scratch[name]
-        m *= beta1
-        np.multiply(1.0 - beta1, g, out=step)
-        m += step
-        v *= beta2
-        np.multiply(1.0 - beta2, g, out=step)
-        step *= g
-        v += step
-        np.divide(m, correct1, out=step)
-        step *= lr
-        np.divide(v, correct2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += eps
-        step /= denom
-        p -= step
+    g, m, v = grads.flat, state.m, state.v
+    step, denom = state.scratch
+    m *= beta1
+    np.multiply(1.0 - beta1, g, out=step)
+    m += step
+    v *= beta2
+    np.multiply(1.0 - beta2, g, out=step)
+    step *= g
+    v += step
+    np.divide(m, correct1, out=step)
+    step *= lr
+    np.divide(v, correct2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step /= denom
+    params.flat -= step
     return params, state
 
 
@@ -398,11 +389,6 @@ class TrainLog:
     steps: list[StepRecord] = field(default_factory=list)
     optimizer_steps: int = 0
     skipped_queries: int = 0
-
-
-def _zero_grads(grads: Params) -> None:
-    for t in grads.tensors().values():
-        t[:] = 0.0
 
 
 def _needs_teacher(strategy: str) -> bool:
@@ -610,19 +596,14 @@ def train_stage(
                     StepRecord(epoch=epoch, qid=qid, loss=loss, cl=cl_val, ll=ll_val)
                 )
                 epoch_losses.append(loss)
-            _apply_batch(params, grads, state, config, len(chunk))
+            grads.flat /= len(chunk)
+            adam_step(params, grads, state, config.lr)
+            grads.flat[:] = 0.0
             train_log.optimizer_steps += 1
         train_log.epoch_mean_loss.append(
             float(np.mean(epoch_losses)) if epoch_losses else 0.0
         )
     return params, train_log
-
-
-def _apply_batch(params, grads, state, config: TrainConfig, batch_count: int) -> None:
-    for t in grads.tensors().values():
-        t /= batch_count
-    adam_step(params, grads, state, config.lr)
-    _zero_grads(grads)
 
 
 @dataclass
@@ -676,8 +657,8 @@ class PipelineConfig:
             ),
             non_negative=(
                 *(key for stage in STAGES.values() for key in (stage.lr_key, stage.epochs_key)),
-                "mix_depth", "reg_weight", "flops_weight", "filter_threshold", "max_vocab",
-                "bm25_k1",
+                "seed", "mix_depth", "reg_weight", "flops_weight", "filter_threshold",
+                "max_vocab", "bm25_k1",
             ),
         )
         if not 0 <= self.bm25_b <= 1:
@@ -878,7 +859,6 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> Pipe
         else:
             teacher = model_teacher(lex2, indexes["lex2"], vocab, queries)
     led = train("led", pools["mix"], den1, cfg.strategy, teacher)
-    del teacher  # its caches are not needed by evaluation
 
     metas = {
         name: CheckpointMeta(

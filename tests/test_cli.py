@@ -283,6 +283,19 @@ class TestPipelineCli:
         assert capsys.readouterr().err == "error: config key 'seed' must be an integer, got 'abc'\n"
         assert not (tmp_path / "pool").exists()
 
+    @pytest.mark.parametrize("env, flag", [(None, "-1"), ("-2", None)])
+    def test_negative_seed_fails_before_any_work(
+        self, workspace, tmp_path, monkeypatch, capsys, env, flag
+    ):
+        monkeypatch.setattr(training, "run_pipeline", lambda *a, **k: pytest.fail("ran"))
+        if env is not None:
+            monkeypatch.setenv("LED_SEED", env)
+        argv = ["pipeline", "--config", workspace / "toy.cfg", "--out-dir", tmp_path / "out"]
+        assert run_cli(*argv, *(["--seed", flag] if flag else [])) == 1
+        seed = flag or env
+        assert capsys.readouterr().err == f"error: config key 'seed' must be >= 0, got {seed}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_bad_flag_value_names_its_key(self, workspace, tmp_path, capsys):
         out = tmp_path / "run"
         rc = run_cli("retrieve", "--config", workspace / "toy.cfg", "--run_depth", "abc", "--out", out)
@@ -446,6 +459,12 @@ class TestModelCommands:
         rc = run_cli("gradcheck", "--trials", "2")
         assert rc == 0
         assert "worst" in capsys.readouterr().out
+
+    def test_gradcheck_rejects_a_negative_seed(self, capsys):
+        assert run_cli("gradcheck", "--trials", 1, "--seed", -1) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be >= 0, got -1\n"
+        assert captured.out == ""
 
     def test_gradcheck_fails_on_a_nan_gradient(self, monkeypatch, capsys):
         real = gradcheck.flops_penalty

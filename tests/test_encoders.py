@@ -22,6 +22,7 @@ from lexlab.encoders import (
     token_row,
 )
 from lexlab.data import CheckpointMeta
+from lexlab import gradcheck
 from lexlab.gradcheck import fd_max_rel_error, grad_check
 from lexlab.sparse_index import build_index, sparse_scores
 
@@ -282,3 +283,98 @@ class TestParamsIO:
         assert params_digest(a) == params_digest(b)
         b.bias[0] += 1e-9
         assert params_digest(a) != params_digest(b)
+
+
+def assert_views_of_flat(p):
+    """Every tensor is a view of `p.flat`, laid out back to back in `tensors()` order."""
+    at = 0
+    for name, t in p.tensors().items():
+        assert np.shares_memory(t, p.flat), name
+        assert t.flags.c_contiguous, name
+        assert t.ctypes.data == p.flat.ctypes.data + at * p.flat.itemsize, name
+        at += t.size
+    assert at == p.flat.size
+    assert p.flat.dtype == np.float64 and p.flat.ndim == 1
+
+
+class TestFlatBuffer:
+    @pytest.mark.parametrize("cls, second", [(DenseParams, "proj"), (LexicalParams, "expand")])
+    def test_layout_is_emb_then_second_then_bias(self, cls, second):
+        p = cls.init(6, 3, 0)
+        assert list(p.tensors()) == ["emb", second, "bias"]
+        assert_views_of_flat(p)
+
+    def test_every_constructor_gives_views(self, tmp_path):
+        for p in (rand_dense(), rand_lexical()):
+            meta = CheckpointMeta(kind=p.kind, vocab_size=p.vocab_size, dim=p.dim,
+                                  stage="s", step=0, seed=0)
+            save_params(p, meta, tmp_path / "p.ckpt")
+            rebuilt = params_from_tensors(p.kind, {k: t.copy() for k, t in p.tensors().items()})
+            for q in (p, p.copy(), p.zeros_like(), rebuilt, load_params(tmp_path / "p.ckpt")[0]):
+                assert type(q) is type(p)
+                assert_views_of_flat(q)
+            assert rebuilt.flat.tobytes() == p.flat.tobytes()
+            assert not p.zeros_like().flat.any()
+
+    def test_copy_shares_no_memory(self):
+        for p in (rand_dense(), rand_lexical()):
+            c = p.copy()
+            assert not np.shares_memory(c.flat, p.flat)
+            assert c.flat.tobytes() == p.flat.tobytes()
+            c.flat[:] = 1.0
+            assert not (p.flat == 1.0).all()
+
+    def test_assigning_a_tensor_writes_the_buffer(self):
+        p = rand_dense(vocab_size=5, dim=2)
+        flat = p.flat
+        p.proj = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert p.flat is flat
+        assert p.flat[10:14].tolist() == [1.0, 2.0, 3.0, 4.0]
+        grads = p.zeros_like()
+        u = np.array([0.5, -2.0])
+        grads.bias += u
+        grads.bias += u
+        assert grads.flat[-2:].tolist() == [1.0, -4.0]
+        assert not grads.flat[:-2].any()
+        assert_views_of_flat(p)
+        assert_views_of_flat(grads)
+
+    def test_no_tensor_comes_loose(self):
+        p = rand_lexical(vocab_size=5, dim=2)
+        with pytest.raises(ValueError, match="'bias' has shape"):
+            p.bias = np.zeros(4)
+        with pytest.raises(AttributeError):
+            p.extra = np.zeros(3)
+        with pytest.raises(ValueError, match="holds tensors"):
+            params_from_tensors("lexical", {"emb": p.emb, "bias": p.bias})
+
+
+class TestGradCheckPins:
+    def test_suite_values_are_pinned(self):
+        # Every check's worst error over three trials, exact, so that any
+        # change to how the checks perturb parameters shows here.
+        assert gradcheck.run_suite(trials=3, seed=0).max_errors == {
+            "encoder/dense": 2.8949574318115095e-11,
+            "encoder/lexical": 2.4583841644134854e-10,
+            "loss/contrastive": 2.398260489027688e-10,
+            "loss/rank-consistent": 5.551115123125782e-07,
+            "loss/combined": 1.9233039281284022e-09,
+            "loss/margin-mse": 7.985929682231033e-10,
+            "loss/kl": 6.261445348014674e-09,
+            "loss/flops": 5.7781075973330256e-11,
+            "composed/dense/contrastive": 3.360986964598681e-09,
+            "composed/dense/rank-consistent": 1.7347234759768068e-08,
+            "composed/dense/combined": 1.5053594530725265e-08,
+            "composed/dense/margin-mse": 6.001590697893573e-09,
+            "composed/dense/kl": 2.1321201339514473e-08,
+            "composed/lexical/contrastive": 1.572272548031738e-08,
+            "composed/lexical/rank-consistent": 8.326672684688673e-07,
+            "composed/lexical/combined": 1.1397725537143805e-08,
+            "composed/lexical/margin-mse": 3.572841056413868e-08,
+            "composed/lexical/kl": 9.871024551348014e-07,
+            "composed/lexical/flops": 1.7279827147301835e-09,
+        }
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            gradcheck.run_suite(trials=1, seed=-1)

@@ -132,7 +132,7 @@ class TestConfigRanges:
                 PipelineConfig(**{key: bad})
 
     @pytest.mark.parametrize("key", [
-        "lex_epochs", "den_epochs", "led_epochs", "mix_depth",
+        "seed", "lex_epochs", "den_epochs", "led_epochs", "mix_depth",
         "lex_warmup_lr", "lex_continue_lr", "den_warmup_lr", "led_lr",
         "reg_weight", "flops_weight", "filter_threshold", "max_vocab", "bm25_k1",
     ])

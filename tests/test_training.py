@@ -255,7 +255,8 @@ class TestTeachers:
         teacher = model_teacher(params, index, vocab, queries)
         first = teacher("q0", ["d00", "d05"])
         again = teacher("q0", ["d05", "d00", "d07"])
-        assert encoded == [vectorize(queries.queries["q0"], vocab)]
+        # Only query text is encoded, once per call; passages come from the index.
+        assert encoded == [vectorize(queries.queries["q0"], vocab)] * 2
         assert list(again[:2]) == [first[1], first[0]]
 
     def test_model_teacher_rejects_other_kinds(self):
@@ -308,8 +309,11 @@ class TestAdam:
             assert state.t == oracle_state[0]
             for name, p in params.tensors().items():
                 assert p.tobytes() == oracle.tensors()[name].tobytes()
-                assert state.m[name].tobytes() == oracle_state[1][name].tobytes()
-                assert state.v[name].tobytes() == oracle_state[2][name].tobytes()
+            # The state is flat, aligned with `params.flat`: the per-tensor
+            # moments back to back in `tensors()` order.
+            names = list(params.tensors())
+            assert state.m.tobytes() == b"".join(oracle_state[1][k].tobytes() for k in names)
+            assert state.v.tobytes() == b"".join(oracle_state[2][k].tobytes() for k in names)
 
     def test_zero_grads_keep_params(self):
         params = DenseParams.init(5, 3, 0)
@@ -479,6 +483,7 @@ class TestTrainStage:
         (dict(reg_weight=math.nan), "reg_weight"),
         (dict(strategy="kl", kl_temperature=0.0), "kl_temperature"),
         (dict(filter_threshold=-1.0), "filter_threshold"),
+        (dict(seed=-3), "seed"),
     ])
     def test_out_of_range_values_rejected_when_built(self, bad, key):
         with pytest.raises(ValueError, match=f"config key '{key}' must be"):
