@@ -24,13 +24,12 @@ from pathlib import Path
 
 from . import analysis, gradcheck, retrieval, training
 from .data import (
-    CheckpointMeta,
     build_vocab,
     load_collection,
     load_qrels,
     load_queries,
 )
-from .encoders import DenseParams, LexicalParams, load_params, save_params
+from .encoders import CheckpointMeta, DenseParams, LexicalParams, load_params, save_params
 from .training import (
     PipelineConfig,
     config_digest,
@@ -155,8 +154,7 @@ def cmd_train(args) -> int:
         stage_cfg, vocab, corpus, queries, qrels, pool, init, teacher=teacher
     )
     meta = CheckpointMeta(
-        kind=params.kind, vocab_size=vocab.size, dim=params.dim, stage=args.stage,
-        step=tlog.optimizer_steps, seed=cfg.seed, config_digest=digest,
+        stage=args.stage, step=tlog.optimizer_steps, seed=cfg.seed, config_digest=digest
     )
     save_params(params, meta, args.out)
     for epoch, loss in enumerate(tlog.epoch_mean_loss):
@@ -166,6 +164,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
+    if not args.tag or any(c.isspace() for c in args.tag):
+        raise ValueError(f"--tag {args.tag!r} must be non-empty and hold no whitespace")
     cfg = _resolve_config(args)
     training.require_config_keys(cfg, ("collection", "eval_queries"))
     corpus = load_collection(cfg.collection)

@@ -1,31 +1,23 @@
-"""Corpus/query/qrels ingestion, vocabulary construction, and checkpoint files.
+"""Corpus/query/qrels ingestion and vocabulary construction.
 
 Collections and queries are tab-separated ``<id>\\t<text>`` files; qrels are
-whitespace-separated TREC ``<qid> 0 <pid> <grade>`` lines. Checkpoints are a
-single JSON header line followed by raw little-endian float64 tensor blocks,
-so a save/load round trip is bit-exact.
+whitespace-separated TREC ``<qid> 0 <pid> <grade>`` lines. An id holds no
+whitespace or ",", the separators of the run, qrels and pool files that
+carry it. Checkpoint files are `encoders.save_params`/`load_params`.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
-
-CHECKPOINT_VERSION = 1
 
 
 class FormatError(ValueError):
     """Malformed input file; the message names the offending line."""
 
 
-class CheckpointError(ValueError):
-    """Unreadable, truncated, or incompatible checkpoint file."""
-
-
+_ID_SEPARATOR = re.compile(r"[\s,]")
 # Runs of `str.isalnum` codepoints: `\w` on str patterns is exactly
 # `str.isalnum` plus "_", so `[^\W_]` is exactly `str.isalnum`.
 _ALNUM_RUN = re.compile(r"[^\W_]+")
@@ -159,6 +151,8 @@ def _read_id_text_lines(path: str | Path, what: str) -> dict[str, str]:
             if len(parts) != 2 or not parts[0]:
                 raise FormatError(f"{path}:{lineno}: expected '<id>\\t<text>'")
             iid, text = parts
+            if _ID_SEPARATOR.search(iid):
+                raise FormatError(f"{path}:{lineno}: {what} id {iid!r} holds whitespace or ','")
             if iid in out:
                 raise FormatError(f"{path}:{lineno}: duplicate {what} id {iid!r}")
             out[iid] = text
@@ -191,72 +185,3 @@ def load_qrels(path: str | Path) -> Qrels:
                 raise FormatError(f"{path}:{lineno}: duplicate qrels pair ({qid}, {pid})")
             entries[(qid, pid)] = grade
     return Qrels.from_entries(entries)
-
-
-@dataclass(frozen=True)
-class CheckpointMeta:
-    """Training metadata stored alongside the parameter tensors."""
-
-    kind: str  # "dense" | "lexical"
-    vocab_size: int
-    dim: int
-    stage: str
-    step: int
-    seed: int
-    config_digest: str = ""
-
-
-def save_checkpoint(tensors: dict[str, np.ndarray], meta: CheckpointMeta, path: str | Path) -> None:
-    """Write a JSON header line, then each tensor as raw little-endian float64."""
-    header = {
-        "version": CHECKPOINT_VERSION,
-        "kind": meta.kind,
-        "vocab_size": meta.vocab_size,
-        "dim": meta.dim,
-        "stage": meta.stage,
-        "step": meta.step,
-        "seed": meta.seed,
-        "config_digest": meta.config_digest,
-        "tensors": [[name, list(t.shape)] for name, t in tensors.items()],
-    }
-    with open(path, "wb") as f:
-        f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        f.write(b"\n")
-        for t in tensors.values():
-            f.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
-
-
-def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], CheckpointMeta]:
-    with open(path, "rb") as f:
-        raw = f.readline()
-        if not raw.endswith(b"\n"):
-            raise CheckpointError(f"{path}: corrupt header (no newline)")
-        try:
-            header = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"{path}: corrupt header ({exc})") from None
-        if not isinstance(header, dict) or "version" not in header:
-            raise CheckpointError(f"{path}: corrupt header (not a checkpoint)")
-        if header["version"] != CHECKPOINT_VERSION:
-            raise CheckpointError(f"{path}: unsupported checkpoint version {header['version']}")
-        if header.get("kind") not in ("dense", "lexical"):
-            raise CheckpointError(f"{path}: unknown encoder kind {header.get('kind')!r}")
-        tensors: dict[str, np.ndarray] = {}
-        for name, shape in header["tensors"]:
-            size = int(np.prod(shape)) if shape else 1
-            block = f.read(size * 8)
-            if len(block) != size * 8:
-                raise CheckpointError(f"{path}: truncated tensor block {name!r}")
-            tensors[name] = np.frombuffer(block, dtype="<f8").reshape(shape).copy()
-        if f.read(1):
-            raise CheckpointError(f"{path}: trailing bytes after declared tensors")
-    meta = CheckpointMeta(
-        kind=header["kind"],
-        vocab_size=header["vocab_size"],
-        dim=header["dim"],
-        stage=header["stage"],
-        step=header["step"],
-        seed=header["seed"],
-        config_digest=header.get("config_digest", ""),
-    )
-    return tensors, meta

@@ -6,7 +6,9 @@ token, max-pools over tokens, and log-saturates the ReLU-gated result into a
 sparse term-weight vector. Either scores a query against a passage by the dot
 product of their encodings (`sparse_index.sparse_scores` for lexical vectors),
 so it can play query or passage side of a dual-encoder retriever. Each
-model keeps its tensors as views of one flat buffer (`_FlatParams`).
+model keeps its tensors as views of one flat buffer (`_FlatParams`), and a
+checkpoint file is a JSON header line followed by that buffer's bytes
+(`save_params`, `load_params`).
 
 Backward passes are exact: the lexical max-pool routes gradient only through
 the recorded argmax token, and the ReLU gate contributes zero gradient at or
@@ -31,13 +33,15 @@ at most three chunks and scatters the backward of all inputs in bulk.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .data import CheckpointMeta, TermVector, load_checkpoint, save_checkpoint
+from .data import TermVector
 
 _INIT_SCALE = 0.1
 
@@ -409,26 +413,76 @@ def add_rows_at(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> Non
     np.add.at(target.reshape(-1), at, np.ascontiguousarray(values).reshape(-1))
 
 
-def params_from_tensors(kind: str, tensors: dict[str, np.ndarray]) -> Params:
-    """A model of `kind` holding copies of `tensors`, which must fill its layout."""
-    cls = {"dense": DenseParams, "lexical": LexicalParams}.get(kind)
-    if cls is None:
-        raise ValueError(f"unknown encoder kind {kind!r}")
-    params = cls(*tensors["emb"].shape)
-    if tensors.keys() != params.tensors().keys():
-        raise ValueError(f"a {kind} model holds tensors {list(params.tensors())}, got {list(tensors)}")
-    for name, t in tensors.items():
-        setattr(params, name, t)
-    return params
+CHECKPOINT_VERSION = 1
+_HEADER_KEYS = ("kind", "vocab_size", "dim", "stage", "step", "seed", "tensors")
+
+
+class CheckpointError(ValueError):
+    """Unreadable, truncated, or incompatible checkpoint file."""
+
+
+@dataclass(frozen=True)
+class CheckpointMeta:
+    """Training metadata stored alongside the model; its kind and sizes come from the model."""
+
+    stage: str
+    step: int
+    seed: int
+    config_digest: str = ""
 
 
 def save_params(params: Params, meta: CheckpointMeta, path) -> None:
-    save_checkpoint(params.tensors(), meta, path)
+    """Write a JSON header line, then `params.flat` as raw little-endian float64."""
+    header = {
+        "version": CHECKPOINT_VERSION,
+        "kind": params.kind,
+        "vocab_size": params.vocab_size,
+        "dim": params.dim,
+        "tensors": [[name, list(t.shape)] for name, t in params.tensors().items()],
+        **asdict(meta),
+    }
+    with open(path, "wb") as f:
+        f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        f.write(params.flat.astype("<f8", copy=False))
 
 
 def load_params(path) -> tuple[Params, CheckpointMeta]:
-    tensors, meta = load_checkpoint(path)
-    params = params_from_tensors(meta.kind, tensors)
-    if params.vocab_size != meta.vocab_size or params.dim != meta.dim:
-        raise ValueError(f"{path}: header dimensions do not match tensor shapes")
-    return params, meta
+    """The model and metadata `save_params` wrote to `path`.
+
+    The header's `tensors` must be the layout its kind and sizes give, and
+    the body exactly that many values; both are checked before the model's
+    buffer is allocated, and the body is then read straight into it.
+    """
+    with open(path, "rb") as f:
+        raw = f.readline()
+        if not raw.endswith(b"\n"):
+            raise CheckpointError(f"{path}: corrupt header (no newline)")
+        try:
+            header = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"{path}: corrupt header ({exc})") from None
+        if not isinstance(header, dict) or "version" not in header:
+            raise CheckpointError(f"{path}: corrupt header (not a checkpoint)")
+        if header["version"] != CHECKPOINT_VERSION:
+            raise CheckpointError(f"{path}: unsupported checkpoint version {header['version']}")
+        missing = [key for key in _HEADER_KEYS if key not in header]
+        if missing:
+            raise CheckpointError(f"{path}: header lacks {missing}")
+        cls = next((c for c in (DenseParams, LexicalParams) if c.kind == header["kind"]), None)
+        if cls is None:
+            raise CheckpointError(f"{path}: unknown encoder kind {header['kind']!r}")
+        sizes = header["vocab_size"], header["dim"]
+        if any(type(n) is not int or n < 0 for n in sizes):
+            raise CheckpointError(f"{path}: vocab_size and dim must be integers >= 0, got {sizes}")
+        tensors = [[name, list(shape)] for name, shape in cls.layout(*sizes).items()]
+        if header["tensors"] != tensors:
+            raise CheckpointError(f"{path}: tensors {header['tensors']} are not the layout {tensors}")
+        need = 8 * sum(math.prod(shape) for _, shape in tensors)
+        have = os.fstat(f.fileno()).st_size - f.tell()
+        if have != need:
+            problem = "truncated body" if have < need else "trailing bytes after the body"
+            raise CheckpointError(f"{path}: {problem} ({have} bytes, the layout takes {need})")
+        flat = np.empty(need // 8, dtype="<f8")
+        f.readinto(flat)
+    meta = CheckpointMeta(header["stage"], header["step"], header["seed"], header.get("config_digest", ""))
+    return cls(*sizes, flat.astype(np.float64, copy=False)), meta

@@ -22,7 +22,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import (
-    CheckpointMeta,
     Corpus,
     FormatError,
     Qrels,
@@ -34,6 +33,7 @@ from .data import (
     vectorize_corpus,
 )
 from .encoders import (
+    CheckpointMeta,
     DenseParams,
     LexicalParams,
     LexicalRoutes,
@@ -45,6 +45,7 @@ from .encoders import (
     dense_encode_batch,
     lexical_encode,
     lexical_trace,
+    save_params,
     token_row,
 )
 from .objectives import (
@@ -862,15 +863,12 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> Pipe
 
     metas = {
         name: CheckpointMeta(
-            kind=params.kind,
-            vocab_size=vocab.size,
-            dim=cfg.dim,
             stage=STAGES[name].phase,
             step=logs[name].optimizer_steps,
             seed=cfg.seed,
             config_digest=digest,
         )
-        for name, params in checkpoints.items()
+        for name in checkpoints
     }
 
     runs: dict[str, object] = {}
@@ -906,8 +904,6 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> Pipe
 
 def write_pipeline_artifacts(result: PipelineResult, out_dir: Path) -> None:
     """Write checkpoints, pools, runs, reports, and a digest manifest."""
-    from .encoders import save_params
-
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "checkpoints").mkdir(exist_ok=True)
     (out_dir / "pools").mkdir(exist_ok=True)

@@ -49,16 +49,13 @@ def workspace(tmp_path_factory):
 @pytest.fixture(scope="module")
 def checkpoints(workspace):
     """Freshly initialized dense and lexical checkpoints over the toy vocabulary."""
-    from lexlab.data import CheckpointMeta, build_vocab, load_collection
-    from lexlab.encoders import DenseParams, LexicalParams, save_params
+    from lexlab.data import build_vocab, load_collection
+    from lexlab.encoders import CheckpointMeta, DenseParams, LexicalParams, save_params
 
     vocab = build_vocab(load_collection(workspace / "collection.tsv"))
     paths = {}
     for params in (DenseParams.init(vocab.size, 6, 5), LexicalParams.init(vocab.size, 6, 5)):
-        meta = CheckpointMeta(
-            kind=params.kind, vocab_size=vocab.size, dim=6, stage="init", step=0, seed=5,
-            config_digest="",
-        )
+        meta = CheckpointMeta(stage="init", step=0, seed=5, config_digest="")
         paths[params.kind] = workspace / f"{params.kind}.ckpt"
         save_params(params, meta, paths[params.kind])
     return paths
@@ -370,6 +367,14 @@ class TestModelCommands:
         assert rc == 0
         assert "mrr@10" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("tag", ["my run", "", "a\tb"])
+    def test_retrieve_rejects_a_tag_a_run_line_cannot_carry(self, tmp_path, capsys, tag):
+        # Rejected before any file is read: the config file does not exist.
+        out = tmp_path / "run.trec"
+        assert run_cli("retrieve", "--config", tmp_path / "none.cfg", "--tag", tag, "--out", out) == 1
+        assert "--tag" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_train_rejects_a_dense_teacher(self, workspace, checkpoints, tmp_path, capsys):
         pool = tmp_path / "pool.tsv"
         assert run_cli("mine", "--config", workspace / "toy.cfg", "--out", pool) == 0
@@ -408,8 +413,8 @@ class TestModelCommands:
             "--out", ckpt,
         )
         assert rc == 0
-        params, meta = load_params(ckpt)
-        assert params.dim == meta.dim == 6
+        header = json.loads(ckpt.read_bytes().split(b"\n", 1)[0])
+        assert load_params(ckpt)[0].dim == header["dim"] == 6
         rc = run_cli(
             "retrieve", "--config", workspace / "toy.cfg", "--checkpoint", ckpt,
             "--out", tmp_path / "run.trec",
@@ -423,15 +428,14 @@ class TestModelCommands:
     def test_checkpoint_of_another_vocabulary_rejected(
         self, workspace, checkpoints, tmp_path, capsys, command, small_checkpoint
     ):
-        from lexlab.data import CheckpointMeta, build_vocab, load_collection
-        from lexlab.encoders import LexicalParams, save_params
+        from lexlab.data import build_vocab, load_collection
+        from lexlab.encoders import CheckpointMeta, LexicalParams, save_params
 
         full = build_vocab(load_collection(workspace / "collection.tsv")).size
         if small_checkpoint:
             # A 20-term checkpoint against the command's full vocabulary.
             ckpt = tmp_path / "small.ckpt"
-            meta = CheckpointMeta(kind="lexical", vocab_size=20, dim=6, stage="init", step=0,
-                                  seed=5, config_digest="")
+            meta = CheckpointMeta(stage="init", step=0, seed=5, config_digest="")
             save_params(LexicalParams.init(20, 6, 5), meta, ckpt)
             sizes, limit = (20, full), []
         else:

@@ -1,4 +1,6 @@
 import hashlib
+import json
+import re
 import sys
 from itertools import groupby
 
@@ -7,18 +9,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lexlab.data import (
-    CheckpointMeta,
-    CheckpointError,
     Corpus,
     FormatError,
     build_vocab,
-    load_checkpoint,
     load_collection,
     load_qrels,
     load_queries,
-    save_checkpoint,
     tokenize,
     vectorize,
+)
+from lexlab.encoders import (
+    CheckpointError,
+    CheckpointMeta,
+    DenseParams,
+    LexicalParams,
+    load_params,
+    save_params,
 )
 from lexlab.synthetic import write_fixture
 
@@ -183,6 +189,15 @@ class TestLoaders:
         with pytest.raises(FormatError, match="duplicate"):
             load_collection(path)
 
+    @pytest.mark.parametrize("load", [load_collection, load_queries])
+    @pytest.mark.parametrize("iid", ["dx005,x", "d 5", "d\u00a05", "d\x1c5"])
+    def test_id_holding_a_separator_rejected(self, tmp_path, load, iid):
+        # Run and qrels lines split on whitespace, a pool's pid list on ",".
+        path = tmp_path / "c.tsv"
+        path.write_text(f"d1\tok\n{iid}\ttext\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"c\.tsv:2: .*whitespace or ','"):
+            load(path)
+
     def test_queries(self, tmp_path):
         path = tmp_path / "q.tsv"
         path.write_text("q1\twhat is an active margin\n")
@@ -210,58 +225,83 @@ class TestLoaders:
             load_qrels(path)
 
 
+def _resized(vocab_size, dim):
+    """A header edit giving a dense model's sizes, with the layout they imply."""
+    tensors = [[name, list(shape)] for name, shape in DenseParams.layout(vocab_size, dim).items()]
+    return lambda header: header.update(vocab_size=vocab_size, dim=dim, tensors=tensors)
+
+
 class TestCheckpoint:
-    def _meta(self, **kw):
-        base = dict(kind="dense", vocab_size=7, dim=3, stage="warmup", step=5, seed=9)
-        base.update(kw)
-        return CheckpointMeta(**base)
+    """`encoders.save_params`/`load_params` on real models."""
+
+    META = CheckpointMeta(stage="warmup", step=5, seed=9, config_digest="c0ffee")
+
+    def _saved(self, tmp_path, params=None):
+        path = tmp_path / "c.ckpt"
+        save_params(params or DenseParams.init(7, 3, 0), self.META, path)
+        return path
 
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
-        tensors = {
-            "emb": rng.normal(size=(7, 3)),
-            "proj": rng.normal(size=(3, 3)),
-            "bias": rng.normal(size=3),
-        }
-        path = tmp_path / "c.ckpt"
-        save_checkpoint(tensors, self._meta(), path)
-        loaded, meta = load_checkpoint(path)
-        for name, t in tensors.items():
-            assert loaded[name].tobytes() == t.tobytes()
-        assert meta.stage == "warmup" and meta.step == 5 and meta.seed == 9
+        for params in (DenseParams(7, 3), LexicalParams(7, 3)):
+            params.flat = rng.normal(size=params.flat.size)
+            loaded, meta = load_params(self._saved(tmp_path, params))
+            assert type(loaded) is type(params)
+            assert loaded.flat.tobytes() == params.flat.tobytes()
+            assert meta == self.META
 
     def test_truncated_file_rejected(self, tmp_path):
-        path = tmp_path / "c.ckpt"
-        save_checkpoint({"emb": np.ones((4, 2))}, self._meta(vocab_size=4, dim=2), path)
-        data = path.read_bytes()
-        path.write_bytes(data[:-8])
+        path = self._saved(tmp_path)
+        path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(CheckpointError, match="truncated"):
-            load_checkpoint(path)
+            load_params(path)
 
     def test_corrupt_header_rejected(self, tmp_path):
         path = tmp_path / "c.ckpt"
         path.write_bytes(b"\x00\x01\x02 not json\n\x00" * 3)
         with pytest.raises(CheckpointError):
-            load_checkpoint(path)
+            load_params(path)
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "c.ckpt"
         path.write_bytes(b'{"version": 99, "kind": "dense", "tensors": []}\n')
         with pytest.raises(CheckpointError, match="version"):
-            load_checkpoint(path)
+            load_params(path)
 
     def test_stage_metadata_preserved(self, tmp_path):
-        path = tmp_path / "c.ckpt"
-        save_checkpoint({"emb": np.zeros((1, 1))}, self._meta(vocab_size=1, dim=1, stage="warmup"), path)
-        _, meta = load_checkpoint(path)
+        _, meta = load_params(self._saved(tmp_path, LexicalParams(1, 1)))
         assert meta.stage == "warmup"
 
     def test_trailing_bytes_rejected(self, tmp_path):
-        path = tmp_path / "c.ckpt"
-        save_checkpoint({"emb": np.zeros((2, 2))}, self._meta(vocab_size=2, dim=2), path)
+        path = self._saved(tmp_path)
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(CheckpointError, match="trailing"):
-            load_checkpoint(path)
+            load_params(path)
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda h: h.update(tensors=[["emb", [-1]]]), id="negative-shape"),
+        pytest.param(lambda h: h.update(tensors=[["emb", "ab"]]), id="string-shape"),
+        pytest.param(lambda h: h.update(tensors=5), id="tensors-not-a-list"),
+        pytest.param(lambda h: h["tensors"].reverse(), id="tensors-reordered"),
+        pytest.param(lambda h: h["tensors"].append(["extra", [0]]), id="extra-tensor"),
+        pytest.param(lambda h: h.update(vocab_size=-1), id="negative-vocab_size"),
+        pytest.param(lambda h: h.update(dim=-1), id="negative-dim"),
+        pytest.param(lambda h: h.update(vocab_size=7.5), id="fractional-vocab_size"),
+        pytest.param(lambda h: h.update(dim="3"), id="string-dim"),
+        # 2**40 values take 8 TiB: the body's length must reject them unread.
+        pytest.param(_resized(2**40, 3), id="huge-vocab_size"),
+        pytest.param(_resized(7, 2**40), id="huge-dim"),
+        *(pytest.param(lambda h, key=key: h.pop(key), id=f"no-{key}")
+          for key in ("tensors", "kind", "vocab_size", "dim", "stage", "step", "seed")),
+    ])
+    def test_malformed_header_rejected_with_its_path(self, tmp_path, edit):
+        path = self._saved(tmp_path)
+        head, body = path.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        edit(header)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
+            load_params(path)
 
 
 # sha256 of each file `write_fixture` writes at the acceptance seed (13) and

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from lexlab.data import TermVector
 from lexlab.encoders import (
+    CheckpointError,
+    CheckpointMeta,
     DenseParams,
     LexicalParams,
     LexicalRoutes,
@@ -17,11 +19,9 @@ from lexlab.encoders import (
     lexical_encode,
     lexical_trace,
     load_params,
-    params_from_tensors,
     save_params,
     token_row,
 )
-from lexlab.data import CheckpointMeta
 from lexlab import gradcheck
 from lexlab.gradcheck import fd_max_rel_error, grad_check
 from lexlab.sparse_index import build_index, sparse_scores
@@ -263,19 +263,19 @@ class TestScalingInvariance:
 class TestParamsIO:
     def test_save_load_roundtrip(self, tmp_path):
         p = rand_lexical(seed=8)
-        meta = CheckpointMeta(
-            kind="lexical", vocab_size=p.vocab_size, dim=p.dim,
-            stage="continue", step=17, seed=8,
-        )
+        meta = CheckpointMeta(stage="continue", step=17, seed=8)
         save_params(p, meta, tmp_path / "lex.ckpt")
         loaded, meta2 = load_params(tmp_path / "lex.ckpt")
         assert isinstance(loaded, LexicalParams)
         assert params_digest(loaded) == params_digest(p)
         assert meta2.stage == "continue"
 
-    def test_params_from_tensors_unknown_kind(self):
-        with pytest.raises(ValueError):
-            params_from_tensors("fancy", {})
+    def test_header_of_unknown_kind_rejected(self, tmp_path):
+        path = tmp_path / "lex.ckpt"
+        save_params(rand_lexical(), CheckpointMeta(stage="s", step=0, seed=0), path)
+        path.write_bytes(path.read_bytes().replace(b'"kind": "lexical"', b'"kind": "fancy"', 1))
+        with pytest.raises(CheckpointError, match="unknown encoder kind 'fancy'"):
+            load_params(path)
 
     def test_digest_changes_with_values(self):
         a = rand_dense(seed=1)
@@ -306,14 +306,12 @@ class TestFlatBuffer:
 
     def test_every_constructor_gives_views(self, tmp_path):
         for p in (rand_dense(), rand_lexical()):
-            meta = CheckpointMeta(kind=p.kind, vocab_size=p.vocab_size, dim=p.dim,
-                                  stage="s", step=0, seed=0)
-            save_params(p, meta, tmp_path / "p.ckpt")
-            rebuilt = params_from_tensors(p.kind, {k: t.copy() for k, t in p.tensors().items()})
-            for q in (p, p.copy(), p.zeros_like(), rebuilt, load_params(tmp_path / "p.ckpt")[0]):
+            save_params(p, CheckpointMeta(stage="s", step=0, seed=0), tmp_path / "p.ckpt")
+            loaded = load_params(tmp_path / "p.ckpt")[0]
+            for q in (p, p.copy(), p.zeros_like(), loaded):
                 assert type(q) is type(p)
                 assert_views_of_flat(q)
-            assert rebuilt.flat.tobytes() == p.flat.tobytes()
+            assert loaded.flat.tobytes() == p.flat.tobytes()
             assert not p.zeros_like().flat.any()
 
     def test_copy_shares_no_memory(self):
@@ -345,8 +343,6 @@ class TestFlatBuffer:
             p.bias = np.zeros(4)
         with pytest.raises(AttributeError):
             p.extra = np.zeros(3)
-        with pytest.raises(ValueError, match="holds tensors"):
-            params_from_tensors("lexical", {"emb": p.emb, "bias": p.bias})
 
 
 class TestGradCheckPins:

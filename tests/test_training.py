@@ -581,23 +581,32 @@ def toy_config(d, **overrides):
 
 # sha256 of the led checkpoint per strategy on the toy fixture, with FLOPS in
 # the lexical stages and KL at temperature 2, as the per-set training loop
-# wrote it before the losses ran one call per batch.
-LED_CHECKPOINT_SHA256 = {
-    "none": "f1a07383dcd4acc61be59a3cd800bfb43ae26bb329b1e777b79fa4b0e976e67d",
-    "kl": "84d43c31d9a706f51475ccab3e178e28a090e5d070598b60b7811f48b18d62a3",
-    "margin-mse": "4454d60cf6b6331badf3c15ea3cbe43cbb0c66ca35340bdc03c926ae65e56db0",
-    "filter": "cdff51c0599d658e7388abeec6ad8215d9afbf23bf17a03998bda1b6ac3c097b",
+# wrote it before the losses ran one call per batch. The rank-consistent run
+# also pins the other stages' checkpoints, so the lexical layout is pinned
+# too; every header holds the config digest, which names the strategy.
+CHECKPOINT_SHA256 = {
+    "none": {"led": "f1a07383dcd4acc61be59a3cd800bfb43ae26bb329b1e777b79fa4b0e976e67d"},
+    "kl": {"led": "84d43c31d9a706f51475ccab3e178e28a090e5d070598b60b7811f48b18d62a3"},
+    "margin-mse": {"led": "4454d60cf6b6331badf3c15ea3cbe43cbb0c66ca35340bdc03c926ae65e56db0"},
+    "filter": {"led": "cdff51c0599d658e7388abeec6ad8215d9afbf23bf17a03998bda1b6ac3c097b"},
+    "rank-consistent": {
+        "lex1": "bee866b152e9508a79a78857c42c599641fc9b8feab153ba263ce0ab7a06adde",
+        "lex2": "6ed35a9379b91bd67b1fc248674e03dbd7caace192df5598b2d46408b235d56a",
+        "den1": "d72f2e7f8ccf86fd6e674d4fc26afac32458bcd249f171182be40ab17756d392",
+        "led": "3bdf19cb5b492a03f9cd16bc532a19fa47e2daa2dc93fafaf7867d7ba7b48b7b",
+    },
 }
 
 
 class TestPipeline:
-    @pytest.mark.parametrize("strategy", sorted(LED_CHECKPOINT_SHA256))
+    @pytest.mark.parametrize("strategy", sorted(CHECKPOINT_SHA256))
     def test_led_checkpoint_bytes_are_pinned(self, toy_fixture, tmp_path, strategy):
         cfg = toy_config(toy_fixture, strategy=strategy, flops_weight=0.2, kl_temperature=2.0,
                          eval_queries="", eval_qrels="")
         run_pipeline(cfg, out_dir=tmp_path)
-        digest = hashlib.sha256((tmp_path / "checkpoints" / "led.ckpt").read_bytes()).hexdigest()
-        assert digest == LED_CHECKPOINT_SHA256[strategy]
+        for name, pinned in CHECKPOINT_SHA256[strategy].items():
+            digest = hashlib.sha256((tmp_path / "checkpoints" / f"{name}.ckpt").read_bytes())
+            assert digest.hexdigest() == pinned, name
 
     def test_pipeline_completes_with_four_checkpoints(self, toy_fixture, tmp_path):
         result = run_pipeline(toy_config(toy_fixture), out_dir=tmp_path / "arts")
