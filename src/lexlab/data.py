@@ -23,6 +23,12 @@ _ID_SEPARATOR = re.compile(r"[\s,]")
 _ALNUM_RUN = re.compile(r"[^\W_]+")
 
 
+def check_id(iid: str, what: str, where: str) -> None:
+    """Reject an id that no passage or query id can equal, read at `where`."""
+    if _ID_SEPARATOR.search(iid):
+        raise FormatError(f"{where}: {what} id {iid!r} holds whitespace or ','")
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase `text` and split it on every non-alphanumeric codepoint."""
     return _ALNUM_RUN.findall(text.lower())
@@ -151,8 +157,7 @@ def _read_id_text_lines(path: str | Path, what: str) -> dict[str, str]:
             if len(parts) != 2 or not parts[0]:
                 raise FormatError(f"{path}:{lineno}: expected '<id>\\t<text>'")
             iid, text = parts
-            if _ID_SEPARATOR.search(iid):
-                raise FormatError(f"{path}:{lineno}: {what} id {iid!r} holds whitespace or ','")
+            check_id(iid, what, f"{path}:{lineno}")
             if iid in out:
                 raise FormatError(f"{path}:{lineno}: duplicate {what} id {iid!r}")
             out[iid] = text
@@ -175,6 +180,8 @@ def load_qrels(path: str | Path) -> Qrels:
             if len(parts) != 4:
                 raise FormatError(f"{path}:{lineno}: expected '<qid> 0 <pid> <grade>'")
             qid, _, pid, grade_s = parts
+            check_id(qid, "query", f"{path}:{lineno}")
+            check_id(pid, "passage", f"{path}:{lineno}")
             try:
                 grade = int(grade_s)
             except ValueError:

@@ -14,21 +14,23 @@ Backward passes are exact: the lexical max-pool routes gradient only through
 the recorded argmax token, and the ReLU gate contributes zero gradient at or
 below the kink.
 
-Each kind has one forward and one backward. Dense inputs encode as rows of a
-`TokenBatch`: rows of equal length pool through one stacked matmul whose
-items are the per-row products, so a row gets the same bits alone
-(`dense_encode`) as in any batch. Lexical inputs stay one GEMM each
-(`lexical_trace`), because a GEMM over several inputs' tokens rounds
-differently. The GEMM is tokens-major, so the max over tokens runs along
-contiguous rows, and its operand layouts make it round exactly as the
-vocabulary-major product `expand @ emb[ids].T`; the per-term bias is added
-after the max, which rounding leaves exact. At fixed parameters an input
-traces to the same bits every time, so a batch traces each distinct token
-row once. Training then handles each candidate set as a few concatenated
-arrays (`LexicalTrace.join`): the query's upstream is one `np.bincount`
-over the candidates' terms, which adds in input order from +0.0 as a
-per-candidate loop would, and `LexicalRoutes` takes the set's backward in
-at most three chunks and scatters the backward of all inputs in bulk.
+Each kind has one forward and one backward. Inputs are rows of a token
+table, `TokenBatch`, which `TokenBatch.of` builds from term vectors and
+whose `take` gathers any of its rows into a batch. Dense rows of equal
+length pool through one stacked matmul whose items are the per-row
+products, so a row gets the same bits alone (`dense_encode`) as in any
+batch. Lexical inputs stay one GEMM each (`lexical_trace`),
+because a GEMM over several inputs' tokens rounds differently. The GEMM
+is tokens-major, so the max over tokens runs along contiguous rows, and
+its operand layouts make it round exactly as the vocabulary-major product
+`expand @ emb[ids].T`; the per-term bias is added after the max, which
+rounding leaves exact. At fixed parameters an input traces to the same
+bits every time, so a batch traces each distinct token row once. Training
+then handles each candidate set as a few concatenated arrays
+(`LexicalTrace.join`): the query's upstream is one `np.bincount` over the
+candidates' terms, which adds in input order from +0.0 as a per-candidate
+loop would, and `LexicalRoutes` takes the set's backward in at most three
+chunks and scatters the backward of all inputs in bulk.
 """
 
 from __future__ import annotations
@@ -176,81 +178,60 @@ class LexicalTrace:
         )
 
 
-TokenRow = tuple[np.ndarray, np.ndarray]  # ascending distinct term ids, their counts
-
-
-def token_row(tv: TermVector) -> TokenRow:
-    """One input as (ascending distinct in-vocabulary term ids, their counts)."""
-    ids = np.array(sorted(tv.counts), dtype=np.int64)
-    return ids, np.array([float(tv.counts[t]) for t in ids.tolist()])
-
-
 class TokenBatch:
-    """Token rows kept per row, grouped by length for dense encoding.
+    """Inputs as a token table, grouped by length for dense encoding.
 
-    Lexical encoding takes the rows one by one (`row_ids`) and never builds
-    the dense arrays below; each is built on first use. For dense encoding,
-    rows of one length pool through a single stacked matmul whose items are
-    one vector-matrix product per row, so a row encodes to the same bits in
-    any batch, alone included.
+    Each row's ascending distinct term ids run back to back in `ids`, their
+    counts in `counts`, and each row's length is in `lens`. Rows of one
+    length pool through a single stacked matmul whose items are one
+    vector-matrix product per row, so a row encodes to the same bits in any
+    batch, alone included.
     """
 
-    def __init__(self, rows: list[TokenRow]):
-        self.row_ids = [ids for ids, _ in rows]
-        self.row_counts = [counts for _, counts in rows]
+    def __init__(self, ids: np.ndarray, counts: np.ndarray, lens: np.ndarray):
+        self.ids = ids        # int64
+        self.counts = counts  # float64, aligned with ids
+        self.lens = lens      # int64, one per row
+        self.starts = np.cumsum(lens) - lens
+        self.empty = lens == 0
+
+    @classmethod
+    def of(cls, tvs: list[TermVector]) -> "TokenBatch":
+        """One row per term vector: its distinct term ids ascending, and their counts."""
+        rows = [sorted(tv.counts.items()) for tv in tvs]
+        return cls(
+            np.array([t for row in rows for t, _ in row], dtype=np.int64),
+            np.array([c for row in rows for _, c in row], dtype=np.float64),
+            np.array([len(row) for row in rows], dtype=np.int64),
+        )
 
     def __len__(self) -> int:
-        return len(self.row_ids)
+        return len(self.lens)
 
-    @cached_property
-    def lens(self) -> np.ndarray:
-        return np.array([len(ids) for ids in self.row_ids], dtype=np.int64)
-
-    @cached_property
-    def starts(self) -> np.ndarray:
-        return np.cumsum(self.lens) - self.lens
-
-    @cached_property
-    def ids(self) -> np.ndarray:
-        return np.concatenate(self.row_ids + [np.empty(0, dtype=np.int64)])
-
-    @cached_property
-    def counts(self) -> np.ndarray:
-        return np.concatenate(self.row_counts + [np.empty(0)])
-
-    @cached_property
-    def empty(self) -> np.ndarray:
-        return self.lens == 0
+    def take(self, rows: np.ndarray | list[int]) -> "TokenBatch":
+        """The listed rows, in that order; a row may be listed more than once."""
+        lens = self.lens[rows]
+        at = np.repeat(self.starts[rows] - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+        return TokenBatch(self.ids[at], self.counts[at], lens)
 
     @cached_property
     def groups(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
         """Per length: the member rows, their ids (rows x length), counts
         (rows x 1 x length) and token totals (rows x 1), shaped for pooling."""
-        # One stable sort by length, empty rows first, and one gather of the
-        # other rows' tokens in that order; each length is then a slice.
+        # The non-empty rows by length, stably, gathered in that order; each
+        # length is then a slice of the gathered table.
         order = np.argsort(self.lens, kind="stable")[np.count_nonzero(self.empty):]
-        lens = self.lens[order]
-        first = np.cumsum(lens) - lens  # each sorted row's first token
-        at = np.repeat(self.starts[order] - first, lens) + np.arange(lens.sum())
-        ids, counts = self.ids[at], self.counts[at]
-        bounds = [*np.flatnonzero(np.diff(lens, prepend=0)).tolist(), len(order)]
+        table = self.take(order)
+        bounds = [*np.flatnonzero(np.diff(table.lens, prepend=0)).tolist(), len(order)]
         groups = []
         for a, b in zip(bounds, bounds[1:]):
-            shape = (b - a, int(lens[a]))
-            lo, hi = int(first[a]), int(first[a]) + shape[0] * shape[1]
-            c = counts[lo:hi].reshape(shape)
+            shape = (b - a, int(table.lens[a]))
+            lo, hi = int(table.starts[a]), int(table.starts[a]) + shape[0] * shape[1]
+            c = table.counts[lo:hi].reshape(shape)
             groups.append(
-                (order[a:b], ids[lo:hi].reshape(shape), c[:, None, :], c.sum(axis=1)[:, None])
+                (order[a:b], table.ids[lo:hi].reshape(shape), c[:, None, :], c.sum(axis=1)[:, None])
             )
         return groups
-
-    @cached_property
-    def n(self) -> np.ndarray:
-        """In-vocabulary token count per row."""
-        n = np.zeros(len(self))
-        for members, _, _, totals in self.groups:
-            n[members] = totals[:, 0]
-        return n
 
 
 def dense_encode_batch(params: DenseParams, batch: TokenBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -270,7 +251,7 @@ def dense_encode_batch(params: DenseParams, batch: TokenBatch) -> tuple[np.ndarr
 
 def dense_encode(tv: TermVector, params: DenseParams) -> np.ndarray:
     """The dense encoding of one input: `dense_encode_batch` of a one-row batch."""
-    return dense_encode_batch(params, TokenBatch([token_row(tv)]))[0][0]
+    return dense_encode_batch(params, TokenBatch.of([tv]))[0][0]
 
 
 def dense_backward_batch(
@@ -294,11 +275,11 @@ def dense_backward_batch(
     outer = g[:, :, None] * h[:, None, :]
     into.proj[:] = np.add.reduce(np.concatenate([into.proj[None], outer]), axis=0)
     gh = np.matmul(params.proj.T, g[:, :, None])[:, :, 0]
-    rows = np.flatnonzero(use)
-    lens = batch.lens[rows]
-    at = np.repeat(batch.starts[rows] - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
-    scale = batch.counts[at] / np.repeat(batch.n[rows], lens)
-    add_rows_at(into.emb, batch.ids[at], scale[:, None] * np.repeat(gh, lens, axis=0))
+    used = batch.take(np.flatnonzero(use))
+    # Used rows are non-empty, so reduceat gives each its token total, and
+    # counts are whole numbers, so the total is exact, as in `groups`.
+    scale = used.counts / np.repeat(np.add.reduceat(used.counts, used.starts), used.lens)
+    add_rows_at(into.emb, used.ids, scale[:, None] * np.repeat(gh, used.lens, axis=0))
     return into
 
 
@@ -346,7 +327,7 @@ def lexical_encode(tv: TermVector, params: LexicalParams) -> TermWeightVector:
     log1p(ReLU(.)) is monotone, so `lexical_trace` takes the max on the
     raw pre-activations.
     """
-    trace = lexical_trace(token_row(tv)[0], params)
+    trace = lexical_trace(np.array(sorted(tv.counts), dtype=np.int64), params)
     return TermWeightVector(trace.active_terms, trace.weights)
 
 
@@ -468,12 +449,16 @@ def load_params(path) -> tuple[Params, CheckpointMeta]:
         missing = [key for key in _HEADER_KEYS if key not in header]
         if missing:
             raise CheckpointError(f"{path}: header lacks {missing}")
+        for key in ("vocab_size", "dim", "step", "seed"):
+            if type(header[key]) is not int or header[key] < 0:
+                raise CheckpointError(f"{path}: {key} must be an integer >= 0, got {header[key]!r}")
+        for key in ("stage", "config_digest"):
+            if type(header.get(key, "")) is not str:
+                raise CheckpointError(f"{path}: {key} must be a string, got {header[key]!r}")
         cls = next((c for c in (DenseParams, LexicalParams) if c.kind == header["kind"]), None)
         if cls is None:
             raise CheckpointError(f"{path}: unknown encoder kind {header['kind']!r}")
         sizes = header["vocab_size"], header["dim"]
-        if any(type(n) is not int or n < 0 for n in sizes):
-            raise CheckpointError(f"{path}: vocab_size and dim must be integers >= 0, got {sizes}")
         tensors = [[name, list(shape)] for name, shape in cls.layout(*sizes).items()]
         if header["tensors"] != tensors:
             raise CheckpointError(f"{path}: tensors {header['tensors']} are not the layout {tensors}")

@@ -31,7 +31,6 @@ from .encoders import (
     dense_backward_batch,
     dense_encode_batch,
     lexical_trace,
-    token_row,
 )
 from .objectives import TEACHING_LOSSES, RankPairSet, flops_penalty, make_rank_pairs, strategy_loss
 from .training import batch_step
@@ -107,10 +106,9 @@ def grad_check(
     rng = np.random.default_rng(seed)
     p = params.copy()
     grads = p.zeros_like()
-    row = token_row(sample)
+    batch = TokenBatch.of([sample])
     if kind == "dense":
         probe = rng.normal(size=p.dim)
-        batch = TokenBatch([row])
 
         def forward():
             return float(probe @ dense_encode_batch(p, batch)[0][0]), b""
@@ -121,11 +119,11 @@ def grad_check(
         probe = rng.normal(size=p.vocab_size)
 
         def forward():
-            trace = lexical_trace(row[0], p)
+            trace = lexical_trace(batch.ids, p)
             parts = probe[trace.active_terms] * trace.weights
             return sum(parts.tolist()), trace.structure()
 
-        trace = lexical_trace(row[0], p)
+        trace = lexical_trace(batch.ids, p)
         routes = LexicalRoutes(p, grads)
         routes.add(trace, probe[trace.active_terms])
         routes.flush()
@@ -219,7 +217,7 @@ def composed_grad_check(kind: str, loss_name: str, seed: int, eps: float = 1e-5)
 
     # The chain under test is the training step itself: batch_step encodes,
     # scores, applies the loss (plus FLOPS) and backpropagates.
-    batch = TokenBatch([token_row(tv) for tv in (q_tv, *cand_tvs)])
+    batch = TokenBatch.of([q_tv, *cand_tvs])
     sizes = [len(batch)]
     flops_weight = 0.7 if loss_name == "flops" else 0.0
     loss_structure = []

@@ -22,7 +22,6 @@ from .encoders import (
     TokenBatch,
     dense_encode_batch,
     lexical_encode,
-    token_row,
 )
 from .sparse_index import (
     LEARNED_WEIGHT,
@@ -85,7 +84,7 @@ def encode_corpus(
         matrix = np.zeros((len(pids), params.dim))
         for start in range(0, len(pids), ENCODE_BLOCK):
             block = pids[start : start + ENCODE_BLOCK]
-            batch = TokenBatch([token_row(tv(pid)) for pid in block])
+            batch = TokenBatch.of([tv(pid) for pid in block])
             matrix[start : start + len(block)] = dense_encode_batch(params, batch)[0]
         return DenseIndex(pids=pids, matrix=matrix)
     if isinstance(params, LexicalParams):
@@ -147,8 +146,7 @@ class Retriever:
         """
         tvs = {qid: vectorize(text, self.vocab) for qid, text in texts.items()}
         if self.kind == "dense":
-            batch = TokenBatch([token_row(tv) for tv in tvs.values()])
-            vecs = dense_encode_batch(self.params, batch)[0]
+            vecs = dense_encode_batch(self.params, TokenBatch.of(list(tvs.values())))[0]
             return {qid: dense_search(vec, self.index, k, qid=qid) for qid, vec in zip(tvs, vecs)}
         if self.kind == "lexical":
             return {

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import TermVector
-from .encoders import TermWeightVector, token_row
+from .encoders import TermWeightVector, TokenBatch
 
 RAW_COUNT = "raw-count"
 LEARNED_WEIGHT = "learned-weight"
@@ -89,15 +89,16 @@ def build_index(vectors: dict[str, TermVector] | dict[str, TermWeightVector]) ->
     """
     pids = sorted(vectors)
     learned = isinstance(next(iter(vectors.values()), None), TermWeightVector)
+    docs = [vectors[pid] for pid in pids]
     if learned:
-        docs = [(vectors[pid].terms, vectors[pid].weights) for pid in pids]
+        lens = np.array([len(v.terms) for v in docs], dtype=np.int64)
+        terms = np.concatenate([v.terms for v in docs] + [np.empty(0, dtype=np.int64)])
+        weights = np.concatenate([v.weights for v in docs] + [np.empty(0)])
         doc_len = np.zeros(len(pids), dtype=np.int64)
     else:
-        docs = [token_row(vectors[pid]) for pid in pids]
-        doc_len = np.array([vectors[pid].n for pid in pids], dtype=np.int64)
-    lens = np.array([len(terms) for terms, _ in docs], dtype=np.int64)
-    terms = np.concatenate([t for t, _ in docs] + [np.empty(0, dtype=np.int64)])
-    weights = np.concatenate([w for _, w in docs] + [np.empty(0)])
+        table = TokenBatch.of(docs)
+        terms, weights, lens = table.ids, table.counts, table.lens
+        doc_len = np.array([v.n for v in docs], dtype=np.int64)
     # A stable sort by term keeps each term's entries in ascending row order.
     order = np.argsort(terms, kind="stable")
     terms = terms[order]

@@ -29,6 +29,7 @@ from .data import (
     TermVector,
     Vocabulary,
     build_vocab,
+    check_id,
     vectorize,
     vectorize_corpus,
 )
@@ -40,13 +41,11 @@ from .encoders import (
     LexicalTrace,
     Params,
     TokenBatch,
-    TokenRow,
     dense_backward_batch,
     dense_encode_batch,
     lexical_encode,
     lexical_trace,
     save_params,
-    token_row,
 )
 from .objectives import (
     PAIR_STRATEGIES,
@@ -158,11 +157,15 @@ def load_pool(path: str | Path) -> NegativePool:
             if len(parts) != 3:
                 raise FormatError(f"{path}:{lineno}: expected '<qid>\\t<source>\\t<pid,pid,...>'")
             qid, source, pids_s = parts
+            pids = [p for p in pids_s.split(",") if p]
+            check_id(qid, "query", f"{path}:{lineno}")
+            for pid in pids:
+                check_id(pid, "passage", f"{path}:{lineno}")
             if source not in SOURCE_TAGS:
                 raise FormatError(f"{path}:{lineno}: unknown source tag {source!r}")
             if source in pool.by_query.get(qid, {}):
                 raise FormatError(f"{path}:{lineno}: query {qid!r}, source {source} given twice")
-            pool.add(qid, source, [p for p in pids_s.split(",") if p])
+            pool.add(qid, source, pids)
     return pool
 
 
@@ -277,6 +280,8 @@ def load_teacher_scores(path: str | Path) -> dict[tuple[str, str], float]:
             if len(parts) != 3:
                 raise FormatError(f"{path}:{lineno}: expected '<qid>\\t<pid>\\t<score>'")
             qid, pid, score_s = parts
+            check_id(qid, "query", f"{path}:{lineno}")
+            check_id(pid, "passage", f"{path}:{lineno}")
             try:
                 score = float(score_s)
             except ValueError:
@@ -449,11 +454,12 @@ def _lexical_step(params: LexicalParams, batch, set_sizes, loss_fn, flops_weight
     # parameters, so it shares the first trace.
     distinct: dict[bytes, LexicalTrace] = {}
     all_traces = []
-    for ids in batch.row_ids:
-        key = ids.tobytes()
+    raw, width = batch.ids.tobytes(), batch.ids.itemsize
+    for a, n in zip(batch.starts.tolist(), batch.lens.tolist()):
+        key = raw[width * a : width * (a + n)]  # the row's id bytes
         trace = distinct.get(key)
         if trace is None:
-            trace = distinct[key] = lexical_trace(ids, params)
+            trace = distinct[key] = lexical_trace(batch.ids[a : a + n], params)
         all_traces.append(trace)
     starts = [0, *accumulate(set_sizes)]
     spans = list(zip(starts, starts[1:]))  # each set's rows, its query's first
@@ -515,8 +521,9 @@ def train_stage(
     teaching strategy is active, `reg_weight` times the strategy loss (the
     filter strategy instead drops teacher-flagged false negatives before the
     contrastive loss). A pool that lists any qrels positive of its query is
-    rejected up front. Parameters change only between optimizer batches, so
-    each batch runs as one `batch_step` with one `batch_loss` call.
+    rejected up front; `doc_tvs` is only read. Parameters change only between
+    optimizer batches, so each batch, gathered from the stage's token table,
+    runs as one `batch_step` with one `batch_loss` call.
     """
     validate_pool(pool, qrels)
     needs_teacher = _needs_teacher(config.strategy)
@@ -526,22 +533,16 @@ def train_stage(
     params = init_params.copy()
     grads = params.zeros_like()
     state = AdamState.init(params)
-    if doc_tvs is None:
-        doc_tvs = {}
+    known = doc_tvs or {}
     train_log = TrainLog()
-    doc_rows: dict[str, TokenRow] = {}
-
-    def row_of(pid: str) -> TokenRow:
-        if pid not in doc_rows:
-            if pid not in doc_tvs:
-                doc_tvs[pid] = vectorize(corpus.docs[pid], vocab)
-            doc_rows[pid] = token_row(doc_tvs[pid])
-        return doc_rows[pid]
 
     # Per trained query, built once per stage as none of it changes between
-    # epochs: its candidate set's token rows (the query's, then the
-    # positive's and the negatives'), the teacher's scores and their rank pairs.
-    set_rows: dict[str, list[TokenRow]] = {}
+    # epochs: its candidate set's rows in the stage's token table (its own
+    # row, then the positive's and the negatives', a passage's row shared by
+    # every set), the teacher's scores and their rank pairs.
+    tvs: list[TermVector] = []
+    row_of: dict[str, int] = {}
+    set_rows: dict[str, list[int]] = {}
     teacher_of: dict[str, np.ndarray] = {}
     pairs_of: dict[str, RankPairSet] = {}
     for qid, text in queries.queries.items():
@@ -550,7 +551,13 @@ def train_stage(
             train_log.skipped_queries += 1
             continue
         cand_pids = [min(qrels.positives(qid)), *pids[: config.m]]
-        set_rows[qid] = [token_row(vectorize(text, vocab)), *(row_of(pid) for pid in cand_pids)]
+        set_rows[qid] = [len(tvs)]
+        tvs.append(vectorize(text, vocab))
+        for pid in cand_pids:
+            if pid not in row_of:
+                row_of[pid] = len(tvs)
+                tvs.append(known[pid] if pid in known else vectorize(corpus.docs[pid], vocab))
+            set_rows[qid].append(row_of[pid])
         if needs_teacher:
             t = np.asarray(teacher(qid, cand_pids), dtype=np.float64)
             if t.shape != (len(cand_pids),):
@@ -564,6 +571,7 @@ def train_stage(
             config.stage,
             train_log.skipped_queries,
         )
+    table = TokenBatch.of(tvs)
 
     for epoch in range(config.epochs):
         order = list(set_rows)
@@ -589,7 +597,7 @@ def train_stage(
                 parts.extend(zip(cl.tolist(), ll.tolist()))
                 return losses, g
 
-            batch = TokenBatch([row for qid in chunk for row in set_rows[qid]])
+            batch = table.take([row for qid in chunk for row in set_rows[qid]])
             sizes = [len(set_rows[qid]) for qid in chunk]
             step = batch_step(params, batch, sizes, loss_fn, config.flops_weight, grads)
             for qid, loss, (cl_val, ll_val) in zip(chunk, step.losses, parts):

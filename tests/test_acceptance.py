@@ -5,8 +5,11 @@ lines as they execute. The directional experiments (criteria 6-10) share one
 pipeline run over the committed synthetic corpus (generator + pinned seed);
 its thresholds were validated once during fixture construction and are
 pinned here, and `tests/test_data.py` pins the fixture's bytes.
+`TestAcceptanceConfigBytes` pins that run's four models and six eval runs,
+so a change meant to keep every byte shows here if it does not.
 """
 
+import hashlib
 import itertools
 import math
 import time
@@ -21,6 +24,8 @@ from lexlab.encoders import TermWeightVector
 from lexlab.objectives import combined_loss, contrastive_loss, rank_consistent_loss
 from lexlab.retrieval import DenseIndex, dense_search, evaluate, format_report, load_run, mrr_at_k
 from lexlab.sparse_index import build_index, sparse_search
+
+from helpers import params_digest
 
 METRIC_FIXTURE = Path(__file__).parent / "data" / "metric_fixture"
 
@@ -353,3 +358,36 @@ class TestCriterion10:
             f"self-fusion preserves order: {b_ok}",
         )
         assert a_ok and b_ok
+
+
+def run_digest(run) -> str:
+    """sha256 over each ranking's qid, passage ids and float64 scores, in run order."""
+    h = hashlib.sha256()
+    for qid, ranking in run.rankings.items():
+        h.update(f"{qid}\n{','.join(ranking.ids)}\n".encode())
+        h.update(np.ascontiguousarray(ranking.scores, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+class TestAcceptanceConfigBytes:
+    PARAMS = {
+        "lex1": "f5ceda418a553e206e9e3c0c29dfd96fb7414e668b777380e5efd2b1f97743a4",
+        "lex2": "0ec279aedc8791173b6f8e252c5d1ff24e3caef6236154fe0a7e4e60e651bd85",
+        "den1": "5cf5cf76222892287dcfdf325fd253e119ddc204cc4b4c5a5f977e6d9318eaaa",
+        "led": "70c083e3577cfd03a814dcc3f58ae9a4bc72d52c39496d31cd05daa7e2791407",
+    }
+    RUNS = {
+        "lex1": "89c44c54781edd1b776e47421a82fd253e7157d040baa13d7e9d4b84efef0180",
+        "lex2": "fa1bf12b57e472dbf456af384cdc2d3ca3150d1d0f26f978fd3f18db466ade10",
+        "den1": "8efee90cf716ec7824cc73a5b904b4962aafd15d05ff5b96b84bfee5af75b7ec",
+        "led": "a4471f7e1368a98d1c66747272101130de3fa9efc1b10bb61d91cad6c56f7d8f",
+        "den2": "73e750b68cfcf03cea953a902fe19cff0294e5736753ba5689d1111b2fc5197b",
+        "led_noreg": "e6a882d90f1139a21d0a432202511deaff407bdf23c958d11932808c98db52d6",
+    }
+
+    def test_models_are_pinned(self, lab):
+        got = {name: params_digest(lab["result"].checkpoints[name]) for name in self.PARAMS}
+        assert got == self.PARAMS
+
+    def test_eval_runs_are_pinned(self, lab):
+        assert {name: run_digest(run) for name, run in lab["runs"].items()} == self.RUNS

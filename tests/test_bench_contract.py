@@ -25,7 +25,7 @@ import pytest
 
 from lexlab import data, synthetic, training
 from lexlab.data import Corpus, QuerySet, build_vocab, vectorize, vectorize_corpus
-from lexlab.encoders import DenseParams, LexicalParams, TokenBatch, token_row
+from lexlab.encoders import DenseParams, LexicalParams, TokenBatch
 from lexlab.retrieval import encode_corpus, load_run, make_run, save_run
 from lexlab.sparse_index import bm25_search, build_index
 
@@ -152,8 +152,7 @@ def test_lexical_step_calls_flops_penalty_once_per_batch(world, monkeypatch):
 
     monkeypatch.setattr(training, "flops_penalty", counted)
     def set_rows(qid, pids):
-        return [token_row(vectorize(queries.queries[qid], vocab)),
-                *(token_row(doc_tvs[pid]) for pid in pids)]
+        return [vectorize(queries.queries[qid], vocab), *(doc_tvs[pid] for pid in pids)]
 
     def loss_fn(scores):
         return [float(s.sum()) for s in scores], [np.ones_like(s) for s in scores]
@@ -162,14 +161,14 @@ def test_lexical_step_calls_flops_penalty_once_per_batch(world, monkeypatch):
     lexical = params["lexical"]
     for grads in (None, lexical.zeros_like()):
         calls.clear()
-        step = training.batch_step(lexical, TokenBatch(rows), [4, 3], loss_fn, 0.2, grads)
+        step = training.batch_step(lexical, TokenBatch.of(rows), [4, 3], loss_fn, 0.2, grads)
         # One call covers both sets' rows, in batch order, split by set.
         assert len(calls) == 1 and list(calls[0][1]) == [4, 3]
         assert [t.tobytes() for t in calls[0][0]] == [
             tr.active_terms.tobytes() for tr in step.traces
         ]
         calls.clear()
-        training.batch_step(lexical, TokenBatch(rows), [4, 3], loss_fn, 0.0, grads)
+        training.batch_step(lexical, TokenBatch.of(rows), [4, 3], loss_fn, 0.0, grads)
         assert calls == []
 
 

@@ -218,6 +218,15 @@ class TestLoaders:
         with pytest.raises(FormatError, match="duplicate"):
             load_qrels(path)
 
+    @pytest.mark.parametrize("line, what", [
+        ("q1 0 d1,d2 1", "passage id 'd1,d2'"), ("q1,q2 0 d1 1", "query id 'q1,q2'"),
+    ])
+    def test_qrels_id_holding_a_separator_rejected(self, tmp_path, line, what):
+        path = tmp_path / "qrels.txt"
+        path.write_text(f"q1 0 d7 1\n{line}\n")
+        with pytest.raises(FormatError, match=f"qrels.txt:2: {what} holds whitespace or ','"):
+            load_qrels(path)
+
     def test_qrels_bad_grade(self, tmp_path):
         path = tmp_path / "qrels.txt"
         path.write_text("q1 0 d7 x\n")
@@ -301,6 +310,18 @@ class TestCheckpoint:
         edit(header)
         path.write_bytes(json.dumps(header).encode() + b"\n" + body)
         with pytest.raises(CheckpointError, match=re.escape(str(path))):
+            load_params(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("stage", 7), ("config_digest", 5), ("step", "x"), ("step", True), ("seed", [1]), ("seed", -1),
+    ])
+    def test_mistyped_metadata_rejected_naming_the_key(self, tmp_path, key, value):
+        path = self._saved(tmp_path)
+        head, body = path.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        header[key] = value
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        with pytest.raises(CheckpointError, match=f"{re.escape(str(path))}: {key} must be"):
             load_params(path)
 
 

@@ -20,7 +20,6 @@ from lexlab.encoders import (
     lexical_trace,
     load_params,
     save_params,
-    token_row,
 )
 from lexlab import gradcheck
 from lexlab.gradcheck import fd_max_rel_error, grad_check
@@ -55,7 +54,7 @@ def rand_lexical(vocab_size=9, dim=4, seed=0):
 
 
 def one_row(sample):
-    return TokenBatch([token_row(sample)])
+    return TokenBatch.of([sample])
 
 
 class TestDenseEncode:

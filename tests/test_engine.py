@@ -25,7 +25,6 @@ from lexlab.encoders import (
     dense_encode_batch,
     lexical_encode,
     lexical_trace,
-    token_row,
 )
 from lexlab.objectives import flops_penalty, make_rank_pairs, margin_mse_loss, rank_consistent_loss
 from lexlab.retrieval import Retriever, encode_corpus
@@ -33,7 +32,7 @@ from lexlab.training import batch_step, model_teacher
 
 
 def trace_of(tv, params):
-    return lexical_trace(token_row(tv)[0], params)
+    return lexical_trace(np.array(sorted(tv.counts), dtype=np.int64), params)
 
 
 def as_dict(trace):
@@ -248,15 +247,15 @@ class TestEveryCallerTracesTheSameBits:
         p = lexical_params(5, vocab.size, 16, coarse=False)
         p.bias -= 1.5  # leaves some terms inactive
         queries = QuerySet(queries={"q1": docs["d1"], "q0": passage})
-        rows = [token_row(vectorize(docs[pid], vocab)) for pid in ("d2", "d0", "d3")]
-        lone = lexical_trace(rows[1][0], p)
+        batch = TokenBatch.of([vectorize(docs[pid], vocab) for pid in ("d2", "d0", "d3")])
+        lone = lexical_trace(batch.take([1]).ids, p)
         assert 0 < len(lone.active_terms) < vocab.size
 
         def assert_lone(terms, weights):
             assert terms.tobytes() == lone.active_terms.tobytes()
             assert weights.tobytes() == lone.weights.tobytes()
 
-        step = batch_step(p, TokenBatch(rows), [3], lambda scores: ([0.0], [np.zeros_like(scores[0])]))
+        step = batch_step(p, batch, [3], lambda scores: ([0.0], [np.zeros_like(scores[0])]))
         traced = step.traces[1]
         assert_lone(traced.active_terms, traced.weights)
         assert traced.source_token.tobytes() == lone.source_token.tobytes()
@@ -317,7 +316,7 @@ def oracle_lexical_step(p, sets_tv, upstream, flops):
 def assert_step_matches_oracle(p, sets_tv, upstream, flops):
     expected, expected_losses = oracle_lexical_step(p, sets_tv, upstream, flops)
     got = p.zeros_like()
-    batch = TokenBatch([token_row(tv) for set_tv in sets_tv for tv in set_tv])
+    batch = TokenBatch.of([tv for set_tv in sets_tv for tv in set_tv])
     step = batch_step(p, batch, [len(set_tv) for set_tv in sets_tv],
                       lambda scores: ([float(g @ s) for g, s in zip(upstream, scores)], upstream),
                       flops, got)
@@ -447,7 +446,7 @@ class TestDenseBatch:
         tvs.append(TermVector(counts={}, n=4))  # all tokens out of vocabulary
         if repeat:
             tvs.append(tvs[0])
-        batch = TokenBatch([token_row(tv) for tv in tvs])
+        batch = TokenBatch.of(tvs)
         out, pooled = dense_encode_batch(p, batch)
         rng = np.random.default_rng(seed + 4)
         upstream = rng.normal(size=out.shape)
@@ -461,9 +460,29 @@ class TestDenseBatch:
             assert np.allclose(t, expected.tensors()[name], rtol=0, atol=1e-12), name
         assert not out[len(tvs) - 1 - repeat].any()
 
+    @given(seed=st.integers(0, 10_000), vocab_size=st.integers(1, 25), dim=st.integers(1, 5),
+           n_rows=st.integers(0, 6), picks=st.lists(st.integers(0, 100), max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_take_equals_a_table_of_the_taken_rows(self, seed, vocab_size, dim, n_rows, picks):
+        p = dense_params(seed, vocab_size, dim)
+        tvs = term_vectors(seed, vocab_size, n_rows, 8)
+        tvs += [TermVector(counts={}, n=0), TermVector(counts={}, n=3)]  # empty, all-OOV
+        rows = [i % len(tvs) for i in picks]  # any order, repeats allowed
+        taken, built = TokenBatch.of(tvs).take(rows), TokenBatch.of([tvs[r] for r in rows])
+        for name in ("ids", "counts", "lens"):
+            a, b = getattr(taken, name), getattr(built, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        upstream = np.random.default_rng(seed + 5).normal(size=(len(rows), dim))
+        results = []
+        for batch in (taken, built):
+            out, pooled = dense_encode_batch(p, batch)
+            grads = dense_backward_batch(p, batch, pooled, upstream, p.zeros_like())
+            results.append((out.tobytes(), pooled.tobytes(), grads.flat.tobytes()))
+        assert results[0] == results[1]
+
     def test_empty_batch_rows(self):
         p = dense_params(1, 5, 3)
-        batch = TokenBatch([token_row(TermVector(counts={}, n=0))] * 2)
+        batch = TokenBatch.of([TermVector(counts={}, n=0)] * 2)
         out, pooled = dense_encode_batch(p, batch)
         assert out.shape == (2, 3) and not out.any()
         grads = dense_backward_batch(p, batch, pooled, np.ones((2, 3)), p.zeros_like())

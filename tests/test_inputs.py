@@ -53,6 +53,8 @@ class TestPoolFile:
         ("q1\tbm25\td1\textra\n", "expected"),
         ("q1\tmystery\td1,d2\n", "unknown source tag 'mystery'"),
         ("q0\tbm25\td1\n", "query 'q0', source bm25 given twice"),
+        ("q 1\tbm25\td1\n", "query id 'q 1' holds whitespace or ','"),
+        ("q1\tbm25\td1,d 2\n", "passage id 'd 2' holds whitespace or ','"),
     ])
     def test_bad_line_names_path_and_line(self, tmp_path, line, why):
         path = tmp_path / "pool.tsv"
@@ -80,6 +82,8 @@ class TestTeacherScoreFile:
         ("q1\td1\tnan\n", "score 'nan' is not finite"),
         ("q1\td1\tinf\n", "score 'inf' is not finite"),
         ("q1\td1\t-inf\n", "score '-inf' is not finite"),
+        ("q 1\td1\t1.5\n", "query id 'q 1' holds whitespace or ','"),
+        ("q1\td1,d2\t1.5\n", "passage id 'd1,d2' holds whitespace or ','"),
     ])
     def test_bad_line_names_path_and_line(self, tmp_path, line, why):
         path = tmp_path / "s.tsv"

@@ -393,6 +393,20 @@ class TestTrainStage:
         for rec in log.steps:
             assert rec.loss == pytest.approx(rec.cl + 1.2 * rec.ll, abs=1e-12)
 
+    def test_leaves_the_callers_term_vectors_unchanged(self):
+        corpus, queries, qrels, vocab = small_world()
+        pool = make_pool(queries, qrels, corpus, vocab)
+        cfg = TrainConfig(seed=2, dim=4, lr=0.05, m=4, epochs=1, stage="s", strategy="none")
+        init = DenseParams.init(vocab.size, 4, 2)
+        full = vectorize_corpus(corpus, vocab)
+        digests = set()
+        for doc_tvs in ({}, dict(list(full.items())[::2]), full, None):
+            before = None if doc_tvs is None else dict(doc_tvs)
+            params, _ = train_stage(cfg, vocab, corpus, queries, qrels, pool, init, doc_tvs=doc_tvs)
+            assert doc_tvs == before
+            digests.add(params_digest(params))
+        assert len(digests) == 1
+
     def test_strategy_needs_teacher(self):
         corpus, queries, qrels, vocab = small_world()
         pool = make_pool(queries, qrels, corpus, vocab)
