@@ -8,6 +8,7 @@ a constant (or single-entry) list normalizes to 0.5 everywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -171,6 +172,8 @@ def discrepancy_pairs(
     the retrieved depth. A pid missing from a run scores 0 for that model."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if not 0.0 <= margin < math.inf:
+        raise ValueError(f"margin must be a finite number >= 0, got {margin!r}")
     biased: list[tuple[str, str, float, float, float]] = []
     unbiased: list[tuple[str, str, float, float, float]] = []
     for qid, ranking in lex_run.rankings.items():

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import logging
+import math
 import os
 import sys
 from dataclasses import fields
@@ -65,6 +66,27 @@ COMMAND_KEYS = {
     "pipeline": _ALL_KEYS,
     "sweep": _ALL_KEYS,
 }
+
+
+def _checked(convert, ok, rule: str):
+    """An argparse `type` that converts a flag's value and rejects it, naming
+    the flag, unless `ok` holds, before the command does any work."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+
+    return parse
+
+
+_POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_MARGIN = _checked(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
+_TOLERANCE = _checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, keys: tuple[str, ...]) -> None:
@@ -350,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuse", help="sum-fuse two runs after per-query normalization")
     p.add_argument("--run-a", required=True)
     p.add_argument("--run-b", required=True)
-    p.add_argument("--k", type=int, default=1000)
+    p.add_argument("--k", type=_POSITIVE_INT, default=1000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fuse)
 
@@ -358,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", required=True)
     p.add_argument("--run", action="append", metavar="NAME=PATH")
     p.add_argument("--qrels", required=True)
-    p.add_argument("--depth", type=int, default=1000)
+    p.add_argument("--depth", type=_POSITIVE_INT, default=1000)
     p.add_argument("--out")
     p.set_defaults(func=cmd_buckets)
 
@@ -366,16 +388,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lex-run", required=True)
     p.add_argument("--den-run", required=True)
     p.add_argument("--led-run", required=True)
-    p.add_argument("--margin", type=float, default=0.2)
-    p.add_argument("--bins", type=int, default=20)
-    p.add_argument("--depth", type=int, default=1000)
+    p.add_argument("--margin", type=_MARGIN, default=0.2)
+    p.add_argument("--bins", type=_POSITIVE_INT, default=20)
+    p.add_argument("--depth", type=_POSITIVE_INT, default=1000)
     p.add_argument("--out")
     p.set_defaults(func=cmd_shift)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_POSITIVE_INT, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--tolerance", type=_TOLERANCE, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("pipeline", help="run the full two-stage training pipeline")

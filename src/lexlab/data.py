@@ -1,9 +1,10 @@
 """Corpus/query/qrels ingestion and vocabulary construction.
 
 Collections and queries are tab-separated ``<id>\\t<text>`` files; qrels are
-whitespace-separated TREC ``<qid> 0 <pid> <grade>`` lines. An id holds no
-whitespace or ",", the separators of the run, qrels and pool files that
-carry it. Checkpoint files are `encoders.save_params`/`load_params`.
+whitespace-separated TREC ``<qid> 0 <pid> <grade>`` lines. An id is not
+empty and holds no whitespace or ",", the separators of the run, qrels and
+pool files that carry it. Checkpoint files are
+`encoders.save_params`/`load_params`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ _ALNUM_RUN = re.compile(r"[^\W_]+")
 
 def check_id(iid: str, what: str, where: str) -> None:
     """Reject an id that no passage or query id can equal, read at `where`."""
+    if not iid:
+        raise FormatError(f"{where}: empty {what} id")
     if _ID_SEPARATOR.search(iid):
         raise FormatError(f"{where}: {what} id {iid!r} holds whitespace or ','")
 
@@ -154,7 +157,7 @@ def _read_id_text_lines(path: str | Path, what: str) -> dict[str, str]:
         for lineno, line in enumerate(f, 1):
             line = line.rstrip("\n")
             parts = line.split("\t", 1)
-            if len(parts) != 2 or not parts[0]:
+            if len(parts) != 2:
                 raise FormatError(f"{path}:{lineno}: expected '<id>\\t<text>'")
             iid, text = parts
             check_id(iid, what, f"{path}:{lineno}")

@@ -24,9 +24,9 @@ because a GEMM over several inputs' tokens rounds differently. The GEMM
 is tokens-major, so the max over tokens runs along contiguous rows, and
 its operand layouts make it round exactly as the vocabulary-major product
 `expand @ emb[ids].T`; the per-term bias is added after the max, which
-rounding leaves exact. At fixed parameters an input traces to the same
-bits every time, so a batch traces each distinct token row once. Training
-then handles each candidate set as a few concatenated arrays
+rounding leaves exact. Either kind encodes an input to the same bits at
+fixed parameters, so `training.batch_step` encodes a batch's distinct table
+rows once each. A lexical candidate set is then a few concatenated arrays
 (`LexicalTrace.join`): the query's upstream is one `np.bincount` over the
 candidates' terms, which adds in input order from +0.0 as a per-candidate
 loop would, and `LexicalRoutes` takes the set's backward in at most three

@@ -217,8 +217,8 @@ def composed_grad_check(kind: str, loss_name: str, seed: int, eps: float = 1e-5)
 
     # The chain under test is the training step itself: batch_step encodes,
     # scores, applies the loss (plus FLOPS) and backpropagates.
-    batch = TokenBatch.of([q_tv, *cand_tvs])
-    sizes = [len(batch)]
+    table = TokenBatch.of([q_tv, *cand_tvs])
+    sets = [list(range(len(table)))]
     flops_weight = 0.7 if loss_name == "flops" else 0.0
     loss_structure = []
 
@@ -231,16 +231,16 @@ def composed_grad_check(kind: str, loss_name: str, seed: int, eps: float = 1e-5)
 
     def forward():
         loss_structure.clear()
-        step = batch_step(params, batch, sizes, loss_fn, flops_weight)
+        step = batch_step(params, table, sets, loss_fn, flops_weight)
         encoded = b"dense" if step.traces is None else b"".join(
             tr.structure() for tr in step.traces
         )
         return step.losses[0], encoded + b"".join(loss_structure)
 
     grads = params.zeros_like()
-    batch_step(params, batch, sizes, loss_fn, flops_weight, grads)
+    batch_step(params, table, sets, loss_fn, flops_weight, grads)
     # The embedding rows of terms in no input, at the head of `flat`.
-    rows = np.setdiff1d(np.arange(COMPOSED_VOCAB_SIZE), batch.ids)
+    rows = np.setdiff1d(np.arange(COMPOSED_VOCAB_SIZE), table.ids)
     unread = (rows[:, None] * COMPOSED_DIM + np.arange(COMPOSED_DIM)).reshape(-1)
     return fd_max_rel_error(params.flat, forward, grads.flat, eps, unread=unread)
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Corpus, FormatError, Qrels, QuerySet, TermVector, Vocabulary, vectorize
+from .data import Corpus, FormatError, Qrels, QuerySet, TermVector, Vocabulary, check_id, vectorize
 from .encoders import (
     DenseParams,
     LexicalParams,
@@ -193,7 +193,10 @@ def save_run(run: RunFile, path: str | Path) -> None:
 
 
 def load_run(path: str | Path) -> RunFile:
-    """Rankings in file order; a pid listed twice for one query stays twice."""
+    """Rankings in file order; a pid listed twice for one query stays twice.
+
+    A qid or pid holding "," fails with `path:line`, as `data.check_id` rules.
+    """
     ids: dict[str, list[str]] = {}
     scores: dict[str, list[float]] = {}
     current = None
@@ -213,6 +216,15 @@ def load_run(path: str | Path) -> RunFile:
                 add_score(float(score))
             except ValueError:
                 raise FormatError(f"{path}:{lineno}: score {score!r} is not a number") from None
+    # An id split off on whitespace can break the id rule only by holding
+    # ","; one test per query looks for it, and only then is the file read
+    # again, to name the line.
+    if any("," in qid or "," in "".join(pids) for qid, pids in ids.items()):
+        with open(path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, 1):
+                qid, _, pid, *_ = line.split()
+                check_id(qid, "query", f"{path}:{lineno}")
+                check_id(pid, "passage", f"{path}:{lineno}")
     return RunFile(
         rankings={
             qid: Ranking(qid=qid, ids=ids[qid], scores=np.array(scores[qid], dtype=np.float64))

@@ -157,7 +157,7 @@ def load_pool(path: str | Path) -> NegativePool:
             if len(parts) != 3:
                 raise FormatError(f"{path}:{lineno}: expected '<qid>\\t<source>\\t<pid,pid,...>'")
             qid, source, pids_s = parts
-            pids = [p for p in pids_s.split(",") if p]
+            pids = pids_s.split(",") if pids_s else []
             check_id(qid, "query", f"{path}:{lineno}")
             for pid in pids:
                 check_id(pid, "passage", f"{path}:{lineno}")
@@ -404,21 +404,22 @@ def _needs_teacher(strategy: str) -> bool:
 @dataclass
 class StepResult:
     losses: list[float]  # per set: the set loss plus its FLOPS term
-    traces: list | None  # lexical: the trace of every row of the batch
+    traces: list | None  # lexical: the trace of each row of each set, in order
 
 
 def batch_step(
     params: Params,
-    batch: TokenBatch,
-    set_sizes: list[int],
+    table: TokenBatch,
+    sets: list[list[int]],
     loss_fn,
     flops_weight: float = 0.0,
     grads: Params | None = None,
 ) -> StepResult:
     """Forward, loss and backward of one optimizer batch at fixed parameters.
 
-    `batch` holds the candidate sets back to back, `set_sizes` rows each: a
-    query row followed by its candidates' rows. The step scores every set
+    `sets` lists each candidate set's rows of `table`: a query row followed
+    by its candidates' rows. A row that occurs more than once encodes once,
+    as it gets the same bits wherever it occurs. The step scores every set
     first, a score being a query . candidate relevance, and then calls
     `loss_fn(scores)` once, with the list of every set's score vector; it
     returns each set's loss and d loss / d scores. Lexical sets also pay the
@@ -428,15 +429,22 @@ def batch_step(
     backpropagating one input at a time, set after set, would accumulate
     them.
     """
+    starts = [0, *accumulate(map(len, sets))]
+    spans = list(zip(starts, starts[1:]))  # each set's occurrences, its query's first
+    index: dict[int, int] = {}  # row -> its place in `distinct`, by first occurrence
+    occ = [index.setdefault(row, len(index)) for rows in sets for row in rows]  # per occurrence
+    distinct = list(index)
     if isinstance(params, LexicalParams):
-        return _lexical_step(params, batch, set_sizes, loss_fn, flops_weight, grads)
-    return _dense_step(params, batch, set_sizes, loss_fn, grads)
+        return _lexical_step(params, table, spans, distinct, occ, loss_fn, flops_weight, grads)
+    return _dense_step(params, table, spans, distinct, occ, loss_fn, grads)
 
 
-def _dense_step(params: DenseParams, batch, set_sizes, loss_fn, grads) -> StepResult:
+def _dense_step(params: DenseParams, table, spans, distinct, occ, loss_fn, grads) -> StepResult:
+    # All rows in order, each once (occ == distinct), are the table, its `groups` kept cached.
+    batch = table if occ == distinct and len(occ) == len(table) else table.take(distinct)
     out, pooled = dense_encode_batch(params, batch)
-    starts = [0, *accumulate(set_sizes)]
-    spans = list(zip(starts, starts[1:]))  # each set's rows, its query's first
+    if len(occ) > len(distinct):  # a row occurs again: one output and pooled row per occurrence
+        batch, out, pooled = batch.take(occ), out[occ], pooled[occ]
     losses, g = loss_fn([out[a + 1 : b] @ out[a] for a, b in spans])
     if grads is not None:
         upstream = np.zeros_like(out)
@@ -447,22 +455,15 @@ def _dense_step(params: DenseParams, batch, set_sizes, loss_fn, grads) -> StepRe
     return StepResult(losses=list(map(float, losses)), traces=None)
 
 
-def _lexical_step(params: LexicalParams, batch, set_sizes, loss_fn, flops_weight, grads) -> StepResult:
-    # One GEMM per distinct input, then each candidate set as slices of the
-    # batch's traces joined back to back, with every gradient addition in the
-    # per-input order. A repeated row would trace to the same bits at fixed
-    # parameters, so it shares the first trace.
-    distinct: dict[bytes, LexicalTrace] = {}
-    all_traces = []
-    raw, width = batch.ids.tobytes(), batch.ids.itemsize
-    for a, n in zip(batch.starts.tolist(), batch.lens.tolist()):
-        key = raw[width * a : width * (a + n)]  # the row's id bytes
-        trace = distinct.get(key)
-        if trace is None:
-            trace = distinct[key] = lexical_trace(batch.ids[a : a + n], params)
-        all_traces.append(trace)
-    starts = [0, *accumulate(set_sizes)]
-    spans = list(zip(starts, starts[1:]))  # each set's rows, its query's first
+def _lexical_step(
+    params: LexicalParams, table, spans, distinct, occ, loss_fn, flops_weight, grads
+) -> StepResult:
+    # One GEMM per distinct row, then each candidate set as slices of the
+    # occurrences' traces joined back to back, with every gradient addition
+    # in the per-input order.
+    slices = zip(table.starts[distinct].tolist(), table.lens[distinct].tolist())
+    traced = [lexical_trace(table.ids[a : a + n], params) for a, n in slices]
+    all_traces = [traced[i] for i in occ]
     q_denses, scores = [], []
     for a, b in spans:
         q_dense = np.zeros(params.vocab_size)
@@ -475,7 +476,7 @@ def _lexical_step(params: LexicalParams, batch, set_sizes, loss_fn, flops_weight
     if flops_weight > 0.0:
         flops = flops_penalty(
             [tr.active_terms for tr in all_traces], [tr.weights for tr in all_traces],
-            flops_weight, set_sizes,
+            flops_weight, [b - a for a, b in spans],
         )
         losses = np.add(losses, flops.loss)
     if grads is not None:
@@ -522,8 +523,8 @@ def train_stage(
     filter strategy instead drops teacher-flagged false negatives before the
     contrastive loss). A pool that lists any qrels positive of its query is
     rejected up front; `doc_tvs` is only read. Parameters change only between
-    optimizer batches, so each batch, gathered from the stage's token table,
-    runs as one `batch_step` with one `batch_loss` call.
+    optimizer batches, so each batch runs as one `batch_step` over its sets'
+    rows of the stage's token table, with one `batch_loss` call.
     """
     validate_pool(pool, qrels)
     needs_teacher = _needs_teacher(config.strategy)
@@ -597,9 +598,8 @@ def train_stage(
                 parts.extend(zip(cl.tolist(), ll.tolist()))
                 return losses, g
 
-            batch = table.take([row for qid in chunk for row in set_rows[qid]])
-            sizes = [len(set_rows[qid]) for qid in chunk]
-            step = batch_step(params, batch, sizes, loss_fn, config.flops_weight, grads)
+            sets = [set_rows[qid] for qid in chunk]
+            step = batch_step(params, table, sets, loss_fn, config.flops_weight, grads)
             for qid, loss, (cl_val, ll_val) in zip(chunk, step.losses, parts):
                 train_log.steps.append(
                     StepRecord(epoch=epoch, qid=qid, loss=loss, cl=cl_val, ll=ll_val)

@@ -352,6 +352,12 @@ class TestDiscrepancy:
         with pytest.raises(ValueError, match="depth must be >= 1"):
             discrepancy_pairs(run, run, run, depth=depth)
 
+    @pytest.mark.parametrize("margin", [-1.0, -1e-300, float("nan"), float("inf")])
+    def test_margin_negative_or_not_finite_rejected(self, margin):
+        run = run_from({"q": [(f"d{i}", 10.0 - i) for i in range(3)]})
+        with pytest.raises(ValueError, match="margin must be a finite number >= 0"):
+            discrepancy_pairs(run, run, run, margin=margin)
+
     def test_counts_match_brute_force_filter(self):
         rng = np.random.default_rng(8)
         pids = [f"d{i}" for i in range(40)]

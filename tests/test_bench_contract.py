@@ -157,18 +157,19 @@ def test_lexical_step_calls_flops_penalty_once_per_batch(world, monkeypatch):
     def loss_fn(scores):
         return [float(s.sum()) for s in scores], [np.ones_like(s) for s in scores]
 
-    rows = set_rows("q0", ["d000", "d001", "d002"]) + set_rows("q1", ["d003", "d004"])
+    table = TokenBatch.of(set_rows("q0", ["d000", "d001", "d002"]) + set_rows("q1", ["d003", "d004"]))
+    sets = [[0, 1, 2, 3], [4, 5, 6]]
     lexical = params["lexical"]
     for grads in (None, lexical.zeros_like()):
         calls.clear()
-        step = training.batch_step(lexical, TokenBatch.of(rows), [4, 3], loss_fn, 0.2, grads)
+        step = training.batch_step(lexical, table, sets, loss_fn, 0.2, grads)
         # One call covers both sets' rows, in batch order, split by set.
         assert len(calls) == 1 and list(calls[0][1]) == [4, 3]
         assert [t.tobytes() for t in calls[0][0]] == [
             tr.active_terms.tobytes() for tr in step.traces
         ]
         calls.clear()
-        training.batch_step(lexical, TokenBatch.of(rows), [4, 3], loss_fn, 0.0, grads)
+        training.batch_step(lexical, table, sets, loss_fn, 0.0, grads)
         assert calls == []
 
 

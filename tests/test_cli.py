@@ -182,6 +182,31 @@ class TestEvaluateFuse:
             assert fused.rankings[qid].pids() == ranking.pids()
 
 
+class TestAnalysisFlags:
+    """Analysis and gradcheck flags are range-checked before any run is read."""
+
+    RUNS = {
+        "fuse": ["--run-a", "missing.trec", "--run-b", "missing.trec", "--out", "o"],
+        "shift": ["--lex-run", "missing.trec", "--den-run", "missing.trec",
+                  "--led-run", "missing.trec"],
+        "gradcheck": [],
+    }
+
+    @pytest.mark.parametrize("command, flag, value, rule", [
+        ("fuse", "--k", "0", "an integer >= 1"),
+        ("shift", "--bins", "0", "an integer >= 1"),
+        ("shift", "--margin", "-1", "a finite number >= 0"),
+        ("shift", "--margin", "nan", "a finite number >= 0"),
+        ("gradcheck", "--tolerance", "-1", "a finite number > 0"),
+        ("gradcheck", "--tolerance", "inf", "a finite number > 0"),
+    ])
+    def test_out_of_range_value_names_the_flag(self, command, flag, value, rule, capsys):
+        with pytest.raises(SystemExit):
+            run_cli(command, *self.RUNS[command], flag, value)
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be {rule}, got '{value}'" in err
+
+
 class TestOutputs:
     @pytest.mark.parametrize(
         "command", ["mine", "train", "retrieve", "evaluate", "fuse", "buckets", "shift"]
@@ -491,9 +516,10 @@ class TestModelCommands:
          "--led-run", FIXTURE / "run.trec", "--depth", -1],
     ])
     def test_counts_below_one_rejected(self, argv, capsys):
-        assert run_cli(*argv) == 1
+        with pytest.raises(SystemExit):
+            run_cli(*argv)
         captured = capsys.readouterr()
-        assert captured.err.startswith("error:") and "must be >= 1" in captured.err
+        assert f"error: argument {argv[-2]}: must be an integer >= 1" in captured.err
         assert captured.out == ""
 
     def test_train_reads_its_input_files_before_training(

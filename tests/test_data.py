@@ -198,6 +198,13 @@ class TestLoaders:
         with pytest.raises(FormatError, match=r"c\.tsv:2: .*whitespace or ','"):
             load(path)
 
+    @pytest.mark.parametrize("load, what", [(load_collection, "passage"), (load_queries, "query")])
+    def test_empty_id_rejected(self, tmp_path, load, what):
+        path = tmp_path / "c.tsv"
+        path.write_text("d1\tok\n\ttext\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=rf"c\.tsv:2: empty {what} id"):
+            load(path)
+
     def test_queries(self, tmp_path):
         path = tmp_path / "q.tsv"
         path.write_text("q1\twhat is an active margin\n")

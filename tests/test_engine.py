@@ -247,15 +247,15 @@ class TestEveryCallerTracesTheSameBits:
         p = lexical_params(5, vocab.size, 16, coarse=False)
         p.bias -= 1.5  # leaves some terms inactive
         queries = QuerySet(queries={"q1": docs["d1"], "q0": passage})
-        batch = TokenBatch.of([vectorize(docs[pid], vocab) for pid in ("d2", "d0", "d3")])
-        lone = lexical_trace(batch.take([1]).ids, p)
+        table = TokenBatch.of([vectorize(docs[pid], vocab) for pid in ("d2", "d0", "d3")])
+        lone = lexical_trace(table.take([1]).ids, p)
         assert 0 < len(lone.active_terms) < vocab.size
 
         def assert_lone(terms, weights):
             assert terms.tobytes() == lone.active_terms.tobytes()
             assert weights.tobytes() == lone.weights.tobytes()
 
-        step = batch_step(p, batch, [3], lambda scores: ([0.0], [np.zeros_like(scores[0])]))
+        step = batch_step(p, table, [[0, 1, 2]], lambda scores: ([0.0], [np.zeros_like(scores[0])]))
         traced = step.traces[1]
         assert_lone(traced.active_terms, traced.weights)
         assert traced.source_token.tobytes() == lone.source_token.tobytes()
@@ -313,11 +313,19 @@ def oracle_lexical_step(p, sets_tv, upstream, flops):
     return expected, expected_losses
 
 
+def table_sets(sets_tv):
+    """A table with one row per distinct term vector object, last seen
+    first, and each set as its rows; a term vector listed again is its row
+    listed again, an equal copy a row of its own."""
+    tvs = list({id(tv): tv for set_tv in sets_tv for tv in set_tv}.values())[::-1]
+    row = {id(tv): r for r, tv in enumerate(tvs)}
+    return TokenBatch.of(tvs), [[row[id(tv)] for tv in set_tv] for set_tv in sets_tv]
+
+
 def assert_step_matches_oracle(p, sets_tv, upstream, flops):
     expected, expected_losses = oracle_lexical_step(p, sets_tv, upstream, flops)
     got = p.zeros_like()
-    batch = TokenBatch.of([tv for set_tv in sets_tv for tv in set_tv])
-    step = batch_step(p, batch, [len(set_tv) for set_tv in sets_tv],
+    step = batch_step(p, *table_sets(sets_tv),
                       lambda scores: ([float(g @ s) for g, s in zip(upstream, scores)], upstream),
                       flops, got)
     assert step.losses == expected_losses
@@ -345,7 +353,8 @@ class TestLexicalStepIsBitIdentical:
     def test_batch_step_with_repeated_rows(
         self, seed, vocab_size, dim, coarse, n_sets, n_cands, flops
     ):
-        # batch_step traces each distinct row once; the oracle traces every row.
+        # batch_step traces each distinct table row once; the oracle traces
+        # every occurrence.
         p = lexical_params(seed, vocab_size, dim, coarse)
         tvs = term_vectors(seed, vocab_size, n_sets * (1 + n_cands), 6)
         sets_tv = [tvs[k * (1 + n_cands):(k + 1) * (1 + n_cands)] for k in range(n_sets)]
@@ -357,6 +366,8 @@ class TestLexicalStepIsBitIdentical:
                 if rng.random() < 0.3:  # more repeats, of any earlier row
                     earlier = [tv for set_tv in sets_tv[:k] for tv in set_tv] + sets_tv[k][:i]
                     sets_tv[k][i] = earlier[int(rng.integers(len(earlier)))]
+        # Two distinct table rows with equal ids.
+        sets_tv[0][1] = TermVector(counts=dict(sets_tv[1][0].counts), n=sets_tv[1][0].n)
         upstream = [rng.normal(size=n_cands) * (rng.random(n_cands) < 0.7) for _ in range(n_sets)]
         assert_step_matches_oracle(p, sets_tv, upstream, flops)
 
@@ -487,6 +498,66 @@ class TestDenseBatch:
         assert out.shape == (2, 3) and not out.any()
         grads = dense_backward_batch(p, batch, pooled, np.ones((2, 3)), p.zeros_like())
         assert all(not t.any() for t in grads.tensors().values())
+
+
+class TestSharedForward:
+    """batch_step encodes each distinct table row once per batch."""
+
+    @given(seed=st.integers(0, 10_000), vocab_size=st.integers(1, 25), dim=st.integers(1, 5),
+           n_rows=st.integers(1, 6),
+           picks=st.lists(st.lists(st.integers(0, 100), min_size=2, max_size=6),
+                          min_size=1, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_dense_step_equals_the_step_on_taken_rows(self, seed, vocab_size, dim, n_rows, picks):
+        p = dense_params(seed, vocab_size, dim)
+        tvs = term_vectors(seed, vocab_size, n_rows, 8) + [TermVector(counts={}, n=3)]
+        sets = [[i % len(tvs) for i in set_picks] for set_picks in picks]
+        sets[0].append(sets[0][-1])  # a row listed twice in one set
+        sets[-1][1] = sets[0][0]     # a query row reused as a candidate
+        rng = np.random.default_rng(seed + 6)
+        upstream = [rng.normal(size=len(s) - 1) * (rng.random(len(s) - 1) < 0.8) for s in sets]
+
+        def loss_fn(scores):
+            return [float(g @ sc) for g, sc in zip(upstream, scores)], upstream
+
+        table = TokenBatch.of(tvs)
+        shared = p.zeros_like()
+        step = batch_step(p, table, sets, loss_fn, grads=shared)
+        rows = [r for s in sets for r in s]
+        starts = np.cumsum([0, *map(len, sets)]).tolist()
+        once = [list(range(a, b)) for a, b in zip(starts, starts[1:])]  # every row listed once
+        for spare in ([], [0]):  # the listed rows are the whole table, then all but its last row
+            taken = p.zeros_like()
+            again = batch_step(p, table.take(rows + spare), once, loss_fn, grads=taken)
+            assert step.losses == again.losses
+            for name, t in shared.tensors().items():
+                assert t.tobytes() == taken.tensors()[name].tobytes(), name
+
+    @pytest.mark.parametrize("kind", ["dense", "lexical"])
+    def test_each_distinct_row_encodes_once(self, kind, monkeypatch):
+        tvs = term_vectors(3, 12, 5, 6)
+        tvs.append(TermVector(counts=dict(tvs[0].counts), n=tvs[0].n))  # row 0's ids, row 5
+        sets = [[0, 1, 2, 1], [3, 1, 0, 4], [2, 2, 5]]
+        encoded = []
+        if kind == "dense":
+            p, real = dense_params(3, 12, 4), training.dense_encode_batch
+
+            def counted(params, batch):
+                encoded.append(len(batch))
+                return real(params, batch)
+
+            monkeypatch.setattr(training, "dense_encode_batch", counted)
+        else:
+            p, real = lexical_params(3, 12, 4, coarse=False), training.lexical_trace
+
+            def counted(ids, params):
+                encoded.append(1)
+                return real(ids, params)
+
+            monkeypatch.setattr(training, "lexical_trace", counted)
+        loss_fn = lambda scores: ([0.0] * len(scores), [np.ones_like(sc) for sc in scores])
+        batch_step(p, TokenBatch.of(tvs), sets, loss_fn, grads=p.zeros_like())
+        assert sum(encoded) == len(tvs)
 
 
 class TestMaskLosses:

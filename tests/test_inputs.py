@@ -55,12 +55,20 @@ class TestPoolFile:
         ("q0\tbm25\td1\n", "query 'q0', source bm25 given twice"),
         ("q 1\tbm25\td1\n", "query id 'q 1' holds whitespace or ','"),
         ("q1\tbm25\td1,d 2\n", "passage id 'd 2' holds whitespace or ','"),
+        ("\tbm25\td1\n", "empty query id"),
+        ("q1\tbm25\td1,,d2\n", "empty passage id"),
     ])
     def test_bad_line_names_path_and_line(self, tmp_path, line, why):
         path = tmp_path / "pool.tsv"
         path.write_text("q0\tbm25\td0\n" + line, encoding="utf-8")
         with pytest.raises(FormatError, match=f"pool.tsv:2: {why}"):
             load_pool(path)
+
+    def test_an_empty_pid_list_loads(self, tmp_path):
+        # mine_negatives writes one for a query with no eligible negative.
+        path = tmp_path / "pool.tsv"
+        path.write_text("q0\tbm25\td0\nq1\tbm25\t\n", encoding="utf-8")
+        assert load_pool(path).by_query == {"q0": {"bm25": ["d0"]}, "q1": {"bm25": []}}
 
 
 class TestTeacherScoreFile:
@@ -84,6 +92,8 @@ class TestTeacherScoreFile:
         ("q1\td1\t-inf\n", "score '-inf' is not finite"),
         ("q 1\td1\t1.5\n", "query id 'q 1' holds whitespace or ','"),
         ("q1\td1,d2\t1.5\n", "passage id 'd1,d2' holds whitespace or ','"),
+        ("\td1\t1.5\n", "empty query id"),
+        ("q1\t\t2.0\n", "empty passage id"),
     ])
     def test_bad_line_names_path_and_line(self, tmp_path, line, why):
         path = tmp_path / "s.tsv"
@@ -98,6 +108,16 @@ class TestRunFile:
         path = tmp_path / "run.trec"
         path.write_text(f"q0 Q0 d0 1 1.500000 t\nq0 Q0 d1 2 {score} t\n", encoding="utf-8")
         with pytest.raises(FormatError, match=f"run.trec:2: score '{re.escape(score)}' is not a number"):
+            load_run(path)
+
+    @pytest.mark.parametrize("line, why", [
+        ("q0 Q0 d1,d2 2 1.000000 t", "passage id 'd1,d2' holds whitespace or ','"),
+        ("q,1 Q0 d1 1 1.000000 t", "query id 'q,1' holds whitespace or ','"),
+    ])
+    def test_an_id_holding_a_comma_names_path_and_line(self, tmp_path, line, why):
+        path = tmp_path / "run.trec"
+        path.write_text(f"q0 Q0 d0 1 1.500000 t\n{line}\nq2 Q0 d0 1 1.500000 t\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=f"run.trec:2: {re.escape(why)}"):
             load_run(path)
 
 
