@@ -110,10 +110,12 @@ def rank_buckets(
     The golden passage is the qrels positive the reference ranks best (ties
     by ascending pid); a golden missing from a run's top-`depth` counts as
     rank depth+1, and queries whose reference rank exceeds `depth` are not
-    bucketed.
+    bucketed. No model of `others` may be named like the reference's tag.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if reference.tag in others:
+        raise ValueError(f"run name {reference.tag!r} is the reference run's tag")
     models = [reference.tag, *others]
     table = BucketTable(models=models)
     per_query: list[tuple[int, dict[str, int]]] = []

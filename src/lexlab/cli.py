@@ -89,6 +89,18 @@ _MARGIN = _checked(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
 _TOLERANCE = _checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
 
 
+def _metric_specs(text: str) -> tuple[str, ...]:
+    """The `--metrics` type: a comma list of '<name>@<k>' specs, each checked
+    by `retrieval.parse_metric` as the flag is parsed."""
+    specs = tuple(text.split(",")) if text else retrieval.DEFAULT_METRICS
+    for spec in specs:
+        try:
+            retrieval.parse_metric(spec)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return specs
+
+
 def _add_config_flags(parser: argparse.ArgumentParser, keys: tuple[str, ...]) -> None:
     for key in keys:
         parser.add_argument(f"--{key}", dest=key, default=None, metavar="V")
@@ -207,8 +219,7 @@ def cmd_retrieve(args) -> int:
 def cmd_evaluate(args) -> int:
     run = retrieval.load_run(args.run)
     qrels = load_qrels(args.qrels)
-    metrics = tuple(args.metrics.split(",")) if args.metrics else retrieval.DEFAULT_METRICS
-    report = retrieval.evaluate(run, qrels, metrics, exponential_gain=args.exponential_gain)
+    report = retrieval.evaluate(run, qrels, args.metrics, exponential_gain=args.exponential_gain)
     if args.table:
         sys.stdout.write(retrieval.format_report_table(report))
     else:
@@ -228,13 +239,16 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_buckets(args) -> int:
-    reference = retrieval.load_run(args.reference)
-    others = {}
+    paths = {}
     for spec in args.run or []:
         name, _, path = spec.partition("=")
         if not path:
             raise ValueError(f"--run expects name=path, got {spec!r}")
-        others[name] = retrieval.load_run(path)
+        if name in paths:
+            raise ValueError(f"--run name {name!r} given twice")
+        paths[name] = path
+    reference = retrieval.load_run(args.reference)
+    others = {name: retrieval.load_run(path) for name, path in paths.items()}
     qrels = load_qrels(args.qrels)
     table = analysis.rank_buckets(reference, others, qrels, depth=args.depth)
     text = analysis.format_bucket_table(table)
@@ -283,30 +297,22 @@ def cmd_pipeline(args) -> int:
 def cmd_sweep(args) -> int:
     if args.key not in _ALL_KEYS:
         raise ValueError(f"unknown config key {args.key!r}")
-    values = args.values.split(",")
-    rows = []
-    for value in values:
+    # Every value's configuration is resolved before any pipeline runs.
+    configs = []
+    for value in args.values.split(","):
         sweep_args = argparse.Namespace(**vars(args))
         setattr(sweep_args, args.key, value)
-        cfg = _resolve_config(sweep_args)
-        out_dir = Path(args.out_dir) / f"{args.key}={value}"
-        result = training.run_pipeline(cfg, out_dir=out_dir)
-        row = {"value": value}
-        if "led" in result.reports:
-            row.update(
-                {m: result.reports["led"].results[m].mean for m in result.reports["led"].results}
-            )
-        rows.append(row)
-    headers = list(rows[0]) if rows else ["value"]
-    print("\t".join([args.key, *headers[1:]]))
-    lines = []
-    for row in rows:
-        line = "\t".join(
-            [str(row["value"])] + [f"{row[h]:.4f}" for h in headers[1:]]
-        )
-        print(line)
-        lines.append(line)
-    table = "\n".join(["\t".join([args.key, *headers[1:]]), *lines]) + "\n"
+        configs.append((value, _resolve_config(sweep_args)))
+    rows = []
+    for value, cfg in configs:
+        result = training.run_pipeline(cfg, out_dir=Path(args.out_dir) / f"{args.key}={value}")
+        led = result.reports.get("led")
+        rows.append((value, led.results if led else {}))
+    metrics = list(rows[0][1])
+    lines = [[args.key, *metrics]]
+    lines += [[value, *(f"{results[m].mean:.4f}" for m in metrics)] for value, results in rows]
+    table = "".join("\t".join(line) + "\n" for line in lines)
+    sys.stdout.write(table)
     out = Path(args.out_dir) / "sweep.tsv"
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(table)
@@ -362,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a TREC run against qrels")
     p.add_argument("--run", required=True)
     p.add_argument("--qrels", required=True)
-    p.add_argument("--metrics", help="comma list, e.g. mrr@10,recall@50")
+    p.add_argument("--metrics", type=_metric_specs, default=retrieval.DEFAULT_METRICS,
+                   help="comma list, e.g. mrr@10,recall@50")
     p.add_argument("--per-query", action="store_true")
     p.add_argument("--table", action="store_true", help="aligned summary table instead of records")
     p.add_argument("--exponential-gain", action="store_true")

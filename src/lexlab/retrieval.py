@@ -14,7 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Corpus, FormatError, Qrels, QuerySet, TermVector, Vocabulary, check_id, vectorize
+from .data import (
+    Corpus, FormatError, Qrels, QuerySet, TermVector, Vocabulary, check_id, vectorize,
+    vectorize_corpus,
+)
 from .encoders import (
     DenseParams,
     LexicalParams,
@@ -67,28 +70,24 @@ def encode_corpus(
     without one (`params` None) index the raw counts that BM25 searches, as
     `Retriever` and `make_run` read a `None` model.
 
-    `doc_tvs` holds passages already vectorized over `vocab` (as
-    `vectorize_corpus` returns them); the others are vectorized here. Dense
-    passages are encoded by `dense_encode_batch` in blocks of
-    `ENCODE_BLOCK`; a passage gets the same bits in any block.
+    `doc_tvs` holds every passage's term vectors over `vocab`, as
+    `vectorize_corpus` returns them; without it (None or empty) the corpus
+    is vectorized here. Dense passages are encoded by `dense_encode_batch`
+    in blocks of `ENCODE_BLOCK`; a passage gets the same bits in any block.
     """
     pids = sorted(corpus.docs)
-    known = doc_tvs or {}
-
-    def tv(pid: str) -> TermVector:
-        return known[pid] if pid in known else vectorize(corpus.docs[pid], vocab)
-
+    doc_tvs = doc_tvs or vectorize_corpus(corpus, vocab)
     if params is None:
-        return build_index({pid: tv(pid) for pid in pids})
+        return build_index(doc_tvs)
     if isinstance(params, DenseParams):
         matrix = np.zeros((len(pids), params.dim))
         for start in range(0, len(pids), ENCODE_BLOCK):
             block = pids[start : start + ENCODE_BLOCK]
-            batch = TokenBatch.of([tv(pid) for pid in block])
+            batch = TokenBatch.of([doc_tvs[pid] for pid in block])
             matrix[start : start + len(block)] = dense_encode_batch(params, batch)[0]
         return DenseIndex(pids=pids, matrix=matrix)
     if isinstance(params, LexicalParams):
-        vectors = {pid: lexical_encode(tv(pid), params) for pid in pids}
+        vectors = {pid: lexical_encode(doc_tvs[pid], params) for pid in pids}
         return build_index(vectors)
     raise TypeError(f"unsupported encoder parameters: {type(params).__name__}")
 
@@ -269,21 +268,22 @@ def mrr_at_k(run: RunFile, qrels: Qrels, k: int = 10) -> MetricResult:
 
 
 def recall_at_k(run: RunFile, qrels: Qrels, k: int) -> MetricResult:
-    """Fraction of relevant passages retrieved in the top k; queries without
-    relevant passages are excluded from the mean."""
+    """Fraction of relevant passages retrieved in the top k, a passage listed
+    twice counting once; queries without relevant passages are excluded from
+    the mean."""
     per_query: dict[str, float] = {}
     for qid in qrels.by_query:
         positives = qrels.positives(qid)
         if not positives:
             continue
-        hits = sum(1 for pid in _ranked_pids(run, qid)[:k] if pid in positives)
-        per_query[qid] = hits / len(positives)
+        per_query[qid] = len(positives.intersection(_ranked_pids(run, qid)[:k])) / len(positives)
     mean = sum(per_query.values()) / len(per_query) if per_query else 0.0
     return MetricResult(per_query=per_query, mean=mean)
 
 
 def ndcg_at_k(run: RunFile, qrels: Qrels, k: int = 10, exponential_gain: bool = False) -> MetricResult:
-    """Graded NDCG with log2(rank+1) discount; zero-IDCG queries are excluded."""
+    """Graded NDCG with log2(rank+1) discount, a passage listed twice gaining
+    at its first rank only; zero-IDCG queries are excluded."""
 
     def gain(grade: int) -> float:
         return float(2**grade - 1) if exponential_gain else float(grade)
@@ -295,16 +295,30 @@ def ndcg_at_k(run: RunFile, qrels: Qrels, k: int = 10, exponential_gain: bool = 
         idcg = sum(gain(g) / math.log2(r + 1) for r, g in enumerate(ideal, 1))
         if idcg <= 0.0:
             continue
-        dcg = sum(
-            gain(grades.get(pid, 0)) / math.log2(rank + 1)
-            for rank, pid in enumerate(_ranked_pids(run, qid)[:k], 1)
-        )
+        first: dict[str, int] = {}
+        for rank, pid in enumerate(_ranked_pids(run, qid)[:k], 1):
+            first.setdefault(pid, rank)
+        dcg = sum(gain(grades.get(pid, 0)) / math.log2(rank + 1) for pid, rank in first.items())
         per_query[qid] = dcg / idcg
     mean = sum(per_query.values()) / len(per_query) if per_query else 0.0
     return MetricResult(per_query=per_query, mean=mean)
 
 
 DEFAULT_METRICS = ("mrr@10", "recall@50", "recall@1000", "ndcg@10")
+
+
+def parse_metric(spec: str) -> tuple[str, int]:
+    """The name and cutoff of a metric spec '<name>@<k>', such as 'mrr@10'."""
+    name, _, k_s = spec.partition("@")
+    try:
+        k = int(k_s)
+    except ValueError:
+        raise ValueError(f"bad metric name {spec!r} (expected '<metric>@<k>')") from None
+    if k < 1:
+        raise ValueError(f"bad metric name {spec!r} (the cutoff must be >= 1)")
+    if name not in ("mrr", "recall", "ndcg"):
+        raise ValueError(f"unknown metric {name!r}")
+    return name, k
 
 
 def evaluate(
@@ -318,21 +332,13 @@ def evaluate(
         raise ValueError("run and qrels share no query ids")
     report = MetricReport()
     for spec in metrics:
-        name, _, k_s = spec.partition("@")
-        try:
-            k = int(k_s)
-        except ValueError:
-            raise ValueError(f"bad metric name {spec!r} (expected '<metric>@<k>')") from None
-        if k < 1:
-            raise ValueError(f"bad metric name {spec!r} (the cutoff must be >= 1)")
+        name, k = parse_metric(spec)
         if name == "mrr":
             result = mrr_at_k(run, qrels, k)
         elif name == "recall":
             result = recall_at_k(run, qrels, k)
-        elif name == "ndcg":
-            result = ndcg_at_k(run, qrels, k, exponential_gain=exponential_gain)
         else:
-            raise ValueError(f"unknown metric {name!r}")
+            result = ndcg_at_k(run, qrels, k, exponential_gain=exponential_gain)
         report.results[spec] = result
     return report
 

@@ -8,7 +8,7 @@ global tie-break (score descending, passage id ascending) a stable argsort.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,11 +64,6 @@ class InvertedIndex:
     semantics: str
     doc_len: np.ndarray  # token counts per row (raw-count indexes)
     total_tokens: int
-    row_of: dict[str, int] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if not self.row_of:
-            self.row_of = {pid: i for i, pid in enumerate(self.pids)}
 
     @property
     def n_docs(self) -> int:

@@ -112,22 +112,21 @@ class NegativePool:
     by_query: dict[str, dict[str, list[str]]] = field(default_factory=dict)
 
     def add(self, qid: str, source: str, pids: list[str]) -> None:
+        """Store `pids` as `source`'s list for `qid`; no source or passage of a query repeats."""
         if source not in SOURCE_TAGS:
             raise ValueError(f"unknown source tag {source!r}")
-        seen = set()
-        deduped = [p for p in pids if not (p in seen or seen.add(p))]
-        self.by_query.setdefault(qid, {})[source] = deduped
+        if source in self.by_query.get(qid, {}):
+            raise ValueError(f"query {qid!r}, source {source} given twice")
+        listed = set(self.merged(qid))
+        for pid in pids:
+            if pid in listed:
+                raise ValueError(f"query {qid!r}, passage {pid!r} given twice")
+            listed.add(pid)
+        self.by_query.setdefault(qid, {})[source] = list(pids)
 
     def merged(self, qid: str) -> list[str]:
-        """Deduplicated concatenation across sources, insertion order."""
-        seen: set[str] = set()
-        out: list[str] = []
-        for pids in self.by_query.get(qid, {}).values():
-            for pid in pids:
-                if pid not in seen:
-                    seen.add(pid)
-                    out.append(pid)
-        return out
+        """The query's passages, source after source in insertion order."""
+        return [pid for pids in self.by_query.get(qid, {}).values() for pid in pids]
 
 
 def validate_pool(pool: NegativePool, qrels: Qrels) -> None:
@@ -161,11 +160,10 @@ def load_pool(path: str | Path) -> NegativePool:
             check_id(qid, "query", f"{path}:{lineno}")
             for pid in pids:
                 check_id(pid, "passage", f"{path}:{lineno}")
-            if source not in SOURCE_TAGS:
-                raise FormatError(f"{path}:{lineno}: unknown source tag {source!r}")
-            if source in pool.by_query.get(qid, {}):
-                raise FormatError(f"{path}:{lineno}: query {qid!r}, source {source} given twice")
-            pool.add(qid, source, pids)
+            try:
+                pool.add(qid, source, pids)
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from None
     return pool
 
 
@@ -321,9 +319,11 @@ def model_teacher(params: LexicalParams, index: InvertedIndex, vocab: Vocabulary
             f"got a {params.kind} model and a {index_kind(index)} index"
         )
 
+    row_of = {pid: row for row, pid in enumerate(index.pids)}
+
     def teacher(qid: str, pids: list[str]) -> np.ndarray:
         q_vec = lexical_encode(vectorize(queries.queries[qid], vocab), params)
-        return sparse_scores(q_vec, index)[[index.row_of[pid] for pid in pids]]
+        return sparse_scores(q_vec, index)[[row_of[pid] for pid in pids]]
 
     return teacher
 
@@ -522,7 +522,8 @@ def train_stage(
     teaching strategy is active, `reg_weight` times the strategy loss (the
     filter strategy instead drops teacher-flagged false negatives before the
     contrastive loss). A pool that lists any qrels positive of its query is
-    rejected up front; `doc_tvs` is only read. Parameters change only between
+    rejected up front. `doc_tvs`, every passage's `vectorize_corpus` vectors
+    (computed here if None or empty), is only read. Parameters change only between
     optimizer batches, so each batch runs as one `batch_step` over its sets'
     rows of the stage's token table, with one `batch_loss` call.
     """
@@ -534,7 +535,7 @@ def train_stage(
     params = init_params.copy()
     grads = params.zeros_like()
     state = AdamState.init(params)
-    known = doc_tvs or {}
+    doc_tvs = doc_tvs or vectorize_corpus(corpus, vocab)
     train_log = TrainLog()
 
     # Per trained query, built once per stage as none of it changes between
@@ -557,7 +558,7 @@ def train_stage(
         for pid in cand_pids:
             if pid not in row_of:
                 row_of[pid] = len(tvs)
-                tvs.append(known[pid] if pid in known else vectorize(corpus.docs[pid], vocab))
+                tvs.append(doc_tvs[pid])
             set_rows[qid].append(row_of[pid])
         if needs_teacher:
             t = np.asarray(teacher(qid, cand_pids), dtype=np.float64)

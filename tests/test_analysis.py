@@ -326,6 +326,11 @@ class TestBuckets:
         top1 = next(r for r in table.rows if r.label == "Top 1")
         assert top1.mean_ranks["den"] == 11.0
 
+    def test_a_run_named_like_the_reference_tag_rejected(self):
+        lex, den, qrels = self._runs()
+        with pytest.raises(ValueError, match="run name 'lex' is the reference run's tag"):
+            rank_buckets(lex, {"den": den, "lex": den}, qrels, depth=25)
+
     def test_table_format_shape(self):
         lex, den, qrels = self._runs()
         text = format_bucket_table(rank_buckets(lex, {"den": den}, qrels, depth=25))

@@ -160,11 +160,14 @@ class TestEvaluateFuse:
         )
 
     def test_evaluate_rejects_a_cutoff_below_one(self, capsys):
-        rc = run_cli("evaluate", "--run", FIXTURE / "run.trec", "--qrels", FIXTURE / "qrels.txt",
-                     "--metrics", "mrr@0")
-        assert rc == 1
+        # The metrics are checked as the flag is parsed, before any file is read.
+        with pytest.raises(SystemExit) as exc:
+            run_cli("evaluate", "--run", "missing.trec", "--qrels", "missing.txt",
+                    "--metrics", "mrr@10,mrr@0")
+        assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error:") and "mrr@0" in captured.err
+        assert ("error: argument --metrics: bad metric name 'mrr@0' (the cutoff must be >= 1)"
+                in captured.err)
         assert captured.out == ""
 
     def test_fuse_with_self_preserves_order(self, tmp_path, capsys):
@@ -361,6 +364,16 @@ class TestSweep:
         )
         assert rc == 0
 
+    def test_every_value_is_checked_before_any_pipeline_runs(self, workspace, tmp_path, capsys):
+        out_dir = tmp_path / "s4"
+        rc = run_cli(
+            "sweep", "--config", workspace / "toy.cfg", "--key", "reg_weight",
+            "--values", "1.2,-1", "--out-dir", out_dir,
+        )
+        assert rc == 1
+        assert "config key 'reg_weight' must be >= 0, got -1.0" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_sweep_unknown_key_rejected(self, workspace, tmp_path, capsys):
         rc = run_cli(
             "sweep", "--config", workspace / "toy.cfg", "--key", "lambda",
@@ -536,6 +549,12 @@ class TestModelCommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'teacher_scores_file'" in err
         assert calls == [] and not out.exists()
+
+    def test_buckets_rejects_a_repeated_run_name_before_reading_a_run(self, capsys):
+        rc = run_cli("buckets", "--reference", "missing.trec", "--run", "den=a.trec",
+                     "--run", "den=b.trec", "--qrels", "missing.txt")
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --run name 'den' given twice\n"
 
     def test_buckets_and_shift(self, workspace, tmp_path, capsys):
         # Build two runs from checkpoints trained a single epoch.

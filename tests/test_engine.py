@@ -262,7 +262,7 @@ class TestEveryCallerTracesTheSameBits:
         assert traced.pre_activation.tobytes() == lone.pre_activation.tobytes()
 
         index = encode_corpus(p, corpus, vocab)
-        row = index.row_of["d0"]
+        row = index.pids.index("d0")
         posted = {t: w[r == row] for t, (r, w) in index.postings.items() if (r == row).any()}
         terms = np.array(sorted(posted), dtype=np.int64)
         assert_lone(terms, np.concatenate([posted[t] for t in terms.tolist()]))

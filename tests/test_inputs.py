@@ -33,9 +33,18 @@ from helpers import save_teacher_scores
 ids = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-_.", min_size=1, max_size=8)
 
 
+def once_per_query(sources: dict[str, list[str]]) -> dict[str, list[str]]:
+    """`sources` with each pid kept in the first source that lists it."""
+    seen: set[str] = set()
+    return {source: [p for p in pids if not (p in seen or seen.add(p))]
+            for source, pids in sources.items()}
+
+
 class TestPoolFile:
     @given(st.dictionaries(
-        ids, st.dictionaries(st.sampled_from(SOURCE_TAGS), st.lists(ids, max_size=6), max_size=3),
+        ids,
+        st.dictionaries(st.sampled_from(SOURCE_TAGS), st.lists(ids, max_size=6), max_size=3)
+        .map(once_per_query),
         max_size=5,
     ))
     @settings(max_examples=60, deadline=None)
@@ -57,6 +66,8 @@ class TestPoolFile:
         ("q1\tbm25\td1,d 2\n", "passage id 'd 2' holds whitespace or ','"),
         ("\tbm25\td1\n", "empty query id"),
         ("q1\tbm25\td1,,d2\n", "empty passage id"),
+        ("q1\tbm25\td1,d1\n", "query 'q1', passage 'd1' given twice"),
+        ("q0\tlex1\td0\n", "query 'q0', passage 'd0' given twice"),
     ])
     def test_bad_line_names_path_and_line(self, tmp_path, line, why):
         path = tmp_path / "pool.tsv"

@@ -127,7 +127,6 @@ class TestEncodeCorpus:
         vocab = build_vocab(corpus)
         params = (DenseParams if kind == "dense" else LexicalParams).init(vocab.size, 3, seed=2)
         doc_tvs = vectorize_corpus(corpus, vocab)
-        del doc_tvs["d1"]  # a passage missing from the given vectors is vectorized
         a, b = encode_corpus(params, corpus, vocab), encode_corpus(params, corpus, vocab, doc_tvs)
         if kind == "dense":
             assert a.matrix.tobytes() == b.matrix.tobytes()
@@ -371,6 +370,15 @@ class TestMetrics:
         assert recall_at_k(run, qrels, k=2).per_query["q"] == 1.0
         qrels_miss = self._qrels({("q", "zz"): 1})
         assert recall_at_k(run, qrels_miss, k=2).per_query["q"] == 0.0
+
+    def test_a_passage_listed_twice_counts_at_its_first_rank(self):
+        run = run_from({"q1": [("d1", 3.0), ("d1", 2.0), ("d2", 1.0)]})
+        qrels = self._qrels({("q1", "d1"): 1, ("q1", "d3"): 1})
+        assert recall_at_k(run, qrels, k=50).per_query["q1"] == 0.5
+        ndcg = ndcg_at_k(run, qrels, k=10).per_query["q1"]
+        assert ndcg == pytest.approx(1 / (1 + 1 / math.log2(3)))
+        assert round(ndcg, 3) == 0.613
+        assert mrr_at_k(run, qrels, k=10).per_query["q1"] == 1.0
 
     def test_ndcg_perfect_ordering(self):
         run = run_from({"q": [("a", 2.0), ("b", 1.0)]})
