@@ -85,6 +85,7 @@ def _checked(convert, ok, rule: str):
 
 
 _POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_NON_NEGATIVE_INT = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _MARGIN = _checked(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
 _TOLERANCE = _checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
 
@@ -139,11 +140,7 @@ def _load_model(path: str | None, vocab, min_df: int, max_vocab: int):
 
 def cmd_mine(args) -> int:
     cfg = _resolve_config(args)
-    training.require_config_keys(cfg, ("collection", "train_queries", "train_qrels"))
-    corpus = load_collection(cfg.collection)
-    queries = load_queries(cfg.train_queries)
-    qrels = load_qrels(cfg.train_qrels)
-    vocab = build_vocab(corpus, cfg.min_df, cfg.max_vocab)
+    corpus, vocab, queries, qrels = training.load_train_data(cfg)
     params = _load_model(args.checkpoint, vocab, cfg.min_df, cfg.max_vocab)
     index = retrieval.encode_corpus(params, corpus, vocab)
     pool = training.mine_negatives(
@@ -157,12 +154,8 @@ def cmd_mine(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
-    training.require_config_keys(cfg, ("collection", "train_queries", "train_qrels"))
     digest = config_digest(cfg, COMMAND_KEYS["train"])
-    corpus = load_collection(cfg.collection)
-    queries = load_queries(cfg.train_queries)
-    qrels = load_qrels(cfg.train_qrels)
-    vocab = build_vocab(corpus, cfg.min_df, cfg.max_vocab)
+    corpus, vocab, queries, qrels = training.load_train_data(cfg)
     pool = training.load_pool(args.pool)
     init = _load_model(args.init, vocab, cfg.min_df, cfg.max_vocab)
     if init is not None:
@@ -208,7 +201,7 @@ def cmd_retrieve(args) -> int:
     params = _load_model(args.checkpoint, vocab, cfg.min_df, cfg.max_vocab)
     index = retrieval.encode_corpus(params, corpus, vocab)
     run = retrieval.make_run(
-        params, queries, index, vocab, k=min(cfg.run_depth, corpus.n_docs), tag=args.tag,
+        params, queries, index, vocab, k=cfg.run_depth, tag=args.tag,
         bm25_k1=cfg.bm25_k1, bm25_b=cfg.bm25_b,
     )
     retrieval.save_run(run, args.out)
@@ -403,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--trials", type=_POSITIVE_INT, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0)
     p.add_argument("--tolerance", type=_TOLERANCE, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
 

@@ -3,15 +3,19 @@
 Collections and queries are tab-separated ``<id>\\t<text>`` files; qrels are
 whitespace-separated TREC ``<qid> 0 <pid> <grade>`` lines. An id is not
 empty and holds no whitespace or ",", the separators of the run, qrels and
-pool files that carry it. Checkpoint files are
+pool files that carry it. Every text input is UTF-8, and a byte that is
+not fails with `path:line` (`open_text`). Checkpoint files are
 `encoders.save_params`/`load_params`.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TextIO
 
 
 class FormatError(ValueError):
@@ -30,6 +34,25 @@ def check_id(iid: str, what: str, where: str) -> None:
         raise FormatError(f"{where}: empty {what} id")
     if _ID_SEPARATOR.search(iid):
         raise FormatError(f"{where}: {what} id {iid!r} holds whitespace or ','")
+
+
+@contextmanager
+def open_text(path: str | Path) -> Iterator[TextIO]:
+    """`path` opened as UTF-8 text. If reading it meets a byte that is not
+    UTF-8, the file is read again with each such byte decoded to a lone
+    surrogate, so lines split as before, and the first line holding one
+    fails with `path:line`."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            yield f
+    except UnicodeDecodeError:
+        with open(path, encoding="utf-8", errors="surrogateescape") as f:
+            for lineno, line in enumerate(f, 1):
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise FormatError(f"{path}:{lineno}: not UTF-8 text") from None
+        raise
 
 
 def tokenize(text: str) -> list[str]:
@@ -153,7 +176,7 @@ def vectorize_corpus(corpus: Corpus, vocab: Vocabulary) -> dict[str, TermVector]
 
 def _read_id_text_lines(path: str | Path, what: str) -> dict[str, str]:
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, line in enumerate(f, 1):
             line = line.rstrip("\n")
             parts = line.split("\t", 1)
@@ -177,7 +200,7 @@ def load_queries(path: str | Path) -> QuerySet:
 
 def load_qrels(path: str | Path) -> Qrels:
     entries: dict[tuple[str, str], int] = {}
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, line in enumerate(f, 1):
             parts = line.split()
             if len(parts) != 4:

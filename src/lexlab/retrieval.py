@@ -15,19 +15,16 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
-    Corpus, FormatError, Qrels, QuerySet, TermVector, Vocabulary, check_id, vectorize,
-    vectorize_corpus,
+    Corpus, FormatError, Qrels, QuerySet, TermVector, Vocabulary, check_id, open_text,
+    vectorize, vectorize_corpus,
 )
 from .encoders import (
-    DenseParams,
-    LexicalParams,
     Params,
     TokenBatch,
     dense_encode_batch,
     lexical_encode,
 )
 from .sparse_index import (
-    LEARNED_WEIGHT,
     InvertedIndex,
     Ranking,
     bm25_search,
@@ -48,6 +45,7 @@ ENCODE_BLOCK = 256
 class DenseIndex:
     pids: list[str]  # ascending
     matrix: np.ndarray  # n_docs x d
+    kind = "dense"  # unannotated: a class attribute, not a field
 
     @property
     def n_docs(self) -> int:
@@ -79,29 +77,19 @@ def encode_corpus(
     doc_tvs = doc_tvs or vectorize_corpus(corpus, vocab)
     if params is None:
         return build_index(doc_tvs)
-    if isinstance(params, DenseParams):
+    if params.kind == "dense":
         matrix = np.zeros((len(pids), params.dim))
         for start in range(0, len(pids), ENCODE_BLOCK):
             block = pids[start : start + ENCODE_BLOCK]
             batch = TokenBatch.of([doc_tvs[pid] for pid in block])
             matrix[start : start + len(block)] = dense_encode_batch(params, batch)[0]
         return DenseIndex(pids=pids, matrix=matrix)
-    if isinstance(params, LexicalParams):
-        vectors = {pid: lexical_encode(doc_tvs[pid], params) for pid in pids}
-        return build_index(vectors)
-    raise TypeError(f"unsupported encoder parameters: {type(params).__name__}")
+    return build_index({pid: lexical_encode(doc_tvs[pid], params) for pid in pids})
 
 
 def dense_search(query_vec: np.ndarray, index: DenseIndex, k: int, qid: str = "") -> Ranking:
     """Exact top-k by dot product with the (score desc, pid asc) tie-break."""
     return top_k(index.pids, index.matrix @ query_vec, k, qid)
-
-
-def index_kind(index: DenseIndex | InvertedIndex) -> str:
-    """The model kind an index is searched with: dense, lexical or bm25."""
-    if isinstance(index, DenseIndex):
-        return "dense"
-    return "lexical" if index.semantics == LEARNED_WEIGHT else "bm25"
 
 
 class Retriever:
@@ -121,7 +109,7 @@ class Retriever:
         k1: float = 1.2,
         b: float = 0.75,
     ):
-        self.kind = index_kind(index)
+        self.kind = index.kind
         given = "bm25" if params is None else params.kind
         if given != self.kind:
             model = {"bm25": "no model", "dense": "a dense model", "lexical": "a lexical model"}
@@ -200,7 +188,7 @@ def load_run(path: str | Path) -> RunFile:
     scores: dict[str, list[float]] = {}
     current = None
     tag = "run"
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, line in enumerate(f, 1):
             parts = line.split()
             if len(parts) != 6:

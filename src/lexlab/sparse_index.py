@@ -15,10 +15,6 @@ import numpy as np
 from .data import TermVector
 from .encoders import TermWeightVector, TokenBatch
 
-RAW_COUNT = "raw-count"
-LEARNED_WEIGHT = "learned-weight"
-
-
 class WeightSemanticsError(ValueError):
     """Operation applied to an index with the wrong weight semantics."""
 
@@ -61,7 +57,7 @@ class Ranking:
 class InvertedIndex:
     pids: list[str]  # ascending
     postings: dict[int, tuple[np.ndarray, np.ndarray]]  # term -> (doc rows, weights)
-    semantics: str
+    kind: str  # "bm25" over raw counts, "lexical" over learned weights
     doc_len: np.ndarray  # token counts per row (raw-count indexes)
     total_tokens: int
 
@@ -77,10 +73,10 @@ class InvertedIndex:
 def build_index(vectors: dict[str, TermVector] | dict[str, TermWeightVector]) -> InvertedIndex:
     """Build postings from term vectors (raw counts) or weight vectors.
 
-    The vector type sets the semantics: `TermVector`s give a raw-count
-    index, `TermWeightVector`s a learned-weight one. Every nonzero entry
-    lands in exactly one posting; posting lists are ordered by ascending
-    passage id.
+    The vector type sets the kind: `TermVector`s give a raw-count "bm25"
+    index, `TermWeightVector`s a learned-weight "lexical" one. Every nonzero
+    entry lands in exactly one posting; posting lists are ordered by
+    ascending passage id.
     """
     pids = sorted(vectors)
     learned = isinstance(next(iter(vectors.values()), None), TermWeightVector)
@@ -107,7 +103,7 @@ def build_index(vectors: dict[str, TermVector] | dict[str, TermWeightVector]) ->
     return InvertedIndex(
         pids=pids,
         postings=postings,
-        semantics=LEARNED_WEIGHT if learned else RAW_COUNT,
+        kind="lexical" if learned else "bm25",
         doc_len=doc_len,
         total_tokens=int(doc_len.sum()),
     )
@@ -152,7 +148,7 @@ def bm25_search(
     qid: str = "",
 ) -> Ranking:
     """Exact BM25 top-k; documents sharing no query term rank by id with score 0."""
-    if index.semantics != RAW_COUNT:
+    if index.kind != "bm25":
         raise WeightSemanticsError("BM25 requires a raw-count index")
     scores = np.zeros(index.n_docs, dtype=np.float64)
     avgdl = index.avgdl
@@ -174,7 +170,7 @@ def sparse_scores(query: TermWeightVector, index: InvertedIndex) -> np.ndarray:
     the left-to-right sum over the terms it shares with the query, bit for
     bit; `relevance` in `tests/helpers.py` is that sum.
     """
-    if index.semantics != LEARNED_WEIGHT:
+    if index.kind != "lexical":
         raise WeightSemanticsError("sparse search requires a learned-weight index")
     scores = np.zeros(index.n_docs, dtype=np.float64)
     for term, weight in zip(query.terms.tolist(), query.weights.tolist()):

@@ -30,6 +30,7 @@ from .data import (
     Vocabulary,
     build_vocab,
     check_id,
+    open_text,
     vectorize,
     vectorize_corpus,
 )
@@ -56,7 +57,7 @@ from .objectives import (
     make_rank_pairs,
 )
 from . import retrieval
-from .retrieval import Retriever, index_kind
+from .retrieval import Retriever
 from .sparse_index import InvertedIndex, build_index, sparse_scores
 
 log = logging.getLogger(__name__)
@@ -150,7 +151,7 @@ def save_pool(pool: NegativePool, path: str | Path) -> None:
 
 def load_pool(path: str | Path) -> NegativePool:
     pool = NegativePool()
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, line in enumerate(f, 1):
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 3:
@@ -272,7 +273,7 @@ def subsample_pool(pool: NegativePool, m_total: int, seed: int) -> NegativePool:
 
 def load_teacher_scores(path: str | Path) -> dict[tuple[str, str], float]:
     scores: dict[tuple[str, str], float] = {}
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, line in enumerate(f, 1):
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 3:
@@ -313,10 +314,10 @@ def model_teacher(params: LexicalParams, index: InvertedIndex, vocab: Vocabulary
     by `sparse_scores`, the dot product of the two encodings; `train_stage`
     calls it once per query, so nothing is cached.
     """
-    if params.kind != "lexical" or index_kind(index) != "lexical":
+    if params.kind != "lexical" or index.kind != "lexical":
         raise TypeError(
             f"the teacher is a lexical model over its learned-weight index, "
-            f"got a {params.kind} model and a {index_kind(index)} index"
+            f"got a {params.kind} model and a {index.kind} index"
         )
 
     row_of = {pid: row for row, pid in enumerate(index.pids)}
@@ -682,7 +683,7 @@ class PipelineConfig:
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """`key = value` lines; `#` starts a comment. A key may appear once."""
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, line in enumerate(f, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -748,6 +749,17 @@ def require_config_keys(cfg: PipelineConfig, keys: tuple[str, ...]) -> None:
             raise ValueError(f"missing config key {key!r}")
 
 
+def load_train_data(cfg: PipelineConfig) -> tuple[Corpus, Vocabulary, QuerySet, Qrels]:
+    """The collection, its vocabulary, and the training queries and qrels
+    that `cfg` names; each of the three files is a required key."""
+    from .data import load_collection, load_qrels, load_queries
+
+    require_config_keys(cfg, ("collection", "train_queries", "train_qrels"))
+    corpus = load_collection(cfg.collection)
+    vocab = build_vocab(corpus, cfg.min_df, cfg.max_vocab)
+    return corpus, vocab, load_queries(cfg.train_queries), load_qrels(cfg.train_qrels)
+
+
 class Stage(NamedTuple):
     """One training stage's recipe: its `TrainConfig.stage` phase, which
     seeds the shuffle and goes into the checkpoint header, and the config
@@ -811,14 +823,12 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> Pipe
     led). Every mining pass is tagged by its source model and checked
     against the qrels exclusion rule.
     """
-    from .data import load_collection, load_qrels, load_queries
+    from .data import load_qrels, load_queries
 
-    require_config_keys(cfg, ("collection", "train_queries", "train_qrels"))
+    if cfg.eval_queries or cfg.eval_qrels:  # evaluation needs both
+        require_config_keys(cfg, ("eval_queries", "eval_qrels"))
     digest = config_digest(cfg, tuple(f.name for f in fields(cfg)))
-    corpus = load_collection(cfg.collection)
-    queries = load_queries(cfg.train_queries)
-    qrels = load_qrels(cfg.train_qrels)
-    vocab = build_vocab(corpus, cfg.min_df, cfg.max_vocab)
+    corpus, vocab, queries, qrels = load_train_data(cfg)
     doc_tvs = vectorize_corpus(corpus, vocab)
 
     mix_depth = cfg.mix_depth or cfg.depth
@@ -882,14 +892,13 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> Pipe
 
     runs: dict[str, object] = {}
     reports: dict[str, object] = {}
-    if cfg.eval_queries and cfg.eval_qrels:
+    if cfg.eval_queries:
         eval_queries = load_queries(cfg.eval_queries)
         eval_qrels = load_qrels(cfg.eval_qrels)
-        k = min(cfg.run_depth, corpus.n_docs)
         indexes["led"] = retrieval.encode_corpus(led, corpus, vocab, doc_tvs)
         for name in STAGES:
             runs[name] = retrieval.make_run(
-                checkpoints[name], eval_queries, indexes[name], vocab, k=k, tag=name
+                checkpoints[name], eval_queries, indexes[name], vocab, k=cfg.run_depth, tag=name
             )
             reports[name] = retrieval.evaluate(runs[name], eval_qrels)
 

@@ -71,6 +71,14 @@ class TestBasics:
         out = capsys.readouterr().out
         assert "passages\t50" in out
 
+    def test_ingest_counts_queries_and_qrels(self, workspace, capsys):
+        queries, qrels = workspace / "train_queries.tsv", workspace / "train_qrels.txt"
+        assert run_cli("ingest", "--collection", workspace / "collection.tsv",
+                       "--queries", queries, "--qrels", qrels) == 0
+        out = capsys.readouterr().out
+        assert f"queries\t{len(queries.read_text().splitlines())}\n" in out
+        assert out.endswith(f"qrels\t{len(qrels.read_text().splitlines())}\n")
+
     def test_vocabulary_flags_spelled_as_config_keys(self, workspace, capsys):
         collection = workspace / "collection.tsv"
         assert run_cli("ingest", "--collection", collection, "--min_df", 1, "--max_vocab", 20) == 0
@@ -202,6 +210,7 @@ class TestAnalysisFlags:
         ("shift", "--margin", "nan", "a finite number >= 0"),
         ("gradcheck", "--tolerance", "-1", "a finite number > 0"),
         ("gradcheck", "--tolerance", "inf", "a finite number > 0"),
+        ("gradcheck", "--seed", "-1", "an integer >= 0"),
     ])
     def test_out_of_range_value_names_the_flag(self, command, flag, value, rule, capsys):
         with pytest.raises(SystemExit):
@@ -503,9 +512,12 @@ class TestModelCommands:
         assert "worst" in capsys.readouterr().out
 
     def test_gradcheck_rejects_a_negative_seed(self, capsys):
-        assert run_cli("gradcheck", "--trials", 1, "--seed", -1) == 1
+        # argparse rejects it (exit status 2) before any check runs.
+        with pytest.raises(SystemExit) as exc:
+            run_cli("gradcheck", "--trials", 1, "--seed", -1)
+        assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: seed must be >= 0, got -1\n"
+        assert "error: argument --seed: must be an integer >= 0, got '-1'" in captured.err
         assert captured.out == ""
 
     def test_gradcheck_fails_on_a_nan_gradient(self, monkeypatch, capsys):

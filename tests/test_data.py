@@ -240,6 +240,17 @@ class TestLoaders:
         with pytest.raises(FormatError, match=":1"):
             load_qrels(path)
 
+    @pytest.mark.parametrize("line, why", [
+        ("q1 0 d1", "expected '<qid> 0 <pid> <grade>'"),
+        ("q1 0 d1 1 extra", "expected '<qid> 0 <pid> <grade>'"),
+        ("q1 0 d1 -1", "negative grade -1"),
+    ])
+    def test_qrels_bad_line_names_path_and_line(self, tmp_path, line, why):
+        path = tmp_path / "qrels.txt"
+        path.write_text(f"q1 0 d7 1\n{line}\n")
+        with pytest.raises(FormatError, match=f"qrels.txt:2: {why}$"):
+            load_qrels(path)
+
 
 def _resized(vocab_size, dim):
     """A header edit giving a dense model's sizes, with the layout they imply."""

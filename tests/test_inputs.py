@@ -1,8 +1,9 @@
 """Input files and configuration values fail early and say where.
 
 Pool, teacher-score and run files round-trip or load, and reject malformed
-lines with `path:line`, as config files do; `PipelineConfig` range-checks
-its numeric keys before the pipeline loads a file or mines a negative.
+lines with `path:line`, as config files do; every reader names the first
+line that is not UTF-8 text. `PipelineConfig` range-checks its numeric keys
+before the pipeline loads a file or mines a negative.
 """
 
 import math
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lexlab import cli, training
-from lexlab.data import FormatError
+from lexlab.data import FormatError, load_collection, load_qrels, load_queries
 from lexlab.retrieval import load_run
 from lexlab.training import (
     SOURCE_TAGS,
@@ -154,6 +155,27 @@ class TestConfigFile:
         assert cli.main(["pipeline", "--config", str(cfg_path),
                          "--out-dir", str(tmp_path / "out")]) != 0
         assert not (tmp_path / "out").exists()
+
+
+class TestUtf8:
+    # Line 1 holds a two-byte UTF-8 character, line 2 a byte that no UTF-8
+    # text holds; a third line follows.
+    LINES = {
+        load_collection: ["d0\tcaf\u00e9", "d1\tbad\udcff", "d2\tok"],
+        load_queries: ["q0\tcaf\u00e9", "q1\tbad\udcff", "q2\tok"],
+        load_qrels: ["q\u00e9 0 d0 1", "q1 0 d\udcff 1", "q2 0 d2 1"],
+        load_pool: ["q\u00e9\tbm25\td0", "q1\tbm25\td\udcff", "q2\tbm25\td2"],
+        load_teacher_scores: ["q\u00e9\td0\t1.5", "q1\td\udcff\t1.5", "q2\td2\t1.5"],
+        load_run: ["q\u00e9 Q0 d0 1 1.5 t", "q1 Q0 d\udcff 1 1.5 t", "q2 Q0 d2 1 1.5 t"],
+        parse_config_file: ["collection = caf\u00e9", "seed = 3\udcff", "lr = 0.1"],
+    }
+
+    @pytest.mark.parametrize("read", list(LINES), ids=lambda read: read.__name__)
+    def test_a_byte_that_is_not_utf8_names_path_and_line(self, tmp_path, read):
+        path = tmp_path / "input.txt"
+        path.write_bytes("\n".join(self.LINES[read] + [""]).encode("utf-8", "surrogateescape"))
+        with pytest.raises(FormatError, match=r"^.*input\.txt:2: not UTF-8 text$"):
+            read(path)
 
 
 class TestConfigRanges:

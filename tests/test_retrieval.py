@@ -18,7 +18,6 @@ from lexlab.retrieval import (
     encode_corpus,
     evaluate,
     format_report,
-    index_kind,
     load_run,
     make_run,
     mrr_at_k,
@@ -111,7 +110,7 @@ class TestEncodeCorpus:
         vocab = build_vocab(corpus)
         index = encode_corpus(None, corpus, vocab)
         expected = build_index(vectorize_corpus(corpus, vocab))
-        assert index_kind(index) == "bm25"
+        assert index.kind == "bm25"
         assert index.pids == expected.pids == ["d0", "d1", "d2", "d3"]
         assert index.doc_len.tolist() == expected.doc_len.tolist()
         assert index.postings.keys() == expected.postings.keys()

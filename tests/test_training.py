@@ -427,6 +427,25 @@ class TestTrainStage:
             digests.add(params_digest(params))
         assert len(digests) == 1
 
+    def test_query_without_positive_or_pooled_negative_skipped(self, caplog):
+        corpus, queries, qrels, vocab = small_world()
+        mined = make_pool(queries, qrels, corpus, vocab)
+        pool = NegativePool()
+        for qid, sources in mined.by_query.items():
+            for source, pids in sources.items():
+                pool.add(qid, source, [] if qid == "q1" else pids)
+        # q1 has no pooled negative, q6 pooled negatives but no qrels.
+        pool.add("q6", "bm25", ["d07", "d08"])
+        queries = QuerySet(queries={**queries.queries, "q6": "w6 c0"})
+        cfg = TrainConfig(seed=2, dim=4, lr=0.05, m=4, epochs=1, stage="s", strategy="none")
+        with caplog.at_level("WARNING"):
+            _, log = train_stage(
+                cfg, vocab, corpus, queries, qrels, pool, DenseParams.init(vocab.size, 4, 2)
+            )
+        assert log.skipped_queries == 2
+        assert sorted(rec.qid for rec in log.steps) == ["q0", "q2", "q3", "q4", "q5"]
+        assert "stage s: skipping 2 queries without positives or pooled negatives" in caplog.text
+
     def test_strategy_needs_teacher(self):
         corpus, queries, qrels, vocab = small_world()
         pool = make_pool(queries, qrels, corpus, vocab)
@@ -666,6 +685,44 @@ class TestPipeline:
         assert manifest_a == manifest_b
         for rel in ("checkpoints/led.ckpt", "runs/led.trec", "pools/mix.tsv"):
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+
+    def test_teacher_score_file_trains_led_as_the_model_teacher(
+        self, toy_fixture, tmp_path, monkeypatch
+    ):
+        # margin-mse reads the teacher's score values, not only their order.
+        cfg = toy_config(toy_fixture, strategy="margin-mse", eval_queries="", eval_qrels="")
+        base = run_pipeline(cfg)
+        # lex2's scores for every training query and passage; repr floats
+        # read back to the same bits.
+        lex2 = base.checkpoints["lex2"]
+        index = encode_corpus(lex2, base.corpus, base.vocab)
+        teacher = model_teacher(lex2, index, base.vocab, base.queries)
+        path = tmp_path / "teacher.tsv"
+        with open(path, "w", encoding="utf-8") as f:
+            for qid in base.queries.queries:
+                for pid, score in zip(index.pids, teacher(qid, index.pids).tolist()):
+                    f.write(f"{qid}\t{pid}\t{score!r}\n")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the model teacher ran despite a teacher score file")
+
+        monkeypatch.setattr(training, "model_teacher", forbidden)
+        cfg.teacher_scores_file = str(path)
+        filed = run_pipeline(cfg)
+        digests = lambda result: {n: params_digest(p) for n, p in result.checkpoints.items()}
+        assert digests(filed) == digests(base)
+
+    @pytest.mark.parametrize("given, missing", [
+        ("eval_queries", "eval_qrels"), ("eval_qrels", "eval_queries"),
+    ])
+    def test_one_eval_file_without_the_other_rejected(self, tmp_path, given, missing):
+        # No input file exists, so the check runs before any is read or hashed.
+        absent = str(tmp_path / "absent.tsv")
+        cfg = PipelineConfig(
+            collection=absent, train_queries=absent, train_qrels=absent, **{given: absent}
+        )
+        with pytest.raises(ValueError, match=f"^missing config key '{missing}'$"):
+            run_pipeline(cfg)
 
     def test_missing_config_key_named(self, toy_fixture):
         cfg = toy_config(toy_fixture)
