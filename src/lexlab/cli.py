@@ -53,6 +53,7 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
 
 # The PipelineConfig keys each command reads, which are its only config flags.
 # A config file may set any key; pipeline and sweep take every key as a flag.
+# train's are the data keys and the stage settings a TrainConfig holds.
 _ALL_KEYS = tuple(f.name for f in fields(PipelineConfig))
 _VOCAB_KEYS = ("collection", "min_df", "max_vocab")
 _TRAIN_DATA_KEYS = (*_VOCAB_KEYS, "train_queries", "train_qrels", "seed")
@@ -60,9 +61,8 @@ COMMAND_KEYS = {
     "ingest": _VOCAB_KEYS,
     "mine": (*_TRAIN_DATA_KEYS, "depth", "warmup_m", "bm25_k1", "bm25_b"),
     "retrieve": (*_VOCAB_KEYS, "eval_queries", "run_depth", "bm25_k1", "bm25_b"),
-    "train": (*_TRAIN_DATA_KEYS, "dim", "lr", "batch_size", "epochs", "m", "reg_weight",
-              "flops_weight", "strategy", "filter_threshold", "kl_temperature",
-              "teacher_scores_file"),
+    "train": (*_TRAIN_DATA_KEYS, *(f.name for f in fields(training.TrainConfig)
+                                   if f.name not in ("seed", "stage")), "teacher_scores_file"),
     "pipeline": _ALL_KEYS,
     "sweep": _ALL_KEYS,
 }
@@ -154,6 +154,8 @@ def cmd_mine(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
+    if cfg.teacher_scores_file and args.teacher_checkpoint:
+        raise ValueError("give teacher_scores_file or --teacher-checkpoint, not both")
     digest = config_digest(cfg, COMMAND_KEYS["train"])
     corpus, vocab, queries, qrels = training.load_train_data(cfg)
     pool = training.load_pool(args.pool)
@@ -166,8 +168,6 @@ def cmd_train(args) -> int:
     else:
         init = DenseParams.init(vocab.size, cfg.dim, cfg.seed)
     teacher = None
-    if cfg.teacher_scores_file and args.teacher_checkpoint:
-        raise ValueError("give teacher_scores_file or --teacher-checkpoint, not both")
     if cfg.teacher_scores_file:
         teacher = training.table_teacher(training.load_teacher_scores(cfg.teacher_scores_file))
     elif args.teacher_checkpoint:

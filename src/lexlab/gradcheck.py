@@ -256,6 +256,24 @@ class GradCheckReport:
         return max(self.max_errors.values())
 
 
+def _encoder_check(kind: str, seed: int, t: int, eps: float) -> float:
+    """`grad_check` of trial `t`: a random model of `kind` and a random input."""
+    rng = np.random.default_rng(seed + 1000 + t)
+    vocab_size, dim = 10, 3
+    if kind == "dense":
+        params = DenseParams.init(vocab_size, dim, seed + t)
+        params.proj[:] = rng.uniform(-0.5, 0.5, size=(dim, dim))
+    else:
+        params = LexicalParams.init(vocab_size, dim, seed + t)
+        params.emb[:] = rng.uniform(-0.8, 0.8, size=params.emb.shape)
+        params.expand[:] = rng.uniform(-0.8, 0.8, size=params.expand.shape)
+    k = int(rng.integers(1, 4))
+    ids = rng.choice(vocab_size, size=k, replace=False)
+    counts = {int(i): int(rng.integers(1, 3)) for i in ids}
+    tv = TermVector(counts=counts, n=sum(counts.values()))
+    return grad_check(kind, params, tv, eps=eps, seed=seed + t)
+
+
 def run_suite(trials: int = 100, seed: int = 0, eps: float = 1e-5) -> GradCheckReport:
     """Encoder, loss, and composed checks over `trials` seeded instances."""
     if trials < 1:
@@ -263,45 +281,22 @@ def run_suite(trials: int = 100, seed: int = 0, eps: float = 1e-5) -> GradCheckR
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     start = time.perf_counter()
-    errors: dict[str, float] = {}
-
-    for kind in ("dense", "lexical"):
-        worst = 0.0
-        for t in range(trials):
-            rng = np.random.default_rng(seed + 1000 + t)
-            vocab_size, dim = 10, 3
-            if kind == "dense":
-                params = DenseParams.init(vocab_size, dim, seed + t)
-                params.proj[:] = rng.uniform(-0.5, 0.5, size=(dim, dim))
-            else:
-                params = LexicalParams.init(vocab_size, dim, seed + t)
-                params.emb[:] = rng.uniform(-0.8, 0.8, size=params.emb.shape)
-                params.expand[:] = rng.uniform(-0.8, 0.8, size=params.expand.shape)
-            k = int(rng.integers(1, 4))
-            ids = rng.choice(vocab_size, size=k, replace=False)
-            counts = {int(i): int(rng.integers(1, 3)) for i in ids}
-            tv = TermVector(counts=counts, n=sum(counts.values()))
-            worst = max(worst, grad_check(kind, params, tv, eps=eps, seed=seed + t))
-        errors[f"encoder/{kind}"] = worst
-
-    for name in LOSS_NAMES:
-        worst = 0.0
-        for t in range(trials):
-            worst = max(worst, loss_grad_check(name, seed + 2000 + t, eps=eps))
-        errors[f"loss/{name}"] = worst
-
-    compositions = [("dense", n) for n in LOSS_NAMES if n != "flops"] + [
-        ("lexical", n) for n in LOSS_NAMES
-    ]
-    for kind, name in compositions:
-        worst = 0.0
-        for t in range(trials):
-            worst = max(worst, composed_grad_check(kind, name, seed + 3000 + t, eps=eps))
-        errors[f"composed/{kind}/{name}"] = worst
-
-    return GradCheckReport(
-        max_errors=errors, trials=trials, elapsed_s=time.perf_counter() - start
-    )
+    # Each check's name and its error at trial t.
+    checks = {
+        **{f"encoder/{kind}": lambda t, kind=kind: _encoder_check(kind, seed, t, eps)
+           for kind in ("dense", "lexical")},
+        **{f"loss/{name}": lambda t, name=name: loss_grad_check(name, seed + 2000 + t, eps=eps)
+           for name in LOSS_NAMES},
+        **{
+            f"composed/{kind}/{name}": lambda t, kind=kind, name=name: composed_grad_check(
+                kind, name, seed + 3000 + t, eps=eps
+            )
+            for kind in ("dense", "lexical") for name in LOSS_NAMES
+            if kind == "lexical" or name != "flops"
+        },
+    }
+    errors = {name: max(check(t) for t in range(trials)) for name, check in checks.items()}
+    return GradCheckReport(max_errors=errors, trials=trials, elapsed_s=time.perf_counter() - start)
 
 
 def format_suite_report(report: GradCheckReport) -> str:

@@ -212,19 +212,13 @@ PAIR_STRATEGIES = ("rank-consistent", "margin-mse")  # their losses read the ran
 def _filtered_contrastive(s: np.ndarray, t: np.ndarray, threshold: float) -> LossValue:
     """Per row, the contrastive loss over the positive and the negatives whose
     teacher score stays below `threshold` times the positive's; zero for a
-    row that keeps no negative. Rows that keep as many go through one call."""
+    row that keeps no negative."""
     keep = t < threshold * t[:, :1]
     keep[:, 0] = True
-    kept = np.count_nonzero(keep, axis=1)
     loss, grad = np.zeros(len(s)), np.zeros(s.shape)
-    for k in np.unique(kept[kept > 1]).tolist():
-        rows = (kept == k).nonzero()[0]
-        sub = keep[rows]
-        cl = contrastive_loss(s[rows][sub].reshape(len(rows), k))
-        loss[rows] = cl.loss
-        g = np.zeros((len(rows), s.shape[1]))
-        g[sub] = cl.grad.reshape(-1)
-        grad[rows] = g
+    for row in (np.count_nonzero(keep, axis=1) > 1).nonzero()[0].tolist():
+        cl = contrastive_loss(s[row, keep[row]])
+        loss[row], grad[row, keep[row]] = cl.loss, cl.grad
     return LossValue(loss=loss, grad=grad)
 
 

@@ -83,27 +83,36 @@ class TrainConfig:
     kl_temperature: float = 1.0
 
     def __post_init__(self):
-        _check_ranges(
-            self,
-            positive=("dim", "lr", "batch_size", "m", "epochs", "kl_temperature"),
-            non_negative=("seed", "reg_weight", "flops_weight", "filter_threshold"),
-        )
+        _check_ranges(self)
 
 
-def _check_ranges(cfg, positive: tuple[str, ...], non_negative: tuple[str, ...]) -> None:
-    """Reject an unknown strategy, a non-finite float field, a `positive` key
-    that is not > 0 and a `non_negative` key below 0, naming the key."""
+# The numeric config keys that must be > 0, in either config; `bm25_b` lies
+# in [0, 1] and every other numeric key must be >= 0.
+_POSITIVE_KEYS = frozenset({
+    "dim", "lr", "batch_size", "m", "epochs", "kl_temperature", "depth", "warmup_m",
+    "run_depth", "min_df",
+})
+
+
+def _check_ranges(cfg) -> None:
+    """Reject an unknown strategy, a non-finite float field and a numeric
+    field outside its key's range, naming the key."""
     if cfg.strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {cfg.strategy!r} (choose from {STRATEGIES})")
-    for f in fields(cfg):
+    numeric = [f for f in fields(cfg) if f.type in ("int", "float")]
+    for f in numeric:
         if f.type == "float" and not math.isfinite(getattr(cfg, f.name)):
             raise ValueError(f"config key {f.name!r} must be finite, got {getattr(cfg, f.name)!r}")
-    for key in positive:
-        if not getattr(cfg, key) > 0:
-            raise ValueError(f"config key {key!r} must be > 0, got {getattr(cfg, key)!r}")
-    for key in non_negative:
-        if not getattr(cfg, key) >= 0:
-            raise ValueError(f"config key {key!r} must be >= 0, got {getattr(cfg, key)!r}")
+    for f in numeric:
+        value = getattr(cfg, f.name)
+        if f.name == "bm25_b":
+            ok, rule = 0 <= value <= 1, "in [0, 1]"
+        elif f.name in _POSITIVE_KEYS:
+            ok, rule = value > 0, "> 0"
+        else:
+            ok, rule = value >= 0, ">= 0"
+        if not ok:
+            raise ValueError(f"config key {f.name!r} must be {rule}, got {value!r}")
 
 
 @dataclass
@@ -660,20 +669,7 @@ class PipelineConfig:
     teacher_scores_file: str = ""
 
     def __post_init__(self):
-        _check_ranges(
-            self,
-            positive=(
-                "dim", "depth", "m", "warmup_m", "batch_size", "epochs", "run_depth", "lr",
-                "kl_temperature", "min_df",
-            ),
-            non_negative=(
-                *(key for stage in STAGES.values() for key in (stage.lr_key, stage.epochs_key)),
-                "seed", "mix_depth", "reg_weight", "flops_weight", "filter_threshold",
-                "max_vocab", "bm25_k1",
-            ),
-        )
-        if not 0 <= self.bm25_b <= 1:
-            raise ValueError(f"config key 'bm25_b' must be in [0, 1], got {self.bm25_b!r}")
+        _check_ranges(self)
         if self.depth < self.warmup_m:
             raise ValueError(
                 f"config key 'depth' must be >= warmup_m ({self.warmup_m}), got {self.depth}"
@@ -783,22 +779,18 @@ STAGES = {
 
 
 def stage_config(cfg: PipelineConfig, stage: Stage, strategy: str) -> TrainConfig:
-    """The `TrainConfig` of one stage; a zero lr or epochs key falls back to
-    `lr` or `epochs`."""
-    return TrainConfig(
-        seed=cfg.seed,
-        dim=cfg.dim,
-        lr=getattr(cfg, stage.lr_key) or cfg.lr,
-        batch_size=cfg.batch_size,
-        m=getattr(cfg, stage.m_key),
-        reg_weight=cfg.reg_weight,
-        flops_weight=cfg.flops_weight,
-        epochs=getattr(cfg, stage.epochs_key) or cfg.epochs,
-        stage=stage.phase,
-        strategy=strategy,
-        filter_threshold=cfg.filter_threshold,
-        kl_temperature=cfg.kl_temperature,
-    )
+    """The `TrainConfig` of one stage: every key it shares with `cfg`, then the
+    stage's lr, epochs and m keys (a zero lr or epochs key falls back to `lr`
+    or `epochs`), its phase and `strategy`."""
+    shared = {f.name for f in fields(PipelineConfig)}
+    return TrainConfig(**{
+        **{f.name: getattr(cfg, f.name) for f in fields(TrainConfig) if f.name in shared},
+        "lr": getattr(cfg, stage.lr_key) or cfg.lr,
+        "epochs": getattr(cfg, stage.epochs_key) or cfg.epochs,
+        "m": getattr(cfg, stage.m_key),
+        "stage": stage.phase,
+        "strategy": strategy,
+    })
 
 
 @dataclass
@@ -820,8 +812,9 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> Pipe
     """Run warm-up, continue, and final training, then optionally evaluate.
 
     Produces the four staged checkpoints of `STAGES` (lex1, lex2, den1,
-    led). Every mining pass is tagged by its source model and checked
-    against the qrels exclusion rule.
+    led). Every input file is read before any work, the teacher table
+    whatever the strategy. Every mining pass is tagged by its source model
+    and checked against the qrels exclusion rule.
     """
     from .data import load_qrels, load_queries
 
@@ -829,6 +822,10 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> Pipe
         require_config_keys(cfg, ("eval_queries", "eval_qrels"))
     digest = config_digest(cfg, tuple(f.name for f in fields(cfg)))
     corpus, vocab, queries, qrels = load_train_data(cfg)
+    if cfg.eval_queries:
+        eval_queries, eval_qrels = load_queries(cfg.eval_queries), load_qrels(cfg.eval_qrels)
+    if cfg.teacher_scores_file:
+        teacher_scores = load_teacher_scores(cfg.teacher_scores_file)
     doc_tvs = vectorize_corpus(corpus, vocab)
 
     mix_depth = cfg.mix_depth or cfg.depth
@@ -875,7 +872,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> Pipe
     teacher = None
     if _needs_teacher(cfg.strategy):
         if cfg.teacher_scores_file:
-            teacher = table_teacher(load_teacher_scores(cfg.teacher_scores_file))
+            teacher = table_teacher(teacher_scores)
         else:
             teacher = model_teacher(lex2, indexes["lex2"], vocab, queries)
     led = train("led", pools["mix"], den1, cfg.strategy, teacher)
@@ -893,8 +890,6 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> Pipe
     runs: dict[str, object] = {}
     reports: dict[str, object] = {}
     if cfg.eval_queries:
-        eval_queries = load_queries(cfg.eval_queries)
-        eval_qrels = load_qrels(cfg.eval_qrels)
         indexes["led"] = retrieval.encode_corpus(led, corpus, vocab, doc_tvs)
         for name in STAGES:
             runs[name] = retrieval.make_run(

@@ -330,6 +330,30 @@ class TestPipelineCli:
         assert capsys.readouterr().err == f"error: config key 'seed' must be >= 0, got {seed}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, strategy", [
+        ("eval_queries", "rank-consistent"), ("eval_qrels", "rank-consistent"),
+        ("teacher_scores_file", "rank-consistent"), ("teacher_scores_file", "none"),
+    ])
+    def test_reads_every_input_file_before_any_work(
+        self, workspace, tmp_path, monkeypatch, capsys, key, strategy
+    ):
+        for step in ("mine_negatives", "train_stage"):
+            monkeypatch.setattr(training, step, lambda *a, **k: pytest.fail("work started"))
+        queries = (workspace / "test_queries.tsv").read_text()
+        bad = tmp_path / "bad.tsv"
+        bad.write_text({
+            "eval_queries": queries + queries.splitlines(keepends=True)[0],
+            "eval_qrels": "not qrels\n",
+            "teacher_scores_file": "this is not a teacher file\n",
+        }[key])
+        line = len(queries.splitlines()) + 1 if key == "eval_queries" else 1
+        why = "duplicate query id" if key == "eval_queries" else "expected"
+        argv = ["pipeline", "--config", workspace / "toy.cfg", "--out-dir", tmp_path / "out",
+                f"--{key}", bad, "--strategy", strategy]
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}:{line}: {why}")
+        assert not (tmp_path / "out").exists()
+
     def test_bad_flag_value_names_its_key(self, workspace, tmp_path, capsys):
         out = tmp_path / "run"
         rc = run_cli("retrieve", "--config", workspace / "toy.cfg", "--run_depth", "abc", "--out", out)
@@ -746,15 +770,17 @@ class TestTrainInputs:
         pool, table, out = tmp_path / "pool.tsv", tmp_path / "teacher.tsv", tmp_path / "led.ckpt"
         assert run_cli("mine", "--config", workspace / "toy.cfg", "--out", pool) == 0
         table.write_text("")
-        rc = run_cli(
-            "train", "--config", workspace / "toy.cfg", "--pool", pool,
-            "--teacher_scores_file", table, "--teacher-checkpoint", checkpoints["lexical"],
-            "--out", out,
-        )
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "teacher_scores_file" in err and "--teacher-checkpoint" in err
-        assert not out.exists()
+        # The conflict is found before any input file is read, even a missing pool.
+        for pool_path in (pool, tmp_path / "nopool.tsv"):
+            rc = run_cli(
+                "train", "--config", workspace / "toy.cfg", "--pool", pool_path,
+                "--teacher_scores_file", table, "--teacher-checkpoint", checkpoints["lexical"],
+                "--out", out,
+            )
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert "teacher_scores_file" in err and "--teacher-checkpoint" in err
+            assert not out.exists()
 
     def test_train_rejects_a_pool_holding_a_positive(self, workspace, tmp_path, capsys):
         toy = workspace / "toy.cfg"

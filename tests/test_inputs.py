@@ -2,8 +2,9 @@
 
 Pool, teacher-score and run files round-trip or load, and reject malformed
 lines with `path:line`, as config files do; every reader names the first
-line that is not UTF-8 text. `PipelineConfig` range-checks its numeric keys
-before the pipeline loads a file or mines a negative.
+line that is not UTF-8 text. `PipelineConfig` and `TrainConfig`
+range-check their numeric keys before the pipeline loads a file or mines a
+negative.
 """
 
 import math
@@ -21,6 +22,7 @@ from lexlab.training import (
     SOURCE_TAGS,
     NegativePool,
     PipelineConfig,
+    TrainConfig,
     config_from_mapping,
     load_pool,
     load_teacher_scores,
@@ -178,15 +180,20 @@ class TestUtf8:
             read(path)
 
 
+# The keys a stage's `TrainConfig` holds; each has the range it has in `PipelineConfig`.
+TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
+
+
 class TestConfigRanges:
     @pytest.mark.parametrize("key", [
         "dim", "depth", "m", "warmup_m", "batch_size", "epochs", "run_depth", "lr",
         "kl_temperature", "min_df",
     ])
     def test_positive_keys(self, key):
-        for bad in (0, -3):
-            with pytest.raises(ValueError, match=f"'{key}' must be > 0"):
-                PipelineConfig(**{key: bad})
+        for config in (PipelineConfig, TrainConfig) if key in TRAIN_KEYS else (PipelineConfig,):
+            for bad in (0, -3):
+                with pytest.raises(ValueError, match=f"'{key}' must be > 0"):
+                    config(**{key: bad})
 
     @pytest.mark.parametrize("key", [
         "seed", "lex_epochs", "den_epochs", "led_epochs", "mix_depth",
@@ -194,9 +201,10 @@ class TestConfigRanges:
         "reg_weight", "flops_weight", "filter_threshold", "max_vocab", "bm25_k1",
     ])
     def test_non_negative_keys(self, key):
-        PipelineConfig(**{key: 0})
-        with pytest.raises(ValueError, match=f"'{key}' must be >= 0"):
-            PipelineConfig(**{key: -1})
+        for config in (PipelineConfig, TrainConfig) if key in TRAIN_KEYS else (PipelineConfig,):
+            config(**{key: 0})
+            with pytest.raises(ValueError, match=f"'{key}' must be >= 0"):
+                config(**{key: -1})
 
     def test_depth_at_least_warmup_m(self):
         PipelineConfig(depth=5, warmup_m=5)
