@@ -90,6 +90,10 @@ class _FlatParams:
     def zeros_like(self):
         return type(self)(self.vocab_size, self.dim)
 
+    def __reduce__(self):
+        # Pickled tensors would come back as copies, loose from `flat`.
+        return type(self), (self.vocab_size, self.dim, self.flat)
+
 
 class DenseParams(_FlatParams):
     """Embedding table, projection, and bias of the dense retriever."""
@@ -204,6 +208,27 @@ class TokenBatch:
             np.array([c for row in rows for _, c in row], dtype=np.float64),
             np.array([len(row) for row in rows], dtype=np.int64),
         )
+
+    @classmethod
+    def for_encoder(cls, tvs: list[TermVector], kind: str) -> tuple["TokenBatch", list[int]]:
+        """The token table of `tvs` for a `kind` encoder, and each input's row.
+
+        The lexical encoder reads only the term ids, so inputs with the same
+        ids share the first one's row and trace once. Dense inputs keep a row
+        each: one stacked matmul encodes a table's rows of a length together,
+        so sharing would save nothing and add a gather.
+        """
+        if kind != "lexical":
+            return cls.of(tvs), list(range(len(tvs)))
+        row_of: dict[tuple[int, ...], int] = {}
+        firsts, rows = [], []
+        for tv in tvs:
+            ids = tuple(sorted(tv.counts))
+            if ids not in row_of:
+                row_of[ids] = len(firsts)
+                firsts.append(tv)
+            rows.append(row_of[ids])
+        return cls.of(firsts), rows
 
     def __len__(self) -> int:
         return len(self.lens)

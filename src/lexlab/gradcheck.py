@@ -34,6 +34,7 @@ from .encoders import (
 )
 from .objectives import TEACHING_LOSSES, RankPairSet, flops_penalty, make_rank_pairs, strategy_loss
 from .training import batch_step
+from .workers import fork_map
 
 # Negatives per loss check; vocabulary size, width and negatives of each
 # composed check.
@@ -217,8 +218,8 @@ def composed_grad_check(kind: str, loss_name: str, seed: int, eps: float = 1e-5)
 
     # The chain under test is the training step itself: batch_step encodes,
     # scores, applies the loss (plus FLOPS) and backpropagates.
-    table = TokenBatch.of([q_tv, *cand_tvs])
-    sets = [list(range(len(table)))]
+    table, rows = TokenBatch.for_encoder([q_tv, *cand_tvs], kind)
+    sets = [rows]
     flops_weight = 0.7 if loss_name == "flops" else 0.0
     loss_structure = []
 
@@ -295,7 +296,10 @@ def run_suite(trials: int = 100, seed: int = 0, eps: float = 1e-5) -> GradCheckR
             if kind == "lexical" or name != "flops"
         },
     }
-    errors = {name: max(check(t) for t in range(trials)) for name, check in checks.items()}
+    # The (check, trial) instances are independent, so they run on every usable CPU.
+    instances = [(name, t) for name in checks for t in range(trials)]
+    values = fork_map(lambda instance: checks[instance[0]](instance[1]), instances)
+    errors = {name: max(values[i * trials : (i + 1) * trials]) for i, name in enumerate(checks)}
     return GradCheckReport(max_errors=errors, trials=trials, elapsed_s=time.perf_counter() - start)
 
 

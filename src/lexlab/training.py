@@ -59,6 +59,7 @@ from .objectives import (
 from . import retrieval
 from .retrieval import Retriever
 from .sparse_index import InvertedIndex, build_index, sparse_scores
+from .workers import fork_map
 
 log = logging.getLogger(__name__)
 
@@ -551,7 +552,8 @@ def train_stage(
     # Per trained query, built once per stage as none of it changes between
     # epochs: its candidate set's rows in the stage's token table (its own
     # row, then the positive's and the negatives', a passage's row shared by
-    # every set), the teacher's scores and their rank pairs.
+    # every set and, for the lexical encoder, by every input with its term
+    # ids), the teacher's scores and their rank pairs.
     tvs: list[TermVector] = []
     row_of: dict[str, int] = {}
     set_rows: dict[str, list[int]] = {}
@@ -583,7 +585,8 @@ def train_stage(
             config.stage,
             train_log.skipped_queries,
         )
-    table = TokenBatch.of(tvs)
+    table, shared = TokenBatch.for_encoder(tvs, params.kind)
+    set_rows = {qid: [shared[row] for row in rows] for qid, rows in set_rows.items()}
 
     for epoch in range(config.epochs):
         order = list(set_rows)
@@ -835,10 +838,13 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> Pipe
     indexes: dict[str, object] = {}
 
     def train(name: str, pool: NegativePool, init: Params, strategy: str = "none", teacher=None):
-        checkpoints[name], logs[name] = train_stage(
+        return train_stage(
             stage_config(cfg, STAGES[name], strategy),
             vocab, corpus, queries, qrels, pool, init, teacher, doc_tvs,
         )
+
+    def keep(name: str, trained: tuple[Params, TrainLog]) -> Params:
+        checkpoints[name], logs[name] = trained
         return checkpoints[name]
 
     # Warm-up: both retrievers on BM25 negatives.
@@ -846,8 +852,13 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> Pipe
     pools["bm25"] = mine_negatives(
         bm25, queries, qrels, cfg.depth, cfg.warmup_m, cfg.seed, source="bm25"
     )
-    lex1 = train("lex1", pools["bm25"], LexicalParams.init(vocab.size, cfg.dim, cfg.seed))
-    den1 = train("den1", pools["bm25"], DenseParams.init(vocab.size, cfg.dim, cfg.seed))
+    # The two are independent, so den1 trains in a forked child while lex1
+    # trains here (with one usable CPU, one after the other).
+    warm = {"lex1": LexicalParams, "den1": DenseParams}
+    lex1, den1 = map(keep, warm, fork_map(
+        lambda name: train(name, pools["bm25"], warm[name].init(vocab.size, cfg.dim, cfg.seed)),
+        warm,
+    ))
 
     # Continue: lexical retriever on its own warm-up negatives.
     indexes["lex1"] = retrieval.encode_corpus(lex1, corpus, vocab, doc_tvs)
@@ -855,7 +866,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> Pipe
         Retriever(lex1, indexes["lex1"], vocab), queries, qrels,
         cfg.depth, cfg.warmup_m, cfg.seed, source="lex1",
     )
-    lex2 = train("lex2", pools["lex1"], lex1)
+    lex2 = keep("lex2", train("lex2", pools["lex1"], lex1))
 
     # Final stage: mixture of full-depth negatives from lex1, lex2, den1.
     indexes["lex2"] = retrieval.encode_corpus(lex2, corpus, vocab, doc_tvs)
@@ -875,7 +886,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> Pipe
             teacher = table_teacher(teacher_scores)
         else:
             teacher = model_teacher(lex2, indexes["lex2"], vocab, queries)
-    led = train("led", pools["mix"], den1, cfg.strategy, teacher)
+    led = keep("led", train("led", pools["mix"], den1, cfg.strategy, teacher))
 
     metas = {
         name: CheckpointMeta(

@@ -11,6 +11,7 @@ as the oracles those are held to bit for bit.
 
 import hashlib
 import math
+import os
 
 import numpy as np
 
@@ -145,3 +146,8 @@ def set_flops(terms: list[np.ndarray], values: list[np.ndarray], weight: float) 
     by_appearance = mean[flat[np.sort(first)]]
     loss = weight * sum((by_appearance * by_appearance).tolist())
     return LossValue(loss=loss, grad=weight * 2.0 * mean[flat] / len(terms))
+
+
+def set_usable_cpus(monkeypatch, n: int) -> None:
+    """Make `workers.fork_map` see `n` usable CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))

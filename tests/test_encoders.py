@@ -25,7 +25,7 @@ from lexlab import gradcheck
 from lexlab.gradcheck import fd_max_rel_error, grad_check
 from lexlab.sparse_index import build_index, sparse_scores
 
-from helpers import params_digest, relevance
+from helpers import params_digest, relevance, set_usable_cpus
 
 
 def tv(counts):
@@ -369,6 +369,13 @@ class TestGradCheckPins:
             "composed/lexical/kl": 9.871024551348014e-07,
             "composed/lexical/flops": 1.7279827147301835e-09,
         }
+
+    def test_suite_values_are_the_same_on_one_cpu_and_two(self, monkeypatch):
+        errors = []
+        for cpus in (1, 2):
+            set_usable_cpus(monkeypatch, cpus)
+            errors.append(gradcheck.run_suite(trials=2, seed=0).max_errors)
+        assert errors[0] == errors[1]
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):

@@ -533,6 +533,32 @@ class TestSharedForward:
             for name, t in shared.tensors().items():
                 assert t.tobytes() == taken.tensors()[name].tobytes(), name
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lexical_inputs_with_equal_ids_share_a_row(self, seed, monkeypatch):
+        tvs = term_vectors(seed, 6, 6, 3)
+        # Row 0's ids with other counts: the lexical encoder reads ids alone.
+        tvs.append(TermVector(counts={t: c + 1 for t, c in tvs[0].counts.items()}, n=9))
+        table, rows = TokenBatch.for_encoder(tvs, "lexical")
+        assert rows[-1] == rows[0] and len(table) == len(set(rows)) < len(tvs)
+        assert TokenBatch.for_encoder(tvs, "dense")[1] == list(range(len(tvs)))
+        p = lexical_params(seed, 6, 3, coarse=False)
+        sets = [[0, 1, 6, 2], [6, 3, 0], [4, 5, 1]]
+        loss_fn = lambda scores: ([0.0] * len(scores), [np.cos(sc) for sc in scores])
+        traced, real = [], training.lexical_trace
+
+        def counted(ids, params):
+            traced.append(1)
+            return real(ids, params)
+
+        monkeypatch.setattr(training, "lexical_trace", counted)
+        own, shared = p.zeros_like(), p.zeros_like()
+        first = batch_step(p, TokenBatch.of(tvs), sets, loss_fn, 0.3, own)
+        per_input = len(traced)
+        again = batch_step(p, table, [[rows[i] for i in s] for s in sets], loss_fn, 0.3, shared)
+        assert len(traced) - per_input == len(set(rows)) < per_input
+        assert first.losses == again.losses
+        assert own.flat.tobytes() == shared.flat.tobytes()
+
     @pytest.mark.parametrize("kind", ["dense", "lexical"])
     def test_each_distinct_row_encodes_once(self, kind, monkeypatch):
         tvs = term_vectors(3, 12, 5, 6)

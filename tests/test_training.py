@@ -42,7 +42,7 @@ from lexlab.training import (
     validate_pool,
 )
 
-from helpers import params_digest, relevance, save_teacher_scores
+from helpers import params_digest, relevance, save_teacher_scores, set_usable_cpus
 
 ALL_KEYS = tuple(f.name for f in dataclasses.fields(PipelineConfig))
 
@@ -723,6 +723,33 @@ class TestPipeline:
         )
         with pytest.raises(ValueError, match=f"^missing config key '{missing}'$"):
             run_pipeline(cfg)
+
+    def test_manifest_is_the_same_on_one_cpu_and_two(self, toy_fixture, tmp_path, monkeypatch):
+        for cpus in (1, 2):
+            set_usable_cpus(monkeypatch, cpus)
+            run_pipeline(toy_config(toy_fixture), out_dir=tmp_path / f"cpus{cpus}")
+        manifest = lambda cpus: (tmp_path / f"cpus{cpus}" / "manifest.json").read_bytes()
+        assert manifest(1) == manifest(2)
+
+    # The forced overflow is the point of the test, not a fault to report.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_den1_loss_surfaces_from_the_child(self, toy_fixture, monkeypatch):
+        real = DenseParams.init.__func__
+
+        def huge_init(cls, vocab_size, dim, seed):
+            params = real(cls, vocab_size, dim, seed)
+            params.emb[:] = 1e200  # every score overflows to +inf, so the loss is NaN
+            return params
+
+        monkeypatch.setattr(DenseParams, "init", classmethod(huge_init))
+        expected = "^non-finite loss at stage 'warmup' epoch 0 query "
+        errors = []
+        for cpus in (1, 2):
+            set_usable_cpus(monkeypatch, cpus)
+            with pytest.raises(RuntimeError, match=expected) as caught:
+                run_pipeline(toy_config(toy_fixture))
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1]
 
     def test_missing_config_key_named(self, toy_fixture):
         cfg = toy_config(toy_fixture)
