@@ -23,21 +23,26 @@ from .encoders import (
     TokenBatch,
     dense_encode_batch,
     lexical_encode,
+    lexical_trace,
 )
 from .sparse_index import (
     InvertedIndex,
     Ranking,
     bm25_search,
     build_index,
+    postings_index,
     sparse_search,
     top_k,
 )
+from .workers import fork_map
 
 DEFAULT_RUN_DEPTH = 1000
-# Passages per dense encoding block. It bounds the gathered embeddings: on
-# the 8000-passage search-large fixture, blocks of 1024 raised the peak
-# allocation of encoding from 1.1 MB (one passage at a time) to 3.6 MB, and
-# blocks of 256 hold it at 1.7 MB at the same speed.
+# Passages per encoding block, the unit of work `encode_corpus` deals to each
+# CPU. It bounds the gathered dense embeddings: on the 8000-passage
+# search-large fixture, blocks of 1024 raised the peak allocation of dense
+# encoding from 1.1 MB (one passage at a time) to 3.6 MB, and blocks of 256
+# hold it at 1.7 MB at the same speed, in 32 blocks that two CPUs share
+# evenly.
 ENCODE_BLOCK = 256
 
 
@@ -69,22 +74,42 @@ def encode_corpus(
     `Retriever` and `make_run` read a `None` model.
 
     `doc_tvs` holds every passage's term vectors over `vocab`, as
-    `vectorize_corpus` returns them; without it (None or empty) the corpus
-    is vectorized here. Dense passages are encoded by `dense_encode_batch`
-    in blocks of `ENCODE_BLOCK`; a passage gets the same bits in any block.
+    `vectorize_corpus` returns them; without it (None or empty) each
+    passage is vectorized where it is encoded. With a model, the passages
+    go in blocks of `ENCODE_BLOCK`, dealt over the usable CPUs by
+    `workers.fork_map`. A dense block is one `dense_encode_batch`. A lexical
+    block is one `lexical_trace` per passage, sent back as three packed
+    arrays (each passage's active term count, then all their terms and all
+    their weights) that `postings_index` reads. A passage gets the same bits
+    in any block on any CPU, and the index kind is the model's, for an
+    empty collection too.
     """
     pids = sorted(corpus.docs)
-    doc_tvs = doc_tvs or vectorize_corpus(corpus, vocab)
     if params is None:
-        return build_index(doc_tvs)
+        return build_index(doc_tvs or vectorize_corpus(corpus, vocab))
+
+    def encode_block(block: list[str]):
+        if doc_tvs:
+            tvs = [doc_tvs[pid] for pid in block]
+        else:
+            tvs = [vectorize(corpus.docs[pid], vocab) for pid in block]
+        if params.kind == "dense":
+            return dense_encode_batch(params, TokenBatch.of(tvs))[0]
+        traces = [lexical_trace(np.array(sorted(tv.counts), dtype=np.int64), params) for tv in tvs]
+        return (
+            np.array([len(tr.weights) for tr in traces], dtype=np.int64),
+            np.concatenate([tr.active_terms for tr in traces]),
+            np.concatenate([tr.weights for tr in traces]),
+        )
+
+    blocks = fork_map(encode_block, [pids[i : i + ENCODE_BLOCK] for i in range(0, len(pids), ENCODE_BLOCK)])
+    # Each concatenation starts from an empty array of its dtype and shape,
+    # which is the whole result for an empty collection.
     if params.kind == "dense":
-        matrix = np.zeros((len(pids), params.dim))
-        for start in range(0, len(pids), ENCODE_BLOCK):
-            block = pids[start : start + ENCODE_BLOCK]
-            batch = TokenBatch.of([doc_tvs[pid] for pid in block])
-            matrix[start : start + len(block)] = dense_encode_batch(params, batch)[0]
-        return DenseIndex(pids=pids, matrix=matrix)
-    return build_index({pid: lexical_encode(doc_tvs[pid], params) for pid in pids})
+        return DenseIndex(pids=pids, matrix=np.concatenate([np.empty((0, params.dim)), *blocks]))
+    no_ints = np.empty(0, dtype=np.int64)
+    lens, terms, weights = (np.concatenate(parts) for parts in zip((no_ints, no_ints, np.empty(0)), *blocks))
+    return postings_index(pids, lens, terms, weights, "lexical")
 
 
 def dense_search(query_vec: np.ndarray, index: DenseIndex, k: int, qid: str = "") -> Ranking:

@@ -74,22 +74,39 @@ def build_index(vectors: dict[str, TermVector] | dict[str, TermWeightVector]) ->
     """Build postings from term vectors (raw counts) or weight vectors.
 
     The vector type sets the kind: `TermVector`s give a raw-count "bm25"
-    index, `TermWeightVector`s a learned-weight "lexical" one. Every nonzero
-    entry lands in exactly one posting; posting lists are ordered by
-    ascending passage id.
+    index, `TermWeightVector`s a learned-weight "lexical" one, and no
+    vectors an empty "bm25" one (`retrieval.encode_corpus` takes the kind
+    from its model instead).
     """
     pids = sorted(vectors)
-    learned = isinstance(next(iter(vectors.values()), None), TermWeightVector)
     docs = [vectors[pid] for pid in pids]
-    if learned:
+    if isinstance(next(iter(docs), None), TermWeightVector):
         lens = np.array([len(v.terms) for v in docs], dtype=np.int64)
-        terms = np.concatenate([v.terms for v in docs] + [np.empty(0, dtype=np.int64)])
-        weights = np.concatenate([v.weights for v in docs] + [np.empty(0)])
+        terms = np.concatenate([v.terms for v in docs])
+        weights = np.concatenate([v.weights for v in docs])
+        return postings_index(pids, lens, terms, weights, "lexical")
+    table = TokenBatch.of(docs)
+    doc_len = np.array([v.n for v in docs], dtype=np.int64)
+    return postings_index(pids, table.lens, table.ids, table.counts, "bm25", doc_len)
+
+
+def postings_index(
+    pids: list[str],
+    lens: np.ndarray,
+    terms: np.ndarray,
+    weights: np.ndarray,
+    kind: str,
+    doc_len: np.ndarray | None = None,
+) -> InvertedIndex:
+    """The `kind` index over `pids` (ascending), whose row r holds the next
+    `lens[r]` entries of `terms` (ascending within a row) and `weights`.
+
+    Every entry lands in exactly one posting, and posting lists are ordered
+    by ascending passage id. `doc_len` gives each row's token count, which
+    only BM25 reads; without it every row counts zero.
+    """
+    if doc_len is None:
         doc_len = np.zeros(len(pids), dtype=np.int64)
-    else:
-        table = TokenBatch.of(docs)
-        terms, weights, lens = table.ids, table.counts, table.lens
-        doc_len = np.array([v.n for v in docs], dtype=np.int64)
     # A stable sort by term keeps each term's entries in ascending row order.
     order = np.argsort(terms, kind="stable")
     terms = terms[order]
@@ -103,7 +120,7 @@ def build_index(vectors: dict[str, TermVector] | dict[str, TermWeightVector]) ->
     return InvertedIndex(
         pids=pids,
         postings=postings,
-        kind="lexical" if learned else "bm25",
+        kind=kind,
         doc_len=doc_len,
         total_tokens=int(doc_len.sum()),
     )

@@ -1,7 +1,8 @@
 """Test oracles and helpers for what the library itself never runs.
 
 `relevance` is the bit-for-bit oracle of `sparse_index.sparse_scores` and of
-the lexical teacher, `params_digest` fingerprints a model's parameters, and
+the lexical teacher, `per_passage_lexical_index` that of a lexical
+`retrieval.encode_corpus`, `params_digest` fingerprints a model's parameters, and
 `save_teacher_scores` writes the score table `training.load_teacher_scores`
 reads. The per-set losses below (`set_contrastive`, `set_rank_consistent`,
 `set_margin_mse`, `set_kl`, `set_strategy_loss` and `set_flops`) are the
@@ -14,9 +15,11 @@ import math
 import os
 
 import numpy as np
+import pytest
 
-from lexlab.encoders import TermWeightVector
+from lexlab.encoders import TermWeightVector, lexical_encode
 from lexlab.objectives import LossValue
+from lexlab.sparse_index import build_index
 
 
 def ordered_total(values: np.ndarray) -> float:
@@ -29,6 +32,12 @@ def relevance(q_vec: TermWeightVector, p_vec: TermWeightVector) -> float:
     left to right in ascending term order."""
     _, qi, pi = np.intersect1d(q_vec.terms, p_vec.terms, assume_unique=True, return_indices=True)
     return ordered_total(q_vec.weights[qi] * p_vec.weights[pi])
+
+
+def per_passage_lexical_index(params, doc_tvs):
+    """The lexical index of `doc_tvs` built one `lexical_encode` per passage,
+    as `encode_corpus` built it before it dealt blocks over CPUs."""
+    return build_index({pid: lexical_encode(tv, params) for pid, tv in doc_tvs.items()})
 
 
 def params_digest(params) -> str:
@@ -151,3 +160,9 @@ def set_flops(terms: list[np.ndarray], values: list[np.ndarray], weight: float) 
 def set_usable_cpus(monkeypatch, n: int) -> None:
     """Make `workers.fork_map` see `n` usable CPUs, whatever the host has."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def assert_no_children() -> None:
+    """No child of this process is left unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

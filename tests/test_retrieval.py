@@ -28,6 +28,8 @@ from lexlab.retrieval import (
 from lexlab.sparse_index import InvertedIndex, Ranking, bm25_search, build_index, sparse_search
 from lexlab.data import QuerySet
 
+from helpers import assert_no_children, per_passage_lexical_index, set_usable_cpus
+
 FIXTURE = Path(__file__).parent / "data" / "metric_fixture"
 
 
@@ -134,6 +136,84 @@ class TestEncodeCorpus:
             for t, (rows, w) in a.postings.items():
                 assert rows.tobytes() == b.postings[t][0].tobytes()
                 assert w.tobytes() == b.postings[t][1].tobytes()
+
+
+# Blocks of three passages: "d2" is all out of the min_df=2 vocabulary and
+# "d4" is empty, so both encode to nothing.
+BLOCK_DOCS = {
+    "d0": "a b b", "d1": "b c", "d2": "x y", "d3": "a c c a", "d4": "", "d5": "c a", "d6": "b",
+}
+BLOCK_VOCAB = build_vocab(Corpus.from_docs(BLOCK_DOCS), min_df=2)
+
+
+def block_model(kind):
+    cls = DenseParams if kind == "dense" else LexicalParams
+    params = cls.init(BLOCK_VOCAB.size, 4, seed=7)
+    rng = np.random.default_rng(7)
+    # Random biases switch some lexical terms off and move dense outputs.
+    params.bias[:] = rng.normal(scale=0.2, size=params.bias.shape)
+    return params
+
+
+class TestEncodeBlocks:
+    """`encode_corpus` with a model deals blocks of `ENCODE_BLOCK` passages
+    over the usable CPUs; the index has the bytes of a passage-by-passage
+    encoding for any CPU count and block split."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["dense", "lexical"])
+    @pytest.mark.parametrize("given", [False, True], ids=["vectorized", "doc_tvs"])
+    @pytest.mark.parametrize("n_docs", [0, 1, 3, 4, 7])
+    def test_same_bytes_on_any_cpus_and_blocks(self, monkeypatch, cpus, kind, given, n_docs):
+        set_usable_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(retrieval, "ENCODE_BLOCK", 3)
+        corpus = Corpus.from_docs(dict(list(BLOCK_DOCS.items())[:n_docs]))
+        params = block_model(kind)
+        doc_tvs = {pid: vectorize(text, BLOCK_VOCAB) for pid, text in sorted(corpus.docs.items())}
+        index = encode_corpus(params, corpus, BLOCK_VOCAB, doc_tvs if given else None)
+        assert index.kind == kind
+        assert index.pids == sorted(corpus.docs)
+        if kind == "dense":
+            rows = [dense_encode(doc_tvs[pid], params) for pid in index.pids]
+            expected = np.array(rows).reshape(n_docs, params.dim)
+            assert index.matrix.shape == expected.shape
+            assert index.matrix.tobytes() == expected.tobytes()
+        else:
+            oracle = per_passage_lexical_index(params, doc_tvs)
+            assert index.pids == oracle.pids
+            assert index.doc_len.tobytes() == oracle.doc_len.tobytes()
+            assert index.total_tokens == oracle.total_tokens
+            assert list(index.postings) == list(oracle.postings)
+            for t, (rows, w) in oracle.postings.items():
+                assert index.postings[t][0].tobytes() == rows.tobytes()
+                assert index.postings[t][1].tobytes() == w.tobytes()
+        assert_no_children()
+
+    def test_empty_collection_index_kind_follows_the_model(self):
+        corpus = Corpus.from_docs({})
+        vocab = build_vocab(corpus)
+        lexical = LexicalParams.init(vocab.size, 4, seed=0)
+        index = encode_corpus(lexical, corpus, vocab)
+        assert index.kind == "lexical" and index.n_docs == 0
+        rankings = Retriever(lexical, index, vocab).search_all({"q1": "a b", "q2": ""}, 10)
+        assert [(r.ids, len(r.scores)) for r in rankings.values()] == [([], 0), ([], 0)]
+        dense = encode_corpus(DenseParams.init(vocab.size, 4, seed=0), corpus, vocab)
+        assert dense.matrix.shape == (0, 4)
+
+    @pytest.mark.parametrize("kind", ["dense", "lexical"])
+    def test_a_missing_vector_raises_the_same_key_error_on_any_cpus(self, monkeypatch, kind):
+        # Blocks of three: "d4" sits in the second block, a child's on two CPUs.
+        monkeypatch.setattr(retrieval, "ENCODE_BLOCK", 3)
+        corpus = Corpus.from_docs(BLOCK_DOCS)
+        doc_tvs = {pid: vectorize(text, BLOCK_VOCAB) for pid, text in BLOCK_DOCS.items() if pid != "d4"}
+        errors = []
+        for cpus in (1, 2):
+            set_usable_cpus(monkeypatch, cpus)
+            with pytest.raises(KeyError) as err:
+                encode_corpus(block_model(kind), corpus, BLOCK_VOCAB, doc_tvs)
+            errors.append((type(err.value), err.value.args))
+            assert_no_children()
+        assert errors == [(KeyError, ("d4",))] * 2
 
 
 class TestDenseSearch:

@@ -9,7 +9,7 @@ import pytest
 
 from lexlab.workers import fork_map
 
-from helpers import set_usable_cpus
+from helpers import assert_no_children, set_usable_cpus
 
 
 @pytest.fixture(autouse=True)
@@ -25,11 +25,6 @@ def deadline():
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
-
-
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 class Unrebuildable(Exception):
