@@ -30,7 +30,7 @@ from .data import (
     load_qrels,
     load_queries,
 )
-from .encoders import CheckpointMeta, DenseParams, LexicalParams, load_params, save_params
+from .encoders import PARAMS_BY_KIND, CheckpointMeta, load_params, save_params
 from .training import (
     PipelineConfig,
     config_digest,
@@ -160,13 +160,10 @@ def cmd_train(args) -> int:
     corpus, vocab, queries, qrels = training.load_train_data(cfg)
     pool = training.load_pool(args.pool)
     init = _load_model(args.init, vocab, cfg.min_df, cfg.max_vocab)
-    if init is not None:
-        if args.kind and args.kind != init.kind:
-            raise ValueError(f"--kind is {args.kind} but --init {args.init} holds a {init.kind} model")
-    elif args.kind == "lexical":
-        init = LexicalParams.init(vocab.size, cfg.dim, cfg.seed)
-    else:
-        init = DenseParams.init(vocab.size, cfg.dim, cfg.seed)
+    if init is None:
+        init = PARAMS_BY_KIND[args.kind or "dense"].init(vocab.size, cfg.dim, cfg.seed)
+    elif args.kind and args.kind != init.kind:
+        raise ValueError(f"--kind is {args.kind} but --init {args.init} holds a {init.kind} model")
     teacher = None
     if cfg.teacher_scores_file:
         teacher = training.table_teacher(training.load_teacher_scores(cfg.teacher_scores_file))
@@ -340,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one stage from a negative pool")
     p.add_argument("--config")
-    p.add_argument("--kind", choices=("dense", "lexical"),
+    p.add_argument("--kind", choices=tuple(PARAMS_BY_KIND),
                    help="model kind (default: that of --init, else dense)")
     p.add_argument("--stage", default="warmup")
     p.add_argument("--pool", required=True)

@@ -136,6 +136,7 @@ class LexicalParams(_FlatParams):
 
 
 Params = DenseParams | LexicalParams
+PARAMS_BY_KIND = {cls.kind: cls for cls in (DenseParams, LexicalParams)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -480,7 +481,7 @@ def load_params(path) -> tuple[Params, CheckpointMeta]:
         for key in ("stage", "config_digest"):
             if type(header.get(key, "")) is not str:
                 raise CheckpointError(f"{path}: {key} must be a string, got {header[key]!r}")
-        cls = next((c for c in (DenseParams, LexicalParams) if c.kind == header["kind"]), None)
+        cls = PARAMS_BY_KIND.get(header["kind"]) if type(header["kind"]) is str else None
         if cls is None:
             raise CheckpointError(f"{path}: unknown encoder kind {header['kind']!r}")
         sizes = header["vocab_size"], header["dim"]

@@ -30,11 +30,15 @@ from .data import (
     Vocabulary,
     build_vocab,
     check_id,
+    load_collection,
+    load_qrels,
+    load_queries,
     open_text,
     vectorize,
     vectorize_corpus,
 )
 from .encoders import (
+    PARAMS_BY_KIND,
     CheckpointMeta,
     DenseParams,
     LexicalParams,
@@ -751,8 +755,6 @@ def require_config_keys(cfg: PipelineConfig, keys: tuple[str, ...]) -> None:
 def load_train_data(cfg: PipelineConfig) -> tuple[Corpus, Vocabulary, QuerySet, Qrels]:
     """The collection, its vocabulary, and the training queries and qrels
     that `cfg` names; each of the three files is a required key."""
-    from .data import load_collection, load_qrels, load_queries
-
     require_config_keys(cfg, ("collection", "train_queries", "train_qrels"))
     corpus = load_collection(cfg.collection)
     vocab = build_vocab(corpus, cfg.min_df, cfg.max_vocab)
@@ -760,25 +762,32 @@ def load_train_data(cfg: PipelineConfig) -> tuple[Corpus, Vocabulary, QuerySet, 
 
 
 class Stage(NamedTuple):
-    """One training stage's recipe: its `TrainConfig.stage` phase, which
-    seeds the shuffle and goes into the checkpoint header, and the config
-    keys of its lr, epochs and negatives per query."""
+    """One training row's whole recipe: its `TrainConfig.stage` phase, which
+    seeds the shuffle and goes into the checkpoint header; its lr, epochs and
+    m config keys; its init, a fresh model of a kind or an earlier row's; its
+    pool; and the row whose model, or the teacher table, teaches it."""
 
     phase: str
     lr_key: str
     epochs_key: str
     m_key: str
+    init: str = ""
+    pool: str = ""
+    teacher: str = ""
 
 
-# The pipeline's stages, the lexical teacher's then the dense student's;
-# den2 and led_noreg, the ablation heads of the acceptance suite, train with
-# the led row.
+# The pipeline's rows, then the acceptance suite's ablation heads: den2 (DEN
+# Continue) trains on den1's own negatives, and led_noreg is led untaught.
 STAGES = {
-    "lex1": Stage("warmup", "lex_warmup_lr", "lex_epochs", "warmup_m"),
-    "lex2": Stage("continue", "lex_continue_lr", "lex_epochs", "warmup_m"),
-    "den1": Stage("warmup", "den_warmup_lr", "den_epochs", "warmup_m"),
-    "led": Stage("led", "led_lr", "led_epochs", "m"),
+    "lex1": Stage("warmup", "lex_warmup_lr", "lex_epochs", "warmup_m", "lexical", "bm25"),
+    "lex2": Stage("continue", "lex_continue_lr", "lex_epochs", "warmup_m", "lex1", "lex1"),
+    "den1": Stage("warmup", "den_warmup_lr", "den_epochs", "warmup_m", "dense", "bm25"),
+    "led": Stage("led", "led_lr", "led_epochs", "m", "den1", "mix", "lex2"),
+    "den2": Stage("led", "led_lr", "led_epochs", "m", "den1", "den1_sub"),
+    "led_noreg": Stage("led", "led_lr", "led_epochs", "m", "den1", "mix"),
 }
+# The pipeline's rows in training order; a round's rows train side by side.
+ROUNDS = (("lex1", "den1"), ("lex2",), ("led",))
 
 
 def stage_config(cfg: PipelineConfig, stage: Stage, strategy: str) -> TrainConfig:
@@ -811,16 +820,22 @@ class PipelineResult:
     digest: str
 
 
-def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> PipelineResult:
-    """Run warm-up, continue, and final training, then optionally evaluate.
+def run_pipeline(
+    cfg: PipelineConfig, out_dir: str | Path | None = None, heads: tuple[str, ...] = ()
+) -> PipelineResult:
+    """Train the `STAGES` rows of `ROUNDS` round by round, then the `heads`,
+    rows outside `ROUNDS`, as one last round; optionally evaluate them all.
 
-    Produces the four staged checkpoints of `STAGES` (lex1, lex2, den1,
-    led). Every input file is read before any work, the teacher table
-    whatever the strategy. Every mining pass is tagged by its source model
-    and checked against the qrels exclusion rule.
+    A round's rows train side by side, one `fork_map` item each, after the
+    pools, indexes and teachers they need are built here, once each. A bad
+    head is rejected before any input file is read, and every input file
+    before any work, the teacher table whatever the strategy. Every mining
+    pass is tagged by its source model and checked against qrels exclusion.
     """
-    from .data import load_qrels, load_queries
-
+    ablations = sorted(STAGES.keys() - {name for names in ROUNDS for name in names})
+    for name in heads:
+        if name not in ablations:
+            raise ValueError(f"head {name!r} is not one of {ablations}")
     if cfg.eval_queries or cfg.eval_qrels:  # evaluation needs both
         require_config_keys(cfg, ("eval_queries", "eval_qrels"))
     digest = config_digest(cfg, tuple(f.name for f in fields(cfg)))
@@ -835,76 +850,63 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> Pipe
     pools: dict[str, NegativePool] = {}
     logs: dict[str, TrainLog] = {}
     checkpoints: dict[str, Params] = {}
-    indexes: dict[str, object] = {}
+    metas: dict[str, CheckpointMeta] = {}
+    indexes: dict[str, object] = {"bm25": build_index(doc_tvs)}
+    teachers: dict[str, object] = {}
 
-    def train(name: str, pool: NegativePool, init: Params, strategy: str = "none", teacher=None):
+    # No nested function calls itself: that cycle would hold a pass until the cyclic GC.
+    def index(name: str):
+        if name not in indexes:
+            indexes[name] = retrieval.encode_corpus(checkpoints[name], corpus, vocab, doc_tvs)
+        return indexes[name]
+
+    def mine(name: str) -> NegativePool:
+        # "<source>" samples warmup_m of the top depth; "<source>_top" keeps the top mix_depth.
+        if name not in pools:
+            source, top = name.removesuffix("_top"), name.endswith("_top")
+            depth, m = (mix_depth, mix_depth) if top else (cfg.depth, cfg.warmup_m)
+            pools[name] = mine_negatives(
+                Retriever(checkpoints.get(source), index(source), vocab, cfg.bm25_k1, cfg.bm25_b),
+                queries, qrels, depth, m, cfg.seed, source=source, sample=not top,
+            )
+        return pools[name]
+
+    def pool(name: str) -> NegativePool:
+        if name == "mix" and name not in pools:
+            pools["mix"] = mix_pools(*map(mine, ("lex1_top", "lex2_top", "den1_top")), cfg.m, cfg.seed)
+        elif name == "den1_sub" and name not in pools:
+            pools["den1_sub"] = subsample_pool(mine("den1_top"), cfg.m, cfg.seed)
+        return pools[name] if name in pools else mine(name)
+
+    def train(name: str) -> tuple[Params, TrainLog]:
+        row = STAGES[name]
+        fresh = PARAMS_BY_KIND.get(row.init)
+        init = fresh.init(vocab.size, cfg.dim, cfg.seed) if fresh else checkpoints[row.init]
         return train_stage(
-            stage_config(cfg, STAGES[name], strategy),
-            vocab, corpus, queries, qrels, pool, init, teacher, doc_tvs,
+            stage_config(cfg, row, cfg.strategy if row.teacher else "none"),
+            vocab, corpus, queries, qrels, pools[row.pool], init, teachers.get(name), doc_tvs,
         )
 
-    def keep(name: str, trained: tuple[Params, TrainLog]) -> Params:
-        checkpoints[name], logs[name] = trained
-        return checkpoints[name]
-
-    # Warm-up: both retrievers on BM25 negatives.
-    bm25 = Retriever(None, build_index(doc_tvs), vocab, cfg.bm25_k1, cfg.bm25_b)
-    pools["bm25"] = mine_negatives(
-        bm25, queries, qrels, cfg.depth, cfg.warmup_m, cfg.seed, source="bm25"
-    )
-    # The two are independent, so den1 trains in a forked child while lex1
-    # trains here (with one usable CPU, one after the other).
-    warm = {"lex1": LexicalParams, "den1": DenseParams}
-    lex1, den1 = map(keep, warm, fork_map(
-        lambda name: train(name, pools["bm25"], warm[name].init(vocab.size, cfg.dim, cfg.seed)),
-        warm,
-    ))
-
-    # Continue: lexical retriever on its own warm-up negatives.
-    indexes["lex1"] = retrieval.encode_corpus(lex1, corpus, vocab, doc_tvs)
-    pools["lex1"] = mine_negatives(
-        Retriever(lex1, indexes["lex1"], vocab), queries, qrels,
-        cfg.depth, cfg.warmup_m, cfg.seed, source="lex1",
-    )
-    lex2 = keep("lex2", train("lex2", pools["lex1"], lex1))
-
-    # Final stage: mixture of full-depth negatives from lex1, lex2, den1.
-    indexes["lex2"] = retrieval.encode_corpus(lex2, corpus, vocab, doc_tvs)
-    indexes["den1"] = retrieval.encode_corpus(den1, corpus, vocab, doc_tvs)
-    for name in ("lex1", "lex2", "den1"):
-        pools[f"{name}_top"] = mine_negatives(
-            Retriever(checkpoints[name], indexes[name], vocab), queries, qrels,
-            mix_depth, mix_depth, cfg.seed, source=name, sample=False,
-        )
-    pools["mix"] = mix_pools(
-        pools["lex1_top"], pools["lex2_top"], pools["den1_top"], cfg.m, cfg.seed
-    )
-
-    teacher = None
-    if _needs_teacher(cfg.strategy):
-        if cfg.teacher_scores_file:
-            teacher = table_teacher(teacher_scores)
-        else:
-            teacher = model_teacher(lex2, indexes["lex2"], vocab, queries)
-    led = keep("led", train("led", pools["mix"], den1, cfg.strategy, teacher))
-
-    metas = {
-        name: CheckpointMeta(
-            stage=STAGES[name].phase,
-            step=logs[name].optimizer_steps,
-            seed=cfg.seed,
-            config_digest=digest,
-        )
-        for name in checkpoints
-    }
+    for names in (*ROUNDS, heads):
+        for name in names:
+            row = STAGES[name]
+            pool(row.pool)
+            if row.teacher and _needs_teacher(cfg.strategy):
+                teachers[name] = table_teacher(teacher_scores) if cfg.teacher_scores_file else (
+                    model_teacher(checkpoints[row.teacher], index(row.teacher), vocab, queries)
+                )
+        for name, (params, tlog) in zip(names, fork_map(train, names)):
+            checkpoints[name], logs[name] = params, tlog
+            metas[name] = CheckpointMeta(STAGES[name].phase, tlog.optimizer_steps, cfg.seed, digest)
 
     runs: dict[str, object] = {}
     reports: dict[str, object] = {}
     if cfg.eval_queries:
-        indexes["led"] = retrieval.encode_corpus(led, corpus, vocab, doc_tvs)
-        for name in STAGES:
+        # Every index before the first run: one encoded between runs raised peak RSS 4 MB.
+        searched = {name: index(name) for name in sorted(checkpoints, key=list(STAGES).index)}
+        for name, searched_index in searched.items():
             runs[name] = retrieval.make_run(
-                checkpoints[name], eval_queries, indexes[name], vocab, k=cfg.run_depth, tag=name
+                checkpoints[name], eval_queries, searched_index, vocab, k=cfg.run_depth, tag=name
             )
             reports[name] = retrieval.evaluate(runs[name], eval_qrels)
 

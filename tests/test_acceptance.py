@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lexlab import analysis, cli, gradcheck, retrieval, synthetic, training
-from lexlab.data import load_qrels, load_queries, vectorize_corpus
+from lexlab import analysis, cli, gradcheck, synthetic, training
+from lexlab.data import load_qrels
 from lexlab.encoders import TermWeightVector
 from lexlab.objectives import combined_loss, contrastive_loss, rank_consistent_loss
 from lexlab.retrieval import DenseIndex, dense_search, evaluate, format_report, load_run, mrr_at_k
@@ -72,30 +72,11 @@ def lab(tmp_path_factory):
         **PIPELINE_CONFIG,
     )
     start = time.perf_counter()
-    result = training.run_pipeline(cfg)
-    doc_tvs = vectorize_corpus(result.corpus, result.vocab)
-    # The ablation heads train with the led recipe from den1 without the
-    # teacher: den2 (the DEN Continue analog) on the dense model's own
-    # negatives, led_noreg on the mixed negatives.
-    heads = {}
-    for name, pool in (
-        ("den2", training.subsample_pool(result.pools["den1_top"], cfg.m, cfg.seed)),
-        ("led_noreg", result.pools["mix"]),
-    ):
-        heads[name], _ = training.train_stage(
-            training.stage_config(cfg, training.STAGES["led"], "none"),
-            result.vocab, result.corpus, result.queries, result.qrels,
-            pool, result.checkpoints["den1"], doc_tvs=doc_tvs,
-        )
-
-    test_queries = load_queries(cfg.eval_queries)
+    # The ablation heads: den2 (the DEN Continue analog) and led_noreg.
+    result = training.run_pipeline(cfg, heads=("den2", "led_noreg"))
     test_qrels = load_qrels(cfg.eval_qrels)
     k = min(cfg.run_depth, result.corpus.n_docs)
-    runs = dict(result.runs)
-    for name, params in heads.items():
-        index = retrieval.encode_corpus(params, result.corpus, result.vocab, doc_tvs)
-        runs[name] = retrieval.make_run(params, test_queries, index, result.vocab, k=k, tag=name)
-    mrr = {name: mrr_at_k(run, test_qrels, 10) for name, run in runs.items()}
+    mrr = {name: mrr_at_k(run, test_qrels, 10) for name, run in result.runs.items()}
     elapsed = time.perf_counter() - start
 
     def subset_mean(result_, prefix):
@@ -106,7 +87,7 @@ def lab(tmp_path_factory):
         "cfg": cfg,
         "dir": d,
         "result": result,
-        "runs": runs,
+        "runs": result.runs,
         "mrr": mrr,
         "qrels": test_qrels,
         "subset_mean": subset_mean,

@@ -272,8 +272,13 @@ class TestParamsIO:
     def test_header_of_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "lex.ckpt"
         save_params(rand_lexical(), CheckpointMeta(stage="s", step=0, seed=0), path)
-        path.write_bytes(path.read_bytes().replace(b'"kind": "lexical"', b'"kind": "fancy"', 1))
+        saved = path.read_bytes()
+        path.write_bytes(saved.replace(b'"kind": "lexical"', b'"kind": "fancy"', 1))
         with pytest.raises(CheckpointError, match="unknown encoder kind 'fancy'"):
+            load_params(path)
+        # A kind that is no string, even one that cannot key a dict, is unknown too.
+        path.write_bytes(saved.replace(b'"kind": "lexical"', b'"kind": ["lexical"]', 1))
+        with pytest.raises(CheckpointError, match=r"unknown encoder kind \['lexical'\]"):
             load_params(path)
 
     def test_digest_changes_with_values(self):

@@ -1,7 +1,11 @@
 import dataclasses
+import gc
 import hashlib
+import json
 import math
+import re
 import shutil
+import weakref
 
 import numpy as np
 import pytest
@@ -725,11 +729,42 @@ class TestPipeline:
             run_pipeline(cfg)
 
     def test_manifest_is_the_same_on_one_cpu_and_two(self, toy_fixture, tmp_path, monkeypatch):
-        for cpus in (1, 2):
-            set_usable_cpus(monkeypatch, cpus)
-            run_pipeline(toy_config(toy_fixture), out_dir=tmp_path / f"cpus{cpus}")
-        manifest = lambda cpus: (tmp_path / f"cpus{cpus}" / "manifest.json").read_bytes()
-        assert manifest(1) == manifest(2)
+        manifest = lambda out: (tmp_path / out / "manifest.json").read_bytes()
+        for heads in ((), ("den2", "led_noreg")):
+            for cpus in (1, 2):
+                set_usable_cpus(monkeypatch, cpus)
+                out = tmp_path / f"heads{len(heads)}-cpus{cpus}"
+                run_pipeline(toy_config(toy_fixture), out_dir=out, heads=heads)
+            assert manifest(f"heads{len(heads)}-cpus1") == manifest(f"heads{len(heads)}-cpus2")
+        # Heads add files of their own and leave every pipeline file's bytes alone.
+        base, got = (json.loads(manifest(out)) for out in ("heads0-cpus1", "heads2-cpus2"))
+        assert got["config_digest"] == base["config_digest"]
+        assert {name: got["files"][name] for name in base["files"]} == base["files"]
+        added = {name.split("/")[1] for name in got["files"].keys() - base["files"].keys()}
+        own = {f"{head}.{ext}" for head in ("den2", "led_noreg") for ext in ("ckpt", "trec", "tsv")}
+        assert added == own | {"den1_sub.tsv"}
+
+    @pytest.mark.parametrize("head", ["led", "lex1", "den3", ""])
+    def test_a_head_that_is_no_ablation_row_rejected(self, tmp_path, head):
+        # No input file exists, so the check runs before any is read or hashed.
+        absent = str(tmp_path / "absent.tsv")
+        cfg = PipelineConfig(**{key: absent for key in training.INPUT_FILE_KEYS})
+        expected = f"head {head!r} is not one of ['den2', 'led_noreg']"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            run_pipeline(cfg, heads=("den2", head))
+
+    def test_a_pass_frees_its_state(self, toy_fixture):
+        # With the cyclic GC off only reference counts free a pass, so a
+        # reference cycle through run_pipeline's closures would keep every
+        # model it trained alive.
+        gc.disable()
+        try:
+            result = run_pipeline(toy_config(toy_fixture))
+            led = weakref.ref(result.checkpoints["led"])
+            del result
+            assert led() is None
+        finally:
+            gc.enable()
 
     # The forced overflow is the point of the test, not a fault to report.
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -771,6 +806,8 @@ class TestPipeline:
             ("lex2", "continue", "lex_continue_lr", "lex_epochs", "warmup_m"),
             ("den1", "warmup", "den_warmup_lr", "den_epochs", "warmup_m"),
             ("led", "led", "led_lr", "led_epochs", "m"),
+            ("den2", "led", "led_lr", "led_epochs", "m"),
+            ("led_noreg", "led", "led_lr", "led_epochs", "m"),
         ],
     )
     def test_stage_table_recipe(self, name, phase, lr_key, epochs_key, m_key):
