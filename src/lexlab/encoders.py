@@ -19,8 +19,9 @@ table, `TokenBatch`, which `TokenBatch.of` builds from term vectors and
 whose `take` gathers any of its rows into a batch. Dense rows of equal
 length pool through one stacked matmul whose items are the per-row
 products, so a row gets the same bits alone (`dense_encode`) as in any
-batch. Lexical inputs stay one GEMM each (`lexical_trace`),
-because a GEMM over several inputs' tokens rounds differently. The GEMM
+batch. A lexical input in training is one GEMM
+(`lexical_trace`); a corpus reads one sparse score table per checkpoint
+(`LexicalTable`), whose rows have the bits of those GEMMs. The GEMM
 is tokens-major, so the max over tokens runs along contiguous rows, and
 its operand layouts make it round exactly as the vocabulary-major product
 `expand @ emb[ids].T`; the per-term bias is added after the max, which
@@ -309,6 +310,20 @@ def dense_backward_batch(
     return into
 
 
+# A product of at least two token rows and at most this many multiply-adds
+# gives each row the same bits as any other such product holding it
+# (OpenBLAS 0.3.31; `tests/test_engine.py` checks it by name). A one-row
+# product takes another kernel, and so do some larger ones, and both round
+# otherwise.
+ROW_EXACT_MULADDS = 10**6
+
+
+def token_scores(params: LexicalParams, ids: np.ndarray) -> np.ndarray:
+    """The tokens x |V| scores of the term ids `ids` against every term, in
+    the one call form that both `lexical_trace` and `LexicalTable` use."""
+    return np.asfortranarray(params.emb.take(ids, axis=0)) @ params.expand.T
+
+
 def lexical_trace(ids: np.ndarray, params: LexicalParams) -> LexicalTrace:
     """The lexical forward pass on ascending distinct term ids.
 
@@ -337,7 +352,7 @@ def lexical_trace(ids: np.ndarray, params: LexicalParams) -> LexicalTrace:
     # max_t fl(s_t + b) = fl(max_t s_t + b) and the bias is added after the
     # max. Adding it can turn s_1 < s_2 into a tie, so the argmax is taken
     # over s + b, on the active terms' columns.
-    scores = np.asfortranarray(params.emb.take(ids, axis=0)) @ params.expand.T
+    scores = token_scores(params, ids)
     zmax = np.maximum.reduce(scores)
     zmax += params.bias
     active = (zmax > 0.0).nonzero()[0]
@@ -355,6 +370,81 @@ def lexical_encode(tv: TermVector, params: LexicalParams) -> TermWeightVector:
     """
     trace = lexical_trace(np.array(sorted(tv.counts), dtype=np.int64), params)
     return TermWeightVector(trace.active_terms, trace.weights)
+
+
+class LexicalTable:
+    """The token-to-term scores of one lexical checkpoint that can win a max,
+    kept sparse: `encode` gives many inputs the weights `lexical_trace`
+    gives each.
+
+    Row t holds each term v with `not (S[t, v] + bias[v] <= 0)` (positive,
+    or NaN) and its score S[t, v]. A term is active for an input iff the max
+    of its tokens' scores plus the bias is positive; rounding is monotone,
+    so a score left out never beats a kept one, and a term with no kept
+    score stays inactive. The scores come from `token_scores` over blocks
+    of at least two rows and at most `ROW_EXACT_MULADDS` multiply-adds, so
+    a row has the bits that the product of any input of 2 to `max_tokens`
+    tokens gives it. Any other input takes its own product. The table is
+    built only when such inputs can exist, and on a trained checkpoint few
+    scores are positive, so it is small.
+    """
+
+    # Cells of the rows x |V| max that one chunk of inputs fills; a larger
+    # chunk raised search-large's peak RSS.
+    CHUNK_CELLS = 1 << 16
+
+    def __init__(self, params: LexicalParams):
+        vocab_size = params.vocab_size
+        self.params = params
+        self.max_tokens = ROW_EXACT_MULADDS // max(1, vocab_size * params.dim)
+        cells, scores = [np.empty(0, dtype=np.int64)], [np.empty(0)]  # cell t * |V| + v, S[t, v]
+        if self.max_tokens >= 2 and vocab_size >= 2:
+            for lo in range(0, vocab_size, self.max_tokens):
+                first = min(lo, vocab_size - 2)  # a last block of one row takes two
+                block = token_scores(params, np.arange(first, min(lo + self.max_tokens, vocab_size)))
+                block = block[lo - first :]
+                keep = np.flatnonzero(~(block + params.bias <= 0.0))
+                cells.append(keep + lo * vocab_size)
+                scores.append(block.reshape(-1)[keep])
+        cells = np.concatenate(cells)
+        self.terms, self.scores = cells % vocab_size, np.concatenate(scores)
+        self.counts = np.bincount(cells // vocab_size, minlength=vocab_size)
+        self.starts = np.cumsum(self.counts) - self.counts
+
+    def encode(self, batch: TokenBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every row's active term count, then all their ascending terms and
+        all their weights, row after row, with the bits `lexical_trace` gives.
+
+        A chunk of rows takes its max over tokens in one rows x |V| array,
+        then adds the bias and keeps the positive maxima as `lexical_trace`
+        does. A row of 2 to `max_tokens` tokens fills its row of that array
+        from the table, any other from its own `token_scores`.
+        """
+        vocab_size, params = self.params.vocab_size, self.params
+        step = max(1, self.CHUNK_CELLS // max(1, vocab_size))
+        out = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))]
+        for lo in range(0, len(batch), step):
+            rows = batch.take(np.arange(lo, min(lo + step, len(batch))))
+            zmax = np.full((len(rows), vocab_size), -np.inf)
+            tabled = (rows.lens >= 2) & (rows.lens <= self.max_tokens)
+            for r in np.flatnonzero(~tabled & (rows.lens > 0)).tolist():
+                a = int(rows.starts[r])
+                zmax[r] = np.maximum.reduce(token_scores(params, rows.ids[a : a + int(rows.lens[r])]))
+            # Each token of a table row max-es its row of the table into the
+            # input's row. np.maximum passes a NaN on as the trace's max
+            # does, though `.at` flags it as invalid where the max does not.
+            row_of = np.repeat(np.arange(len(rows)), rows.lens)
+            tokens, row_of = rows.ids[tabled[row_of]], row_of[tabled[row_of]]
+            n = self.counts[tokens]
+            at = np.repeat(self.starts[tokens] - (np.cumsum(n) - n), n) + np.arange(n.sum())
+            cells = zmax.reshape(-1)
+            with np.errstate(invalid="ignore"):
+                np.maximum.at(cells, np.repeat(row_of * vocab_size, n) + self.terms[at], self.scores[at])
+            zmax += params.bias
+            positive = zmax > 0.0
+            active = positive.reshape(-1).nonzero()[0]
+            out.append((np.count_nonzero(positive, axis=1), active % vocab_size, np.log1p(cells[active])))
+        return tuple(np.concatenate(part) for part in zip(*out))
 
 
 class LexicalRoutes:

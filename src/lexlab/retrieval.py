@@ -19,11 +19,11 @@ from .data import (
     vectorize, vectorize_corpus,
 )
 from .encoders import (
+    LexicalTable,
     Params,
     TokenBatch,
     dense_encode_batch,
     lexical_encode,
-    lexical_trace,
 )
 from .sparse_index import (
     InvertedIndex,
@@ -42,7 +42,8 @@ DEFAULT_RUN_DEPTH = 1000
 # search-large fixture, blocks of 1024 raised the peak allocation of dense
 # encoding from 1.1 MB (one passage at a time) to 3.6 MB, and blocks of 256
 # hold it at 1.7 MB at the same speed, in 32 blocks that two CPUs share
-# evenly.
+# evenly. A lexical block holds only its packed output: it reads the
+# checkpoint's `LexicalTable` in chunks of `LexicalTable.CHUNK_CELLS`.
 ENCODE_BLOCK = 256
 
 
@@ -78,29 +79,28 @@ def encode_corpus(
     passage is vectorized where it is encoded. With a model, the passages
     go in blocks of `ENCODE_BLOCK`, dealt over the usable CPUs by
     `workers.fork_map`. A dense block is one `dense_encode_batch`. A lexical
-    block is one `lexical_trace` per passage, sent back as three packed
-    arrays (each passage's active term count, then all their terms and all
-    their weights) that `postings_index` reads. A passage gets the same bits
-    in any block on any CPU, and the index kind is the model's, for an
-    empty collection too.
+    model's `LexicalTable` is built once, before the blocks, and each block
+    is one `LexicalTable.encode`, sent back as three packed arrays (each
+    passage's active term count, then all their terms and all their
+    weights) that `postings_index` reads. A passage gets the bits of its
+    own `lexical_encode` (or `dense_encode`) in any block on any CPU, and
+    the index kind is the model's, for an empty collection too.
     """
     pids = sorted(corpus.docs)
     if params is None:
         return build_index(doc_tvs or vectorize_corpus(corpus, vocab))
+
+    if params.kind == "dense":
+        encode = lambda batch: dense_encode_batch(params, batch)[0]
+    else:
+        encode = LexicalTable(params).encode
 
     def encode_block(block: list[str]):
         if doc_tvs:
             tvs = [doc_tvs[pid] for pid in block]
         else:
             tvs = [vectorize(corpus.docs[pid], vocab) for pid in block]
-        if params.kind == "dense":
-            return dense_encode_batch(params, TokenBatch.of(tvs))[0]
-        traces = [lexical_trace(np.array(sorted(tv.counts), dtype=np.int64), params) for tv in tvs]
-        return (
-            np.array([len(tr.weights) for tr in traces], dtype=np.int64),
-            np.concatenate([tr.active_terms for tr in traces]),
-            np.concatenate([tr.weights for tr in traces]),
-        )
+        return encode(TokenBatch.of(tvs))
 
     blocks = fork_map(encode_block, [pids[i : i + ENCODE_BLOCK] for i in range(0, len(pids), ENCODE_BLOCK)])
     # Each concatenation starts from an empty array of its dtype and shape,

@@ -62,7 +62,7 @@ from .objectives import (
 )
 from . import retrieval
 from .retrieval import Retriever
-from .sparse_index import InvertedIndex, build_index, sparse_scores
+from .sparse_index import InvertedIndex, Ranking, build_index, sparse_scores
 from .workers import fork_map
 
 log = logging.getLogger(__name__)
@@ -226,6 +226,20 @@ def mine_negatives(
         )
     validate_pool(pool, qrels)
     return pool
+
+
+class _Searched:
+    """A `mine_negatives` retriever that cuts each query's ranking from one
+    search of all queries at `depth`, to any depth up to that. With exact
+    top-k and its fixed tie-break, the top k of a deeper search is the top-k
+    search itself."""
+
+    def __init__(self, retriever: Retriever, queries: QuerySet, depth: int):
+        self.rankings = retriever.search_all(queries.queries, depth)
+
+    def search(self, text: str, k: int, qid: str = "") -> Ranking:
+        ranking = self.rankings[qid]
+        return Ranking(qid, ranking.ids[:k], ranking.scores[:k])
 
 
 def _sample_union(
@@ -788,6 +802,9 @@ STAGES = {
 }
 # The pipeline's rows in training order; a round's rows train side by side.
 ROUNDS = (("lex1", "den1"), ("lex2",), ("led",))
+# The pools built from mined ones: the mixture of the three `*_top` pools,
+# and den1's own top pool subsampled to `m`.
+BUILT_POOLS = {"mix": ("lex1_top", "lex2_top", "den1_top"), "den1_sub": ("den1_top",)}
 
 
 def stage_config(cfg: PipelineConfig, stage: Stage, strategy: str) -> TrainConfig:
@@ -833,9 +850,11 @@ def run_pipeline(
     pass is tagged by its source model and checked against qrels exclusion.
     """
     ablations = sorted(STAGES.keys() - {name for names in ROUNDS for name in names})
-    for name in heads:
+    for k, name in enumerate(heads):
         if name not in ablations:
             raise ValueError(f"head {name!r} is not one of {ablations}")
+        if name in heads[:k]:
+            raise ValueError(f"head {name!r} is named twice")
     if cfg.eval_queries or cfg.eval_qrels:  # evaluation needs both
         require_config_keys(cfg, ("eval_queries", "eval_qrels"))
     digest = config_digest(cfg, tuple(f.name for f in fields(cfg)))
@@ -860,23 +879,37 @@ def run_pipeline(
             indexes[name] = retrieval.encode_corpus(checkpoints[name], corpus, vocab, doc_tvs)
         return indexes[name]
 
+    # The mined pools the run reads: each row's pool, or those it is built from.
+    wanted = {
+        part for names in (*ROUNDS, heads) for name in names
+        for part in BUILT_POOLS.get(STAGES[name].pool, (STAGES[name].pool,))
+    }
+
     def mine(name: str) -> NegativePool:
-        # "<source>" samples warmup_m of the top depth; "<source>_top" keeps the top mix_depth.
+        # "<source>" samples warmup_m of the top depth; "<source>_top" keeps the
+        # top mix_depth. One search per query serves every pool the run reads
+        # from a source, and no ranking outlives the mining.
         if name not in pools:
-            source, top = name.removesuffix("_top"), name.endswith("_top")
-            depth, m = (mix_depth, mix_depth) if top else (cfg.depth, cfg.warmup_m)
-            pools[name] = mine_negatives(
-                Retriever(checkpoints.get(source), index(source), vocab, cfg.bm25_k1, cfg.bm25_b),
-                queries, qrels, depth, m, cfg.seed, source=source, sample=not top,
-            )
+            source = name.removesuffix("_top")
+            retriever = Retriever(checkpoints.get(source), index(source), vocab, cfg.bm25_k1, cfg.bm25_b)
+            searched = _Searched(retriever, queries, max(cfg.depth, mix_depth))
+            for part in (source, f"{source}_top"):
+                top = part != source
+                depth, m = (mix_depth, mix_depth) if top else (cfg.depth, cfg.warmup_m)
+                if part in wanted:
+                    pools[part] = mine_negatives(
+                        searched, queries, qrels, depth, m, cfg.seed, source=source, sample=not top
+                    )
         return pools[name]
 
     def pool(name: str) -> NegativePool:
-        if name == "mix" and name not in pools:
-            pools["mix"] = mix_pools(*map(mine, ("lex1_top", "lex2_top", "den1_top")), cfg.m, cfg.seed)
-        elif name == "den1_sub" and name not in pools:
-            pools["den1_sub"] = subsample_pool(mine("den1_top"), cfg.m, cfg.seed)
-        return pools[name] if name in pools else mine(name)
+        if name not in pools:
+            parts = [mine(part) for part in BUILT_POOLS.get(name, (name,))]
+            if name == "mix":
+                pools[name] = mix_pools(*parts, cfg.m, cfg.seed)
+            elif name == "den1_sub":
+                pools[name] = subsample_pool(*parts, cfg.m, cfg.seed)
+        return pools[name]
 
     def train(name: str) -> tuple[Params, TrainLog]:
         row = STAGES[name]

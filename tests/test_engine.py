@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from lexlab import retrieval, training
 from lexlab.data import Corpus, QuerySet, TermVector, build_vocab, vectorize
 from lexlab.encoders import (
+    ROW_EXACT_MULADDS,
     DenseParams,
     LexicalParams,
     LexicalRoutes,
@@ -25,6 +26,7 @@ from lexlab.encoders import (
     dense_encode_batch,
     lexical_encode,
     lexical_trace,
+    token_scores,
 )
 from lexlab.objectives import flops_penalty, make_rank_pairs, margin_mse_loss, rank_consistent_loss
 from lexlab.retrieval import Retriever, encode_corpus
@@ -230,6 +232,30 @@ class TestLexicalEncodeIsBitIdentical:
         p.bias[:] = -100.0
         inactive = TermVector(counts={0: 1, 6: 2}, n=3)
         assert not len(lexical_encode(inactive, p).terms) and not len(trace_of(inactive, p).source_token)
+
+
+class TestBlasRowBits:
+    """The BLAS property `LexicalTable` rests on, named, so that a BLAS
+    without it fails here and not only in a pinned digest."""
+
+    @given(seed=st.integers(0, 10_000), dim=st.integers(1, 64), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_a_row_gets_the_same_bits_in_any_product_of_two_or_more_rows(self, seed, dim, data):
+        # Every product here has at least two rows and at most
+        # ROW_EXACT_MULADDS multiply-adds.
+        vocab_size = data.draw(st.integers(2, min(3000, ROW_EXACT_MULADDS // (2 * dim))))
+        most = ROW_EXACT_MULADDS // (vocab_size * dim)
+        rng = np.random.default_rng(seed)
+        p = LexicalParams(vocab_size, dim)
+        p.emb, p.expand = rng.uniform(-1.0, 1.0, size=(2, vocab_size, dim))
+        row = int(rng.integers(vocab_size))
+        bits = set()
+        for n in (2, most, *rng.integers(2, most + 1, size=3).tolist()):
+            ids = rng.integers(vocab_size, size=n)
+            at = int(rng.integers(n))
+            ids[at] = row
+            bits.add(token_scores(p, ids)[at].tobytes())
+        assert len(bits) == 1
 
 
 class TestEveryCallerTracesTheSameBits:

@@ -6,9 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from lexlab.data import Corpus, FormatError, build_vocab, load_qrels, vectorize, vectorize_corpus
-from lexlab.encoders import DenseParams, LexicalParams, dense_encode, lexical_encode
+from lexlab.data import (
+    Corpus, FormatError, TermVector, build_vocab, load_qrels, vectorize, vectorize_corpus,
+)
+from lexlab.encoders import ROW_EXACT_MULADDS, DenseParams, LexicalParams, dense_encode, lexical_encode
 from lexlab import retrieval
 from lexlab.retrieval import (
     DenseIndex,
@@ -214,6 +217,70 @@ class TestEncodeBlocks:
             errors.append((type(err.value), err.value.args))
             assert_no_children()
         assert errors == [(KeyError, ("d4",))] * 2
+
+
+# (|V|, dim) pairs whose score table, in blocks of `ROW_EXACT_MULADDS //
+# (|V| dim)` rows, would end in a block of one row.
+ONE_ROW_LAST_BLOCK = [
+    (v, d) for v in range(2, 301) for d in range(1, 65)
+    if 2 <= (rows := ROW_EXACT_MULADDS // (v * d)) < v and v % rows == 1
+]
+
+
+def table_model(case, seed, vocab_size, dim):
+    """A lexical model: fresh from `init` (half its scores positive), or
+    random with some terms off, with one NaN entry, or with a bias rounding
+    tie between tokens 0 and 1 on term 2."""
+    if case == "init":
+        return LexicalParams.init(vocab_size, dim, seed)
+    rng = np.random.default_rng(seed)
+    p = LexicalParams(vocab_size, dim)
+    p.emb, p.expand = rng.uniform(-0.8, 0.8, size=(2, vocab_size, dim))
+    p.bias = rng.uniform(-0.3, 0.1, size=vocab_size)
+    if case == "nan":
+        p.flat[rng.integers(p.flat.size)] = np.nan
+    if case == "tie" and vocab_size >= 3:
+        # Token 0 scores 1 and token 1 scores 1 + 2^-52 on term 2; the bias
+        # 1.0 rounds both sums to 2.0.
+        p.emb[:2], p.expand[2] = 0.0, 0.0
+        p.emb[:2, 0], p.expand[2, 0], p.bias[2] = [1.0, np.nextafter(1.0, 2.0)], 1.0, 1.0
+    return p
+
+
+class TestEncodeFromTheTable:
+    """A lexical `encode_corpus` reads each passage of 2 to `max_tokens`
+    tokens from one score table per checkpoint, and gives any other its own
+    product; the index has the bits of a passage-by-passage `lexical_encode`."""
+
+    @given(case=st.sampled_from(["random", "init", "nan", "tie"]), seed=st.integers(0, 10_000),
+           sizes=st.one_of(st.sampled_from(ONE_ROW_LAST_BLOCK),
+                           st.tuples(st.integers(1, 300), st.integers(1, 64))),
+           lens=st.lists(st.integers(0, 100), max_size=4))
+    @example(case="random", seed=1, sizes=(300, 64), lens=[100])  # 100 x 300 x 64 > 10^6
+    @example(case="random", seed=2, sizes=(139, 52), lens=[2])  # a one-row last block
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_passage_encode(self, case, seed, sizes, lens):
+        vocab_size, dim = sizes
+        p = table_model(case, seed, vocab_size, dim)
+        rng = np.random.default_rng(seed)
+        passages = [
+            [],  # all out of the vocabulary
+            rng.choice(vocab_size, size=1).tolist(),
+            list(range(vocab_size))[-2:],  # the table's last rows
+            list(range(vocab_size))[:2],  # the tie, in that case
+            *(rng.choice(vocab_size, size=min(n, vocab_size), replace=False).tolist()
+              for n in [100, *lens]),
+        ]
+        doc_tvs = {f"d{i}": TermVector(counts={t: 1 for t in ids}, n=len(ids) + 1)
+                   for i, ids in enumerate(passages)}
+        # With the vectors given, the texts and the vocabulary go unread.
+        index = encode_corpus(p, Corpus.from_docs({pid: "x" for pid in doc_tvs}), BLOCK_VOCAB, doc_tvs)
+        oracle = per_passage_lexical_index(p, doc_tvs)
+        assert index.pids == oracle.pids
+        assert list(index.postings) == list(oracle.postings)
+        for t, (rows, w) in oracle.postings.items():
+            assert index.postings[t][0].tobytes() == rows.tobytes()
+            assert index.postings[t][1].tobytes() == w.tobytes()
 
 
 class TestDenseSearch:

@@ -753,6 +753,36 @@ class TestPipeline:
         with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
             run_pipeline(cfg, heads=("den2", head))
 
+    def test_a_head_named_twice_rejected(self, tmp_path):
+        # No input file exists, so the check runs before any is read or hashed.
+        absent = str(tmp_path / "absent.tsv")
+        cfg = PipelineConfig(**{key: absent for key in training.INPUT_FILE_KEYS})
+        with pytest.raises(ValueError, match="^head 'den2' is named twice$"):
+            run_pipeline(cfg, heads=("den2", "led_noreg", "den2"))
+
+    def test_each_model_searches_each_training_query_once(self, toy_fixture, monkeypatch):
+        # lex1 feeds two pools, its sampled top `depth` and its whole top
+        # `mix_depth`; one search at the deeper depth serves both, cut to
+        # what a search at each depth finds.
+        searched = []
+        real = Retriever.search_all
+
+        def recording(self, texts, k):
+            searched.extend((id(self.index), qid) for qid in texts)
+            return real(self, texts, k)
+
+        monkeypatch.setattr(training.Retriever, "search_all", recording)
+        cfg = toy_config(toy_fixture, mix_depth=20, eval_queries="", eval_qrels="")
+        result = run_pipeline(cfg)
+        monkeypatch.undo()
+        n_queries = len(result.queries.queries)
+        assert len(searched) == len(set(searched)) == 4 * n_queries  # bm25, lex1, lex2, den1
+        lex1 = result.checkpoints["lex1"]
+        retriever = Retriever(lex1, encode_corpus(lex1, result.corpus, result.vocab), result.vocab)
+        for name, depth, m, sample in (("lex1", 12, 3, True), ("lex1_top", 20, 20, False)):
+            direct = mine_negatives(retriever, result.queries, result.qrels, depth, m, 5, "lex1", sample)
+            assert direct.by_query == result.pools[name].by_query
+
     def test_a_pass_frees_its_state(self, toy_fixture):
         # With the cyclic GC off only reference counts free a pass, so a
         # reference cycle through run_pipeline's closures would keep every
