@@ -210,10 +210,14 @@ def histogram_counts(values: list[float], bins: int) -> list[int]:
 
 
 def emit_histogram(sample: DiscrepancySample, bins: int = 20) -> str:
-    """TSV histogram of normalized scores per model and stratum."""
+    """TSV histogram of normalized scores per model and stratum; a NaN score,
+    which falls in no bin, is an error that names its model and pair."""
     lines = ["stratum\tmodel\tbin_lo\tbin_hi\tcount"]
     for stratum_name, rows in (("lex-biased", sample.biased), ("lex-unbiased", sample.unbiased)):
         for model, col in (("lex", 2), ("den", 3), ("led", 4)):
+            nan = next((r for r in rows if math.isnan(r[col])), None)
+            if nan:
+                raise ValueError(f"the normalized {model} score of {nan[:2]} is NaN")
             counts = histogram_counts([r[col] for r in rows], bins)
             for i, c in enumerate(counts):
                 lines.append(

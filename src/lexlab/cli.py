@@ -215,7 +215,7 @@ def cmd_evaluate(args) -> int:
     else:
         sys.stdout.write(retrieval.format_report(report, per_query=args.per_query))
     if args.out:
-        Path(args.out).write_text(retrieval.format_report(report, per_query=True))
+        Path(args.out).write_text(retrieval.format_report(report, per_query=True), encoding="utf-8")
     return 0
 
 
@@ -244,7 +244,7 @@ def cmd_buckets(args) -> int:
     text = analysis.format_bucket_table(table)
     sys.stdout.write(text)
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(text, encoding="utf-8")
     return 0
 
 
@@ -260,7 +260,7 @@ def cmd_shift(args) -> int:
     sys.stdout.write(text)
     print(f"pairs: lex-biased={len(sample.biased)} lex-unbiased={len(sample.unbiased)}")
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(text, encoding="utf-8")
     return 0
 
 
@@ -305,7 +305,7 @@ def cmd_sweep(args) -> int:
     sys.stdout.write(table)
     out = Path(args.out_dir) / "sweep.tsv"
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(table)
+    out.write_text(table, encoding="utf-8")
     return 0
 
 

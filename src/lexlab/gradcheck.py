@@ -90,14 +90,9 @@ def fd_max_rel_error(x: np.ndarray, forward, analytic: np.ndarray, eps: float, u
     return worst
 
 
-def grad_check(
-    kind: str,
-    params: Params,
-    sample: TermVector,
-    eps: float = 1e-5,
-    seed: int = 0,
-) -> float:
-    """Max relative error between analytic and central-difference encoder gradients.
+def grad_check(params: Params, sample: TermVector, eps: float = 1e-5, seed: int = 0) -> float:
+    """Max relative error between analytic and central-difference gradients
+    of the encoder `params.kind`.
 
     The scalar objective is a fixed random linear functional of the encoder
     output. Coordinates whose +/-eps perturbations land on different sides of
@@ -108,7 +103,7 @@ def grad_check(
     p = params.copy()
     grads = p.zeros_like()
     batch = TokenBatch.of([sample])
-    if kind == "dense":
+    if p.kind == "dense":
         probe = rng.normal(size=p.dim)
 
         def forward():
@@ -116,7 +111,7 @@ def grad_check(
 
         pooled = dense_encode_batch(p, batch)[1]
         dense_backward_batch(p, batch, pooled, probe[None], grads)
-    elif kind == "lexical":
+    else:
         probe = rng.normal(size=p.vocab_size)
 
         def forward():
@@ -128,13 +123,12 @@ def grad_check(
         routes = LexicalRoutes(p, grads)
         routes.add(trace, probe[trace.active_terms])
         routes.flush()
-    else:
-        raise ValueError(f"unknown encoder kind {kind!r}")
     return fd_max_rel_error(p.flat, forward, grads.flat, eps)
 
 
 def _loss_and_structure(name: str, scores: np.ndarray, teacher: np.ndarray, pairs: RankPairSet):
-    """Evaluate one named loss as training does; returns (LossValue, discrete structure).
+    """Evaluate one named loss of one set as training does; returns (LossValue
+    of the one-row matrix, discrete structure).
 
     "contrastive" and "combined" are the training losses of the strategies
     "none" and "rank-consistent" (weight 1.2); the others are the teaching
@@ -142,17 +136,17 @@ def _loss_and_structure(name: str, scores: np.ndarray, teacher: np.ndarray, pair
     `make_rank_pairs`, built once per check as `train_stage` builds it once
     per query.
     """
+    s, t = scores[None], teacher[None]
     if name == "contrastive":
-        lv = strategy_loss("none", scores)[0]
+        lv = strategy_loss("none", s)[0]
     elif name == "combined":
-        lv = strategy_loss("rank-consistent", scores, teacher, reg_weight=1.2, pairs=pairs)[0]
+        lv = strategy_loss("rank-consistent", s, t, reg_weight=1.2, pairs=pairs)[0]
     else:
-        lv = TEACHING_LOSSES[name](scores, teacher, pairs, 2.0)
+        lv = TEACHING_LOSSES[name](s, t, pairs, 2.0)
     if name not in ("rank-consistent", "combined"):
         return lv, b""
-    s = scores
     # Which rank pairs' hinges are active: s(other) > s(preferred).
-    return lv, (pairs.mask & (s[None, :] > s[:, None])).tobytes()
+    return lv, (pairs.mask & (s > s.T)).tobytes()
 
 
 def loss_grad_check(name: str, seed: int, eps: float = 1e-5) -> float:
@@ -169,9 +163,9 @@ def loss_grad_check(name: str, seed: int, eps: float = 1e-5) -> float:
         values = np.split(x, 3)
 
         def forward():
-            return flops_penalty(terms, values, weight=0.7).loss, b""
+            return flops_penalty(terms, values, 0.7, [3]).loss[0], b""
 
-        analytic = flops_penalty(terms, values, weight=0.7).grad
+        analytic = flops_penalty(terms, values, 0.7, [3]).grad
         return fd_max_rel_error(x, forward, analytic, eps)
 
     scores = rng.normal(size=LOSS_NEGS + 1)  # x: the array the loss reads
@@ -180,9 +174,9 @@ def loss_grad_check(name: str, seed: int, eps: float = 1e-5) -> float:
 
     def forward():
         lv, structure = _loss_and_structure(name, scores, teacher, pairs)
-        return lv.loss, structure
+        return lv.loss[0], structure
 
-    analytic = _loss_and_structure(name, scores, teacher, pairs)[0].grad
+    analytic = _loss_and_structure(name, scores, teacher, pairs)[0].grad[0]
     return fd_max_rel_error(scores, forward, analytic, eps)
 
 
@@ -228,7 +222,7 @@ def composed_grad_check(kind: str, loss_name: str, seed: int, eps: float = 1e-5)
             return [0.0], [np.zeros(len(scores[0]))]
         lv, structure = _loss_and_structure(loss_name, scores[0], teacher, pairs)
         loss_structure.append(structure)
-        return [lv.loss], [lv.grad]
+        return lv.loss, lv.grad
 
     def forward():
         loss_structure.clear()
@@ -272,7 +266,7 @@ def _encoder_check(kind: str, seed: int, t: int, eps: float) -> float:
     ids = rng.choice(vocab_size, size=k, replace=False)
     counts = {int(i): int(rng.integers(1, 3)) for i in ids}
     tv = TermVector(counts=counts, n=sum(counts.values()))
-    return grad_check(kind, params, tv, eps=eps, seed=seed + t)
+    return grad_check(params, tv, eps=eps, seed=seed + t)
 
 
 def run_suite(trials: int = 100, seed: int = 0, eps: float = 1e-5) -> GradCheckReport:

@@ -1,17 +1,17 @@
 """Training losses over candidate sets.
 
-A candidate set is one or two aligned float64 arrays: the student's
-`scores` and the teacher's `teacher` scores, with index 0 the positive and
-the negatives after it. Every loss takes one set's vector or a (sets x
-candidates) matrix whose rows are sets of one length, and gives each row the
-bits that set gets alone: row maxima and sums run along C-contiguous rows,
-logarithms are `math.log` per row, and the pair and left-to-right sums keep
-each row's order. It returns its value together with the exact gradient
-with respect to the student scores (a float and a vector for one set, one
-entry and one row per set for a matrix), or for flops_penalty the lexical
-term weights. Softmax-based losses are stabilized by max subtraction. The
-rank-consistent hinge penalizes only pairs the student orders against the
-teacher; agreement, including exact ties, costs nothing.
+A candidate set is one row of one or two aligned float64 (sets x
+candidates) matrices: the student's `scores` and the teacher's `teacher`
+scores, with column 0 the positive and the negatives after it, every row a
+set of the same length; one set is a one-row matrix (`x[None]`). Every loss
+gives each row the bits that set gets alone: row maxima and sums run along
+C-contiguous rows, logarithms are `math.log` per row, and the pair and
+left-to-right sums keep each row's order. It returns one value per row
+together with the exact gradient with respect to the student scores (one
+row per set), or for flops_penalty one value per set of vectors and the
+gradient over their term weights. Softmax-based losses are stabilized by
+max subtraction. The rank-consistent hinge penalizes only pairs the student
+orders against the teacher; agreement, including exact ties, costs nothing.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 @dataclass
 class LossValue:
-    loss: float | np.ndarray  # one entry per row for a matrix of sets
+    loss: np.ndarray  # one entry per set
     grad: np.ndarray
 
 
@@ -55,18 +55,6 @@ class RankPairSet:
         return int(np.count_nonzero(self.mask))
 
 
-def _rows(x: np.ndarray) -> np.ndarray:
-    """One set's vector as a one-row matrix; a matrix as it is."""
-    return x[None] if x.ndim == 1 else x
-
-
-def _value(loss: np.ndarray, grad: np.ndarray, like: np.ndarray) -> LossValue:
-    """Row results, as one set's float and vector when `like` is a vector."""
-    if like.ndim == 1:
-        return LossValue(loss=float(loss[0]), grad=grad[0])
-    return LossValue(loss=loss, grad=grad)
-
-
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
     shifted = scores - scores.max(axis=1, keepdims=True)
     log_z = [math.log(z) for z in np.exp(shifted).sum(axis=1).tolist()]
@@ -76,15 +64,14 @@ def _log_softmax(scores: np.ndarray) -> np.ndarray:
 
 def contrastive_loss(scores: np.ndarray) -> LossValue:
     """-log softmax at the positive over raw dot-product logits."""
-    s = _rows(scores)
-    if s.shape[1] < 2:
+    if scores.shape[1] < 2:
         raise ValueError("contrastive loss needs at least one negative")
-    if np.isnan(s).any():
+    if np.isnan(scores).any():
         raise ValueError("NaN score in candidate set")
-    logp = _log_softmax(s)
+    logp = _log_softmax(scores)
     grad = np.exp(logp)
     grad[:, 0] -= 1.0
-    return _value(-logp[:, 0], grad, scores)
+    return LossValue(loss=-logp[:, 0], grad=grad)
 
 
 def make_rank_pairs(teacher: np.ndarray) -> RankPairSet:
@@ -142,7 +129,7 @@ def rank_consistent_loss(
     pair; the subgradient at an exact tie is zero. `pairs` is
     `make_rank_pairs(teacher)`, for a caller that keeps it.
     """
-    s = _rows(scores)
+    s = scores
     mask, inv = _rank_pairs(s, teacher, pairs)
     # Pairs whose hinge is active, in the row-major order of the masks, as
     # positions in the flattened rows.
@@ -152,7 +139,7 @@ def rank_consistent_loss(
     step = inv[row]
     grad = _sequential_pair_sum(win, lose, -step, step, s.size).reshape(s.shape)
     loss = _ordered_row_totals(flat[lose] - flat[win], row, len(s)) * inv
-    return _value(loss, grad, scores)
+    return LossValue(loss=loss, grad=grad)
 
 
 def combined_loss(cl: LossValue, ll: LossValue, weight: float) -> LossValue:
@@ -167,7 +154,7 @@ def margin_mse_loss(
 ) -> LossValue:
     """Mean squared difference between student and teacher margins over the
     teacher's rank pairs (`pairs`, built from `teacher` when not given)."""
-    s, t = _rows(scores), _rows(teacher)
+    s, t = scores, teacher
     mask, inv = _rank_pairs(s, teacher, pairs)
     row, win, lose = mask.nonzero()
     start = row * s.shape[1]
@@ -176,7 +163,7 @@ def margin_mse_loss(
     step = 2.0 * diff * inv[row]
     grad = _sequential_pair_sum(win, lose, step, -step, s.size).reshape(s.shape)
     loss = _ordered_row_totals(diff * diff, row, len(s)) * inv
-    return _value(loss, grad, scores)
+    return LossValue(loss=loss, grad=grad)
 
 
 def kl_divergence_loss(
@@ -189,12 +176,10 @@ def kl_divergence_loss(
     """
     if temperature <= 0:
         raise ValueError("temperature must be > 0")
-    logp = _log_softmax(_rows(teacher) / temperature)
-    logq = _log_softmax(_rows(scores) / temperature)
+    logp = _log_softmax(teacher / temperature)
+    logq = _log_softmax(scores / temperature)
     p = np.exp(logp)
-    loss = (p * (logp - logq)).sum(axis=1)
-    grad = (np.exp(logq) - p) / temperature
-    return _value(loss, grad, scores)
+    return LossValue(loss=(p * (logp - logq)).sum(axis=1), grad=(np.exp(logq) - p) / temperature)
 
 
 # The teaching losses by strategy name: (scores, teacher scores, the
@@ -217,8 +202,8 @@ def _filtered_contrastive(s: np.ndarray, t: np.ndarray, threshold: float) -> Los
     keep[:, 0] = True
     loss, grad = np.zeros(len(s)), np.zeros(s.shape)
     for row in (np.count_nonzero(keep, axis=1) > 1).nonzero()[0].tolist():
-        cl = contrastive_loss(s[row, keep[row]])
-        loss[row], grad[row, keep[row]] = cl.loss, cl.grad
+        cl = contrastive_loss(s[row, keep[row]][None])
+        loss[row], grad[row, keep[row]] = cl.loss[0], cl.grad[0]
     return LossValue(loss=loss, grad=grad)
 
 
@@ -230,9 +215,9 @@ def strategy_loss(
     filter_threshold: float = 0.95,
     kl_temperature: float = 1.0,
     pairs: RankPairSet | None = None,
-) -> tuple[LossValue, float | np.ndarray, float | np.ndarray]:
-    """The training loss of one candidate set, or of each row of a matrix of
-    sets: (total, contrastive part, teaching part).
+) -> tuple[LossValue, np.ndarray, np.ndarray]:
+    """The training loss of each row of a matrix of sets: (total, contrastive
+    parts, teaching parts).
 
     "none" is the contrastive loss alone and ignores `teacher`; "filter" is
     the contrastive loss over the negatives whose teacher score stays below
@@ -247,19 +232,15 @@ def strategy_loss(
             raise ValueError(f"strategy {strategy!r} needs teacher scores")
         if teacher.shape != scores.shape:
             raise ValueError("teacher scores do not align with candidates")
-    s = _rows(scores)
-    ll = np.zeros(len(s))
+    ll = np.zeros(len(scores))
     if strategy == "filter":
-        total = _filtered_contrastive(s, _rows(teacher), filter_threshold)
-        cl = total.loss
-    else:
-        total = contrastive_loss(s)
-        cl = total.loss
-        if strategy != "none":
-            teaching = TEACHING_LOSSES[strategy](s, _rows(teacher), pairs, kl_temperature)
-            total, ll = combined_loss(total, teaching, reg_weight), teaching.loss
-    if scores.ndim == 1:
-        return _value(total.loss, total.grad, scores), float(cl[0]), float(ll[0])
+        total = _filtered_contrastive(scores, teacher, filter_threshold)
+        return total, total.loss, ll
+    total = contrastive_loss(scores)
+    cl = total.loss
+    if strategy != "none":
+        teaching = TEACHING_LOSSES[strategy](scores, teacher, pairs, kl_temperature)
+        total, ll = combined_loss(total, teaching, reg_weight), teaching.loss
     return total, cl, ll
 
 
@@ -301,22 +282,22 @@ def batch_loss(
 
 
 def flops_penalty(
-    terms: list[np.ndarray], values: list[np.ndarray], weight: float, sizes: list[int] | None = None
+    terms: list[np.ndarray], values: list[np.ndarray], weight: float, sizes: list[int]
 ) -> LossValue:
     """weight * sum_v (mean over a set of vectors of weight(v))^2, per set.
 
     The vectors are (term ids, weights) array pairs. `sizes` splits them
     into consecutive sets, each with its own mean and penalty, and the loss
-    has one entry per set; without it they form one set and the loss is a
-    float. The gradient is aligned with the weights of all vectors
-    concatenated. A set's mean accumulates vector by vector (`np.bincount`
-    adds in input order from +0.0) and its loss sums the squared means left
-    to right in order of first appearance, so each set gets bit for bit the
-    result of a term -> weight dict accumulation over that set alone.
+    has one entry per set. The gradient is aligned with the weights of all
+    vectors concatenated. A set's mean accumulates vector by vector
+    (`np.bincount` adds in input order from +0.0) and its loss sums the
+    squared means left to right in order of first appearance, so each set
+    gets bit for bit the result of a term -> weight dict accumulation over
+    that set alone.
     """
     if weight < 0:
         raise ValueError("flops weight must be >= 0")
-    n_vecs = np.array([len(terms)] if sizes is None else sizes, dtype=np.int64)
+    n_vecs = np.array(sizes, dtype=np.int64)
     flat = np.concatenate([*terms, np.empty(0, dtype=np.int64)])
     set_of = np.arange(len(n_vecs)).repeat(n_vecs).repeat([len(t) for t in terms])
     size = n_vecs[set_of]  # vectors in each entry's set
@@ -327,4 +308,4 @@ def flops_penalty(
     by_appearance = mean[key[first]]
     loss = weight * _ordered_row_totals(by_appearance * by_appearance, set_of[first], len(n_vecs))
     grad = weight * 2.0 * mean[key] / size
-    return LossValue(loss=float(loss[0]) if sizes is None else loss, grad=grad)
+    return LossValue(loss=loss, grad=grad)

@@ -70,21 +70,14 @@ class InvertedIndex:
         return self.total_tokens / self.n_docs if self.pids else 0.0
 
 
-def build_index(vectors: dict[str, TermVector] | dict[str, TermWeightVector]) -> InvertedIndex:
-    """Build postings from term vectors (raw counts) or weight vectors.
+def build_index(vectors: dict[str, TermVector]) -> InvertedIndex:
+    """The raw-count "bm25" index of `vectors`, each passage's term counts.
 
-    The vector type sets the kind: `TermVector`s give a raw-count "bm25"
-    index, `TermWeightVector`s a learned-weight "lexical" one, and no
-    vectors an empty "bm25" one (`retrieval.encode_corpus` takes the kind
-    from its model instead).
+    A learned-weight "lexical" index comes from `postings_index`, which
+    `retrieval.encode_corpus` calls with a lexical model's encoded passages.
     """
     pids = sorted(vectors)
     docs = [vectors[pid] for pid in pids]
-    if isinstance(next(iter(docs), None), TermWeightVector):
-        lens = np.array([len(v.terms) for v in docs], dtype=np.int64)
-        terms = np.concatenate([v.terms for v in docs])
-        weights = np.concatenate([v.weights for v in docs])
-        return postings_index(pids, lens, terms, weights, "lexical")
     table = TokenBatch.of(docs)
     doc_len = np.array([v.n for v in docs], dtype=np.int64)
     return postings_index(pids, table.lens, table.ids, table.counts, "bm25", doc_len)

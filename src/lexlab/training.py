@@ -983,7 +983,8 @@ def write_pipeline_artifacts(result: PipelineResult, out_dir: Path) -> None:
             retrieval.save_run(run, path)
             written.append(path)
             path = out_dir / "reports" / f"{name}.tsv"
-            path.write_text(retrieval.format_report(result.reports[name], per_query=True))
+            report = retrieval.format_report(result.reports[name], per_query=True)
+            path.write_text(report, encoding="utf-8")
             written.append(path)
     manifest = {
         "config_digest": result.digest,
@@ -992,4 +993,5 @@ def write_pipeline_artifacts(result: PipelineResult, out_dir: Path) -> None:
             for p in sorted(written)
         },
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    manifest_text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    (out_dir / "manifest.json").write_text(manifest_text, encoding="utf-8")

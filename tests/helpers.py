@@ -2,7 +2,8 @@
 
 `relevance` is the bit-for-bit oracle of `sparse_index.sparse_scores` and of
 the lexical teacher, `per_passage_lexical_index` that of a lexical
-`retrieval.encode_corpus`, `params_digest` fingerprints a model's parameters, and
+`retrieval.encode_corpus`, `weight_index` builds a learned-weight index of
+given `TermWeightVector`s, `params_digest` fingerprints a model's parameters, and
 `save_teacher_scores` writes the score table `training.load_teacher_scores`
 reads. The per-set losses below (`set_contrastive`, `set_rank_consistent`,
 `set_margin_mse`, `set_kl`, `set_strategy_loss` and `set_flops`) are the
@@ -19,7 +20,7 @@ import pytest
 
 from lexlab.encoders import TermWeightVector, lexical_encode
 from lexlab.objectives import LossValue
-from lexlab.sparse_index import build_index
+from lexlab.sparse_index import postings_index
 
 
 def ordered_total(values: np.ndarray) -> float:
@@ -34,10 +35,20 @@ def relevance(q_vec: TermWeightVector, p_vec: TermWeightVector) -> float:
     return ordered_total(q_vec.weights[qi] * p_vec.weights[pi])
 
 
+def weight_index(vectors: dict[str, TermWeightVector]):
+    """The "lexical" index over `TermWeightVector`s by passage id."""
+    pids = sorted(vectors)
+    docs = [vectors[pid] for pid in pids]
+    lens = np.array([len(v.terms) for v in docs], dtype=np.int64)
+    terms = np.concatenate([np.empty(0, dtype=np.int64), *(v.terms for v in docs)])
+    weights = np.concatenate([np.empty(0), *(v.weights for v in docs)])
+    return postings_index(pids, lens, terms, weights, "lexical")
+
+
 def per_passage_lexical_index(params, doc_tvs):
     """The lexical index of `doc_tvs` built one `lexical_encode` per passage,
     as `encode_corpus` built it before it dealt blocks over CPUs."""
-    return build_index({pid: lexical_encode(tv, params) for pid, tv in doc_tvs.items()})
+    return weight_index({pid: lexical_encode(tv, params) for pid, tv in doc_tvs.items()})
 
 
 def params_digest(params) -> str:

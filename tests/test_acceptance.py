@@ -23,9 +23,9 @@ from lexlab.data import load_qrels
 from lexlab.encoders import TermWeightVector
 from lexlab.objectives import combined_loss, contrastive_loss, rank_consistent_loss
 from lexlab.retrieval import DenseIndex, dense_search, evaluate, format_report, load_run, mrr_at_k
-from lexlab.sparse_index import build_index, sparse_search
+from lexlab.sparse_index import sparse_search
 
-from helpers import params_digest
+from helpers import params_digest, weight_index
 
 METRIC_FIXTURE = Path(__file__).parent / "data" / "metric_fixture"
 
@@ -144,9 +144,9 @@ class TestCriterion3:
             base = np.arange(n, 0, -1, dtype=float)
             for perm in itertools.permutations(range(n)):
                 student = base[list(perm)]
-                lv = rank_consistent_loss(student, teacher)
+                loss = rank_consistent_loss(student[None], teacher[None]).loss[0]
                 agrees = perm == tuple(range(n))
-                ok &= (lv.loss == 0.0) if agrees else (lv.loss > 0.0)
+                ok &= (loss == 0.0) if agrees else (loss > 0.0)
                 checked += 1
         report(3, ok, f"{checked} orderings over sizes 2..6: zero iff order matches")
         assert ok
@@ -159,11 +159,11 @@ class TestCriterion4:
         for _ in range(50):
             n = int(rng.integers(2, 7))
             scores, teacher = rng.normal(size=n), rng.normal(size=n)
-            cl = contrastive_loss(scores)
-            ll = rank_consistent_loss(scores, teacher)
+            cl = contrastive_loss(scores[None])
+            ll = rank_consistent_loss(scores[None], teacher[None])
             for lam in (0.0, 1.0, 1.2, 2.0):
                 total = combined_loss(cl, ll, lam)
-                worst = max(worst, abs(total.loss - (cl.loss + lam * ll.loss)))
+                worst = max(worst, abs(total.loss[0] - (cl.loss[0] + lam * ll.loss[0])))
         report(4, worst < 1e-12, f"max |total - (cl + lam*ll)| = {worst:.1e} over lam grid")
         assert worst < 1e-12
 
@@ -184,7 +184,7 @@ class TestCriterion5:
         for i in range(n_docs):
             terms = rng.choice(n_terms, size=rng.integers(1, 10), replace=False)
             vectors[f"d{i:04d}"] = by_term(terms, 0.05, 2.0)
-        index = build_index(vectors)
+        index = weight_index(vectors)
         dense_mats = np.zeros((n_docs, n_terms))
         pids = sorted(vectors)
         for row, pid in enumerate(pids):

@@ -243,6 +243,22 @@ class TestOutputs:
         assert run_cli(*argv, "--out", fresh / "out") == 0
         assert [p.name for p in fresh.iterdir()] == ["out"]
 
+    def test_shift_names_the_model_of_a_nan_score(self, tmp_path, capsys):
+        # The led run's NaN normalizes every led score of q1 to NaN.
+        runs = {}
+        for name, scores in (("lex", "3 2 1"), ("den", "1 2 3"), ("led", "nan 2 1")):
+            runs[name] = tmp_path / f"{name}.trec"
+            runs[name].write_text("".join(
+                f"q1 Q0 p{i} {i} {score} {name}\n" for i, score in enumerate(scores.split(), 1)
+            ), encoding="utf-8")
+        out = tmp_path / "shift.tsv"
+        rc = run_cli("shift", "--lex-run", runs["lex"], "--den-run", runs["den"],
+                     "--led-run", runs["led"], "--out", out)
+        assert rc == 1
+        err = "error: the normalized led score of ('q1', 'p1') is NaN\n"
+        assert capsys.readouterr() == ("", err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, key", [
         ("mine", "eval_qrels"), ("retrieve", "teacher_scores_file"),
         ("train", "eval_queries"), ("train", "eval_qrels"),
@@ -547,8 +563,8 @@ class TestModelCommands:
     def test_gradcheck_fails_on_a_nan_gradient(self, monkeypatch, capsys):
         real = gradcheck.flops_penalty
 
-        def nan_grad(terms, values, weight):
-            lv = real(terms, values, weight)
+        def nan_grad(terms, values, weight, sizes):
+            lv = real(terms, values, weight, sizes)
             lv.grad[0] = np.nan
             return lv
 

@@ -23,9 +23,9 @@ from lexlab.encoders import (
 )
 from lexlab import gradcheck
 from lexlab.gradcheck import fd_max_rel_error, grad_check
-from lexlab.sparse_index import build_index, sparse_scores
+from lexlab.sparse_index import sparse_scores
 
-from helpers import params_digest, relevance, set_usable_cpus
+from helpers import params_digest, relevance, set_usable_cpus, weight_index
 
 
 def tv(counts):
@@ -164,7 +164,7 @@ class TestRelevance:
         for t, w in zip(q.terms.tolist(), q.weights.tolist()):
             if t in p_weight:
                 total += w * p_weight[t]
-        (indexed,) = sparse_scores(q, build_index({"p": p}))
+        (indexed,) = sparse_scores(q, weight_index({"p": p}))
         assert relevance(q, p) == indexed == total
 
     @pytest.mark.parametrize("terms, weights", [
@@ -206,24 +206,24 @@ class TestBackward:
         for seed in range(5):
             p = rand_dense(seed=seed)
             sample = tv({0: 2, 3: 1, 5: 1})
-            assert grad_check("dense", p, sample, seed=seed) < 1e-4
+            assert grad_check(p, sample, seed=seed) < 1e-4
 
     def test_lexical_fd(self):
         for seed in range(5):
             p = rand_lexical(seed=seed)
             sample = tv({1: 1, 4: 2})
-            assert grad_check("lexical", p, sample, seed=seed) < 1e-4
+            assert grad_check(p, sample, seed=seed) < 1e-4
 
     def test_grad_check_leaves_params_unchanged(self):
-        for kind, p in (("dense", rand_dense(seed=2)), ("lexical", rand_lexical(seed=2))):
+        for p in (rand_dense(seed=2), rand_lexical(seed=2)):
             before = params_digest(p)
-            grad_check(kind, p, tv({1: 1, 4: 2}), seed=2)
+            grad_check(p, tv({1: 1, 4: 2}), seed=2)
             assert params_digest(p) == before
 
     def test_grad_check_eps_bounds(self):
         p = rand_dense()
         with pytest.raises(ValueError):
-            grad_check("dense", p, tv({0: 1}), eps=1e-2)
+            grad_check(p, tv({0: 1}), eps=1e-2)
 
     @pytest.mark.parametrize(
         "analytic, finite",

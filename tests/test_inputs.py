@@ -2,19 +2,25 @@
 
 Pool, teacher-score and run files round-trip or load, and reject malformed
 lines with `path:line`, as config files do; every reader names the first
-line that is not UTF-8 text. `PipelineConfig` and `TrainConfig`
+line that is not UTF-8 text, and every text file the package reads or
+writes is UTF-8 whatever the locale. `PipelineConfig` and `TrainConfig`
 range-check their numeric keys before the pipeline loads a file or mines a
 negative.
 """
 
+import ast
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lexlab
 from lexlab import cli, training
 from lexlab.data import FormatError, load_collection, load_qrels, load_queries
 from lexlab.retrieval import load_run
@@ -178,6 +184,48 @@ class TestUtf8:
         path.write_bytes("\n".join(self.LINES[read] + [""]).encode("utf-8", "surrogateescape"))
         with pytest.raises(FormatError, match=r"^.*input\.txt:2: not UTF-8 text$"):
             read(path)
+
+    def test_evaluate_writes_utf8_under_an_ascii_locale(self, tmp_path):
+        run, qrels, out = tmp_path / "run.trec", tmp_path / "qrels.txt", tmp_path / "rep.tsv"
+        run.write_text("q\u00e9 Q0 d0 1 1.5 t\n", encoding="utf-8")
+        qrels.write_text("q\u00e9 0 d0 1\n", encoding="utf-8")
+        src = str(Path(lexlab.__file__).parent.parent)
+        env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONIOENCODING", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "lexlab.cli", "evaluate", "--run", run, "--qrels", qrels,
+             "--metrics", "mrr@10", "--out", out],
+            env=env, capture_output=True, encoding="utf-8",
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        report = out.read_text(encoding="utf-8")
+        assert report == "mrr@10\tq\u00e9\t1.000000\nmrr@10\tall\t1.000000\n"
+
+    def test_every_text_file_is_opened_as_utf8(self):
+        """No `open`, `Path.read_text` or `Path.write_text` call in the package
+        reads or writes text without `encoding="utf-8"`."""
+
+        def unnamed(call: ast.Call) -> bool:
+            func = call.func
+            if isinstance(func, ast.Name) and func.id == "open":
+                mode = next((k.value for k in call.keywords if k.arg == "mode"), None)
+                mode = call.args[1] if len(call.args) > 1 else mode
+                if isinstance(mode, ast.Constant) and "b" in mode.value:
+                    return False
+            elif not (isinstance(func, ast.Attribute) and func.attr in ("read_text", "write_text")):
+                return False
+            encoding = next((k.value for k in call.keywords if k.arg == "encoding"), None)
+            return not (isinstance(encoding, ast.Constant) and encoding.value == "utf-8")
+
+        package = Path(lexlab.__file__).parent
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call) and unnamed(node)
+        ]
+        assert found == []
 
 
 # The keys a stage's `TrainConfig` holds; each has the range it has in `PipelineConfig`.

@@ -16,6 +16,8 @@ from lexlab.sparse_index import (
     top_k,
 )
 
+from helpers import weight_index
+
 
 def tv(counts, n=None):
     return TermVector(counts=counts, n=n if n is not None else sum(counts.values()))
@@ -109,7 +111,7 @@ class TestBm25Score:
             assert scores[pid] == pytest.approx(oracle[pid], abs=1e-9)
 
     def test_learned_weight_index_rejected(self):
-        index = build_index({"d": by_term([0], [0.5])})
+        index = weight_index({"d": by_term([0], [0.5])})
         with pytest.raises(WeightSemanticsError):
             bm25_search(tv({0: 1}), index, 1)
 
@@ -168,7 +170,7 @@ class TestBm25Search:
 class TestSparseSearch:
     def test_empty_query_ranks_by_pid(self):
         vectors = {f"d{i}": by_term([0], [float(i + 1)]) for i in range(5)}
-        ranking = sparse_search(by_term([], []), build_index(vectors), k=3)
+        ranking = sparse_search(by_term([], []), weight_index(vectors), k=3)
         assert ranking.pids() == ["d0", "d1", "d2"]
         assert all(s == 0.0 for _, s in ranking.entries)
 
@@ -178,7 +180,7 @@ class TestSparseSearch:
             "b": by_term([7], [0.9]),
             "c": by_term([7], [0.5]),
         }
-        ranking = sparse_search(by_term([7], [1.0]), build_index(vectors), k=3)
+        ranking = sparse_search(by_term([7], [1.0]), weight_index(vectors), k=3)
         assert ranking.pids() == ["b", "c", "a"]
 
     def test_matches_dense_materialization(self):
@@ -188,7 +190,7 @@ class TestSparseSearch:
         for i in range(300):
             terms = rng.choice(n_terms, size=rng.integers(1, 9), replace=False)
             vectors[f"d{i:03d}"] = by_term(terms, rng.uniform(0.01, 2.0, size=len(terms)))
-        index = build_index(vectors)
+        index = weight_index(vectors)
         for _ in range(10):
             q_terms = rng.choice(n_terms, size=4, replace=False)
             query = by_term(q_terms, rng.uniform(0.1, 1.0, size=len(q_terms)))
