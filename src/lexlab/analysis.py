@@ -59,18 +59,38 @@ def ensemble_fuse(run_a: RunFile, run_b: RunFile, k: int = 1000) -> RunFile:
     A candidate missing from one run contributes 0 from that side; a pid a
     run lists twice counts with its last score. The fused list is re-ranked
     under the usual (score desc, pid asc) tie-break and truncated to k.
+
+    The distinct pids of the shared queries are sorted once into a table, so
+    a query's union is its sorted table codes and per-query work is linear
+    in its two rankings.
     """
-    shared = set(run_a.rankings) & set(run_b.rankings)
+    shared = sorted(set(run_a.rankings) & set(run_b.rankings))
     if not shared:
         raise ValueError("runs to fuse share no query ids")
+    pairs = [(run_a.rankings[qid], run_b.rankings[qid]) for qid in shared]
+    table = sorted(set().union(*(ranking.ids for pair in pairs for ranking in pair)))
+    code = dict(zip(table, range(len(table))))
+    # Each side's last-listed position per code; -1 (unlisted) picks the
+    # appended 0.0. Reset at the touched codes after each side.
+    last = np.full(len(table), -1, dtype=np.intp)
+
+    def side(ranking: Ranking, codes: np.ndarray, union: np.ndarray) -> np.ndarray:
+        np.maximum.at(last, codes, np.arange(len(codes)))
+        at = last[union]
+        last[codes] = -1
+        return np.append(_normalize(ranking.scores), 0.0)[at]
+
     rankings: dict[str, Ranking] = {}
-    for qid in sorted(shared):
-        a, b = run_a.rankings[qid], run_b.rankings[qid]
-        union = sorted(set(a.ids).union(b.ids))
-        fused = _normalized_scores(a)(union) + _normalized_scores(b)(union)
-        # `union` ascends, so row order is the pid tie-break.
+    for qid, (a, b) in zip(shared, pairs):
+        codes_a, codes_b = (
+            np.fromiter(map(code.__getitem__, r.ids), np.intp, len(r.ids)) for r in (a, b)
+        )
+        union = np.sort(np.concatenate((codes_a, codes_b)))
+        union = union[np.append(True, union[1:] != union[:-1])] if len(union) else union
+        fused = side(a, codes_a, union) + side(b, codes_b, union)
+        # `union` ascends in table order, so row order is the pid tie-break.
         order = top_rows(fused, k)
-        ids = [union[i] for i in order.tolist()]
+        ids = list(map(table.__getitem__, union[order].tolist()))
         rankings[qid] = Ranking(qid=qid, ids=ids, scores=fused[order])
     return RunFile(rankings=rankings, tag=f"{run_a.tag}+{run_b.tag}.fused")
 
@@ -171,7 +191,9 @@ def discrepancy_pairs(
 ) -> DiscrepancySample:
     """Pairs where normalized lexical and dense scores differ by more than
     `margin`, from the lexical run's top stratum and its bottom stratum of
-    the retrieved depth. A pid missing from a run scores 0 for that model."""
+    the retrieved depth. A pid missing from a run scores 0 for that model;
+    a NaN lex or den score of a pair in a stratum is an error that names its
+    model and pair."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if not 0.0 <= margin < math.inf:
@@ -189,6 +211,11 @@ def discrepancy_pairs(
             ids = ranking.ids[part.start : part.stop]
             lex_part = lex[part.start : part.stop]
             den_part = den(ids)
+            # A NaN would fail the margin test, so it drops its pair silently.
+            for model, scores in (("lex", lex_part), ("den", den_part)):
+                nan = np.flatnonzero(np.isnan(scores))
+                if len(nan):
+                    raise ValueError(f"the normalized {model} score of {(qid, ids[nan[0]])} is NaN")
             keep = np.flatnonzero(np.abs(lex_part - den_part) > margin).tolist()
             kept = [ids[i] for i in keep]
             out.extend(zip(

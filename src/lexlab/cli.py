@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import logging
 import math
 import os
@@ -415,6 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Ids and tags are UTF-8 text, whatever the locale says about the terminal.
+    for stream in (sys.stdout, sys.stderr):
+        if isinstance(stream, io.TextIOWrapper):
+            stream.reconfigure(encoding="utf-8")
     logging.basicConfig(level=logging.WARNING, stream=sys.stderr, format="%(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -41,6 +41,7 @@ import math
 import os
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -204,12 +205,12 @@ class TokenBatch:
     @classmethod
     def of(cls, tvs: list[TermVector]) -> "TokenBatch":
         """One row per term vector: its distinct term ids ascending, and their counts."""
-        rows = [sorted(tv.counts.items()) for tv in tvs]
-        return cls(
-            np.array([t for row in rows for t, _ in row], dtype=np.int64),
-            np.array([c for row in rows for _, c in row], dtype=np.float64),
-            np.array([len(row) for row in rows], dtype=np.int64),
-        )
+        dicts = [tv.counts for tv in tvs]
+        lens = np.fromiter(map(len, dicts), np.int64, len(dicts))
+        ids = np.fromiter(chain.from_iterable(dicts), np.int64)
+        counts = np.fromiter(chain.from_iterable(map(dict.values, dicts)), np.float64)
+        order = np.lexsort((ids, np.arange(len(dicts)).repeat(lens)))
+        return cls(ids[order], counts[order], lens)
 
     @classmethod
     def for_encoder(cls, tvs: list[TermVector], kind: str) -> tuple["TokenBatch", list[int]]:

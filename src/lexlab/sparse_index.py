@@ -105,11 +105,13 @@ def postings_index(
     terms = terms[order]
     doc_rows = np.repeat(np.arange(len(pids), dtype=np.int64), lens)[order]
     weights = weights[order]
-    uniq, starts = np.unique(terms, return_index=True)
-    postings = dict(zip(
-        uniq.tolist(),
-        zip(np.split(doc_rows, starts[1:]), np.split(weights, starts[1:])),
-    ))
+    # Each posting starts where the sorted terms change.
+    cuts = (np.flatnonzero(terms[1:] != terms[:-1]) + 1).tolist()
+    bounds = [0, *cuts, len(terms)] if len(terms) else [0]
+    postings = {
+        term: (doc_rows[lo:hi], weights[lo:hi])
+        for term, lo, hi in zip(terms[bounds[:-1]].tolist(), bounds, bounds[1:])
+    }
     return InvertedIndex(
         pids=pids,
         postings=postings,

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,32 @@ def random_lists(rng, n_queries=40, pool=60):
     return out
 
 
+# Hand-made fusion cases: "d10" sorts before "d9" as a string and is listed
+# twice in one ranking; qa and qb are in one run only; q2 has an empty
+# ranking on one side and q3 on both.
+FUSE_CASES = (
+    {"q1": [("d9", 3.0), ("d10", 2.0), ("d100", 1.0), ("d10", 0.5)], "q2": [], "q3": [],
+     "qa": [("d1", 1.0)]},
+    {"q1": [("d2", 4.0), ("d9", 1.0), ("d10", 1.0)], "q2": [("d10", 1.0), ("d9", 1.0), ("d1", 0.0)],
+     "q3": [], "qb": [("d3", 2.0)]},
+)
+
+
+@functools.cache
+def large_run_lists(n_queries=150, depth=1000, n_pids=8000):
+    """One seeded pair of runs at search scale: `depth` pids per query from
+    `n_pids`, unpadded, so string order differs from numeric order."""
+    rng = np.random.default_rng(150)
+    runs = []
+    for _ in range(2):
+        run = {}
+        for q in range(n_queries):
+            pids = [f"d{i}" for i in rng.choice(n_pids, size=depth, replace=False).tolist()]
+            run[f"q{q}"] = list(zip(pids, np.sort(rng.normal(size=depth))[::-1].tolist()))
+        runs.append(run)
+    return tuple(runs)
+
+
 def bits(entries):
     return [(pid, score.hex()) for pid, score in entries]
 
@@ -138,11 +166,12 @@ class TestArrayFormsMatchOracles:
             got = normalize_run(run_from({"q": entries})).rankings["q"].entries
             assert bits(got) == bits(oracle_normalize(entries))
 
-    @pytest.mark.parametrize("k", [1, 5, 1000])
+    @pytest.mark.parametrize("k", [1, 5, 1000, 5000])
     def test_fuse(self, k):
         rng = np.random.default_rng(21 + k)
-        for _ in range(5):
-            lists_a, lists_b = random_lists(rng), random_lists(rng)
+        pairs = [(random_lists(rng), random_lists(rng)) for _ in range(5)]
+        pairs += [FUSE_CASES, large_run_lists()]
+        for lists_a, lists_b in pairs:
             if not set(lists_a) & set(lists_b):
                 continue
             fused = ensemble_fuse(run_from(lists_a), run_from(lists_b), k=k)
@@ -411,6 +440,18 @@ class TestDiscrepancy:
         )
         for _, _, lex_s, den_s, _ in sample.biased + sample.unbiased:
             assert abs(lex_s - den_s) > 0.2
+
+    @pytest.mark.parametrize("model", ["lex", "den"])
+    def test_a_nan_lex_or_den_score_names_its_model_and_pair(self, model):
+        # Listed third, the NaN normalizes to NaN for d2 alone.
+        scores = {"lex": [5.0, 4.0, 3.0, 2.0], "den": [1.0, 4.0, 3.0, 9.0]}
+        scores[model][2] = float("nan")
+        lex, den = (run_from({"q": [(f"d{i}", s) for i, s in enumerate(scores[m])]})
+                    for m in ("lex", "den"))
+        with pytest.raises(ValueError, match=rf"^the normalized {model} score of \('q', 'd2'\) is NaN$"):
+            discrepancy_pairs(lex, den, lex, margin=0.0, top_n=2, bottom_n=2)
+        # Beyond the depth, a NaN is never compared, so it is no error.
+        discrepancy_pairs(lex, den, lex, depth=2)
 
 
 class TestHistogram:

@@ -244,20 +244,23 @@ class TestOutputs:
         assert [p.name for p in fresh.iterdir()] == ["out"]
 
     def test_shift_names_the_model_of_a_nan_score(self, tmp_path, capsys):
-        # The led run's NaN normalizes every led score of q1 to NaN.
-        runs = {}
-        for name, scores in (("lex", "3 2 1"), ("den", "1 2 3"), ("led", "nan 2 1")):
-            runs[name] = tmp_path / f"{name}.trec"
-            runs[name].write_text("".join(
-                f"q1 Q0 p{i} {i} {score} {name}\n" for i, score in enumerate(scores.split(), 1)
-            ), encoding="utf-8")
-        out = tmp_path / "shift.tsv"
-        rc = run_cli("shift", "--lex-run", runs["lex"], "--den-run", runs["den"],
-                     "--led-run", runs["led"], "--out", out)
-        assert rc == 1
-        err = "error: the normalized led score of ('q1', 'p1') is NaN\n"
-        assert capsys.readouterr() == ("", err)
-        assert not out.exists()
+        # A first-listed NaN normalizes every score of q1 in its run to NaN.
+        # Each run takes it in turn; the other two stay finite.
+        scores = {"lex": [3, 2, 1], "den": [1, 2, 3], "led": [3, 2, 1]}
+        for bad in scores:
+            runs = {}
+            for name, row in scores.items():
+                row = ["nan", *row[1:]] if name == bad else row
+                runs[name] = tmp_path / f"{name}.trec"
+                runs[name].write_text("".join(
+                    f"q1 Q0 p{i} {i} {score} {name}\n" for i, score in enumerate(row, 1)
+                ), encoding="utf-8")
+            out = tmp_path / "shift.tsv"
+            rc = run_cli("shift", "--lex-run", runs["lex"], "--den-run", runs["den"],
+                         "--led-run", runs["led"], "--out", out)
+            err = f"error: the normalized {bad} score of ('q1', 'p1') is NaN\n"
+            assert (rc, capsys.readouterr()) == (1, ("", err))
+            assert not out.exists()
 
     @pytest.mark.parametrize("command, key", [
         ("mine", "eval_qrels"), ("retrieve", "teacher_scores_file"),

@@ -84,6 +84,39 @@ class TestDenseEncode:
         assert one_row(empty).empty[0]
 
 
+def oracle_token_batch(tvs):
+    """`TokenBatch.of` as it read each vector's sorted items and flattened them."""
+    rows = [sorted(tv.counts.items()) for tv in tvs]
+    return (
+        np.array([t for row in rows for t, _ in row], dtype=np.int64),
+        np.array([c for row in rows for _, c in row], dtype=np.float64),
+        np.array([len(row) for row in rows], dtype=np.int64),
+    )
+
+
+class TestTokenBatchOf:
+    def assert_matches_oracle(self, tvs):
+        table = TokenBatch.of(tvs)
+        for got, want in zip((table.ids, table.counts, table.lens), oracle_token_batch(tvs)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_random_vectors_match_the_oracle(self):
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            tvs = []
+            for _ in range(int(rng.integers(1, 40))):
+                # Terms enter each dict in random order; some vectors are empty.
+                terms = rng.choice(60, size=int(rng.integers(0, 10)), replace=False)
+                tvs.append(tv({int(t): int(rng.integers(1, 6)) for t in terms}))
+            self.assert_matches_oracle(tvs)
+
+    def test_empty_vectors_and_an_empty_list(self):
+        self.assert_matches_oracle([tv({}), tv({3: 1, 0: 2}), tv({})])
+        self.assert_matches_oracle([tv({})])
+        self.assert_matches_oracle([])
+        assert len(TokenBatch.of([])) == 0
+
+
 class TestLexicalEncode:
     def test_all_gated_off_gives_empty(self):
         p = rand_lexical()

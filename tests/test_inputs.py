@@ -185,22 +185,49 @@ class TestUtf8:
         with pytest.raises(FormatError, match=r"^.*input\.txt:2: not UTF-8 text$"):
             read(path)
 
-    def test_evaluate_writes_utf8_under_an_ascii_locale(self, tmp_path):
-        run, qrels, out = tmp_path / "run.trec", tmp_path / "qrels.txt", tmp_path / "rep.tsv"
-        run.write_text("q\u00e9 Q0 d0 1 1.5 t\n", encoding="utf-8")
-        qrels.write_text("q\u00e9 0 d0 1\n", encoding="utf-8")
+    @staticmethod
+    def run_under_an_ascii_locale(*argv):
+        """`python -m lexlab.cli *argv` where the locale's encoding is ASCII."""
         src = str(Path(lexlab.__file__).parent.parent)
         env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         env.pop("PYTHONIOENCODING", None)
-        done = subprocess.run(
-            [sys.executable, "-m", "lexlab.cli", "evaluate", "--run", run, "--qrels", qrels,
-             "--metrics", "mrr@10", "--out", out],
-            env=env, capture_output=True, encoding="utf-8",
+        return subprocess.run(
+            [sys.executable, "-m", "lexlab.cli", *argv], env=env, capture_output=True,
+            encoding="utf-8",
+        )
+
+    @pytest.fixture
+    def run_and_qrels(self, tmp_path):
+        run, qrels = tmp_path / "run.trec", tmp_path / "qrels.txt"
+        run.write_text("q\u00e9 Q0 d0 1 1.5 t\n", encoding="utf-8")
+        qrels.write_text("q\u00e9 0 d0 1\n", encoding="utf-8")
+        return run, qrels
+
+    def test_evaluate_writes_utf8_under_an_ascii_locale(self, tmp_path, run_and_qrels):
+        run, qrels = run_and_qrels
+        out = tmp_path / "rep.tsv"
+        done = self.run_under_an_ascii_locale(
+            "evaluate", "--run", run, "--qrels", qrels, "--metrics", "mrr@10", "--out", out,
         )
         assert (done.returncode, done.stderr) == (0, "")
         report = out.read_text(encoding="utf-8")
         assert report == "mrr@10\tq\u00e9\t1.000000\nmrr@10\tall\t1.000000\n"
+
+    def test_evaluate_prints_utf8_under_an_ascii_locale(self, run_and_qrels):
+        run, qrels = run_and_qrels
+        done = self.run_under_an_ascii_locale(
+            "evaluate", "--run", run, "--qrels", qrels, "--metrics", "mrr@10", "--per-query",
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == "mrr@10\tq\u00e9\t1.000000\nmrr@10\tall\t1.000000\n"
+
+    def test_errors_print_utf8_under_an_ascii_locale(self, run_and_qrels):
+        run, qrels = run_and_qrels
+        run.write_text("q\u00e9 Q0 d0 1 1.5\u00e9 t\n", encoding="utf-8")
+        done = self.run_under_an_ascii_locale("evaluate", "--run", run, "--qrels", qrels)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == f"error: {run}:1: score '1.5\u00e9' is not a number\n"
 
     def test_every_text_file_is_opened_as_utf8(self):
         """No `open`, `Path.read_text` or `Path.write_text` call in the package

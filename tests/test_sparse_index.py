@@ -12,6 +12,7 @@ from lexlab.sparse_index import (
     bm25_search,
     build_index,
     idf,
+    postings_index,
     sparse_search,
     top_k,
 )
@@ -82,6 +83,53 @@ class TestBuildIndex:
         index = build_index(vectors)
         for rows, _ in index.postings.values():
             assert all(rows[i] < rows[i + 1] for i in range(len(rows) - 1))
+
+
+def oracle_postings(n_docs, lens, terms, weights):
+    """The construction `postings_index` had before it cut at term changes:
+    `np.unique` over the sorted terms, then two `np.split` calls."""
+    order = np.argsort(terms, kind="stable")
+    terms = terms[order]
+    doc_rows = np.repeat(np.arange(n_docs, dtype=np.int64), lens)[order]
+    weights = weights[order]
+    uniq, starts = np.unique(terms, return_index=True)
+    return dict(zip(
+        uniq.tolist(),
+        zip(np.split(doc_rows, starts[1:]), np.split(weights, starts[1:])),
+    ))
+
+
+class TestPostingsIndex:
+    def assert_matches_oracle(self, lens, terms, weights):
+        pids = [f"d{i:04d}" for i in range(len(lens))]
+        got = postings_index(pids, lens, terms, weights, "lexical").postings
+        want = oracle_postings(len(pids), lens, terms, weights)
+        assert list(got) == list(want)
+        for term, (rows, w) in want.items():
+            got_rows, got_w = got[term]
+            assert got_rows.dtype == rows.dtype and np.array_equal(got_rows, rows)
+            assert got_w.dtype == w.dtype and got_w.tobytes() == w.tobytes()
+
+    def test_random_tables_match_the_oracle(self):
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            n_docs, vocab = int(rng.integers(1, 60)), int(rng.integers(1, 50))
+            lens = rng.integers(0, min(vocab, 12) + 1, size=n_docs)
+            terms = np.concatenate(
+                [np.sort(rng.choice(vocab, size=n, replace=False)) for n in lens]
+            ).astype(np.int64)
+            self.assert_matches_oracle(lens, terms, rng.normal(size=len(terms)))
+
+    def test_one_term_and_one_entry(self):
+        self.assert_matches_oracle(np.array([1, 1, 0]), np.array([4, 4]), np.array([0.5, 2.0]))
+        self.assert_matches_oracle(np.array([0, 1]), np.array([7]), np.array([1.5]))
+
+    @pytest.mark.parametrize("n_docs", [0, 3])
+    def test_empty_index(self, n_docs):
+        lens = np.zeros(n_docs, dtype=np.int64)
+        self.assert_matches_oracle(lens, np.zeros(0, dtype=np.int64), np.zeros(0))
+        pids = [f"d{i}" for i in range(n_docs)]
+        assert postings_index(pids, lens, np.zeros(0, dtype=np.int64), np.zeros(0), "lexical").postings == {}
 
 
 def bm25_by_pid(query, index):
