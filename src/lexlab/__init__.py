@@ -24,8 +24,6 @@ from .encoders import (
     DenseParams,
     LexicalParams,
     TermWeightVector,
-    dense_encode,
-    lexical_encode,
 )
 from .retrieval import Retriever, RunFile, evaluate, make_run
 from .training import PipelineConfig, TrainConfig, run_pipeline, train_stage

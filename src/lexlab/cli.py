@@ -157,6 +157,8 @@ def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     if cfg.teacher_scores_file and args.teacher_checkpoint:
         raise ValueError("give teacher_scores_file or --teacher-checkpoint, not both")
+    if args.teacher_checkpoint and cfg.strategy == "none":
+        raise ValueError("--teacher-checkpoint is never called under strategy 'none'")
     digest = config_digest(cfg, COMMAND_KEYS["train"])
     corpus, vocab, queries, qrels = training.load_train_data(cfg)
     pool = training.load_pool(args.pool)

@@ -18,10 +18,10 @@ Each kind has one forward and one backward. Inputs are rows of a token
 table, `TokenBatch`, which `TokenBatch.of` builds from term vectors and
 whose `take` gathers any of its rows into a batch. Dense rows of equal
 length pool through one stacked matmul whose items are the per-row
-products, so a row gets the same bits alone (`dense_encode`) as in any
-batch. A lexical input in training is one GEMM
-(`lexical_trace`); a corpus reads one sparse score table per checkpoint
-(`LexicalTable`), whose rows have the bits of those GEMMs. The GEMM
+products, so a row gets the same bits alone as in any batch. A lexical
+input in training is one GEMM (`lexical_trace`); inference, of passages
+and queries alike, reads one sparse score table per checkpoint
+(`LexicalTable`), which gives each input the bits of its GEMM. The GEMM
 is tokens-major, so the max over tokens runs along contiguous rows, and
 its operand layouts make it round exactly as the vocabulary-major product
 `expand @ emb[ids].T`; the per-term bias is added after the max, which
@@ -277,11 +277,6 @@ def dense_encode_batch(params: DenseParams, batch: TokenBatch) -> tuple[np.ndarr
     return out, pooled
 
 
-def dense_encode(tv: TermVector, params: DenseParams) -> np.ndarray:
-    """The dense encoding of one input: `dense_encode_batch` of a one-row batch."""
-    return dense_encode_batch(params, TokenBatch.of([tv]))[0][0]
-
-
 def dense_backward_batch(
     params: DenseParams,
     batch: TokenBatch,
@@ -363,20 +358,10 @@ def lexical_trace(ids: np.ndarray, params: LexicalParams) -> LexicalTrace:
     return LexicalTrace(active, pre, ids[z.argmax(axis=0)], np.log1p(pre))
 
 
-def lexical_encode(tv: TermVector, params: LexicalParams) -> TermWeightVector:
-    """Per-vocabulary-term weights: max over tokens of log(1 + ReLU(score)).
-
-    log1p(ReLU(.)) is monotone, so `lexical_trace` takes the max on the
-    raw pre-activations.
-    """
-    trace = lexical_trace(np.array(sorted(tv.counts), dtype=np.int64), params)
-    return TermWeightVector(trace.active_terms, trace.weights)
-
-
 class LexicalTable:
     """The token-to-term scores of one lexical checkpoint that can win a max,
-    kept sparse: `encode` gives many inputs the weights `lexical_trace`
-    gives each.
+    kept sparse: `encode` gives many inputs, passages or queries, the
+    weights `lexical_trace` gives each.
 
     Row t holds each term v with `not (S[t, v] + bias[v] <= 0)` (positive,
     or NaN) and its score S[t, v]. A term is active for an input iff the max
@@ -446,6 +431,13 @@ class LexicalTable:
             active = positive.reshape(-1).nonzero()[0]
             out.append((np.count_nonzero(positive, axis=1), active % vocab_size, np.log1p(cells[active])))
         return tuple(np.concatenate(part) for part in zip(*out))
+
+    def vectors(self, batch: TokenBatch) -> list[TermWeightVector]:
+        """Every row's `encode` output as its own vector, in row order."""
+        lens, terms, weights = self.encode(batch)
+        starts = np.cumsum(lens) - lens
+        return [TermWeightVector(terms[a : a + n], weights[a : a + n])
+                for a, n in zip(starts.tolist(), lens.tolist())]
 
 
 class LexicalRoutes:

@@ -23,7 +23,6 @@ from .encoders import (
     Params,
     TokenBatch,
     dense_encode_batch,
-    lexical_encode,
 )
 from .sparse_index import (
     InvertedIndex,
@@ -83,8 +82,8 @@ def encode_corpus(
     is one `LexicalTable.encode`, sent back as three packed arrays (each
     passage's active term count, then all their terms and all their
     weights) that `postings_index` reads. A passage gets the bits of its
-    own `lexical_encode` (or `dense_encode`) in any block on any CPU, and
-    the index kind is the model's, for an empty collection too.
+    own one-row encoding in any block on any CPU, and the index kind is the
+    model's, for an empty collection too.
     """
     pids = sorted(corpus.docs)
     if params is None:
@@ -142,6 +141,7 @@ class Retriever:
                 f"a {self.kind} index is searched with {model[self.kind]}, got {model[given]}"
             )
         self.params = params
+        self.table = LexicalTable(params) if self.kind == "lexical" else None
         self.index = index
         self.vocab = vocab
         self.k1 = k1
@@ -153,18 +153,18 @@ class Retriever:
     def search_all(self, texts: dict[str, str], k: int) -> dict[str, Ranking]:
         """Top-k of every query text, keyed and ordered like `texts`.
 
-        Dense queries encode in one `dense_encode_batch`; a query gets the
-        same bits in any batch, so each ranking equals its own `search`.
+        Model queries encode in one batch, dense ones by `dense_encode_batch`
+        and lexical ones by the retriever's `LexicalTable`, as `encode_corpus`
+        encodes passages; a query gets the same bits in any batch, so each
+        ranking equals its own `search`.
         """
         tvs = {qid: vectorize(text, self.vocab) for qid, text in texts.items()}
         if self.kind == "dense":
             vecs = dense_encode_batch(self.params, TokenBatch.of(list(tvs.values())))[0]
             return {qid: dense_search(vec, self.index, k, qid=qid) for qid, vec in zip(tvs, vecs)}
         if self.kind == "lexical":
-            return {
-                qid: sparse_search(lexical_encode(tv, self.params), self.index, k, qid=qid)
-                for qid, tv in tvs.items()
-            }
+            vecs = self.table.vectors(TokenBatch.of(list(tvs.values())))
+            return {qid: sparse_search(vec, self.index, k, qid=qid) for qid, vec in zip(tvs, vecs)}
         return {
             qid: bm25_search(tv, self.index, k, self.k1, self.b, qid=qid)
             for qid, tv in tvs.items()

@@ -43,12 +43,12 @@ from .encoders import (
     DenseParams,
     LexicalParams,
     LexicalRoutes,
+    LexicalTable,
     LexicalTrace,
     Params,
     TokenBatch,
     dense_backward_batch,
     dense_encode_batch,
-    lexical_encode,
     lexical_trace,
     save_params,
 )
@@ -338,9 +338,10 @@ def model_teacher(params: LexicalParams, index: InvertedIndex, vocab: Vocabulary
 
     Passages are read from `index`, the learned-weight index that
     `encode_corpus` built with the same model, so no passage is encoded
-    again. Each call encodes the query and scores it against the whole index
-    by `sparse_scores`, the dot product of the two encodings; `train_stage`
-    calls it once per query, so nothing is cached.
+    again. Every query of `queries` is encoded here, in one batch through
+    the model's `LexicalTable` as `encode_corpus` encodes passages, and each
+    call scores its query's vector against the whole index by
+    `sparse_scores`, the dot product of the two encodings.
     """
     if params.kind != "lexical" or index.kind != "lexical":
         raise TypeError(
@@ -349,10 +350,11 @@ def model_teacher(params: LexicalParams, index: InvertedIndex, vocab: Vocabulary
         )
 
     row_of = {pid: row for row, pid in enumerate(index.pids)}
+    tvs = [vectorize(text, vocab) for text in queries.queries.values()]
+    q_vecs = dict(zip(queries.queries, LexicalTable(params).vectors(TokenBatch.of(tvs))))
 
     def teacher(qid: str, pids: list[str]) -> np.ndarray:
-        q_vec = lexical_encode(vectorize(queries.queries[qid], vocab), params)
-        return sparse_scores(q_vec, index)[[row_of[pid] for pid in pids]]
+        return sparse_scores(q_vecs[qid], index)[[row_of[pid] for pid in pids]]
 
     return teacher
 

@@ -1,14 +1,16 @@
 """Test oracles and helpers for what the library itself never runs.
 
 `relevance` is the bit-for-bit oracle of `sparse_index.sparse_scores` and of
-the lexical teacher, `per_passage_lexical_index` that of a lexical
-`retrieval.encode_corpus`, `weight_index` builds a learned-weight index of
-given `TermWeightVector`s, `params_digest` fingerprints a model's parameters, and
-`save_teacher_scores` writes the score table `training.load_teacher_scores`
-reads. The per-set losses below (`set_contrastive`, `set_rank_consistent`,
-`set_margin_mse`, `set_kl`, `set_strategy_loss` and `set_flops`) are the
-one-set-at-a-time forms the row-wise losses of `objectives` replaced, kept
-as the oracles those are held to bit for bit.
+the lexical teacher, `per_input_lexical_encode` and `per_input_dense_encode`
+those of one input's encoding, passage or query, `per_passage_lexical_index`
+that of a lexical `retrieval.encode_corpus`, `weight_index` builds a
+learned-weight index of given `TermWeightVector`s, `params_digest`
+fingerprints a model's parameters, and `save_teacher_scores` writes the
+score table `training.load_teacher_scores` reads. The per-set losses below
+(`set_contrastive`, `set_rank_consistent`, `set_margin_mse`, `set_kl`,
+`set_strategy_loss` and `set_flops`) are the one-set-at-a-time forms the
+row-wise losses of `objectives` replaced, kept as the oracles those are held
+to bit for bit.
 """
 
 import hashlib
@@ -18,7 +20,7 @@ import os
 import numpy as np
 import pytest
 
-from lexlab.encoders import TermWeightVector, lexical_encode
+from lexlab.encoders import TermWeightVector, lexical_trace
 from lexlab.objectives import LossValue
 from lexlab.sparse_index import postings_index
 
@@ -45,10 +47,27 @@ def weight_index(vectors: dict[str, TermWeightVector]):
     return postings_index(pids, lens, terms, weights, "lexical")
 
 
+def per_input_lexical_encode(tv, params) -> TermWeightVector:
+    """The lexical encoding of one input on its own: the active terms and
+    weights of its one-GEMM `lexical_trace`."""
+    trace = lexical_trace(np.array(sorted(tv.counts), dtype=np.int64), params)
+    return TermWeightVector(trace.active_terms, trace.weights)
+
+
+def per_input_dense_encode(tv, params):
+    """The dense encoder applied to one input on its own: count-weighted mean
+    of the token embeddings, then the affine map; zero for an empty input."""
+    if not tv.counts:
+        return np.zeros(params.dim)
+    ids = np.array(sorted(tv.counts), dtype=np.int64)
+    counts = np.array([float(tv.counts[int(t)]) for t in ids])
+    return params.proj @ (counts @ params.emb[ids] / counts.sum()) + params.bias
+
+
 def per_passage_lexical_index(params, doc_tvs):
-    """The lexical index of `doc_tvs` built one `lexical_encode` per passage,
-    as `encode_corpus` built it before it dealt blocks over CPUs."""
-    return weight_index({pid: lexical_encode(tv, params) for pid, tv in doc_tvs.items()})
+    """The lexical index of `doc_tvs` built one `per_input_lexical_encode`
+    per passage, as `encode_corpus` built it before it dealt blocks over CPUs."""
+    return weight_index({pid: per_input_lexical_encode(tv, params) for pid, tv in doc_tvs.items()})
 
 
 def params_digest(params) -> str:

@@ -29,6 +29,8 @@ from lexlab.encoders import DenseParams, LexicalParams, TokenBatch
 from lexlab.retrieval import encode_corpus, load_run, make_run, save_run
 from lexlab.sparse_index import bm25_search, build_index
 
+from helpers import set_usable_cpus
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 K = 40
 
@@ -254,3 +256,29 @@ def test_led_pipeline_files(toy_data, tmp_path):
         "manifest.json",
     ]
     assert [rel for rel in expected if not (out / rel).is_file()] == []
+
+
+def test_stage_targets_wrap_the_pipeline_cleanly(toy_data, tmp_path, monkeypatch):
+    # Every benchmark run, untraced too, times these spans: a stage function
+    # that is gone, or a namer or hook that fails on its arguments, fails
+    # here rather than in a benchmark run. On one CPU every stage and its
+    # hooks run in this process.
+    set_usable_cpus(monkeypatch, 1)
+    files = {key: str(toy_data / name) for key, name in (
+        ("collection", "collection.tsv"), ("train_queries", "train_queries.tsv"),
+        ("train_qrels", "train_qrels.txt"), ("eval_queries", "test_queries.tsv"),
+        ("eval_qrels", "test_qrels.txt"))}
+    cfg = training.PipelineConfig(**files, seed=5, dim=4, epochs=1, warmup_m=3, m=4, depth=6,
+                                  run_depth=20, flops_weight=0.2)
+    tracing = load_perfbench("tracing")
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer, tracing.STAGE_TARGETS)
+    try:
+        training.run_pipeline(cfg, out_dir=tmp_path / "out")
+    finally:
+        uninstall()
+    assert tracer.missing == [] and not tracer.hook_errors
+    spans = set(tracer.summarize(0, len(tracer.start)))
+    assert {f"training.train_stage.{stage}" for stage in ("lex1", "den1", "lex2", "led")} <= spans
+    assert {f"retrieval.encode_corpus.{kind}" for kind in ("lexical", "dense")} <= spans
+    assert {f"retrieval.make_run.{kind}" for kind in ("lexical", "dense")} <= spans

@@ -801,6 +801,22 @@ class TestTrainInputs:
             assert "teacher_scores_file" in err and "--teacher-checkpoint" in err
             assert not out.exists()
 
+    def test_train_rejects_a_teacher_checkpoint_under_strategy_none(
+        self, workspace, checkpoints, tmp_path, capsys
+    ):
+        # Strategy none never calls a teacher, so the flag would change no
+        # byte of the checkpoint; it is rejected before any input file is
+        # read, even a missing pool.
+        out = tmp_path / "lex.ckpt"
+        rc = run_cli(
+            "train", "--config", workspace / "toy.cfg", "--pool", tmp_path / "nopool.tsv",
+            "--teacher-checkpoint", checkpoints["lexical"], "--strategy", "none", "--out", out,
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--teacher-checkpoint" in err and "none" in err
+        assert not out.exists()
+
     def test_train_rejects_a_pool_holding_a_positive(self, workspace, tmp_path, capsys):
         toy = workspace / "toy.cfg"
         pool = tmp_path / "pool.tsv"

@@ -14,9 +14,7 @@ from lexlab.encoders import (
     TermWeightVector,
     TokenBatch,
     dense_backward_batch,
-    dense_encode,
     dense_encode_batch,
-    lexical_encode,
     lexical_trace,
     load_params,
     save_params,
@@ -25,7 +23,10 @@ from lexlab import gradcheck
 from lexlab.gradcheck import fd_max_rel_error, grad_check
 from lexlab.sparse_index import sparse_scores
 
-from helpers import params_digest, relevance, set_usable_cpus, weight_index
+from helpers import (
+    params_digest, per_input_dense_encode, per_input_lexical_encode, relevance, set_usable_cpus,
+    weight_index,
+)
 
 
 def tv(counts):
@@ -60,14 +61,14 @@ def one_row(sample):
 class TestDenseEncode:
     def test_identity_projection_single_token(self):
         p = DenseParams.init(6, 3, seed=1)  # proj = I, bias = 0
-        out = dense_encode(tv({4: 1}), p)
-        assert np.array_equal(out, p.emb[4])
+        out = dense_encode_batch(p, one_row(tv({4: 1})))[0]
+        assert np.array_equal(out[0], p.emb[4])
 
     def test_zero_embeddings_give_bias(self):
         p = rand_dense()
         p.emb[:] = 0.0
-        out = dense_encode(tv({0: 1, 1: 2}), p)
-        assert np.allclose(out, p.bias, atol=0)
+        out = dense_encode_batch(p, one_row(tv({0: 1, 1: 2})))[0]
+        assert np.allclose(out[0], p.bias, atol=0)
 
     def test_count_weighted_mean_matches_direct(self):
         p = rand_dense(seed=3)
@@ -75,12 +76,12 @@ class TestDenseEncode:
         h = (2 * p.emb[0] + p.emb[1]) / 3
         assert np.allclose(pooled[0], h, atol=1e-15)
         assert np.allclose(out[0], p.proj @ h + p.bias, atol=1e-15)
-        assert out[0].tobytes() == dense_encode(tv({0: 2, 1: 1}), p).tobytes()
+        assert out[0].tobytes() == per_input_dense_encode(tv({0: 2, 1: 1}), p).tobytes()
 
     def test_empty_input_zero_vector(self):
         p = rand_dense()
         empty = TermVector(counts={}, n=2)
-        assert np.array_equal(dense_encode(empty, p), np.zeros(p.dim))
+        assert np.array_equal(dense_encode_batch(p, one_row(empty))[0][0], np.zeros(p.dim))
         assert one_row(empty).empty[0]
 
 
@@ -122,7 +123,7 @@ class TestLexicalEncode:
         p = rand_lexical()
         p.expand[:] = 0.0
         p.bias[:] = -1.0
-        vec = lexical_encode(tv({0: 1, 2: 1}), p)
+        vec = per_input_lexical_encode(tv({0: 1, 2: 1}), p)
         assert len(vec.terms) == 0 and vec.terms.dtype == np.int64 and vec.weights.dtype == np.float64
 
     def test_preactivation_e_minus_one_gives_weight_one(self):
@@ -130,7 +131,7 @@ class TestLexicalEncode:
         p.expand[:] = 0.0
         p.bias[:] = -1.0
         p.bias[5] = math.e - 1.0  # z for term 5 equals e-1 for any token
-        vec = lexical_encode(tv({0: 1}), p)
+        vec = per_input_lexical_encode(tv({0: 1}), p)
         assert vec.terms.tolist() == [5] and vec.weights == pytest.approx([1.0])
 
     def test_max_pool_then_log(self):
@@ -142,23 +143,23 @@ class TestLexicalEncode:
         p.emb[1, 0] = 5.0
         p.expand[2, 0] = 1.0
         p.bias[2] = 0.0
-        vec = lexical_encode(tv({0: 1, 1: 1}), p)
+        vec = per_input_lexical_encode(tv({0: 1, 1: 1}), p)
         assert vec.terms.tolist() == [2] and vec.weights == pytest.approx([math.log(6.0)])
         assert lexical_trace(np.array([0, 1]), p).source_token.tolist() == [1]
 
     def test_weights_strictly_positive(self):
         p = rand_lexical(seed=11)
-        vec = lexical_encode(tv({0: 1, 3: 2, 7: 1}), p)
+        vec = per_input_lexical_encode(tv({0: 1, 3: 2, 7: 1}), p)
         assert len(vec.terms) and (vec.weights > 0).all()
 
     def test_empty_input(self):
         p = rand_lexical()
-        vec = lexical_encode(TermVector(counts={}, n=0), p)
+        vec = per_input_lexical_encode(TermVector(counts={}, n=0), p)
         assert len(vec.terms) == 0 == len(vec.weights)
 
     def test_tied_init_opens_self_channel(self):
         p = LexicalParams.init(30, 8, seed=4)
-        vec = lexical_encode(tv({12: 1}), p)
+        vec = per_input_lexical_encode(tv({12: 1}), p)
         assert 12 in vec.terms  # self dot product is positive at init
 
 

@@ -20,11 +20,11 @@ from lexlab.encoders import (
     DenseParams,
     LexicalParams,
     LexicalRoutes,
+    LexicalTable,
     LexicalTrace,
     TokenBatch,
     dense_backward_batch,
     dense_encode_batch,
-    lexical_encode,
     lexical_trace,
     token_scores,
 )
@@ -188,8 +188,9 @@ class TestLexicalEncodeIsBitIdentical:
     @settings(max_examples=150, deadline=None)
     def test_matches_two_reduction_oracle(self, seed, vocab_size, dim, coarse, n_inputs):
         p = lexical_params(seed, vocab_size, dim, coarse)
-        for tv in term_vectors(seed, vocab_size, n_inputs, 40):
-            vec, trace = lexical_encode(tv, p), trace_of(tv, p)
+        tvs = term_vectors(seed, vocab_size, n_inputs, 40)
+        for tv, vec in zip(tvs, LexicalTable(p).vectors(TokenBatch.of(tvs))):
+            trace = trace_of(tv, p)
             active, pre, src = oracle_lexical_encode(tv, p)
             assert trace.active_terms.dtype == np.int64
             assert np.array_equal(trace.active_terms, active)
@@ -231,7 +232,8 @@ class TestLexicalEncodeIsBitIdentical:
         assert not len(trace.active_terms) and not len(trace.weights)
         p.bias[:] = -100.0
         inactive = TermVector(counts={0: 1, 6: 2}, n=3)
-        assert not len(lexical_encode(inactive, p).terms) and not len(trace_of(inactive, p).source_token)
+        assert not len(LexicalTable(p).vectors(TokenBatch.of([inactive]))[0].terms)
+        assert not len(trace_of(inactive, p).source_token)
 
 
 class TestBlasRowBits:

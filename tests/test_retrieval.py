@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from lexlab.data import (
     Corpus, FormatError, TermVector, build_vocab, load_qrels, vectorize, vectorize_corpus,
 )
-from lexlab.encoders import ROW_EXACT_MULADDS, DenseParams, LexicalParams, dense_encode, lexical_encode
+from lexlab.encoders import ROW_EXACT_MULADDS, DenseParams, LexicalParams, LexicalTable, TokenBatch
 from lexlab import retrieval
 from lexlab.retrieval import (
     DenseIndex,
@@ -28,22 +28,18 @@ from lexlab.retrieval import (
     recall_at_k,
     save_run,
 )
-from lexlab.sparse_index import InvertedIndex, Ranking, bm25_search, build_index, sparse_search
-from lexlab.data import QuerySet
+from lexlab.sparse_index import (
+    InvertedIndex, Ranking, bm25_search, build_index, sparse_scores, sparse_search,
+)
+from lexlab.data import QuerySet, Vocabulary
+from lexlab.training import model_teacher
 
-from helpers import assert_no_children, per_passage_lexical_index, set_usable_cpus
+from helpers import (
+    assert_no_children, per_input_dense_encode, per_input_lexical_encode, per_passage_lexical_index,
+    set_usable_cpus,
+)
 
 FIXTURE = Path(__file__).parent / "data" / "metric_fixture"
-
-
-def per_input_dense_encode(tv, params):
-    """The dense encoder applied to one input on its own: count-weighted mean
-    of the token embeddings, then the affine map; zero for an empty input."""
-    if not tv.counts:
-        return np.zeros(params.dim)
-    ids = np.array(sorted(tv.counts), dtype=np.int64)
-    counts = np.array([float(tv.counts[int(t)]) for t in ids])
-    return params.proj @ (counts @ params.emb[ids] / counts.sum()) + params.bias
 
 
 def ranking_from(qid, entries):
@@ -81,7 +77,7 @@ class TestEncodeCorpus:
         index = encode_corpus(params, corpus, vocab)
         assert isinstance(index, InvertedIndex)
         for pid in corpus.docs:
-            vec = lexical_encode(vectorize(corpus.docs[pid], vocab), params)
+            vec = per_input_lexical_encode(vectorize(corpus.docs[pid], vocab), params)
             row = index.pids.index(pid)
             got = [
                 (t, w[list(rows).index(row)])
@@ -106,7 +102,6 @@ class TestEncodeCorpus:
         for row, pid in enumerate(index.pids):
             vec = per_input_dense_encode(vectorize(docs[pid], vocab), params)
             assert index.matrix[row].tobytes() == vec.tobytes()
-            assert dense_encode(vectorize(docs[pid], vocab), params).tobytes() == vec.tobytes()
         assert not index.matrix[index.pids.index("d3")].any()
         assert not index.matrix[index.pids.index("d4")].any()
 
@@ -177,7 +172,7 @@ class TestEncodeBlocks:
         assert index.kind == kind
         assert index.pids == sorted(corpus.docs)
         if kind == "dense":
-            rows = [dense_encode(doc_tvs[pid], params) for pid in index.pids]
+            rows = [per_input_dense_encode(doc_tvs[pid], params) for pid in index.pids]
             expected = np.array(rows).reshape(n_docs, params.dim)
             assert index.matrix.shape == expected.shape
             assert index.matrix.tobytes() == expected.tobytes()
@@ -250,7 +245,9 @@ def table_model(case, seed, vocab_size, dim):
 class TestEncodeFromTheTable:
     """A lexical `encode_corpus` reads each passage of 2 to `max_tokens`
     tokens from one score table per checkpoint, and gives any other its own
-    product; the index has the bits of a passage-by-passage `lexical_encode`."""
+    product; the index has the bits of a passage-by-passage
+    `per_input_lexical_encode`, and so do the same inputs as queries of a
+    `Retriever` and of `model_teacher`, which encode through the table too."""
 
     @given(case=st.sampled_from(["random", "init", "nan", "tie"]), seed=st.integers(0, 10_000),
            sizes=st.one_of(st.sampled_from(ONE_ROW_LAST_BLOCK),
@@ -281,6 +278,22 @@ class TestEncodeFromTheTable:
         for t, (rows, w) in oracle.postings.items():
             assert index.postings[t][0].tobytes() == rows.tobytes()
             assert index.postings[t][1].tobytes() == w.tobytes()
+
+        # The passages again as query texts over a vocabulary of "t<id>" terms.
+        terms = [f"t{i}" for i in range(vocab_size)]
+        vocab = Vocabulary({term: i for i, term in enumerate(terms)}, terms)
+        texts = {pid: " ".join(terms[t] for t in ids) for pid, ids in zip(doc_tvs, passages)}
+        q_vecs = {pid: per_input_lexical_encode(tv, p) for pid, tv in doc_tvs.items()}
+        vecs = LexicalTable(p).vectors(TokenBatch.of(list(doc_tvs.values())))
+        assert [(v.terms.tobytes(), v.weights.tobytes()) for v in vecs] == [
+            (v.terms.tobytes(), v.weights.tobytes()) for v in q_vecs.values()]
+        rankings = Retriever(p, index, vocab).search_all(texts, len(texts))
+        teacher = model_teacher(p, index, vocab, QuerySet(queries=texts))
+        for qid, q_vec in q_vecs.items():
+            want = sparse_search(q_vec, oracle, len(texts), qid=qid)
+            assert rankings[qid].ids == want.ids
+            assert rankings[qid].scores.tobytes() == want.scores.tobytes()
+            assert teacher(qid, oracle.pids).tobytes() == sparse_scores(q_vec, oracle).tobytes()
 
 
 class TestDenseSearch:
@@ -347,7 +360,7 @@ class TestMakeRunAndIO:
         index = encode_corpus(params, corpus, vocab)
         run = make_run(params, queries, index, vocab, k=12, tag="x")
         for qid, text in queries.queries.items():
-            vec = dense_encode(vectorize(text, vocab), params)
+            vec = per_input_dense_encode(vectorize(text, vocab), params)
             assert run.rankings[qid].entries == dense_search(vec, index, 12, qid=qid).entries
 
     def test_bm25_run(self):
@@ -440,7 +453,7 @@ class TestMakeRunAndIO:
         run = make_run(params, queries, index, vocab, k=12, tag="x")
         assert list(run.rankings) == list(queries.queries)
         for qid, text in queries.queries.items():
-            vec = dense_encode(vectorize(text, vocab), params)
+            vec = per_input_dense_encode(vectorize(text, vocab), params)
             expected = dense_search(vec, index, 12, qid=qid).entries
             assert [(p, s.hex()) for p, s in run.rankings[qid].entries] == [
                 (p, s.hex()) for p, s in expected]
@@ -464,9 +477,11 @@ class TestRetriever:
         tv = vectorize("w1 w2", vocab)
         expected = {
             "bm25": bm25_search(tv, indexes["bm25"], 5, k1=0.9, b=0.4, qid="q"),
-            "dense": dense_search(dense_encode(tv, params["dense"]), indexes["dense"], 5, qid="q"),
+            "dense": dense_search(
+                per_input_dense_encode(tv, params["dense"]), indexes["dense"], 5, qid="q"
+            ),
             "lexical": sparse_search(
-                lexical_encode(tv, params["lexical"]), indexes["lexical"], 5, qid="q"
+                per_input_lexical_encode(tv, params["lexical"]), indexes["lexical"], 5, qid="q"
             ),
         }
         for kind, index in indexes.items():

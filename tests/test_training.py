@@ -15,7 +15,8 @@ from lexlab.data import Corpus, Qrels, QuerySet, build_vocab, vectorize, vectori
 from lexlab.encoders import (
     DenseParams,
     LexicalParams,
-    lexical_encode,
+    LexicalTable,
+    TokenBatch,
 )
 from lexlab.objectives import TEACHING_LOSSES
 from lexlab.retrieval import Retriever, encode_corpus
@@ -46,7 +47,9 @@ from lexlab.training import (
     validate_pool,
 )
 
-from helpers import params_digest, relevance, save_teacher_scores, set_usable_cpus
+from helpers import (
+    params_digest, per_input_lexical_encode, relevance, save_teacher_scores, set_usable_cpus,
+)
 
 ALL_KEYS = tuple(f.name for f in dataclasses.fields(PipelineConfig))
 
@@ -212,9 +215,9 @@ class TestPools:
 
 def encode_and_dot(params, vocab, query_text, docs, pids):
     """Teacher oracle: encode the query and each passage, then `relevance`."""
-    q_vec = lexical_encode(vectorize(query_text, vocab), params)
+    q_vec = per_input_lexical_encode(vectorize(query_text, vocab), params)
     return {
-        pid: relevance(q_vec, lexical_encode(vectorize(docs[pid], vocab), params))
+        pid: relevance(q_vec, per_input_lexical_encode(vectorize(docs[pid], vocab), params))
         for pid in pids
     }
 
@@ -243,9 +246,9 @@ class TestTeachers:
         pids = sorted(corpus.docs)
         for qid, text in queries.queries.items():
             got = teacher(qid, pids)
-            q_vec = lexical_encode(vectorize(text, vocab), params)
+            q_vec = per_input_lexical_encode(vectorize(text, vocab), params)
             for pid, score in zip(pids, got):
-                p_vec = lexical_encode(vectorize(corpus.docs[pid], vocab), params)
+                p_vec = per_input_lexical_encode(vectorize(corpus.docs[pid], vocab), params)
                 assert score == pytest.approx(relevance(q_vec, p_vec), abs=0)
 
     def test_score_file_roundtrip(self, tmp_path):
@@ -274,13 +277,15 @@ class TestTeachers:
         params = LexicalParams.init(vocab.size, 4, 0)
         index = encode_corpus(params, corpus, vocab)
         encoded = []
-        real = training.lexical_encode
-        monkeypatch.setattr(training, "lexical_encode", lambda tv, p: encoded.append(tv) or real(tv, p))
+        real = LexicalTable.encode
+        monkeypatch.setattr(LexicalTable, "encode", lambda self, b: encoded.append(b) or real(self, b))
         teacher = model_teacher(params, index, vocab, queries)
         first = teacher("q0", ["d00", "d05"])
         again = teacher("q0", ["d05", "d00", "d07"])
-        # Only query text is encoded, once per call; passages come from the index.
-        assert encoded == [vectorize(queries.queries["q0"], vocab)] * 2
+        # Only the query rows are encoded; passages come from the index.
+        rows = TokenBatch.of([vectorize(text, vocab) for text in queries.queries.values()])
+        assert [(b.ids.tobytes(), b.counts.tobytes(), b.lens.tobytes()) for b in encoded] == [
+            (rows.ids.tobytes(), rows.counts.tobytes(), rows.lens.tobytes())]
         assert list(again[:2]) == [first[1], first[0]]
 
     def test_model_teacher_rejects_other_kinds(self):
