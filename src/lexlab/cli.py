@@ -173,7 +173,7 @@ def cmd_train(args) -> int:
     elif args.teacher_checkpoint:
         t_params = _load_model(args.teacher_checkpoint, vocab, cfg.min_df, cfg.max_vocab)
         t_index = retrieval.encode_corpus(t_params, corpus, vocab)
-        teacher = training.model_teacher(t_params, t_index, vocab, queries)
+        teacher = training.model_teacher(retrieval.Retriever(t_params, t_index, vocab), queries)
     stage_cfg = training.stage_config(
         cfg, training.Stage(args.stage, "lr", "epochs", "m"), cfg.strategy
     )

@@ -38,12 +38,15 @@ def check_id(iid: str, what: str, where: str) -> None:
 
 @contextmanager
 def open_text(path: str | Path) -> Iterator[TextIO]:
-    """`path` opened as UTF-8 text. If reading it meets a byte that is not
-    UTF-8, the file is read again with each such byte decoded to a lone
+    """`path` opened as UTF-8 text, past a leading byte-order mark, which
+    would otherwise start the first id. If reading it meets a byte that is
+    not UTF-8, the file is read again with each such byte decoded to a lone
     surrogate, so lines split as before, and the first line holding one
     fails with `path:line`."""
     try:
         with open(path, encoding="utf-8") as f:
+            if f.read(1) != "\ufeff":
+                f.seek(0)
             yield f
     except UnicodeDecodeError:
         with open(path, encoding="utf-8", errors="surrogateescape") as f:

@@ -117,12 +117,13 @@ def dense_search(query_vec: np.ndarray, index: DenseIndex, k: int, qid: str = ""
 
 
 class Retriever:
-    """Top-k search of query texts over one index.
+    """Query encoding and top-k search of query texts over one index.
 
     The index fixes the search when the retriever is built: a dense index is
     searched with `DenseParams`, a learned-weight index with `LexicalParams`,
     and a raw-count index by BM25 (`k1`, `b`) with no model; any other
-    pairing is rejected.
+    pairing is rejected. A lexical retriever builds its model's
+    `LexicalTable` once, here, and every `encode` reads it.
     """
 
     def __init__(
@@ -150,25 +151,27 @@ class Retriever:
     def search(self, text: str, k: int, qid: str = "") -> Ranking:
         return self.search_all({qid: text}, k)[qid]
 
-    def search_all(self, texts: dict[str, str], k: int) -> dict[str, Ranking]:
-        """Top-k of every query text, keyed and ordered like `texts`.
-
-        Model queries encode in one batch, dense ones by `dense_encode_batch`
-        and lexical ones by the retriever's `LexicalTable`, as `encode_corpus`
-        encodes passages; a query gets the same bits in any batch, so each
-        ranking equals its own `search`.
-        """
-        tvs = {qid: vectorize(text, self.vocab) for qid, text in texts.items()}
+    def encode(self, texts) -> np.ndarray | list:
+        """The query encodings of `texts`, in order: the rows of one
+        `dense_encode_batch` for a dense model, `TermWeightVector`s of one
+        `LexicalTable.vectors` for a lexical one (as `encode_corpus` encodes
+        passages; a query gets the same bits in any batch), and the raw
+        `TermVector`s that BM25 reads without one."""
+        tvs = [vectorize(text, self.vocab) for text in texts]
         if self.kind == "dense":
-            vecs = dense_encode_batch(self.params, TokenBatch.of(list(tvs.values())))[0]
-            return {qid: dense_search(vec, self.index, k, qid=qid) for qid, vec in zip(tvs, vecs)}
+            return dense_encode_batch(self.params, TokenBatch.of(tvs))[0]
         if self.kind == "lexical":
-            vecs = self.table.vectors(TokenBatch.of(list(tvs.values())))
-            return {qid: sparse_search(vec, self.index, k, qid=qid) for qid, vec in zip(tvs, vecs)}
-        return {
-            qid: bm25_search(tv, self.index, k, self.k1, self.b, qid=qid)
-            for qid, tv in tvs.items()
-        }
+            return self.table.vectors(TokenBatch.of(tvs))
+        return tvs
+
+    def search_all(self, texts: dict[str, str], k: int) -> dict[str, Ranking]:
+        """Top-k of every query text, keyed and ordered like `texts`, from
+        one `encode` of them all, so each ranking equals its own `search`."""
+        vecs = zip(texts, self.encode(texts.values()))
+        if self.kind == "bm25":
+            return {qid: bm25_search(tv, self.index, k, self.k1, self.b, qid=qid) for qid, tv in vecs}
+        search = dense_search if self.kind == "dense" else sparse_search
+        return {qid: search(vec, self.index, k, qid=qid) for qid, vec in vecs}
 
 
 def make_run(
@@ -232,7 +235,7 @@ def load_run(path: str | Path) -> RunFile:
     # ","; one test per query looks for it, and only then is the file read
     # again, to name the line.
     if any("," in qid or "," in "".join(pids) for qid, pids in ids.items()):
-        with open(path, encoding="utf-8") as f:
+        with open_text(path) as f:
             for lineno, line in enumerate(f, 1):
                 qid, _, pid, *_ = line.split()
                 check_id(qid, "query", f"{path}:{lineno}")

@@ -43,7 +43,6 @@ from .encoders import (
     DenseParams,
     LexicalParams,
     LexicalRoutes,
-    LexicalTable,
     LexicalTrace,
     Params,
     TokenBatch,
@@ -62,7 +61,7 @@ from .objectives import (
 )
 from . import retrieval
 from .retrieval import Retriever
-from .sparse_index import InvertedIndex, Ranking, build_index, sparse_scores
+from .sparse_index import Ranking, build_index, sparse_scores
 from .workers import fork_map
 
 log = logging.getLogger(__name__)
@@ -242,61 +241,33 @@ class _Searched:
         return Ranking(qid, ranking.ids[:k], ranking.scores[:k])
 
 
-def _sample_union(
-    parts: list[tuple[str, list[str]]], m_total: int, rng: random.Random
-) -> dict[str, list[str]]:
-    """Dedup the ordered union, sample m_total, and group the sample by source.
+def mix_pools(*pools: NegativePool, m_total: int = 32, seed: int = 0, salt: str = "mix") -> NegativePool:
+    """Per query: a uniform sample of m_total from the union of the pools.
 
-    Each pid belongs to the first source that lists it. Groups keep the
-    sample's order and follow the order of `parts`; empty groups are left out.
+    The union takes every pool's `(source, pids)` lists in order, and each
+    pid stays under the first source that lists it. The sample, drawn from
+    `random.Random(f"{seed}|{salt}|{qid}")`, is grouped by source in
+    first-listed order, each group in sample order, and empty groups are
+    left out. The pipeline mixes its `*_top` pools under salt "mix" and
+    subsamples den1's alone under salt "self"; each keeps its own tags.
     """
-    seen: set[str] = set()
-    union: list[str] = []
-    origin: dict[str, str] = {}
-    for source, pids in parts:
-        for pid in pids:
-            if pid not in seen:
-                seen.add(pid)
-                union.append(pid)
-                origin[pid] = source
-    chosen = rng.sample(union, m_total) if len(union) > m_total else union
-    groups: dict[str, list[str]] = {source: [] for source, _ in parts}
-    for pid in chosen:
-        groups[origin[pid]].append(pid)
-    return {source: group for source, group in groups.items() if group}
-
-
-def mix_pools(
-    lex1: NegativePool,
-    lex2: NegativePool,
-    den1: NegativePool,
-    m_total: int = 32,
-    seed: int = 0,
-) -> NegativePool:
-    """Per query: union of the three sources, dedup, uniform sample of m_total."""
-    if not (lex1.by_query.keys() == lex2.by_query.keys() == den1.by_query.keys()):
+    if any(pool.by_query.keys() != pools[0].by_query.keys() for pool in pools):
         raise ValueError("pools to mix must cover the same query set")
     mixed = NegativePool()
-    for qid in lex1.by_query:
-        parts = [
-            ("lex1", lex1.merged(qid)),
-            ("lex2", lex2.merged(qid)),
-            ("den1", den1.merged(qid)),
-        ]
-        groups = _sample_union(parts, m_total, random.Random(f"{seed}|mix|{qid}"))
-        for source, group in groups.items():
-            mixed.add(qid, source, group)
+    for qid in pools[0].by_query:
+        origin: dict[str, str] = {}  # the union in order, each pid's first source
+        for pool in pools:
+            for source, pids in pool.by_query[qid].items():
+                for pid in pids:
+                    origin.setdefault(pid, source)
+        union = list(origin)
+        rng = random.Random(f"{seed}|{salt}|{qid}")
+        chosen = rng.sample(union, m_total) if len(union) > m_total else union
+        for source in {source: None for pool in pools for source in pool.by_query[qid]}:
+            group = [pid for pid in chosen if origin[pid] == source]
+            if group:
+                mixed.add(qid, source, group)
     return mixed
-
-
-def subsample_pool(pool: NegativePool, m_total: int, seed: int) -> NegativePool:
-    """Uniformly sample m_total negatives per query from a single pool."""
-    out = NegativePool()
-    for qid, sources in pool.by_query.items():
-        groups = _sample_union(list(sources.items()), m_total, random.Random(f"{seed}|self|{qid}"))
-        for source, group in groups.items():
-            out.add(qid, source, group)
-    return out
 
 
 def load_teacher_scores(path: str | Path) -> dict[tuple[str, str], float]:
@@ -333,25 +304,22 @@ def table_teacher(scores: dict[tuple[str, str], float]):
     return teacher
 
 
-def model_teacher(params: LexicalParams, index: InvertedIndex, vocab: Vocabulary, queries: QuerySet):
+def model_teacher(retriever: Retriever, queries: QuerySet):
     """Teacher callable scoring candidates with a frozen lexical model.
 
-    Passages are read from `index`, the learned-weight index that
-    `encode_corpus` built with the same model, so no passage is encoded
-    again. Every query of `queries` is encoded here, in one batch through
-    the model's `LexicalTable` as `encode_corpus` encodes passages, and each
-    call scores its query's vector against the whole index by
-    `sparse_scores`, the dot product of the two encodings.
+    `retriever` pairs the model with its learned-weight index, which
+    `encode_corpus` built, so no passage is encoded again. Every query of
+    `queries` is encoded here, once, by `retriever.encode`, the query path
+    of search, and each call scores its query's vector against the whole
+    index by `sparse_scores`, the dot product of the two encodings.
     """
-    if params.kind != "lexical" or index.kind != "lexical":
+    if retriever.kind != "lexical":
         raise TypeError(
-            f"the teacher is a lexical model over its learned-weight index, "
-            f"got a {params.kind} model and a {index.kind} index"
+            f"the teacher is a lexical model over its learned-weight index, got a {retriever.kind} retriever"
         )
-
+    index = retriever.index
     row_of = {pid: row for row, pid in enumerate(index.pids)}
-    tvs = [vectorize(text, vocab) for text in queries.queries.values()]
-    q_vecs = dict(zip(queries.queries, LexicalTable(params).vectors(TokenBatch.of(tvs))))
+    q_vecs = dict(zip(queries.queries, retriever.encode(queries.queries.values())))
 
     def teacher(qid: str, pids: list[str]) -> np.ndarray:
         return sparse_scores(q_vecs[qid], index)[[row_of[pid] for pid in pids]]
@@ -804,9 +772,9 @@ STAGES = {
 }
 # The pipeline's rows in training order; a round's rows train side by side.
 ROUNDS = (("lex1", "den1"), ("lex2",), ("led",))
-# The pools built from mined ones: the mixture of the three `*_top` pools,
-# and den1's own top pool subsampled to `m`.
-BUILT_POOLS = {"mix": ("lex1_top", "lex2_top", "den1_top"), "den1_sub": ("den1_top",)}
+# The pools built from mined ones, each one `mix_pools` of its parts to `m`
+# under its salt: the three `*_top` pools mixed, and den1's own subsampled.
+BUILT_POOLS = {"mix": (("lex1_top", "lex2_top", "den1_top"), "mix"), "den1_sub": (("den1_top",), "self")}
 
 
 def stage_config(cfg: PipelineConfig, stage: Stage, strategy: str) -> TrainConfig:
@@ -846,10 +814,12 @@ def run_pipeline(
     rows outside `ROUNDS`, as one last round; optionally evaluate them all.
 
     A round's rows train side by side, one `fork_map` item each, after the
-    pools, indexes and teachers they need are built here, once each. A bad
-    head is rejected before any input file is read, and every input file
-    before any work, the teacher table whatever the strategy. Every mining
-    pass is tagged by its source model and checked against qrels exclusion.
+    pools and teachers they need are built here, once each. Each model gets
+    one `Retriever`, on first use, that serves its mining, its teaching and
+    the index of its eval run. A bad head is rejected before any input file
+    is read, and every input file before any work, the teacher table
+    whatever the strategy. Every mining pass is tagged by its source model
+    and checked against qrels exclusion.
     """
     ablations = sorted(STAGES.keys() - {name for names in ROUNDS for name in names})
     for k, name in enumerate(heads):
@@ -872,20 +842,21 @@ def run_pipeline(
     logs: dict[str, TrainLog] = {}
     checkpoints: dict[str, Params] = {}
     metas: dict[str, CheckpointMeta] = {}
-    indexes: dict[str, object] = {"bm25": build_index(doc_tvs)}
+    retrievers: dict[str, Retriever] = {}
     teachers: dict[str, object] = {}
 
     # No nested function calls itself: that cycle would hold a pass until the cyclic GC.
-    def index(name: str):
-        if name not in indexes:
-            indexes[name] = retrieval.encode_corpus(checkpoints[name], corpus, vocab, doc_tvs)
-        return indexes[name]
+    def retriever(name: str) -> Retriever:
+        if name not in retrievers:
+            params = checkpoints.get(name)  # bm25 has none
+            index = build_index(doc_tvs) if params is None else (
+                retrieval.encode_corpus(params, corpus, vocab, doc_tvs))
+            retrievers[name] = Retriever(params, index, vocab, cfg.bm25_k1, cfg.bm25_b)
+        return retrievers[name]
 
     # The mined pools the run reads: each row's pool, or those it is built from.
-    wanted = {
-        part for names in (*ROUNDS, heads) for name in names
-        for part in BUILT_POOLS.get(STAGES[name].pool, (STAGES[name].pool,))
-    }
+    read = {STAGES[name].pool for names in (*ROUNDS, heads) for name in names}
+    wanted = {part for name in read for part in (BUILT_POOLS[name][0] if name in BUILT_POOLS else (name,))}
 
     def mine(name: str) -> NegativePool:
         # "<source>" samples warmup_m of the top depth; "<source>_top" keeps the
@@ -893,8 +864,7 @@ def run_pipeline(
         # from a source, and no ranking outlives the mining.
         if name not in pools:
             source = name.removesuffix("_top")
-            retriever = Retriever(checkpoints.get(source), index(source), vocab, cfg.bm25_k1, cfg.bm25_b)
-            searched = _Searched(retriever, queries, max(cfg.depth, mix_depth))
+            searched = _Searched(retriever(source), queries, max(cfg.depth, mix_depth))
             for part in (source, f"{source}_top"):
                 top = part != source
                 depth, m = (mix_depth, mix_depth) if top else (cfg.depth, cfg.warmup_m)
@@ -905,13 +875,10 @@ def run_pipeline(
         return pools[name]
 
     def pool(name: str) -> NegativePool:
-        if name not in pools:
-            parts = [mine(part) for part in BUILT_POOLS.get(name, (name,))]
-            if name == "mix":
-                pools[name] = mix_pools(*parts, cfg.m, cfg.seed)
-            elif name == "den1_sub":
-                pools[name] = subsample_pool(*parts, cfg.m, cfg.seed)
-        return pools[name]
+        if name in BUILT_POOLS and name not in pools:
+            parts, salt = BUILT_POOLS[name]
+            pools[name] = mix_pools(*map(mine, parts), m_total=cfg.m, seed=cfg.seed, salt=salt)
+        return mine(name)
 
     def train(name: str) -> tuple[Params, TrainLog]:
         row = STAGES[name]
@@ -928,7 +895,7 @@ def run_pipeline(
             pool(row.pool)
             if row.teacher and _needs_teacher(cfg.strategy):
                 teachers[name] = table_teacher(teacher_scores) if cfg.teacher_scores_file else (
-                    model_teacher(checkpoints[row.teacher], index(row.teacher), vocab, queries)
+                    model_teacher(retriever(row.teacher), queries)
                 )
         for name, (params, tlog) in zip(names, fork_map(train, names)):
             checkpoints[name], logs[name] = params, tlog
@@ -938,10 +905,10 @@ def run_pipeline(
     reports: dict[str, object] = {}
     if cfg.eval_queries:
         # Every index before the first run: one encoded between runs raised peak RSS 4 MB.
-        searched = {name: index(name) for name in sorted(checkpoints, key=list(STAGES).index)}
-        for name, searched_index in searched.items():
+        searched = {name: retriever(name) for name in sorted(checkpoints, key=list(STAGES).index)}
+        for name, model in searched.items():
             runs[name] = retrieval.make_run(
-                checkpoints[name], eval_queries, searched_index, vocab, k=cfg.run_depth, tag=name
+                checkpoints[name], eval_queries, model.index, vocab, k=cfg.run_depth, tag=name
             )
             reports[name] = retrieval.evaluate(runs[name], eval_qrels)
 

@@ -6,7 +6,9 @@ those of one input's encoding, passage or query, `per_passage_lexical_index`
 that of a lexical `retrieval.encode_corpus`, `weight_index` builds a
 learned-weight index of given `TermWeightVector`s, `params_digest`
 fingerprints a model's parameters, and `save_teacher_scores` writes the
-score table `training.load_teacher_scores` reads. The per-set losses below
+score table `training.load_teacher_scores` reads. `sample_union`,
+`mix_three_pools` and `subsample_pool` are the two pool samplers that
+`training.mix_pools` replaced, kept as its oracles. The per-set losses below
 (`set_contrastive`, `set_rank_consistent`, `set_margin_mse`, `set_kl`,
 `set_strategy_loss` and `set_flops`) are the one-set-at-a-time forms the
 row-wise losses of `objectives` replaced, kept as the oracles those are held
@@ -16,6 +18,7 @@ to bit for bit.
 import hashlib
 import math
 import os
+import random
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ import pytest
 from lexlab.encoders import TermWeightVector, lexical_trace
 from lexlab.objectives import LossValue
 from lexlab.sparse_index import postings_index
+from lexlab.training import NegativePool
 
 
 def ordered_total(values: np.ndarray) -> float:
@@ -85,6 +89,54 @@ def save_teacher_scores(scores: dict[tuple[str, str], float], path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for (qid, pid), score in sorted(scores.items()):
             f.write(f"{qid}\t{pid}\t{score:.12g}\n")
+
+
+def sample_union(
+    parts: list[tuple[str, list[str]]], m_total: int, rng: random.Random
+) -> dict[str, list[str]]:
+    """Dedup the ordered union, sample m_total, and group the sample by source.
+
+    Each pid belongs to the first source that lists it. Groups keep the
+    sample's order and follow the order of `parts`; empty groups are left out.
+    """
+    seen: set[str] = set()
+    union: list[str] = []
+    origin: dict[str, str] = {}
+    for source, pids in parts:
+        for pid in pids:
+            if pid not in seen:
+                seen.add(pid)
+                union.append(pid)
+                origin[pid] = source
+    chosen = rng.sample(union, m_total) if len(union) > m_total else union
+    groups: dict[str, list[str]] = {source: [] for source, _ in parts}
+    for pid in chosen:
+        groups[origin[pid]].append(pid)
+    return {source: group for source, group in groups.items() if group}
+
+
+def mix_three_pools(lex1, lex2, den1, m_total: int = 32, seed: int = 0) -> NegativePool:
+    """Per query: union of the three sources, tagged lex1, lex2 and den1 by
+    position, dedup, uniform sample of m_total."""
+    if not (lex1.by_query.keys() == lex2.by_query.keys() == den1.by_query.keys()):
+        raise ValueError("pools to mix must cover the same query set")
+    mixed = NegativePool()
+    for qid in lex1.by_query:
+        parts = [("lex1", lex1.merged(qid)), ("lex2", lex2.merged(qid)), ("den1", den1.merged(qid))]
+        groups = sample_union(parts, m_total, random.Random(f"{seed}|mix|{qid}"))
+        for source, group in groups.items():
+            mixed.add(qid, source, group)
+    return mixed
+
+
+def subsample_pool(pool, m_total: int, seed: int) -> NegativePool:
+    """Uniformly sample m_total negatives per query from a single pool."""
+    out = NegativePool()
+    for qid, sources in pool.by_query.items():
+        groups = sample_union(list(sources.items()), m_total, random.Random(f"{seed}|self|{qid}"))
+        for source, group in groups.items():
+            out.add(qid, source, group)
+    return out
 
 
 def _set_log_softmax(scores: np.ndarray) -> np.ndarray:

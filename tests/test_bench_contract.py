@@ -258,23 +258,27 @@ def test_led_pipeline_files(toy_data, tmp_path):
     assert [rel for rel in expected if not (out / rel).is_file()] == []
 
 
+def toy_pipeline_config(toy_data) -> training.PipelineConfig:
+    """A small pipeline over the toy fixture, evaluated, with FLOPS on."""
+    files = {key: str(toy_data / name) for key, name in (
+        ("collection", "collection.tsv"), ("train_queries", "train_queries.tsv"),
+        ("train_qrels", "train_qrels.txt"), ("eval_queries", "test_queries.tsv"),
+        ("eval_qrels", "test_qrels.txt"))}
+    return training.PipelineConfig(**files, seed=5, dim=4, epochs=1, warmup_m=3, m=4, depth=6,
+                                   run_depth=20, flops_weight=0.2)
+
+
 def test_stage_targets_wrap_the_pipeline_cleanly(toy_data, tmp_path, monkeypatch):
     # Every benchmark run, untraced too, times these spans: a stage function
     # that is gone, or a namer or hook that fails on its arguments, fails
     # here rather than in a benchmark run. On one CPU every stage and its
     # hooks run in this process.
     set_usable_cpus(monkeypatch, 1)
-    files = {key: str(toy_data / name) for key, name in (
-        ("collection", "collection.tsv"), ("train_queries", "train_queries.tsv"),
-        ("train_qrels", "train_qrels.txt"), ("eval_queries", "test_queries.tsv"),
-        ("eval_qrels", "test_qrels.txt"))}
-    cfg = training.PipelineConfig(**files, seed=5, dim=4, epochs=1, warmup_m=3, m=4, depth=6,
-                                  run_depth=20, flops_weight=0.2)
     tracing = load_perfbench("tracing")
     tracer = tracing.Tracer()
     uninstall = tracing.install(tracer, tracing.STAGE_TARGETS)
     try:
-        training.run_pipeline(cfg, out_dir=tmp_path / "out")
+        training.run_pipeline(toy_pipeline_config(toy_data), out_dir=tmp_path / "out")
     finally:
         uninstall()
     assert tracer.missing == [] and not tracer.hook_errors
@@ -282,3 +286,24 @@ def test_stage_targets_wrap_the_pipeline_cleanly(toy_data, tmp_path, monkeypatch
     assert {f"training.train_stage.{stage}" for stage in ("lex1", "den1", "lex2", "led")} <= spans
     assert {f"retrieval.encode_corpus.{kind}" for kind in ("lexical", "dense")} <= spans
     assert {f"retrieval.make_run.{kind}" for kind in ("lexical", "dense")} <= spans
+
+
+def test_layer_targets_wrap_the_pipeline_cleanly(toy_data, tmp_path, monkeypatch):
+    # A traced benchmark run wraps these too: a pool sampler, teacher or
+    # mining function that is renamed, or a hook that fails on a changed
+    # teacher callable, fails here rather than in a traced run. Only the
+    # one-input encoders and their backward passes are gone for good.
+    set_usable_cpus(monkeypatch, 1)
+    tracing = load_perfbench("tracing")
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer, tracing.LAYER_TARGETS)
+    try:
+        training.run_pipeline(toy_pipeline_config(toy_data), out_dir=tmp_path / "out")
+    finally:
+        uninstall()
+    gone = {f"encoders.{name}" for name in
+            ("lexical_encode", "dense_encode", "lexical_backward", "dense_backward")}
+    assert set(tracer.missing) <= gone and not tracer.hook_errors
+    spans = set(tracer.summarize(0, len(tracer.start)))
+    assert {"training.mix_pools", "training.model_teacher", "training.teacher",
+            "training.mine_negatives"} <= spans

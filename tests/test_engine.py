@@ -302,7 +302,7 @@ class TestEveryCallerTracesTheSameBits:
 
         scored = []
         monkeypatch.setattr(training, "sparse_scores", recording(training.sparse_scores, scored))
-        teacher = model_teacher(p, index, vocab, queries)
+        teacher = model_teacher(Retriever(p, index, vocab), queries)
         teacher("q1", ["d0"])
         teacher("q0", ["d0"])
         assert_lone(scored[1].terms, scored[1].weights)

@@ -185,6 +185,21 @@ class TestUtf8:
         with pytest.raises(FormatError, match=r"^.*input\.txt:2: not UTF-8 text$"):
             read(path)
 
+    @pytest.mark.parametrize("read", list(LINES), ids=lambda read: read.__name__)
+    def test_a_byte_order_mark_is_skipped(self, tmp_path, read):
+        # Kept, the mark would start the first id, or the first config key.
+        text = "".join(line.replace("\udcff", "x") + "\n" for line in self.LINES[read])
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+
+        def comparable(loaded):
+            if read is load_run:  # a Ranking compares by identity
+                return loaded.tag, {qid: (r.qid, r.entries) for qid, r in loaded.rankings.items()}
+            return loaded
+
+        assert comparable(read(marked)) == comparable(read(plain))
+
     @staticmethod
     def run_under_an_ascii_locale(*argv):
         """`python -m lexlab.cli *argv` where the locale's encoding is ASCII."""

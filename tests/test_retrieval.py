@@ -287,8 +287,9 @@ class TestEncodeFromTheTable:
         vecs = LexicalTable(p).vectors(TokenBatch.of(list(doc_tvs.values())))
         assert [(v.terms.tobytes(), v.weights.tobytes()) for v in vecs] == [
             (v.terms.tobytes(), v.weights.tobytes()) for v in q_vecs.values()]
-        rankings = Retriever(p, index, vocab).search_all(texts, len(texts))
-        teacher = model_teacher(p, index, vocab, QuerySet(queries=texts))
+        retriever = Retriever(p, index, vocab)
+        rankings = retriever.search_all(texts, len(texts))
+        teacher = model_teacher(retriever, QuerySet(queries=texts))
         for qid, q_vec in q_vecs.items():
             want = sparse_search(q_vec, oracle, len(texts), qid=qid)
             assert rankings[qid].ids == want.ids

@@ -6,6 +6,7 @@ import math
 import re
 import shutil
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -41,14 +42,14 @@ from lexlab.training import (
     run_pipeline,
     save_pool,
     stage_config,
-    subsample_pool,
     table_teacher,
     train_stage,
     validate_pool,
 )
 
 from helpers import (
-    params_digest, per_input_lexical_encode, relevance, save_teacher_scores, set_usable_cpus,
+    mix_three_pools, params_digest, per_input_lexical_encode, relevance, save_teacher_scores,
+    set_usable_cpus, subsample_pool,
 )
 
 ALL_KEYS = tuple(f.name for f in dataclasses.fields(PipelineConfig))
@@ -175,9 +176,44 @@ class TestPools:
     def test_subsample_pool(self):
         p = NegativePool()
         p.add("q1", "den1", [f"d{i}" for i in range(30)])
-        out = subsample_pool(p, 10, seed=2)
+        out = mix_pools(p, m_total=10, seed=2, salt="self")
         assert len(out.merged("q1")) == 10
         assert set(out.merged("q1")) <= set(p.merged("q1"))
+
+    @staticmethod
+    def random_pools(sources_per_pool, seed, n_queries=8, n_pids=14, max_len=7):
+        """One pool per tuple of sources; each query's lists are drawn from a
+        shared pid space, so lists of different pools overlap, and a list is
+        empty now and then (every list of the last query is)."""
+        rng = np.random.default_rng(seed)
+        pools = [NegativePool() for _ in sources_per_pool]
+        for q in range(n_queries):
+            for pool, sources in zip(pools, sources_per_pool):
+                # A pool lists a passage once, so its sources split a draw.
+                drawn = [f"d{i}" for i in rng.permutation(n_pids)]
+                cuts = sorted(rng.integers(0, max_len + 1, size=len(sources)).tolist())
+                for source, a, b in zip(sources, [0, *cuts], cuts):
+                    pool.add(f"q{q}", source, [] if q == n_queries - 1 else drawn[a:b])
+        return pools
+
+    @staticmethod
+    def ordered(pool):
+        return [(qid, list(sources.items())) for qid, sources in pool.by_query.items()]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mix_equals_the_three_pool_sampler(self, seed):
+        # Unions of 0 to 21 pids per query: m_total runs below, at and above each.
+        pools = self.random_pools([("lex1",), ("lex2",), ("den1",)], seed)
+        for m_total in range(0, 24):
+            got = mix_pools(*pools, m_total=m_total, seed=seed + 3, salt="mix")
+            assert self.ordered(got) == self.ordered(mix_three_pools(*pools, m_total, seed + 3))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_self_salt_equals_the_one_pool_sampler(self, seed):
+        (pool,) = self.random_pools([("bm25", "den1")], seed)
+        for m_total in range(0, 10):
+            got = mix_pools(pool, m_total=m_total, seed=seed + 3, salt="self")
+            assert self.ordered(got) == self.ordered(subsample_pool(pool, m_total, seed + 3))
 
     def test_pool_file_roundtrip(self, tmp_path):
         p = NegativePool()
@@ -236,13 +272,13 @@ class TestTeachers:
     def test_empty_pid_list(self):
         corpus, queries, qrels, vocab = small_world()
         params = LexicalParams.init(vocab.size, 4, 0)
-        teacher = model_teacher(params, encode_corpus(params, corpus, vocab), vocab, queries)
+        teacher = model_teacher(Retriever(params, encode_corpus(params, corpus, vocab), vocab), queries)
         assert len(teacher("q0", [])) == 0
 
     def test_model_scores_equal_direct_relevance(self):
         corpus, queries, qrels, vocab = small_world()
         params = LexicalParams.init(vocab.size, 4, 0)
-        teacher = model_teacher(params, encode_corpus(params, corpus, vocab), vocab, queries)
+        teacher = model_teacher(Retriever(params, encode_corpus(params, corpus, vocab), vocab), queries)
         pids = sorted(corpus.docs)
         for qid, text in queries.queries.items():
             got = teacher(qid, pids)
@@ -265,7 +301,7 @@ class TestTeachers:
     def test_model_teacher_matches_helper(self):
         corpus, queries, qrels, vocab = small_world()
         params = sparse_lexical_params(vocab.size, 4)
-        teacher = model_teacher(params, encode_corpus(params, corpus, vocab), vocab, queries)
+        teacher = model_teacher(Retriever(params, encode_corpus(params, corpus, vocab), vocab), queries)
         pids = sorted(corpus.docs, reverse=True)
         for qid, text in queries.queries.items():
             got = teacher(qid, pids)
@@ -279,7 +315,7 @@ class TestTeachers:
         encoded = []
         real = LexicalTable.encode
         monkeypatch.setattr(LexicalTable, "encode", lambda self, b: encoded.append(b) or real(self, b))
-        teacher = model_teacher(params, index, vocab, queries)
+        teacher = model_teacher(Retriever(params, index, vocab), queries)
         first = teacher("q0", ["d00", "d05"])
         again = teacher("q0", ["d05", "d00", "d07"])
         # Only the query rows are encoded; passages come from the index.
@@ -292,11 +328,13 @@ class TestTeachers:
         corpus, queries, qrels, vocab = small_world()
         dense = DenseParams.init(vocab.size, 4, 0)
         with pytest.raises(TypeError, match="lexical.*dense"):
-            model_teacher(dense, encode_corpus(dense, corpus, vocab), vocab, queries)
+            model_teacher(Retriever(dense, encode_corpus(dense, corpus, vocab), vocab), queries)
         lexical = LexicalParams.init(vocab.size, 4, 0)
         bm25_index = build_index(vectorize_corpus(corpus, vocab))
+        with pytest.raises(TypeError, match="bm25 index is searched with no model, got a lexical"):
+            model_teacher(Retriever(lexical, bm25_index, vocab), queries)
         with pytest.raises(TypeError, match="lexical.*bm25"):
-            model_teacher(lexical, bm25_index, vocab, queries)
+            model_teacher(Retriever(None, bm25_index, vocab), queries)
 
 
 def allocating_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -705,7 +743,7 @@ class TestPipeline:
         # read back to the same bits.
         lex2 = base.checkpoints["lex2"]
         index = encode_corpus(lex2, base.corpus, base.vocab)
-        teacher = model_teacher(lex2, index, base.vocab, base.queries)
+        teacher = model_teacher(Retriever(lex2, index, base.vocab), base.queries)
         path = tmp_path / "teacher.tsv"
         with open(path, "w", encoding="utf-8") as f:
             for qid in base.queries.queries:
@@ -787,6 +825,21 @@ class TestPipeline:
         for name, depth, m, sample in (("lex1", 12, 3, True), ("lex1_top", 20, 20, False)):
             direct = mine_negatives(retriever, result.queries, result.qrels, depth, m, 5, "lex1", sample)
             assert direct.by_query == result.pools[name].by_query
+
+    def test_mining_and_the_teacher_share_one_table_per_lexical_model(self, toy_fixture, monkeypatch):
+        # A lexical model's tables: one for `encode_corpus` to encode its
+        # passages, and one in its `Retriever`, which mines with it and, for
+        # lex2, teaches led. Without evaluation no `make_run` builds another.
+        # On one CPU every table is built in this process.
+        set_usable_cpus(monkeypatch, 1)
+        built = []
+        real = LexicalTable.__init__
+        monkeypatch.setattr(
+            LexicalTable, "__init__", lambda self, params: built.append(params) or real(self, params)
+        )
+        result = run_pipeline(toy_config(toy_fixture, eval_queries="", eval_qrels=""))
+        name_of = {id(params): name for name, params in result.checkpoints.items()}
+        assert Counter(name_of[id(params)] for params in built) == {"lex1": 2, "lex2": 2}
 
     def test_a_pass_frees_its_state(self, toy_fixture):
         # With the cyclic GC off only reference counts free a pass, so a
